@@ -76,17 +76,18 @@ class Edge:
     weight: float
 
 
+# Weight of the relative_of edges between members of one household.
+RELATIVE_WEIGHT = 1.0
+
+
 @dataclass
 class GraphBuildConfig:
     """Knobs for ``build_from_records``.
 
     intention_fields: which output columns get a choose_to edge per record.
-    relative_weight: weight of household-link relative_of edges.
     """
 
     intention_fields: tuple[str, ...] = ("primary_mode",)
-    relative_weight: float = 1.0
-    choice_sets: tuple[ChoiceCategorySet, ...] = tuple(BUNDLED_CHOICE_SETS.values())
 
     def __post_init__(self):
         for name in self.intention_fields:
@@ -276,11 +277,8 @@ def build_from_records(
 
     config = config or GraphBuildConfig()
     graph = BehaviorGraph()
-    for choice_set in config.choice_sets:
+    for choice_set in BUNDLED_CHOICE_SETS.values():
         graph.register_choice_set(choice_set)
-    for name in config.intention_fields:
-        if name not in graph.choice_sets:
-            graph.register_choice_set(BUNDLED_CHOICE_SETS[name])
 
     person_index: dict[tuple[str, ...], NodeId] = {}
     desire_index: dict[tuple[NodeId, str, int], NodeId] = {}
@@ -319,6 +317,6 @@ def build_from_records(
         for a in ordered:
             for b in ordered:
                 if a != b:
-                    graph.add_edge(a, b, EdgeKind.RELATIVE_OF, config.relative_weight)
+                    graph.add_edge(a, b, EdgeKind.RELATIVE_OF, RELATIVE_WEIGHT)
 
     return graph

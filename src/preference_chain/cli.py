@@ -36,6 +36,7 @@ from .errors import (
     SchemaViolation,
 )
 from .evaluate import (
+    INTENTION_FIELDS,
     chain_predictions,
     evaluate_predictions,
     marginal_predictions,
@@ -62,9 +63,7 @@ from .mobility_sim import (
 )
 from .pipeline import PreferenceChain
 from .retrieval import QueryAgent
-from .schema import BUNDLED_CHOICE_SETS, PROFILE_FIELDS, AgentProfile
-
-_INTENTION_FIELDS = ("primary_mode", "duration_minutes")
+from .schema import BUNDLED_CHOICE_SETS, PROFILE_FIELDS, TRIP_PURPOSES, AgentProfile
 
 
 def _require_path(value: Optional[str], flag: str) -> Path:
@@ -96,10 +95,11 @@ def _load_reference(args, config: RunConfig):
     return records
 
 
-def _build_chain(records, config: RunConfig) -> PreferenceChain:
-    graph = build_from_records(
-        records, GraphBuildConfig(intention_fields=_INTENTION_FIELDS)
-    )
+def _build_graph(records) -> BehaviorGraph:
+    return build_from_records(records, GraphBuildConfig(intention_fields=INTENTION_FIELDS))
+
+
+def _build_chain(graph: BehaviorGraph, config: RunConfig) -> PreferenceChain:
     return PreferenceChain(
         graph,
         embed_provider=build_embed_provider(config),
@@ -140,9 +140,7 @@ def cmd_gen_synth(args, config: RunConfig) -> int:
 
 def cmd_build_graph(args, config: RunConfig) -> int:
     records = _load_reference(args, config)
-    graph = build_from_records(
-        records, GraphBuildConfig(intention_fields=_INTENTION_FIELDS)
-    )
+    graph = _build_graph(records)
     if not args.out:
         raise ConfigError("--out file is required")
     graph.save(args.out)
@@ -155,7 +153,12 @@ def cmd_build_graph(args, config: RunConfig) -> int:
 
 def _agent_from_json(path: Path) -> QueryAgent:
     with open(path, "r", encoding="utf-8") as fp:
-        obj = json.load(fp)
+        try:
+            obj = json.load(fp)
+        except ValueError as exc:  # malformed JSON or undecodable bytes
+            raise DataError(f"agent {path} is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise DataError(f"agent {path} must hold a JSON object")
     profile_obj = obj.get("profile")
     if not isinstance(profile_obj, dict):
         raise SchemaViolation(-1, "profile", profile_obj, "missing profile object")
@@ -167,43 +170,32 @@ def _agent_from_json(path: Path) -> QueryAgent:
     for name in ("trip_purpose", "start_time"):
         if name not in obj:
             raise SchemaViolation(-1, name, None, "missing field")
-    agent = QueryAgent(
-        profile=profile,
-        trip_purpose=obj["trip_purpose"],
-        start_time=obj["start_time"],
-        context=obj.get("context", ""),
-    )
-    if not (isinstance(agent.start_time, int) and 0 <= agent.start_time <= 23):
-        raise SchemaViolation(-1, "start_time", agent.start_time)
-    return agent
+    purpose, hour, context = obj["trip_purpose"], obj["start_time"], obj.get("context", "")
+    if purpose not in TRIP_PURPOSES:
+        raise SchemaViolation(-1, "trip_purpose", purpose)
+    if isinstance(hour, bool) or not (isinstance(hour, int) and 0 <= hour <= 23):
+        raise SchemaViolation(-1, "start_time", hour)
+    if not isinstance(context, str):
+        raise SchemaViolation(-1, "context", context)
+    return QueryAgent(profile, purpose, hour, context)
 
 
 def cmd_predict(args, config: RunConfig) -> int:
     agent = _agent_from_json(_require_path(args.agent, "--agent"))
-    if args.graph or config.paths.graph_file:
-        path = _require_path(args.graph or config.paths.graph_file, "--graph")
-        graph = BehaviorGraph.load(path)
-        chain = PreferenceChain(
-            graph,
-            embed_provider=build_embed_provider(config),
-            llm_provider=build_llm_provider(config),
-            config=config.pipeline_config(),
-        )
+    snapshot = args.graph or config.paths.graph_file
+    if snapshot:
+        graph = BehaviorGraph.load(_require_path(snapshot, "--graph"))
     else:
-        chain = _build_chain(_load_reference(args, config), config)
-
-    subgraph = chain.subgraph(agent)
-    output = {}
-    for name in sorted(chain.graph.choice_sets):
-        choice_set = chain.graph.choice_sets[name]
-        prior = chain.prior(agent, choice_set, subgraph)
-        result = chain.predict(agent, choice_set, subgraph=subgraph)
-        output[name] = {
-            "prior": prior.probabilities,
+        graph = _build_graph(_load_reference(args, config))
+    output = {
+        name: {
+            "prior": result.prior.probabilities,
             "posterior": result.posterior.probabilities,
-            "degenerate_prior": prior.degenerate,
+            "degenerate_prior": result.prior.degenerate,
             "source": result.source.value,
         }
+        for name, result in _build_chain(graph, config).predict_all(agent).items()
+    }
     text = json.dumps(output, indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
@@ -222,14 +214,14 @@ def cmd_evaluate(args, config: RunConfig) -> int:
     out = _out_dir(args, config)
     seed = config.pipeline.seed
 
-    chain = _build_chain(reference, config)
+    chain = _build_chain(_build_graph(reference), config)
     reports = {
         "chain": evaluate_predictions(
             validation, chain_predictions(chain, validation), seed
         )
     }
     if args.baselines:
-        choice_sets = [BUNDLED_CHOICE_SETS[name] for name in _INTENTION_FIELDS]
+        choice_sets = [BUNDLED_CHOICE_SETS[name] for name in INTENTION_FIELDS]
         reports["uniform"] = evaluate_predictions(
             validation, uniform_predictions(choice_sets, len(validation)), seed
         )
@@ -296,8 +288,7 @@ def cmd_simulate(args, config: RunConfig) -> int:
         city = CityModel.load(_require_path(city_path, "--city"))
     else:
         city = grid_city(seed=config.pipeline.seed)
-    reference = _load_reference(args, config)
-    chain = _build_chain(reference, config)
+    chain = _build_chain(_build_graph(_load_reference(args, config)), config)
     out = _out_dir(args, config)
     seed = config.pipeline.seed
 

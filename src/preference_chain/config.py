@@ -45,28 +45,18 @@ class ProvidersConfig:
     embed_model: str = "nomic-embed-text"
 
 
-@dataclass(frozen=True)
-class PipelineSection:
-    k: int = 5
-    max_path_edges: int = 4
-    depth: int = 3
-    epsilon: float = 0.0
-    tau: float = 4.0
-    blend: float = 1.0
-    seed: int = 0
-
-
-def _section(cls, obj, name: str):
+def _section(cls, obj, name: str, **fixed):
+    """Build ``cls`` from one JSON section; ``fixed`` fields come from elsewhere."""
     if obj is None:
-        return cls()
+        return cls(**fixed)
     if not isinstance(obj, Mapping):
         raise ConfigError(f"section {name!r} must be an object")
-    allowed = {f.name for f in dataclasses.fields(cls)}
+    allowed = {f.name for f in dataclasses.fields(cls)} - set(fixed)
     unknown = sorted(set(obj) - allowed)
     if unknown:
         raise ConfigError(f"unknown keys in section {name!r}: {unknown}")
     try:
-        return cls(**obj)
+        return cls(**obj, **fixed)
     except TypeError as exc:
         raise ConfigError(f"section {name!r}: {exc}") from exc
 
@@ -75,8 +65,12 @@ def _section(cls, obj, name: str):
 class RunConfig:
     paths: PathsConfig = field(default_factory=PathsConfig)
     providers: ProvidersConfig = field(default_factory=ProvidersConfig)
-    pipeline: PipelineSection = field(default_factory=PipelineSection)
-    generation: GenerationParams = field(default_factory=GenerationParams)
+    # The "pipeline" and "generation" sections; validated when built.
+    pipeline: PipelineConfig = field(default_factory=PipelineConfig)
+
+    @property
+    def generation(self) -> GenerationParams:
+        return self.pipeline.generation
 
     @classmethod
     def from_dict(cls, obj: Mapping) -> "RunConfig":
@@ -86,32 +80,17 @@ class RunConfig:
         unknown = sorted(set(obj) - set(known))
         if unknown:
             raise ConfigError(f"unknown config sections: {unknown}")
+        generation = _section(GenerationParams, obj.get("generation"), "generation")
         config = cls(
             paths=_section(PathsConfig, obj.get("paths"), "paths"),
             providers=_section(ProvidersConfig, obj.get("providers"), "providers"),
-            pipeline=_section(PipelineSection, obj.get("pipeline"), "pipeline"),
-            generation=_section(GenerationParams, obj.get("generation"), "generation"),
+            pipeline=_section(
+                PipelineConfig, obj.get("pipeline"), "pipeline", generation=generation
+            ),
         )
         return config.validate()
 
     def validate(self) -> "RunConfig":
-        p = self.pipeline
-        try:
-            checks = [
-                (p.k >= 1, "pipeline.k must be >= 1"),
-                (p.max_path_edges >= 1, "pipeline.max_path_edges must be >= 1"),
-                (p.depth >= 1, "pipeline.depth must be >= 1"),
-                (p.epsilon >= 0, "pipeline.epsilon must be >= 0"),
-                (p.tau > 0, "pipeline.tau must be > 0"),
-                (0.0 <= p.blend <= 1.0, "pipeline.blend must be in [0, 1]"),
-                (p.seed >= 0, "pipeline.seed must be >= 0"),
-                (self.generation.temperature >= 0, "generation.temperature must be >= 0"),
-            ]
-        except TypeError as exc:  # non-numeric JSON value in a numeric knob
-            raise ConfigError(f"config value has the wrong type: {exc}") from exc
-        for ok, message in checks:
-            if not ok:
-                raise ConfigError(message)
         if not self.providers.mock_llm and not self.providers.llm_url:
             raise ConfigError("providers.llm_url required when mock_llm is false")
         if not self.providers.mock_embed and not self.providers.embed_url:
@@ -119,11 +98,13 @@ class RunConfig:
         return self
 
     def to_dict(self) -> dict:
+        pipeline = dataclasses.asdict(self.pipeline)
+        generation = pipeline.pop("generation")
         return {
             "paths": dataclasses.asdict(self.paths),
             "providers": dataclasses.asdict(self.providers),
-            "pipeline": dataclasses.asdict(self.pipeline),
-            "generation": dataclasses.asdict(self.generation),
+            "pipeline": pipeline,
+            "generation": generation,
         }
 
     def config_hash(self) -> str:
@@ -131,15 +112,7 @@ class RunConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     def pipeline_config(self) -> PipelineConfig:
-        return PipelineConfig(
-            k=self.pipeline.k,
-            max_path_edges=self.pipeline.max_path_edges,
-            depth=self.pipeline.depth,
-            epsilon=self.pipeline.epsilon,
-            tau=self.pipeline.tau,
-            blend=self.pipeline.blend,
-            generation=self.generation,
-        )
+        return self.pipeline
 
     def with_overrides(
         self,

@@ -128,7 +128,9 @@ class RemoteEmbedder:
         self.url = url
         self.model = model
         self.timeout = timeout
-        self.provider_id = f"remote-embed:{model}"
+        # Cached person indexes are keyed by provider id, so the id names the
+        # endpoint as well as the model.
+        self.provider_id = f"remote-embed:{model}@{url}"
         self._fallback = HashEmbedder(hash_dimension) if fallback_to_hash else None
         self._session = session or requests.Session()
         self._cache: dict[str, np.ndarray] = {}

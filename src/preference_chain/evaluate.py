@@ -27,6 +27,9 @@ PredictionTable = dict[str, list[PreferenceDistribution]]
 
 DEFAULT_SWEEP_SIZES = (10, 20, 50, 100, 200)
 
+# The output columns every command builds its graph with and scores.
+INTENTION_FIELDS = ("primary_mode", "duration_minutes")
+
 
 def group_value(record: TripRecord, dimension: str) -> str:
     """The record's value on one input dimension, as a group key."""
@@ -189,14 +192,13 @@ def sweep_reference_sizes(
             f"need {n_validation}+{max_n} records, have {len(records)}"
         )
     rows: list[tuple[int, int, str, float]] = []
-    fields = ("primary_mode", "duration_minutes")
     for seed in seeds:
         perm = substream(seed, "sweep").permutation(len(records))
         validation = [records[i] for i in perm[:n_validation]]
         pool = [records[i] for i in perm[n_validation:]]
         for n in sizes:
             graph = build_from_records(
-                pool[:n], GraphBuildConfig(intention_fields=fields)
+                pool[:n], GraphBuildConfig(intention_fields=INTENTION_FIELDS)
             )
             chain = PreferenceChain(graph, embed_provider, llm_provider, config)
             predictions = chain_predictions(chain, validation, context)

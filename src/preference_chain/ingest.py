@@ -154,8 +154,12 @@ class SyntheticSpec:
         return spec.validate()
 
 
-def _draw_column(rng: np.random.Generator, table: dict[str, float], size: int, allowed) -> np.ndarray:
-    # Schema category order keeps the draw sequence independent of dict order.
+def draw_column(rng: np.random.Generator, table: dict[str, float], size: int, allowed) -> np.ndarray:
+    """``size`` categories drawn from ``table``'s weights, renormalized.
+
+    Categories are taken in ``allowed`` (schema) order, which keeps the draw
+    sequence independent of the table's dict order.
+    """
     cats = [c for c in allowed if c in table]
     probs = np.array([table[c] for c in cats], dtype=float)
     probs = probs / probs.sum()
@@ -177,7 +181,7 @@ def generate_synthetic(
 
     columns: dict[str, np.ndarray] = {}
     for column, allowed in INPUT_CATEGORIES.items():
-        columns[column] = _draw_column(rng, spec.marginals[column], n, allowed)
+        columns[column] = draw_column(rng, spec.marginals[column], n, allowed)
 
     buckets = columns[spec.conditioned_on]
     modes = np.empty(n, dtype=object)
@@ -187,8 +191,8 @@ def generate_synthetic(
         count = int(mask.sum())
         if count == 0:
             continue
-        modes[mask] = _draw_column(rng, spec.mode_conditionals[bucket], count, PRIMARY_MODES)
-        durations[mask] = _draw_column(
+        modes[mask] = draw_column(rng, spec.mode_conditionals[bucket], count, PRIMARY_MODES)
+        durations[mask] = draw_column(
             rng, spec.duration_conditionals[bucket], count, DURATION_BINS
         )
 

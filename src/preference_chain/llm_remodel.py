@@ -10,6 +10,7 @@ falls back to the prior, so calibration never raises.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -52,6 +53,7 @@ class CalibrationResult:
     posterior: PreferenceDistribution
     source: CalibrationSource
     raw_response: str
+    prior: PreferenceDistribution  # the prior the posterior was calibrated from
 
 
 def build_prompt(agent: QueryAgent, prior: PreferenceDistribution, context: str = "") -> str:
@@ -80,10 +82,16 @@ def build_prompt(agent: QueryAgent, prior: PreferenceDistribution, context: str 
     return "\n".join(lines)
 
 
-def _candidate_json_objects(text: str):
-    """Yield substrings of ``text`` that look like balanced JSON objects."""
+def json_blocks(text: str, brackets: str = "{}"):
+    """Yield the decoded balanced ``brackets`` blocks of ``text``, in order.
+
+    ``brackets`` is the (open, close) pair: "{}" for objects, "[]" for
+    arrays. Brackets inside JSON strings do not count, and blocks that are
+    not valid JSON are skipped.
+    """
+    opening, closing = brackets
     depth = 0
-    start = None
+    start = 0
     in_string = False
     escaped = False
     for i, ch in enumerate(text):
@@ -97,33 +105,30 @@ def _candidate_json_objects(text: str):
             continue
         if ch == '"':
             in_string = True
-        elif ch == "{":
+        elif ch == opening:
             if depth == 0:
                 start = i
             depth += 1
-        elif ch == "}":
-            if depth > 0:
-                depth -= 1
-                if depth == 0 and start is not None:
-                    yield text[start : i + 1]
-                    start = None
+        elif ch == closing and depth > 0:
+            depth -= 1
+            if depth == 0:
+                try:
+                    yield json.loads(text[start : i + 1])
+                except ValueError:  # not JSON, or an integer too long to convert
+                    pass
 
 
 def parse_response(raw: str, choice_set: ChoiceCategorySet) -> dict[str, float]:
     """Extract the first JSON object and normalize it into a distribution.
 
     Keys must be a subset of the choice set; missing options are filled
-    with 0 and negative values clamped to 0. The result is renormalized
-    unless it already sums to 1 within tolerance (keeping an echoed prior
-    bit-exact). Raises ParseFailure when nothing usable is found.
+    with 0 and negative values clamped to 0. Non-finite values are
+    rejected. The result is renormalized unless it already sums to 1
+    within tolerance (keeping an echoed prior bit-exact); values whose sum
+    overflows are scaled down by their maximum first. Raises ParseFailure
+    when nothing usable is found.
     """
-    for candidate in _candidate_json_objects(raw):
-        try:
-            obj = json.loads(candidate)
-        except json.JSONDecodeError:
-            continue
-        if not isinstance(obj, dict):
-            continue
+    for obj in json_blocks(raw):
         unknown = [k for k in obj if k not in choice_set]
         if unknown:
             raise ParseFailure(f"unknown option keys {unknown}")
@@ -132,8 +137,18 @@ def parse_response(raw: str, choice_set: ChoiceCategorySet) -> dict[str, float]:
             v = obj.get(option, 0.0)
             if not isinstance(v, (int, float)) or isinstance(v, bool):
                 raise ParseFailure(f"non-numeric probability for {option!r}: {v!r}")
-            values[option] = max(0.0, float(v))
+            try:
+                v = float(v)
+            except OverflowError:  # an integer beyond the float range
+                v = math.inf
+            if not math.isfinite(v):
+                raise ParseFailure(f"non-finite probability for {option!r}: {v!r}")
+            values[option] = max(0.0, v)
         total = sum(values.values())
+        if math.isinf(total):
+            peak = max(values.values())
+            values = {o: v / peak for o, v in values.items()}
+            total = sum(values.values())
         if total <= 0.0:
             raise ParseFailure("all probabilities zero after clamping")
         if abs(total - 1.0) > 1e-9:
@@ -168,7 +183,7 @@ def calibrate(
             if prior.degenerate
             else CalibrationSource.FALLBACK_PRIOR
         )
-        return CalibrationResult(prior, source, raw)
+        return CalibrationResult(prior, source, raw, prior)
 
     if blend == 1.0:
         probabilities = parsed
@@ -180,7 +195,7 @@ def calibrate(
         total = sum(mixed.values())
         probabilities = {o: v / total for o, v in mixed.items()}
     posterior = PreferenceDistribution(prior.choice_set, probabilities)
-    return CalibrationResult(posterior, CalibrationSource.LLM_ACCEPTED, raw)
+    return CalibrationResult(posterior, CalibrationSource.LLM_ACCEPTED, raw, prior)
 
 
 # ----------------------------------------------------------------------

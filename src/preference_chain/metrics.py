@@ -8,10 +8,8 @@ stay finite; MAE is the mean absolute cell difference.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -107,16 +105,6 @@ class EvaluationReport:
     def mean_mae(self) -> float:
         return float(np.mean([e[2] for e in self.entries])) if self.entries else float("nan")
 
-    def write_csv(self, fp: IO[str]) -> None:
-        """Fixed column order (dimension, metric, value); mean rows last."""
-        writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow(["dimension", "metric", "value"])
-        for dimension, kld_value, mae_value in self.entries:
-            writer.writerow([dimension, "kld", repr(kld_value)])
-            writer.writerow([dimension, "mae", repr(mae_value)])
-        writer.writerow(["mean", "kld", repr(self.mean_kld)])
-        writer.writerow(["mean", "mae", repr(self.mean_mae)])
-
     def summary(self) -> dict:
         return {
             "dimensions": {
@@ -125,7 +113,3 @@ class EvaluationReport:
             },
             "mean": {"kld": self.mean_kld, "mae": self.mean_mae},
         }
-
-    def write_json(self, fp: IO[str]) -> None:
-        json.dump(self.summary(), fp, indent=2, sort_keys=True)
-        fp.write("\n")

@@ -11,7 +11,7 @@ and their tallies merged associatively, so serial and parallel runs agree.
 from __future__ import annotations
 
 import csv
-import json
+import re
 from dataclasses import dataclass, field
 from typing import IO, Optional, Protocol, Sequence
 
@@ -22,20 +22,20 @@ from .city import (
     search_pois,
     shortest_path,
 )
-from .errors import ParseFailure, ProviderError
-from .ingest import SyntheticSpec, _draw_column
-from .llm_remodel import GenerationParams, LlmProvider
+from .errors import EmptySamples, ParseFailure, ProviderError
+from .ingest import SyntheticSpec, draw_column
+from .llm_remodel import GenerationParams, LlmProvider, json_blocks
 from .metrics import JointDistribution, kld
 from .pipeline import PreferenceChain
 from .retrieval import QueryAgent
 from .rng import substream
 from .schema import (
+    INPUT_CATEGORIES,
     PROFILE_FIELDS,
     TRIP_PURPOSES,
     AgentProfile,
     ChoiceCategorySet,
 )
-from .errors import EmptySamples
 
 # Purposes whose first chosen POI is remembered and reused all day.
 IMPORTANT_PURPOSES = ("work", "school")
@@ -134,42 +134,10 @@ def schedule_prompt(profile: AgentProfile) -> str:
     )
 
 
-def _candidate_json_arrays(text: str):
-    depth = 0
-    start = None
-    in_string = False
-    escaped = False
-    for i, ch in enumerate(text):
-        if in_string:
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif ch == '"':
-                in_string = False
-            continue
-        if ch == '"':
-            in_string = True
-        elif ch == "[":
-            if depth == 0:
-                start = i
-            depth += 1
-        elif ch == "]":
-            if depth > 0:
-                depth -= 1
-                if depth == 0 and start is not None:
-                    yield text[start : i + 1]
-                    start = None
-
-
 def parse_schedule(raw: str) -> DayPlan:
     """First JSON array of {"hour", "purpose"} entries, validated as a plan."""
-    for candidate in _candidate_json_arrays(raw):
-        try:
-            obj = json.loads(candidate)
-        except json.JSONDecodeError:
-            continue
-        if not isinstance(obj, list) or not obj:
+    for obj in json_blocks(raw, "[]"):
+        if not obj:
             continue
         entries = []
         try:
@@ -221,10 +189,8 @@ def generate_profiles(n: int, spec: SyntheticSpec, seed: int) -> list[AgentProfi
     rng = substream(seed, "profiles")
     if n == 0:
         return []
-    from .schema import INPUT_CATEGORIES
-
     columns = {
-        name: _draw_column(rng, spec.marginals[name], n, INPUT_CATEGORIES[name])
+        name: draw_column(rng, spec.marginals[name], n, INPUT_CATEGORIES[name])
         for name in PROFILE_FIELDS
     }
     return [
@@ -293,7 +259,13 @@ def select_poi(
         raw = provider.complete(poi_prompt(candidates, agent), params)
     except ProviderError:
         return candidates[0]
-    named = [(raw.index(c), c) for c in candidates if c in raw]
+    # The first whole candidate id in the reply: "shop-10" does not name "shop-1".
+    named = []
+    for c in candidates:
+        if c in raw:
+            found = re.search(rf"(?<![\w-]){re.escape(c)}(?![\w-])", raw)
+            if found:
+                named.append((found.start(), c))
     return min(named)[1] if named else candidates[0]
 
 

@@ -12,7 +12,7 @@ from typing import Optional
 
 from .behavior_graph import BehaviorGraph
 from .embedding import EmbeddingProvider, HashEmbedder
-from .errors import EmptyGraph
+from .errors import ConfigError, EmptyGraph
 from .llm_remodel import (
     CalibrationResult,
     CalibrationSource,
@@ -31,15 +31,41 @@ from .retrieval import BehavioralSubgraph, QueryAgent, extract_subgraph, top_k_s
 from .schema import ChoiceCategorySet
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
+    """The pipeline knobs, checked when built: out-of-range values raise ConfigError.
+
+    The fields are the "pipeline" section of a run config plus its
+    "generation" section. ``seed`` is the run's root seed; queries are
+    deterministic and do not read it.
+    """
+
     k: int = 5                      # similar persons retrieved
     max_path_edges: int = DEFAULT_MAX_PATH_EDGES
     depth: int = 3                  # forward search depth from person nodes
     epsilon: float = 0.0            # additive smoothing on raw scores
     tau: float = 4.0                # temporal-proximity decay (hours)
     blend: float = 1.0              # posterior = blend*llm + (1-blend)*prior
+    seed: int = 0
     generation: GenerationParams = field(default_factory=GenerationParams)
+
+    def __post_init__(self):
+        try:
+            checks = [
+                (self.k >= 1, "pipeline.k must be >= 1"),
+                (self.max_path_edges >= 1, "pipeline.max_path_edges must be >= 1"),
+                (self.depth >= 1, "pipeline.depth must be >= 1"),
+                (self.epsilon >= 0, "pipeline.epsilon must be >= 0"),
+                (self.tau > 0, "pipeline.tau must be > 0"),
+                (0.0 <= self.blend <= 1.0, "pipeline.blend must be in [0, 1]"),
+                (self.seed >= 0, "pipeline.seed must be >= 0"),
+                (self.generation.temperature >= 0, "generation.temperature must be >= 0"),
+            ]
+        except TypeError as exc:  # non-numeric value in a numeric knob
+            raise ConfigError(f"config value has the wrong type: {exc}") from exc
+        for ok, message in checks:
+            if not ok:
+                raise ConfigError(message)
 
 
 class PreferenceChain:

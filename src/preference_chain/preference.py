@@ -48,7 +48,9 @@ class PreferenceDistribution:
         missing = [o for o in self.choice_set.options if o not in self.probabilities]
         if missing:
             raise ValueError(f"distribution missing options {missing}")
-        total = math.fsum(self.probabilities.values())
+        total = math.fsum(self.probabilities.values())  # raises on inf + -inf
+        if not math.isfinite(total):  # some value is NaN or infinite
+            raise ValueError("non-finite probability")
         if abs(total - 1.0) > SUM_TOLERANCE:
             raise ValueError(f"probabilities sum to {total}, not 1")
         if any(p < 0 for p in self.probabilities.values()):

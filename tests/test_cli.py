@@ -2,6 +2,7 @@
 
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -140,6 +141,28 @@ def test_predict_identity_mock_echoes_prior(tmp_path, trips_csv, capsys):
         assert sum(entry["prior"].values()) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "pipeline,expected",
+    [
+        (None, "predict_stdout.json"),
+        (
+            {"k": 2, "max_path_edges": 3, "depth": 2, "epsilon": 0.01, "tau": 2.0, "blend": 0.5},
+            "predict_stdout_knobs.json",
+        ),
+    ],
+)
+def test_predict_stdout_is_pinned(tmp_path, capsys, pipeline, expected):
+    data = Path(__file__).parent / "data"
+    agent = write_agent(tmp_path / "agent.json", context="light rain")
+    argv = ["predict", "--agent", agent, "--reference", data / "predict_reference.csv"]
+    if pipeline is not None:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"pipeline": pipeline}), encoding="utf-8")
+        argv = ["--config", config] + argv
+    assert run(argv) == 0
+    assert capsys.readouterr().out == (data / expected).read_text(encoding="utf-8")
+
+
 def test_predict_from_graph_snapshot(tmp_path, trips_csv):
     snapshot = tmp_path / "graph.jsonl"
     assert run(["build-graph", "--reference", trips_csv, "--out", snapshot]) == 0
@@ -161,6 +184,19 @@ def test_predict_invalid_agents(tmp_path, trips_csv, capsys):
     bad_hour = write_agent(tmp_path / "a2.json", start_time=24)
     assert run(["predict", "--agent", bad_hour, "--reference", trips_csv]) == 3
 
+    bool_hour = write_agent(tmp_path / "a4.json", start_time=True)  # bool is an int subtype
+    assert run(["predict", "--agent", bool_hour, "--reference", trips_csv]) == 3
+
+    bad_purpose = write_agent(tmp_path / "a5.json", trip_purpose="flying")
+    assert run(["predict", "--agent", bad_purpose, "--reference", trips_csv]) == 3
+
+    bad_context = write_agent(tmp_path / "a6.json", context=5)
+    assert run(["predict", "--agent", bad_context, "--reference", trips_csv]) == 3
+
+    for name, text in (("a7.json", "{oops"), ("a8.json", "[1, 2]")):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        assert run(["predict", "--agent", tmp_path / name, "--reference", trips_csv]) == 3
+
     bad_category = write_agent(tmp_path / "a3.json")
     obj = json.loads(bad_category.read_text())
     obj["profile"]["age_group"] = "17"
@@ -169,6 +205,29 @@ def test_predict_invalid_agents(tmp_path, trips_csv, capsys):
 
     assert run(["predict", "--agent", tmp_path / "absent.json", "--reference", trips_csv]) == 2
     capsys.readouterr()
+
+
+def test_predict_scores_each_prior_once(tmp_path, trips_csv, capsys, monkeypatch):
+    from preference_chain import pipeline
+
+    calls = {"prior_distribution": 0, "calibrate": 0}
+
+    def counted(name):
+        original = getattr(pipeline, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, wrapper)
+
+    counted("prior_distribution")
+    counted("calibrate")
+    agent = write_agent(tmp_path / "agent.json")
+    assert run(["predict", "--agent", agent, "--reference", trips_csv]) == 0
+    capsys.readouterr()
+    # one of each per choice set: primary_mode and duration_minutes
+    assert calls == {"prior_distribution": 2, "calibrate": 2}
 
 
 # ----------------------------------------------------------------------

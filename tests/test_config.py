@@ -17,6 +17,7 @@ from preference_chain.config import (
 from preference_chain.embedding import HashEmbedder, RemoteEmbedder
 from preference_chain.errors import ConfigError
 from preference_chain.llm_remodel import IdentityMockLlm, RemoteLlm
+from preference_chain.pipeline import PipelineConfig
 
 
 def test_default_config_values():
@@ -50,23 +51,32 @@ def test_from_dict_rejects_unknown_sections_and_keys():
         RunConfig.from_dict([])
 
 
+_PIPELINE_OUT_OF_RANGE = [
+    ("k", 0),
+    ("max_path_edges", 0),
+    ("depth", 0),
+    ("epsilon", -0.1),
+    ("tau", 0.0),
+    ("blend", 1.5),
+    ("blend", -0.1),
+    ("seed", -1),
+]
+
+
 @pytest.mark.parametrize(
     "section,key,value",
-    [
-        ("pipeline", "k", 0),
-        ("pipeline", "max_path_edges", 0),
-        ("pipeline", "depth", 0),
-        ("pipeline", "epsilon", -0.1),
-        ("pipeline", "tau", 0.0),
-        ("pipeline", "blend", 1.5),
-        ("pipeline", "blend", -0.1),
-        ("pipeline", "seed", -1),
-        ("generation", "temperature", -1.0),
-    ],
+    [("pipeline", key, value) for key, value in _PIPELINE_OUT_OF_RANGE]
+    + [("generation", "temperature", -1.0)],
 )
 def test_from_dict_rejects_out_of_range_values(section, key, value):
     with pytest.raises(ConfigError):
         RunConfig.from_dict({section: {key: value}})
+
+
+@pytest.mark.parametrize("key,value", _PIPELINE_OUT_OF_RANGE + [("k", "five")])
+def test_pipeline_config_rejects_out_of_range_values(key, value):
+    with pytest.raises(ConfigError):
+        PipelineConfig(**{key: value})
 
 
 def test_from_dict_rejects_non_numeric_knobs():
@@ -100,6 +110,60 @@ def test_config_hash_stability_and_sensitivity():
     assert a.config_hash() != c.config_hash()
     assert len(a.config_hash()) == 64
     assert all(ch in "0123456789abcdef" for ch in a.config_hash())
+
+
+def test_default_config_hash_is_pinned():
+    assert (
+        RunConfig().config_hash()
+        == "e9efa0c12c46fdd6d04905790bfaff9597454939a2a961a131a7b88b9d8cda2e"
+    )
+
+
+def test_non_default_to_dict_is_pinned():
+    config = RunConfig.from_dict(
+        {
+            "paths": {"out_dir": "runs/a", "reference_csv": "ref.csv"},
+            "providers": {
+                "mock_llm": False,
+                "llm_url": "http://localhost:11434/api/generate",
+                "llm_model": "m1",
+            },
+            "pipeline": {
+                "k": 3, "max_path_edges": 3, "depth": 2, "epsilon": 0.01,
+                "tau": 2.5, "blend": 0.75, "seed": 11,
+            },
+            "generation": {"temperature": 0.2, "top_k": 40},
+        }
+    )
+    assert config.to_dict() == {
+        "paths": {
+            "reference_csv": "ref.csv",
+            "validation_csv": None,
+            "city_file": None,
+            "graph_file": None,
+            "out_dir": "runs/a",
+        },
+        "providers": {
+            "mock_llm": False,
+            "mock_embed": True,
+            "llm_url": "http://localhost:11434/api/generate",
+            "llm_model": "m1",
+            "embed_url": None,
+            "embed_model": "nomic-embed-text",
+        },
+        "pipeline": {
+            "k": 3, "max_path_edges": 3, "depth": 2, "epsilon": 0.01,
+            "tau": 2.5, "blend": 0.75, "seed": 11,
+        },
+        "generation": {
+            "temperature": 0.2, "top_p": 0.95, "top_k": 40,
+            "repeat_penalty": 1.0, "model": "qwen3:8b",
+        },
+    }
+    assert (
+        config.config_hash()
+        == "2ab717ff5c35a1534b5260b4acb8cea12bf4f7eefe13ad455b2f31e8bd743621"
+    )
 
 
 def test_pipeline_config_mapping():

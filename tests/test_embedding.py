@@ -179,3 +179,10 @@ def test_remote_embedder_no_fallback_raises():
     provider = RemoteEmbedder("http://x/embed", "m", session=_FailingSession())
     with pytest.raises(ProviderError):
         provider.embed("hello")
+
+
+def test_remote_embedder_id_names_model_and_url():
+    a = RemoteEmbedder("http://a:1/api/embed", "m", session=_FailingSession())
+    b = RemoteEmbedder("http://b:1/api/embed", "m", session=_FailingSession())
+    assert a.provider_id != b.provider_id
+    assert a.provider_id == "remote-embed:m@http://a:1/api/embed"

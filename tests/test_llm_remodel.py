@@ -179,6 +179,27 @@ def test_degenerate_prior_failure_reports_uniform_source():
     assert result.posterior is prior
 
 
+@pytest.mark.parametrize(
+    "reply,source",
+    [
+        ('{"walk": Infinity}', CalibrationSource.FALLBACK_PRIOR),
+        ('{"walk": NaN, "bike": 1}', CalibrationSource.FALLBACK_PRIOR),
+        ('{"walk": 1e308, "bike": 1e308}', CalibrationSource.LLM_ACCEPTED),
+        ('{"walk": 1' + "0" * 400 + "}", CalibrationSource.FALLBACK_PRIOR),
+        ('{"walk": 1' + "0" * 5000 + "}", CalibrationSource.FALLBACK_PRIOR),
+    ],
+    ids=["infinity", "nan", "huge-sum", "int-beyond-float", "int-too-long"],
+)
+def test_hostile_reply_never_breaks_calibration(reply, source):
+    prior = _prior()
+    result = calibrate(_agent(), prior, "", ScriptedMockLlm([reply]))
+    values = list(result.posterior.probabilities.values())
+    assert all(math.isfinite(v) for v in values)
+    assert math.fsum(values) == pytest.approx(1.0, abs=1e-9)
+    assert result.source == source
+    assert result.prior is prior
+
+
 def test_blend_mixes_prior_and_response():
     prior = _prior(0.2, 0.3, 0.5)
     provider = ScriptedMockLlm(['{"walk": 1.0, "bike": 0.0, "drive": 0.0}'])

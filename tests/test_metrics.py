@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from preference_chain.errors import AxisMismatch, EmptySamples, UnknownKey
+from preference_chain.evaluate import write_combined_csv
 from preference_chain.metrics import (
     EvaluationReport,
     JointDistribution,
@@ -142,14 +143,14 @@ def test_report_means_and_csv_round_trip():
     assert report.mean_mae == pytest.approx(0.02)
 
     buf = io.StringIO()
-    report.write_csv(buf)
+    write_combined_csv(buf, {"chain": report})
     lines = buf.getvalue().splitlines()
-    assert lines[0] == "dimension,metric,value"
-    assert lines[1].startswith("primary_mode,kld,")
-    assert lines[-2] == f"mean,kld,{report.mean_kld!r}"
-    assert lines[-1] == f"mean,mae,{report.mean_mae!r}"
+    assert lines[0] == "predictor,dimension,metric,value"
+    assert lines[1].startswith("chain,primary_mode,kld,")
+    assert lines[-2] == f"chain,mean,kld,{report.mean_kld!r}"
+    assert lines[-1] == f"chain,mean,mae,{report.mean_mae!r}"
     # repr round-trips the float exactly
-    assert float(lines[1].split(",")[2]) == 0.5
+    assert float(lines[1].split(",")[3]) == 0.5
 
 
 def test_report_summary_json():
@@ -158,6 +159,3 @@ def test_report_summary_json():
     summary = report.summary()
     assert summary["dimensions"]["primary_mode"] == {"kld": 0.5, "mae": 0.01}
     assert summary["mean"]["kld"] == 0.5
-    buf = io.StringIO()
-    report.write_json(buf)
-    assert '"mean"' in buf.getvalue()

@@ -302,6 +302,15 @@ def test_select_poi_rules(profile):
         select_poi([], agent, IdentityMockLlm())
 
 
+def test_select_poi_matches_whole_ids(profile):
+    agent = AgentState(id=0, profile=profile, home=0, node=0)
+    candidates = [f"shop-{i}" for i in range(12)]
+    assert select_poi(candidates, agent, ScriptedMockLlm(["shop-10"])) == "shop-10"
+    assert select_poi(candidates, agent, ScriptedMockLlm(["go to shop-1."])) == "shop-1"
+    assert select_poi(candidates, agent, ScriptedMockLlm(["shop-10 or shop-1"])) == "shop-10"
+    assert select_poi(candidates, agent, ScriptedMockLlm(["shop-100"])) == "shop-0"
+
+
 def test_select_poi_prompt_mentions_memory(profile):
     agent = AgentState(id=0, profile=profile, home=0, node=0)
     agent.remember(480, "work", 7, "walking")

@@ -214,6 +214,9 @@ def test_distribution_validation():
         PreferenceDistribution(_MODES, {"a": 0.6, "b": 0.6, "c": 0.0})
     with pytest.raises(ValueError):
         PreferenceDistribution(_MODES, {"a": 1.2, "b": -0.2, "c": 0.0})
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            PreferenceDistribution(_MODES, {"a": bad, "b": 0.0, "c": 0.0})
 
 
 def test_distribution_array_in_option_order():
