@@ -3,9 +3,9 @@
 The pipeline retrieves the k most similar reference persons (cosine over
 hash embeddings of the profile text), extracts their neighborhood as a
 query-specific subgraph, finalizes the agent-side edge weights, and then
-scores every intention by summing path weights: each simple path from the
-agent contributes the product of its edge weights. Normalized raw scores
-are the prior.
+scores every option by summing path weights: each simple path from the
+agent to the option's intention contributes the product of its edge
+weights. Normalized raw scores are the prior.
 
 Run:  python demos/02_score_priors.py
 """
@@ -13,7 +13,7 @@ Run:  python demos/02_score_priors.py
 from preference_chain.behavior_graph import GraphBuildConfig, build_from_records
 from preference_chain.ingest import default_synthetic_spec, generate_synthetic
 from preference_chain.pipeline import PreferenceChain
-from preference_chain.preference import enumerate_paths
+from preference_chain.preference import raw_scores
 from preference_chain.retrieval import QueryAgent
 from preference_chain.schema import AgentProfile
 
@@ -42,17 +42,14 @@ print(f"retrieved subgraph: {len(subgraph.nodes)} nodes "
 
 # Each path's weight is the product of its edge weights; a raw score sums
 # the weights of all simple paths (at most 4 edges) ending at the option.
+# One walk from the agent node scores every option of the choice set.
 mode_set = graph.choice_sets["primary_mode"]
-mode_nodes = subgraph.intention_ids("primary_mode")
-for option in ("private_auto", "public_transit", "walking"):
-    node_id = mode_nodes.get(option)
-    if node_id is None:
-        print(f"{option:>15}: no paths in this neighborhood")
-        continue
-    paths = enumerate_paths(subgraph, node_id, max_edges=4)
-    top = max(paths, key=lambda p: p.weight)
-    print(f"{option:>15}: {len(paths)} paths, strongest weight {top.weight:.4f} "
-          f"via nodes {top.node_sequence()}")
+scores = raw_scores(subgraph, mode_set, max_edges=4)
+width = max(len(option) for option in scores)
+print("raw scores over primary_mode:")
+for option, score in scores.items():
+    note = "" if score > 0 else "  (no paths in this neighborhood)"
+    print(f"  {option:>{width}}  {score:.4f}{note}")
 
 print("\nprior over primary_mode (8:00 work trip):")
 prior = chain.prior(agent, mode_set, subgraph)

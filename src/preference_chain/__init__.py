@@ -95,11 +95,9 @@ from .mobility_sim import (
 from .pipeline import PipelineConfig, PreferenceChain
 from .rng import substream
 from .preference import (
-    PathWeight,
     PreferenceDistribution,
-    enumerate_paths,
     prior_distribution,
-    raw_score,
+    raw_scores,
     uniform_distribution,
 )
 from .retrieval import (

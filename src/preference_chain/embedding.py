@@ -111,9 +111,9 @@ class RemoteEmbedder:
     """HTTP embedding provider.
 
     POSTs {"model": ..., "prompt": text} to ``url`` and expects a JSON
-    response with a top-level numeric array field "embedding". Failures
-    raise ProviderError unless ``fallback_to_hash`` is set, in which case
-    the hash provider answers instead.
+    response with a top-level field "embedding" holding a non-empty array
+    of finite numbers. A failed request or any other reply raises
+    ProviderError.
     """
 
     def __init__(
@@ -121,8 +121,6 @@ class RemoteEmbedder:
         url: str,
         model: str,
         timeout: float = 30.0,
-        fallback_to_hash: bool = False,
-        hash_dimension: int = DEFAULT_HASH_DIMENSION,
         session=None,
     ):
         self.url = url
@@ -131,7 +129,6 @@ class RemoteEmbedder:
         # Cached person indexes are keyed by provider id, so the id names the
         # endpoint as well as the model.
         self.provider_id = f"remote-embed:{model}@{url}"
-        self._fallback = HashEmbedder(hash_dimension) if fallback_to_hash else None
         self._session = session or requests.Session()
         self._cache: dict[str, np.ndarray] = {}
         self._lock = threading.Lock()
@@ -143,12 +140,7 @@ class RemoteEmbedder:
             cached = self._cache.get(text)
         if cached is not None:
             return cached
-        try:
-            vec = self._fetch(text)
-        except ProviderError:
-            if self._fallback is None:
-                raise
-            vec = self._fallback.embed(text)
+        vec = self._fetch(text)
         with self._lock:
             self._cache[text] = vec
         return vec
@@ -166,10 +158,13 @@ class RemoteEmbedder:
             raise ProviderError(f"embedding request failed: {exc}") from exc
         except ValueError as exc:
             raise ProviderError(f"embedding response is not JSON: {exc}") from exc
-        values = payload.get("embedding")
+        values = payload.get("embedding") if isinstance(payload, dict) else None
         if not isinstance(values, list) or not values:
             raise ProviderError("embedding response lacks a non-empty 'embedding' array")
         try:
-            return np.asarray(values, dtype=float)
+            vec = np.asarray(values, dtype=float)
         except (TypeError, ValueError) as exc:
             raise ProviderError(f"embedding array is not numeric: {exc}") from exc
+        if vec.ndim != 1 or not np.isfinite(vec).all():
+            raise ProviderError("embedding array is not a flat array of finite numbers")
+        return vec

@@ -74,10 +74,6 @@ class KindMismatch(GraphError):
     pass
 
 
-class NotAnIntention(GraphError):
-    pass
-
-
 class EmptyGraph(GraphError):
     pass
 

@@ -8,7 +8,7 @@ concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Optional
 
 from .behavior_graph import BehaviorGraph
 from .embedding import EmbeddingProvider, HashEmbedder
@@ -68,6 +68,11 @@ class PipelineConfig:
                 raise ConfigError(message)
 
 
+# Default of the ``subgraph`` arguments below: retrieve one for the query.
+# An explicit None is what ``subgraph()`` returns for a graph without persons.
+_RETRIEVE: Any = object()
+
+
 class PreferenceChain:
     def __init__(
         self,
@@ -100,9 +105,10 @@ class PreferenceChain:
         self,
         agent: QueryAgent,
         choice_set: ChoiceCategorySet,
-        subgraph: Optional[BehavioralSubgraph] = None,
+        subgraph: Optional[BehavioralSubgraph] = _RETRIEVE,
     ) -> PreferenceDistribution:
-        if subgraph is None:
+        """The graph prior; degenerate uniform when ``subgraph`` is None."""
+        if subgraph is _RETRIEVE:
             subgraph = self.subgraph(agent)
         if subgraph is None:
             return uniform_distribution(choice_set, degenerate=True)
@@ -115,7 +121,7 @@ class PreferenceChain:
         agent: QueryAgent,
         choice_set: ChoiceCategorySet,
         context: Optional[str] = None,
-        subgraph: Optional[BehavioralSubgraph] = None,
+        subgraph: Optional[BehavioralSubgraph] = _RETRIEVE,
     ) -> CalibrationResult:
         """Prior followed by LLM calibration; never raises."""
         prior = self.prior(agent, choice_set, subgraph)

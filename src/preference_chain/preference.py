@@ -2,11 +2,11 @@
 
 A path's weight is the product of its edge weights. The raw score of a
 choice option is the sum of the weights of all simple paths (at most K
-edges) from the agent node to that option's intention node, and the prior
+edges) from the agent node to that option's intention node; ``raw_scores``
+scores every option of a choice set in one depth-first walk. The prior
 distribution normalizes the raw scores over the full candidate option set.
 Options with no path score zero; an all-zero score vector falls back to a
-uniform distribution flagged as degenerate.
-"""
+uniform distribution flagged as degenerate."""
 
 from __future__ import annotations
 
@@ -15,25 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .behavior_graph import EdgeKind, NodeId, NodeKind
-from .errors import NotAnIntention
+from .behavior_graph import NodeId
 from .retrieval import BehavioralSubgraph
 from .schema import ChoiceCategorySet
 
 DEFAULT_MAX_PATH_EDGES = 4
 
 SUM_TOLERANCE = 1e-9
-
-
-@dataclass
-class PathWeight:
-    """One simple path, as (source, target, kind, weight) hops."""
-
-    edges: list[tuple[NodeId, NodeId, EdgeKind, float]]
-    weight: float
-
-    def node_sequence(self) -> list[NodeId]:
-        return [self.edges[0][0]] + [e[1] for e in self.edges]
 
 
 @dataclass
@@ -71,55 +59,44 @@ def uniform_distribution(choice_set: ChoiceCategorySet, degenerate: bool = False
     return PreferenceDistribution(choice_set, {o: p for o in choice_set.options}, degenerate)
 
 
-def enumerate_paths(
+def raw_scores(
     subgraph: BehavioralSubgraph,
-    intention: NodeId,
+    choice_set: ChoiceCategorySet,
     max_edges: int = DEFAULT_MAX_PATH_EDGES,
-) -> list[PathWeight]:
-    """All simple paths agent -> intention with at most ``max_edges`` edges.
+) -> dict[str, float]:
+    """Raw score of every option of ``choice_set``, from one walk.
 
-    Paths come out in lexicographic order of their node-id sequences;
-    parallel edges yield one path each. A path's weight is the product of
-    its edge weights.
+    A depth-first walk from the agent node visits every simple path of at
+    most ``max_edges`` edges once. A path that ends at an intention of this
+    choice set adds its weight to that option, and the walk goes on through
+    the intention. Each score is the ``math.fsum`` of its path weights, so
+    it does not depend on the order the walk finds the paths in; options
+    that no path reaches score 0.0.
     """
-    node = subgraph.nodes.get(intention)
-    if node is None or node.kind != NodeKind.INTENTION:
-        raise NotAnIntention(f"node {intention} is not an Intention in this subgraph")
-
-    adjacency = {
-        u: sorted(edges, key=lambda e: e[0])
-        for u, edges in subgraph.out_edges.items()
+    option_of = {
+        node_id: option
+        for option, node_id in subgraph.intention_ids(choice_set.name).items()
+        if option in choice_set
     }
-    paths: list[PathWeight] = []
-    hop_stack: list[tuple[NodeId, NodeId, EdgeKind, float]] = []
+    weights: dict[str, list[float]] = {option: [] for option in choice_set.options}
     on_path: set[NodeId] = {subgraph.agent_id}
 
-    def walk(current: NodeId, weight: float) -> None:
-        if len(hop_stack) == max_edges:
-            return
-        for target, kind, w in adjacency.get(current, ()):
+    def walk(current: NodeId, weight: float, edges_left: int) -> None:
+        for target, _kind, w in subgraph.out_edges.get(current, ()):
             if target in on_path:
                 continue
-            hop_stack.append((current, target, kind, w))
-            if target == intention:
-                paths.append(PathWeight(list(hop_stack), weight * w))
-            else:
+            path_weight = weight * w
+            option = option_of.get(target)
+            if option is not None:
+                weights[option].append(path_weight)
+            if edges_left > 1:
                 on_path.add(target)
-                walk(target, weight * w)
+                walk(target, path_weight, edges_left - 1)
                 on_path.remove(target)
-            hop_stack.pop()
 
-    walk(subgraph.agent_id, 1.0)
-    return paths
-
-
-def raw_score(
-    subgraph: BehavioralSubgraph,
-    intention: NodeId,
-    max_edges: int = DEFAULT_MAX_PATH_EDGES,
-) -> float:
-    """Sum of all path weights into one intention; 0.0 when unreachable."""
-    return math.fsum(p.weight for p in enumerate_paths(subgraph, intention, max_edges))
+    if max_edges >= 1:
+        walk(subgraph.agent_id, 1.0, max_edges)
+    return {option: math.fsum(ws) for option, ws in weights.items()}
 
 
 def prior_distribution(
@@ -137,12 +114,10 @@ def prior_distribution(
     """
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
-    intentions = subgraph.intention_ids(choice_set.name)
-    scores: dict[str, float] = {}
-    for option in choice_set.options:
-        node_id = intentions.get(option)
-        score = raw_score(subgraph, node_id, max_edges) if node_id is not None else 0.0
-        scores[option] = score + epsilon
+    scores = {
+        option: score + epsilon
+        for option, score in raw_scores(subgraph, choice_set, max_edges).items()
+    }
     total = math.fsum(scores.values())
     if total <= 0.0:
         return uniform_distribution(choice_set, degenerate=True)

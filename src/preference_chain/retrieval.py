@@ -1,8 +1,8 @@
 """Similar-person retrieval and behavioral subgraph extraction.
 
 A query runs in two stages: vector similarity search picks the top-k most
-similar Person nodes, then a depth-first search (default depth 3 edges)
-walks forward from each of them collecting desires and intentions. The
+similar Person nodes, then a breadth-first search (default depth 3 edges)
+walks forward from all of them at once collecting desires and intentions. The
 extracted subgraph carries finalized edge weights: similar_to from the
 profile similarity, want_to from desire-text similarity, choose_to from
 the temporal proximity between the query desire and the stored one.
@@ -154,7 +154,7 @@ def extract_subgraph(
     provider: Optional[EmbeddingProvider] = None,
     tau: float = 4.0,
 ) -> BehavioralSubgraph:
-    """Depth-first forward search from each selected person.
+    """Breadth-first forward search from the selected persons.
 
     ``depth`` counts edges from the person node; a node belongs to the
     subgraph iff its minimal edge distance from any selected person is
@@ -174,22 +174,18 @@ def extract_subgraph(
         if graph.node(person_id).kind != NodeKind.PERSON:
             raise UnknownNode(f"node {person_id} is not a Person")
 
-    # Pass 1: best (minimal) depth per reachable node, DFS with revisits
-    # whenever a shallower route is found.
-    best: dict[NodeId, int] = {}
-    for person_id, _ in persons:
-        stack = [(person_id, 0)]
-        while stack:
-            node_id, d = stack.pop()
-            known = best.get(node_id)
-            if known is not None and known <= d:
-                continue
-            best[node_id] = d
-            if d == depth:
-                continue
+    # Pass 1: minimal edge distance from the nearest selected person, by a
+    # breadth-first search from all of them at once.
+    best: dict[NodeId, int] = {person_id: 0 for person_id, _ in persons}
+    frontier = list(best)
+    for d in range(1, depth + 1):
+        next_frontier = []
+        for node_id in frontier:
             for edge in graph.out_edges[node_id]:
-                if edge.kind in _TRAVERSABLE:
-                    stack.append((edge.target, d + 1))
+                if edge.kind in _TRAVERSABLE and edge.target not in best:
+                    best[edge.target] = d
+                    next_frontier.append(edge.target)
+        frontier = next_frontier
 
     sub = BehavioralSubgraph()
     agent_label = profile_to_text(agent.profile)

@@ -38,7 +38,7 @@ from preference_chain.llm_remodel import CalibrationSource, ScriptedMockLlm
 from preference_chain.metrics import JointDistribution, kld, mae
 from preference_chain.mobility_sim import generate_profiles
 from preference_chain.pipeline import PreferenceChain
-from preference_chain.preference import prior_distribution, raw_score
+from preference_chain.preference import prior_distribution, raw_scores
 from preference_chain.retrieval import AGENT_NODE_ID, BehavioralSubgraph, QueryAgent
 from preference_chain.schema import BUNDLED_CHOICE_SETS, ChoiceCategorySet, TRIP_PURPOSES
 from tests._acceptance_log import LINES as ACCEPTANCE_LINES
@@ -181,7 +181,7 @@ def test_criterion_2_single_chain_score():
     sub.add_edge(1, 2, EdgeKind.WANT_TO, 0.8)
     sub.add_edge(2, 3, EdgeKind.CHOOSE_TO, 0.5)
     one_option = ChoiceCategorySet("mode", ("walking",))
-    score = raw_score(sub, 3, max_edges=4)
+    score = raw_scores(sub, one_option, max_edges=4)["walking"]
     prob = prior_distribution(sub, one_option, 4).probabilities["walking"]
     report(
         2,

@@ -1,3 +1,4 @@
+import json
 import zlib
 
 import numpy as np
@@ -156,23 +157,19 @@ def test_remote_embedder_parses_and_caches():
 
 
 def test_remote_embedder_bad_payload_raises():
-    provider = RemoteEmbedder(
-        "http://x/embed", "m", session=_FakeSession({"nope": True})
-    )
-    with pytest.raises(ProviderError):
-        provider.embed("hello")
-
-
-def test_remote_embedder_falls_back_to_hash():
-    provider = RemoteEmbedder(
-        "http://x/embed",
-        "m",
-        session=_FailingSession(),
-        fallback_to_hash=True,
-        hash_dimension=64,
-    )
-    vec = provider.embed("hello world")
-    np.testing.assert_allclose(vec, hash_embed("hello world", 64))
+    payloads = [
+        {"nope": True},
+        [1.0, 2.0],
+        {"embedding": [[1.0, 2.0], [3.0, 4.0]]},
+        # json.loads, like requests' Response.json, accepts these tokens
+        json.loads('{"embedding": [1.0, NaN, 2.0]}'),
+        json.loads('{"embedding": [Infinity, 1.0]}'),
+        json.loads('{"embedding": [-Infinity, 1.0]}'),
+    ]
+    for payload in payloads:
+        provider = RemoteEmbedder("http://x/embed", "m", session=_FakeSession(payload))
+        with pytest.raises(ProviderError):
+            provider.embed("hello")
 
 
 def test_remote_embedder_no_fallback_raises():

@@ -3,8 +3,10 @@ import pytest
 from preference_chain.behavior_graph import GraphBuildConfig, build_from_records
 from preference_chain.ingest import default_synthetic_spec, generate_synthetic
 from preference_chain.llm_remodel import CalibrationSource, ScriptedMockLlm
+from preference_chain import pipeline
 from preference_chain.pipeline import PipelineConfig, PreferenceChain
-from preference_chain.retrieval import QueryAgent
+from preference_chain.preference import uniform_distribution
+from preference_chain.retrieval import QueryAgent, top_k_similar
 from preference_chain.rng import substream
 from preference_chain.schema import DURATION_SET, PRIMARY_MODE_SET
 
@@ -52,6 +54,23 @@ def test_empty_graph_degenerates_to_uniform():
     # calibration of the degenerate uniform still runs (identity echoes it)
     result = chain.predict(agent, PRIMARY_MODE_SET)
     assert result.posterior.probabilities == prior.probabilities
+
+
+def test_predict_all_without_persons_retrieves_once(monkeypatch):
+    calls = []
+
+    def counting_top_k(*args, **kwargs):
+        calls.append(args)
+        return top_k_similar(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "top_k_similar", counting_top_k)
+    chain = PreferenceChain(build_from_records([]))
+    results = chain.predict_all(_agent())
+    assert len(chain.graph.choice_sets) == 2
+    assert len(calls) == 1
+    for name, result in results.items():
+        assert result.prior.degenerate
+        assert result.prior == uniform_distribution(chain.graph.choice_sets[name], True)
 
 
 def test_predict_all_covers_registered_choice_sets():

@@ -5,12 +5,10 @@ import numpy as np
 import pytest
 
 from preference_chain.behavior_graph import EdgeKind, NodeKind
-from preference_chain.errors import NotAnIntention
 from preference_chain.preference import (
     PreferenceDistribution,
-    enumerate_paths,
     prior_distribution,
-    raw_score,
+    raw_scores,
     uniform_distribution,
 )
 from preference_chain.retrieval import AGENT_NODE_ID, BehavioralSubgraph
@@ -32,28 +30,19 @@ def _chain_subgraph():
     return sub
 
 
+_WALKING = ChoiceCategorySet("mode", ("walking",))
+
+
 def test_single_chain_path_weight():
     sub = _chain_subgraph()
-    paths = enumerate_paths(sub, 3, max_edges=4)
-    assert len(paths) == 1
     # 0.9 * 1.0 * 0.8 * 0.5
-    assert paths[0].weight == pytest.approx(0.36)
-    assert paths[0].node_sequence() == [AGENT_NODE_ID, 0, 1, 2, 3]
-    assert raw_score(sub, 3) == pytest.approx(0.36)
+    assert raw_scores(sub, _WALKING, max_edges=4) == {"walking": pytest.approx(0.36)}
+    assert raw_scores(sub, _WALKING) == {"walking": pytest.approx(0.36)}
 
 
 def test_chain_cut_by_max_edges():
     sub = _chain_subgraph()
-    assert enumerate_paths(sub, 3, max_edges=3) == []
-    assert raw_score(sub, 3, max_edges=3) == 0.0
-
-
-def test_not_an_intention():
-    sub = _chain_subgraph()
-    with pytest.raises(NotAnIntention):
-        enumerate_paths(sub, 2)
-    with pytest.raises(NotAnIntention):
-        enumerate_paths(sub, 99)
+    assert raw_scores(sub, _WALKING, max_edges=3) == {"walking": 0.0}
 
 
 def test_parallel_edges_each_contribute():
@@ -66,9 +55,29 @@ def test_parallel_edges_each_contribute():
     sub.add_edge(0, 1, EdgeKind.WANT_TO, 0.5)
     sub.add_edge(1, 2, EdgeKind.CHOOSE_TO, 0.4)
     sub.add_edge(1, 2, EdgeKind.CHOOSE_TO, 0.6)
-    paths = enumerate_paths(sub, 2)
-    assert sorted(p.weight for p in paths) == pytest.approx([0.2, 0.3])
-    assert raw_score(sub, 2) == pytest.approx(0.5)
+    assert raw_scores(sub, _WALKING) == {"walking": pytest.approx(0.5)}
+
+
+def test_raw_scores_walk_through_intentions():
+    """A path may pass one intention on its way to another, never one twice."""
+    sub = _chain_subgraph()
+    sub.add_node(4, NodeKind.INTENTION, "biking", choice_set="mode")
+    sub.add_node(5, NodeKind.INTENTION, "walking", choice_set="duration")
+    sub.add_edge(2, 4, EdgeKind.CHOOSE_TO, 0.5)
+    sub.add_edge(4, 3, EdgeKind.RELATIVE_OF, 0.1)
+    sub.add_edge(3, 4, EdgeKind.RELATIVE_OF, 0.2)
+    sub.add_edge(3, 5, EdgeKind.RELATIVE_OF, 1.0)
+    modes = ChoiceCategorySet("mode", ("walking", "biking", "bus"))
+    scores = raw_scores(sub, modes, max_edges=5)
+    assert scores == {
+        "walking": pytest.approx(0.36 + 0.36 * 0.1),
+        "biking": pytest.approx(0.36 + 0.36 * 0.2),
+        "bus": 0.0,
+    }
+    # the duration intention labelled "walking" scores only for its own set;
+    # its one 5-edge path passes the mode intention
+    durations = ChoiceCategorySet("duration", ("walking",))
+    assert raw_scores(sub, durations, max_edges=5) == {"walking": pytest.approx(0.36)}
 
 
 def _random_subgraph(rng, n_nodes):
@@ -130,22 +139,14 @@ def test_raw_score_matches_brute_force_oracle():
     for trial in range(20):
         sub, intents = _random_subgraph(rng, int(rng.integers(4, 12)))
         max_edges = int(rng.integers(1, 6))
-        for target in intents:
-            expected = math.fsum(_brute_force_paths(sub, target, max_edges))
-            got = raw_score(sub, target, max_edges)
-            assert got == pytest.approx(expected, abs=1e-12), (trial, target, max_edges)
-
-
-def test_paths_are_simple_and_ordered():
-    rng = np.random.default_rng(23)
-    sub, intents = _random_subgraph(rng, 10)
-    for target in intents:
-        paths = enumerate_paths(sub, target, max_edges=5)
-        seqs = [p.node_sequence() for p in paths]
-        for seq in seqs:
-            assert len(seq) == len(set(seq))  # simple
-            assert seq[0] == AGENT_NODE_ID and seq[-1] == target
-        assert seqs == sorted(seqs)
+        options = ChoiceCategorySet("mode", tuple(sub.nodes[i].label for i in intents))
+        expected = {
+            sub.nodes[i].label: math.fsum(_brute_force_paths(sub, i, max_edges))
+            for i in intents
+        }
+        # fsum rounds correctly and each product is taken in path order, so
+        # the order in which paths are found cannot change a bit.
+        assert raw_scores(sub, options, max_edges) == expected, (trial, max_edges)
 
 
 # ----------------------------------------------------------------------
