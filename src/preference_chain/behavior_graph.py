@@ -115,6 +115,9 @@ class BehaviorGraph:
         self.choice_sets: dict[str, ChoiceCategorySet] = {}
         # option -> intention node, keyed (set name, option)
         self._intention_index: dict[tuple[str, str], NodeId] = {}
+        # provider id -> retrieval's person index, built by the first query
+        # and kept as long as the graph
+        self._person_indexes: dict[str, tuple] = {}
 
     # ------------------------------------------------------------------
     # basic mutation

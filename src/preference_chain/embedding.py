@@ -15,6 +15,7 @@ repeated retrievals are deterministic and cheap.
 
 from __future__ import annotations
 
+import math
 import re
 import threading
 import zlib
@@ -28,6 +29,10 @@ from .schema import INPUT_CATEGORIES, AgentProfile
 
 _TOKEN_RE = re.compile(r"[0-9a-z]+")
 DEFAULT_HASH_DIMENSION = 256
+
+# Smallest L2 norm whose square is a normal float: below it the sum of
+# squares has lost precision or underflowed to zero.
+_MIN_NORM = math.sqrt(np.finfo(float).tiny)
 
 
 class EmbeddingProvider(Protocol):
@@ -51,14 +56,29 @@ def profile_to_text(profile: Union[AgentProfile, Mapping[str, str]]) -> str:
     return "; ".join(parts)
 
 
+def _norm(vec: np.ndarray) -> tuple[np.ndarray, float]:
+    """``vec`` and its L2 norm, safe from overflow and underflow.
+
+    A finite nonzero vector whose sum of squares leaves the normal float
+    range (entries near 1e300 or 1e-170) is first divided by its largest
+    absolute entry, which changes neither its direction nor any cosine.
+    Every other vector comes back as it is, with the plain norm.
+    """
+    norm = float(np.linalg.norm(vec))
+    if not _MIN_NORM <= norm < math.inf and np.isfinite(vec).all() and vec.any():
+        vec = vec / np.abs(vec).max()
+        norm = float(np.linalg.norm(vec))
+    return vec, norm
+
+
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     """Plain cosine in [-1, 1]; rejects mismatched dimensions and zero vectors."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise DimensionMismatch(f"dimensions {a.shape} vs {b.shape}")
-    norm_a = float(np.linalg.norm(a))
-    norm_b = float(np.linalg.norm(b))
+    a, norm_a = _norm(a)
+    b, norm_b = _norm(b)
     if norm_a == 0.0 or norm_b == 0.0:
         raise ZeroVector("cosine similarity undefined for the zero vector")
     return float(np.dot(a, b) / (norm_a * norm_b))

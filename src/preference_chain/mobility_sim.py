@@ -294,13 +294,17 @@ class TrafficTally:
         self._check_hour(hour)
         self.poi_counts[(poi, hour)] = self.poi_counts.get((poi, hour), 0) + count
 
+    def add(self, other: "TrafficTally") -> None:
+        """Add ``other``'s counts to this tally in place."""
+        for (edge, hour), count in other.edge_counts.items():
+            self.record_edge(edge, hour, count)
+        for (poi, hour), count in other.poi_counts.items():
+            self.record_visit(poi, hour, count)
+
     def merge(self, other: "TrafficTally") -> "TrafficTally":
         """Commutative element-wise sum, returned as a new tally."""
         merged = TrafficTally(dict(self.edge_counts), dict(self.poi_counts))
-        for (edge, hour), count in other.edge_counts.items():
-            merged.record_edge(edge, hour, count)
-        for (poi, hour), count in other.poi_counts.items():
-            merged.record_visit(poi, hour, count)
+        merged.add(other)
         return merged
 
     def total_edge_traversals(self) -> int:

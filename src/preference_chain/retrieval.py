@@ -2,7 +2,10 @@
 
 A query runs in two stages: vector similarity search picks the top-k most
 similar Person nodes, then a breadth-first search (default depth 3 edges)
-walks forward from all of them at once collecting desires and intentions. The
+walks forward from all of them at once collecting desires and intentions.
+The similarity search is one matrix-vector product against a per-graph
+index of unit profile vectors; a partition finds the k-th largest
+similarity, and only the persons at or above it are sorted. The
 extracted subgraph carries finalized edge weights: similar_to from the
 profile similarity, want_to from desire-text similarity, choose_to from
 the temporal proximity between the query desire and the stored one.
@@ -10,7 +13,6 @@ the temporal proximity between the query desire and the stored one.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -24,7 +26,7 @@ from .behavior_graph import (
     desire_text,
     temporal_proximity,
 )
-from .embedding import EmbeddingProvider, profile_to_text, similarity_weight
+from .embedding import EmbeddingProvider, _norm, profile_to_text, similarity_weight
 from .errors import EmptyGraph, UnknownNode, ZeroVector
 from .schema import AgentProfile
 
@@ -32,10 +34,6 @@ AGENT_NODE_ID: NodeId = -1
 
 # Edge kinds the forward search is allowed to follow.
 _TRAVERSABLE = (EdgeKind.RELATIVE_OF, EdgeKind.WANT_TO, EdgeKind.CHOOSE_TO)
-
-# graph -> {provider_id: (person ids, row-normalized embedding matrix)}
-_person_index_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
 
 @dataclass(frozen=True)
 class QueryAgent:
@@ -104,21 +102,20 @@ class BehavioralSubgraph:
 
 
 def _person_index(graph: BehaviorGraph, provider: EmbeddingProvider):
-    per_graph = _person_index_cache.setdefault(graph, {})
-    entry = per_graph.get(provider.provider_id)
+    """(person ids, row-normalized embedding matrix), cached on the graph."""
+    entry = graph._person_indexes.get(provider.provider_id)
     if entry is None:
         persons = graph.nodes_of_kind(NodeKind.PERSON)
         ids = [p.id for p in persons]
         rows = []
         for p in persons:
-            vec = np.asarray(provider.embed(p.label), dtype=float)
-            norm = np.linalg.norm(vec)
+            vec, norm = _norm(np.asarray(provider.embed(p.label), dtype=float))
             if norm == 0.0:
                 raise ZeroVector(f"person node {p.id} embedded to the zero vector")
             rows.append(vec / norm)
         matrix = np.vstack(rows) if rows else np.zeros((0, 1))
         entry = (ids, matrix)
-        per_graph[provider.provider_id] = entry
+        graph._person_indexes[provider.provider_id] = entry
     return entry
 
 
@@ -131,6 +128,10 @@ def top_k_similar(
     """Top-k Person nodes by clamped cosine similarity of profile texts.
 
     Sorted by similarity descending, ties broken by ascending node id.
+    ``np.partition`` finds the k-th largest similarity; only the persons at
+    or above it are sorted. Every member of the top k is among them, ties
+    at the threshold included, so the result is exactly that of sorting
+    every person.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -138,12 +139,17 @@ def top_k_similar(
     if not ids:
         raise EmptyGraph("graph contains no Person nodes")
     query = np.asarray(provider.embed(profile_to_text(agent.profile)), dtype=float)
-    norm = np.linalg.norm(query)
+    query, norm = _norm(query)
     if norm == 0.0:
         raise ZeroVector("query profile embedded to the zero vector")
     sims = np.clip(matrix @ (query / norm), 0.0, 1.0)
-    order = sorted(range(len(ids)), key=lambda i: (-sims[i], ids[i]))
-    return [(ids[i], float(sims[i])) for i in order[:k]]
+    cut = max(len(ids) - k, 0)
+    candidates = np.flatnonzero(sims >= np.partition(sims, cut)[cut]).tolist()
+    ranked = sorted(
+        zip((ids[i] for i in candidates), sims[candidates].tolist()),
+        key=lambda pair: (-pair[1], pair[0]),
+    )
+    return ranked[:k]
 
 
 def extract_subgraph(

@@ -35,6 +35,7 @@ def test_cosine_errors():
         cosine_similarity(np.zeros(3), np.ones(3))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_cosine_properties_random():
     rng = np.random.default_rng(5)
     for _ in range(50):
@@ -43,8 +44,10 @@ def test_cosine_properties_random():
         c = cosine_similarity(a, b)
         assert -1.0 - 1e-12 <= c <= 1.0 + 1e-12
         assert c == pytest.approx(cosine_similarity(b, a))
-        # invariant under positive rescaling
+        # invariant under positive rescaling, also where the norms would
+        # overflow or underflow
         assert c == pytest.approx(cosine_similarity(3.7 * a, 0.2 * b))
+        assert c == pytest.approx(cosine_similarity(1e300 * a, 1e-170 * b), abs=1e-12)
     assert cosine_similarity(a, a) == pytest.approx(1.0)
     assert cosine_similarity(a, -a) == pytest.approx(-1.0)
 

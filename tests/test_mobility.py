@@ -352,6 +352,9 @@ def test_tally_merge_is_commutative_and_leaves_inputs_alone():
     assert ab.poi_counts == ba.poi_counts == {("shop-0", 9): 1}
     assert a.edge_counts == {("0-1", 8): 2}  # merge returned a new tally
     assert b.edge_counts == {("0-1", 8): 1, ("1-2", 10): 4}
+    a.add(b)  # the same sum, in place
+    assert (a.edge_counts, a.poi_counts) == (ab.edge_counts, ab.poi_counts)
+    assert b.edge_counts == {("0-1", 8): 1, ("1-2", 10): 4}
 
 
 def test_tally_merge_is_associative():

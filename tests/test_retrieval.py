@@ -1,3 +1,7 @@
+import gc
+import weakref
+
+import numpy as np
 import pytest
 
 from preference_chain.behavior_graph import (
@@ -17,6 +21,7 @@ from preference_chain.embedding import (
 )
 from preference_chain.errors import EmptyGraph
 from preference_chain.ingest import default_synthetic_spec, generate_synthetic
+from preference_chain.pipeline import PreferenceChain
 from preference_chain.retrieval import (
     AGENT_NODE_ID,
     QueryAgent,
@@ -60,6 +65,101 @@ def test_top_k_matches_full_scan_oracle():
     assert [pid for pid, _ in got] == [pid for pid, _ in expected[:5]]
     for (_, s_got), (_, s_exp) in zip(got, expected[:5]):
         assert s_got == pytest.approx(s_exp, abs=1e-12)
+
+
+class _TableEmbedder:
+    """Looks every text up in a fixed table of vectors."""
+
+    provider_id = "table"
+
+    def __init__(self, table):
+        self.table = table
+
+    def embed(self, text):
+        return self.table[text]
+
+
+def test_top_k_matches_full_sort_on_tied_random_graphs():
+    # Persons share a few distinct vectors, so similarities tie often, and
+    # negative cosines clamp to 0.0. The oracle computes the similarities
+    # with the same arithmetic and sorts every person.
+    rng = np.random.default_rng(31)
+    agent = _agent()
+    query_text = profile_to_text(agent.profile)
+    all_equal = zero_threshold = 0
+    for trial in range(200):
+        n = int(rng.integers(1, 25))
+        vectors = rng.normal(size=(int(rng.integers(1, 5)), 4))
+        graph = BehaviorGraph()
+        table = {query_text: rng.normal(size=4)}
+        for i in range(n):
+            table[f"person {i}"] = vectors[rng.integers(len(vectors))]
+            graph.add_node(NodeKind.PERSON, f"person {i}")
+        persons = graph.nodes_of_kind(NodeKind.PERSON)
+        matrix = np.vstack([table[p.label] / np.linalg.norm(table[p.label]) for p in persons])
+        query = table[query_text] / np.linalg.norm(table[query_text])
+        sims = [float(s) for s in np.clip(matrix @ query, 0.0, 1.0)]
+        ranked = sorted(zip([p.id for p in persons], sims), key=lambda p: (-p[1], p[0]))
+        positives = sum(s > 0.0 for s in sims)
+        all_equal += len(set(sims)) == 1
+        zero_threshold += 0 < positives < n
+        for k in range(1, n + 2):
+            assert top_k_similar(graph, agent, k, _TableEmbedder(table)) == ranked[:k]
+    assert all_equal > 0 and zero_threshold > 0
+
+
+class _ScaledHash:
+    """Hash vectors times ``scale``: finite, but their squares over- or underflow."""
+
+    def __init__(self, scale):
+        self.scale = scale
+        self.provider_id = f"hash-times-{scale}"
+
+    def embed(self, text):
+        return hash_embed(text) * self.scale
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e300, 1e-170])
+def test_extreme_vector_scales_keep_retrieval_and_priors(scale):
+    graph = _build(generate_synthetic(default_synthetic_spec(), size=60, seed=21), True)
+    agent = _agent()
+    expected = top_k_similar(graph, agent, 5, HashEmbedder())
+    got = top_k_similar(graph, agent, 5, _ScaledHash(scale))
+    assert [pid for pid, _ in got] == [pid for pid, _ in expected]
+    for (_, s_got), (_, s_exp) in zip(got, expected):
+        assert s_got == pytest.approx(s_exp, abs=1e-12)
+    plain = PreferenceChain(graph).predict_all(agent)
+    scaled = PreferenceChain(graph, _ScaledHash(scale)).predict_all(agent)
+    for name, result in scaled.items():
+        assert not result.prior.degenerate
+        assert result.prior.probabilities == pytest.approx(
+            plain[name].prior.probabilities, abs=1e-9
+        )
+
+
+def test_person_index_is_built_once_per_graph_and_freed_with_it():
+    class CountingEmbedder(HashEmbedder):
+        calls = 0
+
+        def embed(self, text):
+            self.calls += 1
+            return super().embed(text)
+
+    records = generate_synthetic(default_synthetic_spec(), size=30, seed=24)
+    graph = _build(records)
+    n_persons = len(graph.nodes_of_kind(NodeKind.PERSON))
+    provider = CountingEmbedder()
+    top_k_similar(graph, _agent(), 3, provider)
+    assert provider.calls == n_persons + 1
+    top_k_similar(graph, _agent(start_time=9), 3, provider)
+    assert provider.calls == n_persons + 2  # only the query is embedded again
+    top_k_similar(_build(records), _agent(), 3, provider)
+    assert provider.calls == 2 * n_persons + 3  # a new graph builds its own index
+    graph_ref = weakref.ref(graph)
+    del graph
+    gc.collect()
+    assert graph_ref() is None
 
 
 def test_top_k_prefix_property():
