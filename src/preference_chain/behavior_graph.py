@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import IO, Iterable, Optional
 
-from .errors import KindMismatch, UnknownNode, WeightOutOfRange
+from .errors import DataError, KindMismatch, UnknownNode, WeightOutOfRange
 from .schema import (
     BUNDLED_CHOICE_SETS,
     ChoiceCategorySet,
@@ -116,7 +116,7 @@ class BehaviorGraph:
         # option -> intention node, keyed (set name, option)
         self._intention_index: dict[tuple[str, str], NodeId] = {}
         # provider id -> retrieval's person index, built by the first query
-        # and kept as long as the graph
+        # and dropped when a person is added
         self._person_indexes: dict[str, tuple] = {}
 
     # ------------------------------------------------------------------
@@ -132,6 +132,8 @@ class BehaviorGraph:
         node_id = len(self.nodes)
         self.nodes.append(Node(node_id, kind, label, dict(attributes or {})))
         self.out_edges[node_id] = []
+        if kind == NodeKind.PERSON:
+            self._person_indexes.clear()
         return node_id
 
     def add_edge(self, source: NodeId, target: NodeId, kind: EdgeKind, weight: float) -> None:
@@ -221,31 +223,39 @@ class BehaviorGraph:
 
     @classmethod
     def load_jsonl(cls, fp: IO[str]) -> "BehaviorGraph":
+        """Read a snapshot; a malformed line raises DataError or a GraphError."""
         graph = cls()
-        for line in fp:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            kind = obj["t"]
-            if kind == "choice_set":
-                graph.register_choice_set(
-                    ChoiceCategorySet(obj["name"], tuple(obj["options"]))
-                )
-            elif kind == "node":
-                node_id = graph.add_node(
-                    NodeKind(obj["kind"]), obj["label"], obj["attributes"]
-                )
-                assert node_id == obj["id"], "snapshot node ids must be contiguous"
-                node = graph.nodes[node_id]
-                if node.kind == NodeKind.INTENTION and "choice_set" in node.attributes:
-                    graph._intention_index[(node.attributes["choice_set"], node.label)] = node_id
-            elif kind == "edge":
-                graph.add_edge(
-                    obj["source"], obj["target"], EdgeKind(obj["kind"]), obj["weight"]
-                )
-            else:
-                raise ValueError(f"unknown snapshot record type {kind!r}")
+        number = 0
+        try:
+            for number, line in enumerate(fp, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                obj = json.loads(line)
+                kind = obj["t"]
+                if kind == "choice_set":
+                    graph.register_choice_set(
+                        ChoiceCategorySet(obj["name"], tuple(obj["options"]))
+                    )
+                elif kind == "node":
+                    if obj["id"] != len(graph.nodes):
+                        raise ValueError(f"node id {obj['id']!r}, expected {len(graph.nodes)}")
+                    if not isinstance(obj["label"], str) or not isinstance(obj["attributes"], dict):
+                        raise ValueError("node label must be a string, attributes an object")
+                    node_id = graph.add_node(
+                        NodeKind(obj["kind"]), obj["label"], obj["attributes"]
+                    )
+                    node = graph.nodes[node_id]
+                    if node.kind == NodeKind.INTENTION and "choice_set" in node.attributes:
+                        graph._intention_index[(node.attributes["choice_set"], node.label)] = node_id
+                elif kind == "edge":
+                    graph.add_edge(
+                        obj["source"], obj["target"], EdgeKind(obj["kind"]), obj["weight"]
+                    )
+                else:
+                    raise ValueError(f"unknown snapshot record type {kind!r}")
+        except (KeyError, TypeError, ValueError) as exc:  # also bad JSON and text encoding
+            raise DataError(f"graph snapshot line {number}: {type(exc).__name__}: {exc}") from exc
         return graph
 
     @classmethod

@@ -12,9 +12,9 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass, field
-from typing import IO, Optional
+from typing import IO
 
-from .errors import UnknownCategory, UnknownNode
+from .errors import DataError, UnknownCategory, UnknownNode
 from .rng import substream
 from .schema import DURATION_BINS, TRIP_PURPOSES
 
@@ -65,7 +65,7 @@ class CityModel:
         for node in (u, v):
             if node not in self.positions:
                 raise UnknownNode(f"no street node {node}")
-        if length <= 0:
+        if not length > 0:  # also rejects NaN
             raise ValueError("edge length must be positive")
         self.adjacency[u].append((v, float(length)))
         self.adjacency[v].append((u, float(length)))
@@ -146,15 +146,21 @@ class CityModel:
 
     @classmethod
     def from_json(cls, fp: IO[str]) -> "CityModel":
-        obj = json.load(fp)
-        city = cls(speeds=dict(obj.get("speeds") or DEFAULT_MODE_SPEEDS))
-        for node in obj["nodes"]:
-            city.add_node(node["id"], node["x"], node["y"])
-        for edge in obj["edges"]:
-            city.add_edge(edge["u"], edge["v"], edge["length"])
-        for poi in obj["pois"]:
-            city.add_poi(poi["id"], poi["category"], poi["node"])
-        return city.validate()
+        """Read a city snapshot; malformed input raises DataError or UnknownNode."""
+        try:
+            obj = json.load(fp)
+            if not isinstance(obj, dict):
+                raise ValueError("the root must be a JSON object")
+            city = cls(speeds=dict(obj.get("speeds") or DEFAULT_MODE_SPEEDS))
+            for node in obj["nodes"]:
+                city.add_node(node["id"], node["x"], node["y"])
+            for edge in obj["edges"]:
+                city.add_edge(edge["u"], edge["v"], edge["length"])
+            for poi in obj["pois"]:
+                city.add_poi(poi["id"], poi["category"], poi["node"])
+            return city.validate()
+        except (KeyError, TypeError, ValueError) as exc:  # also bad JSON and street graphs
+            raise DataError(f"city snapshot: {type(exc).__name__}: {exc}") from exc
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fp:
@@ -257,7 +263,6 @@ def grid_city(
     spacing: float = 100.0,
     pois_per_category: int = 8,
     seed: int = 0,
-    categories: Optional[tuple[str, ...]] = None,
 ) -> CityModel:
     """Rectangular street grid with seeded random POI placement.
 
@@ -279,11 +284,8 @@ def grid_city(
             if r + 1 < height:
                 city.add_edge(node, node + width, spacing)
     rng = substream(seed, "city-pois")
-    poi_categories = categories if categories is not None else tuple(
-        c for c in TRIP_PURPOSES if c != "home"
-    )
     n_nodes = width * height
-    for category in poi_categories:
+    for category in (c for c in TRIP_PURPOSES if c != "home"):
         nodes = rng.choice(n_nodes, size=min(pois_per_category, n_nodes), replace=False)
         for i, node in enumerate(sorted(int(n) for n in nodes)):
             city.add_poi(f"{category}-{i}", category, node)

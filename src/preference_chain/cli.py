@@ -5,7 +5,8 @@ Every command runs fully offline with the default mock providers and is
 reproducible from (config, seed); output directories always receive a
 manifest recording the seed, config hash, and provider ids.
 
-Exit codes: 0 ok, 2 config error, 3 data error, 4 provider error.
+Exit codes: 0 ok, 2 config error, 3 data error, 4 provider error (including
+embeddings that cannot be compared).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .config import (
 from .errors import (
     ConfigError,
     DataError,
+    EmbeddingError,
     EmptyReference,
     GraphError,
     ProviderError,
@@ -430,7 +432,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (DataError, GraphError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except ProviderError as exc:
+    except (ProviderError, EmbeddingError) as exc:
         print(f"provider error: {exc}", file=sys.stderr)
         return 4
 

@@ -119,7 +119,6 @@ class RunConfig:
         seed: Optional[int] = None,
         mock_llm: Optional[bool] = None,
         mock_embed: Optional[bool] = None,
-        out_dir: Optional[str] = None,
     ) -> "RunConfig":
         pipeline = self.pipeline
         if seed is not None:
@@ -129,12 +128,7 @@ class RunConfig:
             providers = dataclasses.replace(providers, mock_llm=mock_llm)
         if mock_embed is not None:
             providers = dataclasses.replace(providers, mock_embed=mock_embed)
-        paths = self.paths
-        if out_dir is not None:
-            paths = dataclasses.replace(paths, out_dir=out_dir)
-        return dataclasses.replace(
-            self, paths=paths, providers=providers, pipeline=pipeline
-        ).validate()
+        return dataclasses.replace(self, providers=providers, pipeline=pipeline).validate()
 
 
 def apply_env_overrides(config: RunConfig, environ: Mapping[str, str] = os.environ) -> RunConfig:

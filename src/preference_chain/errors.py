@@ -1,7 +1,8 @@
 """Exception hierarchy.
 
-The three families below map onto the CLI exit codes: ConfigError -> 2,
-DataError (and graph-construction errors) -> 3, ProviderError -> 4.
+The families below map onto the CLI exit codes: ConfigError -> 2,
+DataError (and graph-construction errors) -> 3, ProviderError and
+EmbeddingError (embeddings that cannot be compared) -> 4.
 """
 
 

@@ -45,7 +45,6 @@ def group_value(record: TripRecord, dimension: str) -> str:
 def chain_predictions(
     chain: PreferenceChain,
     records: Sequence[TripRecord],
-    context: str = "",
 ) -> PredictionTable:
     """Calibrated posterior per (registered choice set, record).
 
@@ -59,8 +58,8 @@ def chain_predictions(
         key = (record.profile.key(), record.trip_purpose, record.start_time)
         got = memo.get(key)
         if got is None:
-            agent = QueryAgent(record.profile, record.trip_purpose, record.start_time, context)
-            results = chain.predict_all(agent, context)
+            agent = QueryAgent(record.profile, record.trip_purpose, record.start_time)
+            results = chain.predict_all(agent)
             got = {name: results[name].posterior for name in names}
             memo[key] = got
         for name in names:
@@ -110,24 +109,20 @@ def sample_predictions(
 
 
 def build_report(
-    records: Sequence[TripRecord],
-    sampled: dict[str, list[str]],
-    dimensions: Optional[Sequence[str]] = None,
+    records: Sequence[TripRecord], sampled: dict[str, list[str]]
 ) -> EvaluationReport:
     """KLD/MAE of predicted vs. true joints, one entry per dimension pair.
 
     Entries are named "<choice set>:<dimension>"; choice sets in sorted
     order, dimensions in schema order.
     """
-    dims = tuple(dimensions) if dimensions is not None else tuple(INPUT_CATEGORIES)
     report = EvaluationReport()
     for name in sorted(sampled):
         choice_set = BUNDLED_CHOICE_SETS[name]
         choices = sampled[name]
         if len(choices) != len(records):
             raise ValueError("sampled choices not aligned with records")
-        for dimension in dims:
-            groups = INPUT_CATEGORIES[dimension]
+        for dimension, groups in INPUT_CATEGORIES.items():
             true_pairs = [
                 (group_value(r, dimension), getattr(r, name)) for r in records
             ]
@@ -144,10 +139,9 @@ def evaluate_predictions(
     records: Sequence[TripRecord],
     predictions: PredictionTable,
     seed: int,
-    dimensions: Optional[Sequence[str]] = None,
 ) -> EvaluationReport:
     """Sample once from each prediction and score the resulting joints."""
-    return build_report(records, sample_predictions(predictions, seed), dimensions)
+    return build_report(records, sample_predictions(predictions, seed))
 
 
 def write_combined_csv(fp: IO[str], reports: dict[str, EvaluationReport]) -> None:
@@ -176,8 +170,6 @@ def sweep_reference_sizes(
     config: Optional[PipelineConfig] = None,
     embed_provider=None,
     llm_provider=None,
-    dimensions: Optional[Sequence[str]] = None,
-    context: str = "",
 ) -> list[tuple[int, int, str, float]]:
     """Rebuild the graph at several reference sizes and score each.
 
@@ -201,8 +193,8 @@ def sweep_reference_sizes(
                 pool[:n], GraphBuildConfig(intention_fields=INTENTION_FIELDS)
             )
             chain = PreferenceChain(graph, embed_provider, llm_provider, config)
-            predictions = chain_predictions(chain, validation, context)
-            report = evaluate_predictions(validation, predictions, seed, dimensions)
+            predictions = chain_predictions(chain, validation)
+            report = evaluate_predictions(validation, predictions, seed)
             rows.append((n, seed, "kld", report.mean_kld))
             rows.append((n, seed, "mae", report.mean_mae))
     return rows

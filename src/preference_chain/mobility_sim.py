@@ -22,7 +22,7 @@ from .city import (
     search_pois,
     shortest_path,
 )
-from .errors import EmptySamples, ParseFailure, ProviderError
+from .errors import DataError, EmptySamples, ParseFailure, ProviderError
 from .ingest import SyntheticSpec, draw_column
 from .llm_remodel import GenerationParams, LlmProvider, json_blocks
 from .metrics import JointDistribution, kld
@@ -155,15 +155,9 @@ def parse_schedule(raw: str) -> DayPlan:
 class LlmScheduleProvider:
     """Asks the LLM for a plan; any failure falls back to the template."""
 
-    def __init__(
-        self,
-        llm: LlmProvider,
-        params: Optional[GenerationParams] = None,
-        fallback: Optional[TemplateScheduleProvider] = None,
-    ):
+    def __init__(self, llm: LlmProvider, params: Optional[GenerationParams] = None):
         self.llm = llm
         self.params = params or GenerationParams()
-        self.fallback = fallback or TemplateScheduleProvider()
         self.provider_id = f"llm-schedule:{llm.provider_id}"
 
     def plan(self, profile: AgentProfile, rng) -> DayPlan:
@@ -171,7 +165,7 @@ class LlmScheduleProvider:
             raw = self.llm.complete(schedule_prompt(profile), self.params)
             return parse_schedule(raw)
         except (ProviderError, ParseFailure):
-            return self.fallback.plan(profile, rng)
+            return TemplateScheduleProvider().plan(profile, rng)
 
 
 def generate_schedule(profile: AgentProfile, provider: ScheduleProvider, seed: int) -> DayPlan:
@@ -224,8 +218,7 @@ def choose_mode_and_duration(
     context: str = "",
 ) -> tuple[str, str]:
     """Sample mode then duration from the calibrated posteriors."""
-    query = QueryAgent(agent.profile, purpose, hour, context)
-    results = chain.predict_all(query, context)
+    results = chain.predict_all(QueryAgent(agent.profile, purpose, hour, context))
     mode = results["primary_mode"].posterior.sample(rng)
     duration = results["duration_minutes"].posterior.sample(rng)
     return mode, duration
@@ -327,13 +320,19 @@ class TrafficTally:
 
     @classmethod
     def from_csv(cls, edge_fp: Optional[IO[str]] = None, poi_fp: Optional[IO[str]] = None) -> "TrafficTally":
+        """Read tally CSVs; a missing column or a bad value raises DataError."""
         tally = cls()
-        if edge_fp is not None:
-            for row in csv.DictReader(edge_fp):
-                tally.record_edge(row["edge"], int(row["hour"]), int(row["count"]))
-        if poi_fp is not None:
-            for row in csv.DictReader(poi_fp):
-                tally.record_visit(row["poi"], int(row["hour"]), int(row["count"]))
+        for fp, key, record in ((edge_fp, "edge", tally.record_edge), (poi_fp, "poi", tally.record_visit)):
+            if fp is None:
+                continue
+            reader = csv.DictReader(fp)
+            try:
+                for row in reader:
+                    record(row[key], int(row["hour"]), int(row["count"]))
+            except (KeyError, TypeError, ValueError, csv.Error) as exc:  # missing columns too
+                raise DataError(
+                    f"{key} tally line {reader.line_num}: {type(exc).__name__}: {exc}"
+                ) from exc
         return tally
 
 

@@ -96,8 +96,8 @@ class PreferenceChain:
             self.graph,
             agent,
             persons,
+            self.embed_provider,
             depth=self.config.depth,
-            provider=self.embed_provider,
             tau=self.config.tau,
         )
 
@@ -120,30 +120,32 @@ class PreferenceChain:
         self,
         agent: QueryAgent,
         choice_set: ChoiceCategorySet,
-        context: Optional[str] = None,
         subgraph: Optional[BehavioralSubgraph] = _RETRIEVE,
     ) -> CalibrationResult:
-        """Prior followed by LLM calibration; never raises."""
+        """Prior followed by LLM calibration, conditioned on ``agent.context``.
+
+        Calibration never raises. Retrieval propagates the embedder's
+        ProviderError or EmbeddingError: a dead or garbled embedder is an
+        error, not a uniform prior.
+        """
         prior = self.prior(agent, choice_set, subgraph)
         return calibrate(
             agent,
             prior,
-            agent.context if context is None else context,
+            agent.context,
             self.llm_provider,
             self.config.generation,
             self.config.blend,
         )
 
-    def predict_all(
-        self, agent: QueryAgent, context: Optional[str] = None
-    ) -> dict[str, CalibrationResult]:
+    def predict_all(self, agent: QueryAgent) -> dict[str, CalibrationResult]:
         """One calibrated distribution per registered choice set.
 
         The subgraph is extracted once and shared across choice sets.
         """
         subgraph = self.subgraph(agent)
         return {
-            name: self.predict(agent, choice_set, context, subgraph)
+            name: self.predict(agent, choice_set, subgraph)
             for name, choice_set in sorted(self.graph.choice_sets.items())
         }
 

@@ -27,7 +27,7 @@ from .behavior_graph import (
     temporal_proximity,
 )
 from .embedding import EmbeddingProvider, _norm, profile_to_text, similarity_weight
-from .errors import EmptyGraph, UnknownNode, ZeroVector
+from .errors import DimensionMismatch, EmptyGraph, UnknownNode, ZeroVector
 from .schema import AgentProfile
 
 AGENT_NODE_ID: NodeId = -1
@@ -113,6 +113,8 @@ def _person_index(graph: BehaviorGraph, provider: EmbeddingProvider):
             if norm == 0.0:
                 raise ZeroVector(f"person node {p.id} embedded to the zero vector")
             rows.append(vec / norm)
+        if len({row.shape for row in rows}) > 1:
+            raise DimensionMismatch("person embeddings have different lengths")
         matrix = np.vstack(rows) if rows else np.zeros((0, 1))
         entry = (ids, matrix)
         graph._person_indexes[provider.provider_id] = entry
@@ -139,6 +141,8 @@ def top_k_similar(
     if not ids:
         raise EmptyGraph("graph contains no Person nodes")
     query = np.asarray(provider.embed(profile_to_text(agent.profile)), dtype=float)
+    if query.shape != matrix.shape[1:]:
+        raise DimensionMismatch(f"query embedding {query.shape} vs persons {matrix.shape[1:]}")
     query, norm = _norm(query)
     if norm == 0.0:
         raise ZeroVector("query profile embedded to the zero vector")
@@ -156,8 +160,8 @@ def extract_subgraph(
     graph: BehaviorGraph,
     agent: QueryAgent,
     persons: list[tuple[NodeId, float]],
+    provider: EmbeddingProvider,
     depth: int = 3,
-    provider: Optional[EmbeddingProvider] = None,
     tau: float = 4.0,
 ) -> BehavioralSubgraph:
     """Breadth-first forward search from the selected persons.
@@ -172,10 +176,6 @@ def extract_subgraph(
         raise ValueError("persons must be non-empty")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if provider is None:
-        from .embedding import HashEmbedder
-
-        provider = HashEmbedder()
     for person_id, _ in persons:
         if graph.node(person_id).kind != NodeKind.PERSON:
             raise UnknownNode(f"node {person_id} is not a Person")

@@ -6,10 +6,13 @@ from pathlib import Path
 
 import pytest
 
+from preference_chain import config as config_module
 from preference_chain.behavior_graph import BehaviorGraph
 from preference_chain.city import grid_city
 from preference_chain.cli import main
+from preference_chain.embedding import RemoteEmbedder
 from preference_chain.ingest import read_csv
+from tests.test_embedding import _FakeResponse
 
 
 def run(argv):
@@ -342,6 +345,65 @@ def test_simulate_errors(tmp_path, trips_csv, capsys):
     capsys.readouterr()
 
 
+_CITY = {
+    "nodes": [{"id": 0, "x": 0.0, "y": 0.0}, {"id": 1, "x": 100.0, "y": 0.0}],
+    "edges": [{"u": 0, "v": 1, "length": 100.0}],
+    "pois": [{"id": "work-0", "category": "work", "node": 1}],
+}
+
+
+def _broken_city(mutate) -> str:
+    """A copy of the valid two-node ``_CITY`` after ``mutate``, as JSON text."""
+    obj = json.loads(json.dumps(_CITY))
+    mutate(obj)
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize(
+    "kind,text",
+    [
+        pytest.param("graph", "{oops\n", id="graph-bad-json"),
+        pytest.param("graph", '{"t": "node", "id": 0, "kind": "Person"}\n', id="graph-missing-key"),
+        pytest.param(
+            "graph",
+            '{"t": "node", "id": 0, "kind": "Robot", "label": "x", "attributes": {}}\n',
+            id="graph-unknown-node-kind",
+        ),
+        pytest.param(
+            "graph",
+            '{"t": "node", "id": 5, "kind": "Person", "label": "x", "attributes": {}}\n',
+            id="graph-ids-start-at-5",
+        ),
+        pytest.param("city", "{oops", id="city-bad-json"),
+        pytest.param("city", _broken_city(lambda c: c.pop("edges")), id="city-missing-key"),
+        pytest.param(
+            "city", _broken_city(lambda c: c["edges"][0].update(length=0)), id="city-zero-length"
+        ),
+        pytest.param(
+            "city",
+            _broken_city(lambda c: c["nodes"].append({"id": 2, "x": 0.0, "y": 9.0})),
+            id="city-disconnected",
+        ),
+        pytest.param("tally", "edge,count\n0-1,3\n", id="tally-missing-column"),
+        pytest.param("tally", "edge,hour,count\n0-1,24,3\n", id="tally-hour-24"),
+    ],
+)
+def test_bad_input_files_exit_3(tmp_path, trips_csv, capsys, kind, text):
+    bad = tmp_path / "bad"
+    bad.write_text(text, encoding="utf-8")
+    city = tmp_path / "city.json"
+    grid_city(width=3, height=3, pois_per_category=1).save(city)
+    simulate = ["simulate", "--reference", trips_csv, "--agents", 1, "--out", tmp_path / "s"]
+    argv = {
+        "graph": ["predict", "--agent", write_agent(tmp_path / "agent.json"), "--graph", bad],
+        "city": simulate + ["--city", bad],
+        "tally": simulate + ["--city", city, "--reference-tally", bad],
+    }[kind]
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and kind in err
+
+
 # ----------------------------------------------------------------------
 # config plumbing and provider failures
 # ----------------------------------------------------------------------
@@ -379,6 +441,42 @@ def test_unreachable_embed_provider_exits_4(tmp_path, trips_csv, capsys):
     code = run(["predict", "--config", config, "--agent", agent, "--reference", trips_csv])
     assert code == 4
     assert "provider error" in capsys.readouterr().err
+
+
+class _EmbedSession:
+    """Answers every embedding request with ``reply(call number)``."""
+
+    def __init__(self, reply):
+        self.reply = reply
+        self.calls = 0
+
+    def post(self, url, json=None, timeout=None):
+        self.calls += 1
+        return _FakeResponse({"embedding": self.reply(self.calls)})
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [lambda call: [0.0] * 8, lambda call: [1.0] * (8 if call == 1 else 9)],
+    ids=["zero-vector", "mixed-lengths"],
+)
+def test_uncomparable_embeddings_exit_4(tmp_path, trips_csv, capsys, monkeypatch, reply):
+    session = _EmbedSession(reply)
+    monkeypatch.setattr(
+        config_module,
+        "RemoteEmbedder",
+        lambda url, model: RemoteEmbedder(url, model, session=session),
+    )
+    config = tmp_path / "run.json"
+    config.write_text(
+        json.dumps({"providers": {"mock_embed": False, "embed_url": "http://embed.invalid/api"}}),
+        encoding="utf-8",
+    )
+    agent = write_agent(tmp_path / "agent.json")
+    code = run(["predict", "--config", config, "--agent", agent, "--reference", trips_csv])
+    assert code == 4
+    assert "provider error" in capsys.readouterr().err
+    assert session.calls > 0
 
 
 def test_env_override_switches_provider(tmp_path, trips_csv, capsys, monkeypatch):

@@ -179,7 +179,6 @@ def test_with_overrides():
     config = RunConfig()
     assert config.with_overrides() == config
     assert config.with_overrides(seed=7).pipeline.seed == 7
-    assert config.with_overrides(out_dir="/tmp/o").paths.out_dir == "/tmp/o"
     remote = RunConfig.from_dict(
         {"providers": {"mock_llm": False, "llm_url": "http://h/api"}}
     )

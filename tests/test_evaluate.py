@@ -162,12 +162,11 @@ def test_build_report_entry_names_and_order():
         name: [point_mass(BUNDLED_CHOICE_SETS[name], getattr(r, name)) for r in records]
         for name in INTENTIONS
     }
-    report = evaluate_predictions(records, table, seed=0, dimensions=("age_group", "trip_purpose"))
+    report = evaluate_predictions(records, table, seed=0)
     assert [name for name, _, _ in report.entries] == [
-        "duration_minutes:age_group",
-        "duration_minutes:trip_purpose",
-        "primary_mode:age_group",
-        "primary_mode:trip_purpose",
+        f"{name}:{dimension}"
+        for name in ("duration_minutes", "primary_mode")
+        for dimension in INPUT_CATEGORIES
     ]
 
 

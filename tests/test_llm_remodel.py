@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import pytest
 
@@ -198,6 +199,36 @@ def test_hostile_reply_never_breaks_calibration(reply, source):
     assert math.fsum(values) == pytest.approx(1.0, abs=1e-9)
     assert result.source == source
     assert result.prior is prior
+
+
+def _random_hostile_reply(rng: random.Random) -> str:
+    """A reply of hostile values, duplicate and unknown keys, and stray text."""
+    values = [
+        "NaN", "Infinity", "-Infinity", "1e308", "-1e308", "5e-324", "0", "-0.0", "-3",
+        "1" + "0" * rng.randint(401, 450), '{"walk": 1}', "[0.5]", '"0.5"', "true", "null",
+        repr(rng.random()), repr(rng.uniform(-1e308, 1e308)), str(rng.randint(-9, 9)),
+    ]
+    keys = ["walk", "bike", "drive"] * 3 + ["run"]
+    entries = [f'"{rng.choice(keys)}": {rng.choice(values)}' for _ in range(rng.randint(0, 5))]
+    prefix = rng.choice(["", "Sure: ", "{", "[", '"'])
+    suffix = rng.choice(["", ' {"walk": 1}', '{"bike": NaN}', "{", "]", " done"])
+    return prefix + "{" + ", ".join(entries) + "}" + suffix
+
+
+def test_random_hostile_replies_never_break_calibration():
+    rng = random.Random(20250)
+    priors = [_prior(), _prior(0.0, 0.0, 1.0), uniform_distribution(_MODES, degenerate=True)]
+    sources = set()
+    for _ in range(1500):
+        reply = _random_hostile_reply(rng)
+        for prior in priors:
+            for blend in (1.0, rng.random()):
+                result = calibrate(_agent(), prior, "", ScriptedMockLlm([reply]), blend=blend)
+                values = list(result.posterior.probabilities.values())
+                assert all(math.isfinite(v) and v >= 0.0 for v in values), reply
+                assert abs(math.fsum(values) - 1.0) <= 1e-9, reply
+                sources.add(result.source)
+    assert sources == set(CalibrationSource)
 
 
 def test_blend_mixes_prior_and_response():

@@ -97,8 +97,6 @@ def test_agent_context_used_when_not_overridden():
     chain = _chain(llm=llm)
     chain.predict(_agent(context="heavy snow"), PRIMARY_MODE_SET)
     assert "Conditions: heavy snow" in llm.calls[0]
-    chain.predict(_agent(context="heavy snow"), PRIMARY_MODE_SET, context="clear")
-    assert "Conditions: clear" in llm.calls[1]
 
 
 def test_config_knobs_change_result():

@@ -19,7 +19,7 @@ from preference_chain.embedding import (
     profile_to_text,
     similarity_weight,
 )
-from preference_chain.errors import EmptyGraph
+from preference_chain.errors import DimensionMismatch, EmptyGraph
 from preference_chain.ingest import default_synthetic_spec, generate_synthetic
 from preference_chain.pipeline import PreferenceChain
 from preference_chain.retrieval import (
@@ -162,6 +162,38 @@ def test_person_index_is_built_once_per_graph_and_freed_with_it():
     assert graph_ref() is None
 
 
+def test_person_added_after_a_query_is_retrieved():
+    graph = _build([make_record(age_group=age) for age in ("18-24", "45-54", "65+")])
+    provider = HashEmbedder()
+    before = top_k_similar(graph, _agent(), 2, provider)
+    profile = make_profile()  # the agent's own profile
+    added = graph.add_node(NodeKind.PERSON, profile_to_text(profile), profile.as_dict())
+    after = top_k_similar(graph, _agent(), 2, provider)
+    assert [pid for pid, _ in after] == [added, before[0][0]]
+    assert after[0][1] == pytest.approx(1.0)
+
+
+class _OnesEmbedder:
+    """All-ones vectors of a length chosen per text."""
+
+    def __init__(self, provider_id, length_of):
+        self.provider_id = provider_id
+        self.length_of = length_of
+
+    def embed(self, text):
+        return np.ones(self.length_of(text))
+
+
+def test_embeddings_of_different_lengths_raise_dimension_mismatch():
+    graph = _build([make_record(age_group=age) for age in ("18-24", "45-54")])
+    query_text = profile_to_text(make_profile())
+    persons_differ = _OnesEmbedder("persons", lambda text: 9 if "18-24" in text else 8)
+    query_differs = _OnesEmbedder("query", lambda text: 9 if text == query_text else 8)
+    for provider in (persons_differ, query_differs):
+        with pytest.raises(DimensionMismatch):
+            top_k_similar(graph, _agent(), 1, provider)
+
+
 def test_top_k_prefix_property():
     records = generate_synthetic(default_synthetic_spec(), size=40, seed=22)
     graph = _build(records)
@@ -249,7 +281,7 @@ def test_subgraph_nodes_match_bfs_oracle():
     agent = _agent()
     persons = top_k_similar(graph, agent, 5, HashEmbedder())
     for depth in (1, 2, 3):
-        sub = extract_subgraph(graph, agent, persons, depth=depth)
+        sub = extract_subgraph(graph, agent, persons, HashEmbedder(), depth=depth)
         expected = set(_reachable_oracle(graph, [p for p, _ in persons], depth))
         got = set(sub.nodes) - {AGENT_NODE_ID}
         assert got == expected
@@ -272,12 +304,12 @@ def test_subgraph_depth_three_reaches_relatives_intentions():
     p1 = top_k_similar(graph, agent, 1, HashEmbedder())
     assert graph.node(p1[0][0]).attributes["age_group"] == "25-34"
 
-    sub3 = extract_subgraph(graph, agent, p1, depth=3)
+    sub3 = extract_subgraph(graph, agent, p1, HashEmbedder(), depth=3)
     labels3 = {n.label for n in sub3.nodes.values() if n.kind == NodeKind.INTENTION}
     # relative's intention is exactly 3 edges away, so depth 3 includes it
     assert labels3 == {"private_auto", "walking"}
 
-    sub2 = extract_subgraph(graph, agent, p1, depth=2)
+    sub2 = extract_subgraph(graph, agent, p1, HashEmbedder(), depth=2)
     labels2 = {n.label for n in sub2.nodes.values() if n.kind == NodeKind.INTENTION}
     assert labels2 == {"private_auto"}
 
@@ -288,7 +320,7 @@ def test_subgraph_edges_only_from_interior_nodes():
     agent = _agent()
     persons = top_k_similar(graph, agent, 5, HashEmbedder())
     depth = 3
-    sub = extract_subgraph(graph, agent, persons, depth=depth)
+    sub = extract_subgraph(graph, agent, persons, HashEmbedder(), depth=depth)
     dist = _reachable_oracle(graph, [p for p, _ in persons], depth)
     for source, edges in sub.out_edges.items():
         if source == AGENT_NODE_ID:
@@ -307,7 +339,7 @@ def test_subgraph_finalizes_weights():
     graph = _build(records)
     agent = _agent(trip_purpose="work", start_time=8)
     persons = top_k_similar(graph, agent, 1, HashEmbedder())
-    sub = extract_subgraph(graph, agent, persons, tau=4.0)
+    sub = extract_subgraph(graph, agent, persons, HashEmbedder(), tau=4.0)
 
     agent_vec = hash_embed(agent.desire_text())
     by_kind = {}
@@ -337,7 +369,8 @@ def test_subgraph_keeps_parallel_choose_edges():
     records = [make_record(), make_record()]
     graph = _build(records)
     agent = _agent()
-    sub = extract_subgraph(graph, agent, top_k_similar(graph, agent, 1, HashEmbedder()))
+    embedder = HashEmbedder()
+    sub = extract_subgraph(graph, agent, top_k_similar(graph, agent, 1, embedder), embedder)
     choose = [
         (s, t)
         for s, edges in sub.out_edges.items()
@@ -353,13 +386,13 @@ def test_subgraph_agent_node_and_args():
     graph = _build(records)
     agent = _agent()
     persons = top_k_similar(graph, agent, 1, HashEmbedder())
-    sub = extract_subgraph(graph, agent, persons)
+    sub = extract_subgraph(graph, agent, persons, HashEmbedder())
     assert sub.nodes[AGENT_NODE_ID].kind == NodeKind.AGENT
     assert sub.similar_persons == persons
     with pytest.raises(ValueError):
-        extract_subgraph(graph, agent, [])
+        extract_subgraph(graph, agent, [], HashEmbedder())
     with pytest.raises(ValueError):
-        extract_subgraph(graph, agent, persons, depth=0)
+        extract_subgraph(graph, agent, persons, HashEmbedder(), depth=0)
 
 
 def test_subgraph_deterministic():
@@ -367,8 +400,8 @@ def test_subgraph_deterministic():
     graph = _build(records, both_fields=True)
     agent = _agent(trip_purpose="shop", start_time=17)
     persons = top_k_similar(graph, agent, 5, HashEmbedder())
-    s1 = extract_subgraph(graph, agent, persons)
-    s2 = extract_subgraph(graph, agent, persons)
+    s1 = extract_subgraph(graph, agent, persons, HashEmbedder())
+    s2 = extract_subgraph(graph, agent, persons, HashEmbedder())
     assert list(s1.nodes) == list(s2.nodes)
     assert s1.out_edges == s2.out_edges
 
