@@ -28,6 +28,8 @@ from .schema import (
     BUNDLED_CHOICE_SETS,
     ChoiceCategorySet,
     OUTPUT_CATEGORIES,
+    START_TIMES,
+    TRIP_PURPOSES,
     TripRecord,
 )
 
@@ -113,8 +115,6 @@ class BehaviorGraph:
         self.nodes: list[Node] = []
         self.out_edges: dict[NodeId, list[Edge]] = {}
         self.choice_sets: dict[str, ChoiceCategorySet] = {}
-        # option -> intention node, keyed (set name, option)
-        self._intention_index: dict[tuple[str, str], NodeId] = {}
         # provider id -> retrieval's person index, built by the first query
         # and dropped when a person is added
         self._person_indexes: dict[str, tuple] = {}
@@ -171,18 +171,40 @@ class BehaviorGraph:
         for node_id in range(len(self.nodes)):
             yield from self.out_edges[node_id]
 
-    def intention_node(self, set_name: str, option: str) -> Optional[NodeId]:
-        return self._intention_index.get((set_name, option))
+    def validate(self) -> "BehaviorGraph":
+        """Check the facts that retrieval and scoring read from Desire and Intention nodes.
 
-    def _ensure_intention(self, set_name: str, option: str) -> NodeId:
-        key = (set_name, option)
-        node_id = self._intention_index.get(key)
-        if node_id is None:
-            node_id = self.add_node(
-                NodeKind.INTENTION, option, {"choice_set": set_name}
-            )
-            self._intention_index[key] = node_id
-        return node_id
+        A Desire's trip_purpose and start_time must be schema categories and
+        its label their ``desire_text``; an Intention must name a registered
+        choice set and one of its options, and no two Intentions the same
+        option. Raises DataError naming the first node that breaks a rule.
+        """
+        seen: dict[tuple[str, str], NodeId] = {}
+        for node in self.nodes:
+            if node.kind == NodeKind.DESIRE:
+                purpose = node.attributes.get("trip_purpose")
+                hour = node.attributes.get("start_time")
+                if purpose not in TRIP_PURPOSES or hour not in START_TIMES:
+                    raise DataError(
+                        f"graph node {node.id} (Desire): trip_purpose {purpose!r} or "
+                        f"start_time {hour!r} is not in the schema"
+                    )
+                if node.label != desire_text(purpose, int(hour)):
+                    raise DataError(
+                        f"graph node {node.id} (Desire): label differs from its attributes"
+                    )
+            elif node.kind == NodeKind.INTENTION:
+                key = (node.attributes.get("choice_set"), node.label)
+                choice_set = self.choice_sets.get(key[0])
+                if choice_set is None or node.label not in choice_set:
+                    raise DataError(
+                        f"graph node {node.id} (Intention): {key} is no registered option"
+                    )
+                if seen.setdefault(key, node.id) != node.id:
+                    raise DataError(
+                        f"graph node {node.id} (Intention): node {seen[key]} also names {key}"
+                    )
+        return self
 
     # ------------------------------------------------------------------
     # snapshot I/O (line-oriented JSON, bit-exact round trip)
@@ -223,7 +245,11 @@ class BehaviorGraph:
 
     @classmethod
     def load_jsonl(cls, fp: IO[str]) -> "BehaviorGraph":
-        """Read a snapshot; a malformed line raises DataError or a GraphError."""
+        """Read a snapshot and ``validate`` it.
+
+        A malformed line or a failed check raises DataError, an edge that
+        breaks the graph's rules a GraphError.
+        """
         graph = cls()
         number = 0
         try:
@@ -240,14 +266,14 @@ class BehaviorGraph:
                 elif kind == "node":
                     if obj["id"] != len(graph.nodes):
                         raise ValueError(f"node id {obj['id']!r}, expected {len(graph.nodes)}")
-                    if not isinstance(obj["label"], str) or not isinstance(obj["attributes"], dict):
-                        raise ValueError("node label must be a string, attributes an object")
-                    node_id = graph.add_node(
-                        NodeKind(obj["kind"]), obj["label"], obj["attributes"]
-                    )
-                    node = graph.nodes[node_id]
-                    if node.kind == NodeKind.INTENTION and "choice_set" in node.attributes:
-                        graph._intention_index[(node.attributes["choice_set"], node.label)] = node_id
+                    attributes = obj["attributes"]
+                    if not (
+                        isinstance(obj["label"], str)
+                        and isinstance(attributes, dict)
+                        and all(isinstance(v, str) for v in attributes.values())
+                    ):
+                        raise ValueError("node label must be a string, attributes strings")
+                    graph.add_node(NodeKind(obj["kind"]), obj["label"], attributes)
                 elif kind == "edge":
                     graph.add_edge(
                         obj["source"], obj["target"], EdgeKind(obj["kind"]), obj["weight"]
@@ -256,7 +282,7 @@ class BehaviorGraph:
                     raise ValueError(f"unknown snapshot record type {kind!r}")
         except (KeyError, TypeError, ValueError) as exc:  # also bad JSON and text encoding
             raise DataError(f"graph snapshot line {number}: {type(exc).__name__}: {exc}") from exc
-        return graph
+        return graph.validate()
 
     @classmethod
     def load(cls, path) -> "BehaviorGraph":
@@ -295,6 +321,7 @@ def build_from_records(
 
     person_index: dict[tuple[str, ...], NodeId] = {}
     desire_index: dict[tuple[NodeId, str, int], NodeId] = {}
+    intention_index: dict[tuple[str, str], NodeId] = {}
     households: dict[str, set[NodeId]] = {}
 
     for i, record in enumerate(records):
@@ -322,7 +349,12 @@ def build_from_records(
 
         for field_name in config.intention_fields:
             option = getattr(record, field_name)
-            intention_id = graph._ensure_intention(field_name, option)
+            intention_id = intention_index.get((field_name, option))
+            if intention_id is None:
+                intention_id = graph.add_node(
+                    NodeKind.INTENTION, option, {"choice_set": field_name}
+                )
+                intention_index[(field_name, option)] = intention_id
             graph.add_edge(desire_id, intention_id, EdgeKind.CHOOSE_TO, 1.0)
 
     for members in households.values():

@@ -103,7 +103,7 @@ class CityModel:
         if not self.positions:
             raise ValueError("city has no street nodes")
         for mode, speed in self.speeds.items():
-            if speed <= 0:
+            if not speed > 0:  # also rejects NaN
                 raise ValueError(f"speed for {mode!r} must be > 0")
         # connectivity: every node reachable from the smallest id
         start = min(self.positions)

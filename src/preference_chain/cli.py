@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .behavior_graph import BehaviorGraph, GraphBuildConfig, build_from_records
+from .behavior_graph import BehaviorGraph
 from .city import CityModel, grid_city
 from .config import (
     RunConfig,
@@ -39,6 +39,7 @@ from .errors import (
 )
 from .evaluate import (
     INTENTION_FIELDS,
+    build_graph,
     chain_predictions,
     evaluate_predictions,
     marginal_predictions,
@@ -97,10 +98,6 @@ def _load_reference(args, config: RunConfig):
     return records
 
 
-def _build_graph(records) -> BehaviorGraph:
-    return build_from_records(records, GraphBuildConfig(intention_fields=INTENTION_FIELDS))
-
-
 def _build_chain(graph: BehaviorGraph, config: RunConfig) -> PreferenceChain:
     return PreferenceChain(
         graph,
@@ -142,7 +139,7 @@ def cmd_gen_synth(args, config: RunConfig) -> int:
 
 def cmd_build_graph(args, config: RunConfig) -> int:
     records = _load_reference(args, config)
-    graph = _build_graph(records)
+    graph = build_graph(records)
     if not args.out:
         raise ConfigError("--out file is required")
     graph.save(args.out)
@@ -188,7 +185,7 @@ def cmd_predict(args, config: RunConfig) -> int:
     if snapshot:
         graph = BehaviorGraph.load(_require_path(snapshot, "--graph"))
     else:
-        graph = _build_graph(_load_reference(args, config))
+        graph = build_graph(_load_reference(args, config))
     output = {
         name: {
             "prior": result.prior.probabilities,
@@ -216,7 +213,7 @@ def cmd_evaluate(args, config: RunConfig) -> int:
     out = _out_dir(args, config)
     seed = config.pipeline.seed
 
-    chain = _build_chain(_build_graph(reference), config)
+    chain = _build_chain(build_graph(reference), config)
     reports = {
         "chain": evaluate_predictions(
             validation, chain_predictions(chain, validation), seed
@@ -290,7 +287,7 @@ def cmd_simulate(args, config: RunConfig) -> int:
         city = CityModel.load(_require_path(city_path, "--city"))
     else:
         city = grid_city(seed=config.pipeline.seed)
-    chain = _build_chain(_build_graph(_load_reference(args, config)), config)
+    chain = _build_chain(build_graph(_load_reference(args, config)), config)
     out = _out_dir(args, config)
     seed = config.pipeline.seed
 

@@ -93,6 +93,8 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         if not self.providers.mock_llm and not self.providers.llm_url:
             raise ConfigError("providers.llm_url required when mock_llm is false")
+        if not self.providers.mock_llm and not self.providers.llm_model:
+            raise ConfigError("providers.llm_model required when mock_llm is false")
         if not self.providers.mock_embed and not self.providers.embed_url:
             raise ConfigError("providers.embed_url required when mock_embed is false")
         return self

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 from typing import IO, Optional, Sequence
 
-from .behavior_graph import GraphBuildConfig, build_from_records
+from .behavior_graph import BehaviorGraph, GraphBuildConfig, build_from_records
 from .errors import EmptyReference, NotEnoughRecords, UnknownKey
 from .metrics import EvaluationReport, joint_from_samples, kld, mae
 from .pipeline import PipelineConfig, PreferenceChain
@@ -29,6 +29,11 @@ DEFAULT_SWEEP_SIZES = (10, 20, 50, 100, 200)
 
 # The output columns every command builds its graph with and scores.
 INTENTION_FIELDS = ("primary_mode", "duration_minutes")
+
+
+def build_graph(records: Sequence[TripRecord]) -> BehaviorGraph:
+    """The graph every command queries, with intentions for INTENTION_FIELDS."""
+    return build_from_records(records, GraphBuildConfig(intention_fields=INTENTION_FIELDS))
 
 
 def group_value(record: TripRecord, dimension: str) -> str:
@@ -189,9 +194,7 @@ def sweep_reference_sizes(
         validation = [records[i] for i in perm[:n_validation]]
         pool = [records[i] for i in perm[n_validation:]]
         for n in sizes:
-            graph = build_from_records(
-                pool[:n], GraphBuildConfig(intention_fields=INTENTION_FIELDS)
-            )
+            graph = build_graph(pool[:n])
             chain = PreferenceChain(graph, embed_provider, llm_provider, config)
             predictions = chain_predictions(chain, validation)
             report = evaluate_predictions(validation, predictions, seed)

@@ -33,7 +33,6 @@ class GenerationParams:
     top_p: float = 0.95
     top_k: int = 20
     repeat_penalty: float = 1.0
-    model: str = "qwen3:8b"
 
 
 class LlmProvider(Protocol):
@@ -56,11 +55,11 @@ class CalibrationResult:
     prior: PreferenceDistribution  # the prior the posterior was calibrated from
 
 
-def build_prompt(agent: QueryAgent, prior: PreferenceDistribution, context: str = "") -> str:
+def build_prompt(agent: QueryAgent, prior: PreferenceDistribution) -> str:
     """Deterministic calibration prompt.
 
     Contains the canonical profile text, the desire, every option with its
-    prior rendered to 3 decimals, the context, and a machine-readable
+    prior rendered to 3 decimals, ``agent.context``, and a machine-readable
     full-precision copy of the prior (so an echoing mock is an exact
     no-op). The reply must be a single JSON object over the option keys.
     """
@@ -69,7 +68,7 @@ def build_prompt(agent: QueryAgent, prior: PreferenceDistribution, context: str 
         "You are simulating the travel choices of one person.",
         f"Profile: {profile_to_text(agent.profile)}",
         f"Desire: {agent.desire_text()}",
-        f"Conditions: {context.strip() or 'none'}",
+        f"Conditions: {agent.context.strip() or 'none'}",
         f"Based on similar people, the prior probabilities for {prior.choice_set.name} are:",
     ]
     for option in options:
@@ -160,7 +159,6 @@ def parse_response(raw: str, choice_set: ChoiceCategorySet) -> dict[str, float]:
 def calibrate(
     agent: QueryAgent,
     prior: PreferenceDistribution,
-    context: str,
     provider: LlmProvider,
     params: Optional[GenerationParams] = None,
     blend: float = 1.0,
@@ -172,7 +170,7 @@ def calibrate(
     sent to the provider (rendered uniform by construction).
     """
     params = params or GenerationParams()
-    prompt = build_prompt(agent, prior, context)
+    prompt = build_prompt(agent, prior)
     raw = ""
     try:
         raw = provider.complete(prompt, params)
@@ -247,7 +245,7 @@ class RemoteLlm:
     def __init__(
         self,
         url: str,
-        model: Optional[str] = None,
+        model: str,
         timeout: float = 120.0,
         max_retries: int = 2,
         retry_wait: float = 0.5,
@@ -258,12 +256,12 @@ class RemoteLlm:
         self.timeout = timeout
         self.max_retries = max_retries
         self.retry_wait = retry_wait
-        self.provider_id = f"remote-llm:{model or 'config-model'}"
+        self.provider_id = f"remote-llm:{model}"
         self._session = session or requests.Session()
 
     def complete(self, prompt: str, params: GenerationParams) -> str:
         payload = {
-            "model": self.model or params.model,
+            "model": self.model,
             "prompt": prompt,
             "options": {
                 "temperature": params.temperature,

@@ -328,7 +328,10 @@ class TrafficTally:
             reader = csv.DictReader(fp)
             try:
                 for row in reader:
-                    record(row[key], int(row["hour"]), int(row["count"]))
+                    count = int(row["count"])
+                    if count < 0:
+                        raise ValueError(f"negative count {count}")
+                    record(row[key], int(row["hour"]), count)
             except (KeyError, TypeError, ValueError, csv.Error) as exc:  # missing columns too
                 raise DataError(
                     f"{key} tally line {reader.line_num}: {type(exc).__name__}: {exc}"

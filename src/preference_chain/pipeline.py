@@ -132,7 +132,6 @@ class PreferenceChain:
         return calibrate(
             agent,
             prior,
-            agent.context,
             self.llm_provider,
             self.config.generation,
             self.config.blend,

@@ -67,7 +67,6 @@ class BehavioralSubgraph:
     agent_id: NodeId = AGENT_NODE_ID
     nodes: dict[NodeId, SubgraphNode] = field(default_factory=dict)
     out_edges: dict[NodeId, list[tuple[NodeId, EdgeKind, float]]] = field(default_factory=dict)
-    similar_persons: list[tuple[NodeId, float]] = field(default_factory=list)
 
     def add_node(
         self,
@@ -202,7 +201,6 @@ def extract_subgraph(
         node = graph.node(node_id)
         sub.add_node(node_id, node.kind, node.label, node.attributes.get("choice_set"))
 
-    sub.similar_persons = list(persons)
     for person_id, w_sim in persons:
         sub.add_edge(AGENT_NODE_ID, person_id, EdgeKind.SIMILAR_TO, w_sim)
 

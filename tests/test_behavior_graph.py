@@ -1,5 +1,6 @@
 import io
 import math
+import random
 
 import numpy as np
 import pytest
@@ -14,7 +15,15 @@ from preference_chain.behavior_graph import (
 )
 from preference_chain.errors import KindMismatch, UnknownNode, WeightOutOfRange
 from preference_chain.ingest import default_synthetic_spec, generate_synthetic
-from preference_chain.schema import DURATION_SET, PRIMARY_MODE_SET
+from preference_chain.schema import (
+    AGE_GROUPS,
+    AVAILABLE_VEHICLES,
+    DURATION_BINS,
+    DURATION_SET,
+    PRIMARY_MODE_SET,
+    PRIMARY_MODES,
+    TRIP_PURPOSES,
+)
 
 from tests.conftest import make_record
 
@@ -202,8 +211,37 @@ def test_snapshot_round_trip_bit_exact(tmp_path):
     assert loaded.node_count() == g.node_count()
     assert loaded.edge_count() == g.edge_count()
     assert loaded.choice_sets.keys() == g.choice_sets.keys()
-    # intention index survives the round trip
-    assert loaded.intention_node("primary_mode", records[0].primary_mode) is not None
+    intentions = loaded.nodes_of_kind(NodeKind.INTENTION)
+    assert intentions == g.nodes_of_kind(NodeKind.INTENTION)
+    assert any(
+        (n.label, n.attributes) == (records[0].primary_mode, {"choice_set": "primary_mode"})
+        for n in intentions
+    )
+
+
+def test_built_graphs_validate_and_survive_a_snapshot(tmp_path):
+    rng = random.Random(5)
+    path = tmp_path / "graph.jsonl"
+    for _ in range(40):
+        records = [
+            make_record(
+                trip_purpose=rng.choice(TRIP_PURPOSES),
+                start_time=rng.randrange(24),
+                primary_mode=rng.choice(PRIMARY_MODES),
+                duration_minutes=rng.choice(DURATION_BINS),
+                household_id=rng.choice((None, "h1", "h2", "h3")),
+                age_group=rng.choice(AGE_GROUPS[:3]),
+                available_vehicles=rng.choice(AVAILABLE_VEHICLES[:2]),
+            )
+            for _ in range(rng.randrange(30))
+        ]
+        for fields in (("primary_mode",), ("primary_mode", "duration_minutes")):
+            g = build_from_records(records, GraphBuildConfig(intention_fields=fields))
+            assert g.validate() is g
+            g.save(path)
+            text = path.read_text(encoding="utf-8")
+            BehaviorGraph.load(path).save(path)
+            assert path.read_text(encoding="utf-8") == text
 
 
 def test_choice_sets_match_schema():

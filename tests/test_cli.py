@@ -1,7 +1,9 @@
 """Command-line workflows end to end: happy paths, reruns, exit codes."""
 
 import csv
+import io
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,9 @@ from preference_chain.behavior_graph import BehaviorGraph
 from preference_chain.city import grid_city
 from preference_chain.cli import main
 from preference_chain.embedding import RemoteEmbedder
+from preference_chain.evaluate import build_graph
 from preference_chain.ingest import read_csv
+from tests.conftest import make_record
 from tests.test_embedding import _FakeResponse
 
 
@@ -359,6 +363,32 @@ def _broken_city(mutate) -> str:
     return json.dumps(obj)
 
 
+def _nan_speed_city() -> str:
+    """The simulate test's grid city with every speed NaN, as JSON text."""
+    buffer = io.StringIO()
+    grid_city(width=3, height=3, pois_per_category=1).to_json(buffer)
+    obj = json.loads(buffer.getvalue())
+    obj["speeds"] = {mode: math.nan for mode in obj["speeds"]}
+    return json.dumps(obj)
+
+
+def _broken_graph(mutate) -> str:
+    """A snapshot of a two-record graph after ``mutate`` on its nodes, as JSONL.
+
+    ``mutate`` gets the Desire and Intention node objects by kind; the
+    intentions are private_auto, 10-20 and walking, in id order.
+    """
+    records = [
+        make_record(),
+        make_record(trip_purpose="eat", start_time=12, primary_mode="walking"),
+    ]
+    buffer = io.StringIO()
+    build_graph(records).dump_jsonl(buffer)
+    objs = [json.loads(line) for line in buffer.getvalue().splitlines()]
+    mutate({kind: [o for o in objs if o.get("kind") == kind] for kind in ("Desire", "Intention")})
+    return "".join(json.dumps(o) + "\n" for o in objs)
+
+
 @pytest.mark.parametrize(
     "kind,text",
     [
@@ -374,7 +404,43 @@ def _broken_city(mutate) -> str:
             '{"t": "node", "id": 5, "kind": "Person", "label": "x", "attributes": {}}\n',
             id="graph-ids-start-at-5",
         ),
+        pytest.param(
+            "graph",
+            _broken_graph(lambda n: n["Desire"][0]["attributes"].update(start_time="9")),
+            id="graph-desire-hour-not-its-label",
+        ),
+        pytest.param(
+            "graph",
+            _broken_graph(lambda n: n["Desire"][0]["attributes"].pop("start_time")),
+            id="graph-desire-without-start-time",
+        ),
+        pytest.param(
+            "graph",
+            _broken_graph(lambda n: n["Intention"][0]["attributes"].pop("choice_set")),
+            id="graph-intention-without-choice-set",
+        ),
+        pytest.param(
+            "graph",
+            _broken_graph(lambda n: n["Intention"][0].update(label="teleport")),
+            id="graph-intention-unknown-option",
+        ),
+        pytest.param(
+            "graph",
+            _broken_graph(lambda n: n["Intention"][0]["attributes"].update(choice_set="weather")),
+            id="graph-intention-unknown-set",
+        ),
+        pytest.param(
+            "graph",
+            _broken_graph(lambda n: n["Intention"][2].update(label="private_auto")),
+            id="graph-two-intentions-one-option",
+        ),
+        pytest.param(
+            "graph",
+            _broken_graph(lambda n: n["Intention"][0]["attributes"].update(choice_set=["x"])),
+            id="graph-attribute-not-a-string",
+        ),
         pytest.param("city", "{oops", id="city-bad-json"),
+        pytest.param("city", _nan_speed_city(), id="city-nan-speed"),
         pytest.param("city", _broken_city(lambda c: c.pop("edges")), id="city-missing-key"),
         pytest.param(
             "city", _broken_city(lambda c: c["edges"][0].update(length=0)), id="city-zero-length"
@@ -386,6 +452,7 @@ def _broken_city(mutate) -> str:
         ),
         pytest.param("tally", "edge,count\n0-1,3\n", id="tally-missing-column"),
         pytest.param("tally", "edge,hour,count\n0-1,24,3\n", id="tally-hour-24"),
+        pytest.param("tally", "edge,hour,count\n0-1,8,3\n1-2,8,-1\n", id="tally-negative-count"),
     ],
 )
 def test_bad_input_files_exit_3(tmp_path, trips_csv, capsys, kind, text):

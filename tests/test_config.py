@@ -45,6 +45,8 @@ def test_from_dict_rejects_unknown_sections_and_keys():
         RunConfig.from_dict({"pipelines": {}})
     with pytest.raises(ConfigError, match="unknown keys"):
         RunConfig.from_dict({"pipeline": {"k": 2, "kk": 3}})
+    with pytest.raises(ConfigError, match="unknown keys"):
+        RunConfig.from_dict({"generation": {"model": "qwen3:8b"}})
     with pytest.raises(ConfigError, match="must be an object"):
         RunConfig.from_dict({"pipeline": [1, 2]})
     with pytest.raises(ConfigError):
@@ -89,6 +91,10 @@ def test_remote_providers_require_urls():
         RunConfig.from_dict({"providers": {"mock_llm": False}})
     with pytest.raises(ConfigError, match="embed_url"):
         RunConfig.from_dict({"providers": {"mock_embed": False}})
+    with pytest.raises(ConfigError, match="llm_model"):
+        RunConfig.from_dict(
+            {"providers": {"mock_llm": False, "llm_url": "http://h/api", "llm_model": ""}}
+        )
     config = RunConfig.from_dict(
         {"providers": {"mock_llm": False, "llm_url": "http://localhost:11434/api/generate"}}
     )
@@ -115,7 +121,7 @@ def test_config_hash_stability_and_sensitivity():
 def test_default_config_hash_is_pinned():
     assert (
         RunConfig().config_hash()
-        == "e9efa0c12c46fdd6d04905790bfaff9597454939a2a961a131a7b88b9d8cda2e"
+        == "9816464adc77d5b264923edf8e7982b7e08b5355b3587647d6a7ea4d914ab1c9"
     )
 
 
@@ -157,12 +163,12 @@ def test_non_default_to_dict_is_pinned():
         },
         "generation": {
             "temperature": 0.2, "top_p": 0.95, "top_k": 40,
-            "repeat_penalty": 1.0, "model": "qwen3:8b",
+            "repeat_penalty": 1.0,
         },
     }
     assert (
         config.config_hash()
-        == "2ab717ff5c35a1534b5260b4acb8cea12bf4f7eefe13ad455b2f31e8bd743621"
+        == "76e95aafb8fa6088501edcee427ba03d0cea3ad59327e9f18df356c20bc59e92"
     )
 
 

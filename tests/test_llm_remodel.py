@@ -25,8 +25,8 @@ from tests.conftest import make_profile
 _MODES = ChoiceCategorySet("mode", ("walk", "bike", "drive"))
 
 
-def _agent():
-    return QueryAgent(make_profile(), "work", 8)
+def _agent(context=""):
+    return QueryAgent(make_profile(), "work", 8, context)
 
 
 def _prior(walk=0.2, bike=0.3, drive=0.5):
@@ -40,8 +40,8 @@ def _prior(walk=0.2, bike=0.3, drive=0.5):
 
 def test_prompt_is_deterministic_and_complete():
     prior = _prior()
-    p1 = build_prompt(_agent(), prior, "light rain")
-    p2 = build_prompt(_agent(), prior, "light rain")
+    p1 = build_prompt(_agent("light rain"), prior)
+    p2 = build_prompt(_agent("light rain"), prior)
     assert p1 == p2
     assert "age_group: 25-34" in p1
     assert "purpose: work; start_time: 8" in p1
@@ -53,7 +53,7 @@ def test_prompt_is_deterministic_and_complete():
 
 def test_prompt_embeds_full_precision_prior():
     prior = _prior(1 / 3, 1 / 3, 1 / 3)
-    prompt = build_prompt(_agent(), prior, "")
+    prompt = build_prompt(_agent(), prior)
     marker_line = next(
         line for line in prompt.splitlines() if line.startswith(PRIOR_JSON_MARKER)
     )
@@ -62,7 +62,7 @@ def test_prompt_embeds_full_precision_prior():
 
 
 def test_prompt_empty_context_renders_none():
-    prompt = build_prompt(_agent(), _prior(), "   ")
+    prompt = build_prompt(_agent("   "), _prior())
     assert "Conditions: none" in prompt
 
 
@@ -138,14 +138,14 @@ def test_parse_handles_braces_inside_strings():
 
 def test_identity_mock_is_exact_noop():
     prior = _prior(0.123456789012345, 0.2, 0.676543210987655)
-    result = calibrate(_agent(), prior, "sunny", IdentityMockLlm())
+    result = calibrate(_agent("sunny"), prior, IdentityMockLlm())
     assert result.source == CalibrationSource.LLM_ACCEPTED
     assert result.posterior.probabilities == prior.probabilities
 
 
 def test_scripted_mock_overrides_prior():
     provider = ScriptedMockLlm(['{"walk": 0.8, "bike": 0.1, "drive": 0.1}'])
-    result = calibrate(_agent(), _prior(), "", provider)
+    result = calibrate(_agent(), _prior(), provider)
     assert result.source == CalibrationSource.LLM_ACCEPTED
     assert result.posterior.probabilities["walk"] == pytest.approx(0.8)
     assert len(provider.calls) == 1
@@ -154,7 +154,7 @@ def test_scripted_mock_overrides_prior():
 
 def test_garbage_response_falls_back_to_prior():
     prior = _prior()
-    result = calibrate(_agent(), prior, "", ScriptedMockLlm(["word salad"]))
+    result = calibrate(_agent(), prior, ScriptedMockLlm(["word salad"]))
     assert result.source == CalibrationSource.FALLBACK_PRIOR
     assert result.posterior is prior
     assert result.raw_response == "word salad"
@@ -168,14 +168,14 @@ def test_provider_error_falls_back_to_prior():
             raise ProviderError("down")
 
     prior = _prior()
-    result = calibrate(_agent(), prior, "", Exploding())
+    result = calibrate(_agent(), prior, Exploding())
     assert result.source == CalibrationSource.FALLBACK_PRIOR
     assert result.posterior is prior
 
 
 def test_degenerate_prior_failure_reports_uniform_source():
     prior = uniform_distribution(_MODES, degenerate=True)
-    result = calibrate(_agent(), prior, "", ScriptedMockLlm(["nope"]))
+    result = calibrate(_agent(), prior, ScriptedMockLlm(["nope"]))
     assert result.source == CalibrationSource.DEGENERATE_UNIFORM
     assert result.posterior is prior
 
@@ -193,7 +193,7 @@ def test_degenerate_prior_failure_reports_uniform_source():
 )
 def test_hostile_reply_never_breaks_calibration(reply, source):
     prior = _prior()
-    result = calibrate(_agent(), prior, "", ScriptedMockLlm([reply]))
+    result = calibrate(_agent(), prior, ScriptedMockLlm([reply]))
     values = list(result.posterior.probabilities.values())
     assert all(math.isfinite(v) for v in values)
     assert math.fsum(values) == pytest.approx(1.0, abs=1e-9)
@@ -223,7 +223,7 @@ def test_random_hostile_replies_never_break_calibration():
         reply = _random_hostile_reply(rng)
         for prior in priors:
             for blend in (1.0, rng.random()):
-                result = calibrate(_agent(), prior, "", ScriptedMockLlm([reply]), blend=blend)
+                result = calibrate(_agent(), prior, ScriptedMockLlm([reply]), blend=blend)
                 values = list(result.posterior.probabilities.values())
                 assert all(math.isfinite(v) and v >= 0.0 for v in values), reply
                 assert abs(math.fsum(values) - 1.0) <= 1e-9, reply
@@ -234,7 +234,7 @@ def test_random_hostile_replies_never_break_calibration():
 def test_blend_mixes_prior_and_response():
     prior = _prior(0.2, 0.3, 0.5)
     provider = ScriptedMockLlm(['{"walk": 1.0, "bike": 0.0, "drive": 0.0}'])
-    result = calibrate(_agent(), prior, "", provider, blend=0.5)
+    result = calibrate(_agent(), prior, provider, blend=0.5)
     assert result.posterior.probabilities["walk"] == pytest.approx(0.6)
     assert result.posterior.probabilities["bike"] == pytest.approx(0.15)
     assert result.posterior.probabilities["drive"] == pytest.approx(0.25)
@@ -299,14 +299,14 @@ def test_remote_llm_payload_carries_generation_params():
 
 def test_remote_llm_retries_then_succeeds():
     session = _FlakySession(2, {"response": "ok"})
-    llm = RemoteLlm("http://x", session=session, max_retries=2, retry_wait=0)
+    llm = RemoteLlm("http://x", model="m", session=session, max_retries=2, retry_wait=0)
     assert llm.complete("p", GenerationParams()) == "ok"
     assert len(session.posts) == 3
 
 
 def test_remote_llm_exhausts_retries():
     session = _FlakySession(10, {"response": "ok"})
-    llm = RemoteLlm("http://x", session=session, max_retries=2, retry_wait=0)
+    llm = RemoteLlm("http://x", model="m", session=session, max_retries=2, retry_wait=0)
     with pytest.raises(ProviderError):
         llm.complete("p", GenerationParams())
     assert len(session.posts) == 3
@@ -314,13 +314,7 @@ def test_remote_llm_exhausts_retries():
 
 def test_remote_llm_rejects_missing_text_field():
     session = _FlakySession(0, {"bad": 1})
-    llm = RemoteLlm("http://x", session=session, max_retries=0, retry_wait=0)
+    llm = RemoteLlm("http://x", model="m", session=session, max_retries=0, retry_wait=0)
     with pytest.raises(ProviderError):
         llm.complete("p", GenerationParams())
 
-
-def test_remote_llm_model_falls_back_to_params():
-    session = _FlakySession(0, {"response": "ok"})
-    llm = RemoteLlm("http://x", session=session, retry_wait=0)
-    llm.complete("p", GenerationParams(model="param-model"))
-    assert session.posts[0]["model"] == "param-model"

@@ -388,7 +388,7 @@ def test_subgraph_agent_node_and_args():
     persons = top_k_similar(graph, agent, 1, HashEmbedder())
     sub = extract_subgraph(graph, agent, persons, HashEmbedder())
     assert sub.nodes[AGENT_NODE_ID].kind == NodeKind.AGENT
-    assert sub.similar_persons == persons
+    assert sub.out_edges[AGENT_NODE_ID] == [(p, EdgeKind.SIMILAR_TO, w) for p, w in persons]
     with pytest.raises(ValueError):
         extract_subgraph(graph, agent, [], HashEmbedder())
     with pytest.raises(ValueError):
