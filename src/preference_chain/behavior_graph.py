@@ -27,7 +27,9 @@ from .errors import DataError, KindMismatch, UnknownNode, WeightOutOfRange
 from .schema import (
     BUNDLED_CHOICE_SETS,
     ChoiceCategorySet,
+    INPUT_CATEGORIES,
     OUTPUT_CATEGORIES,
+    PROFILE_FIELDS,
     START_TIMES,
     TRIP_PURPOSES,
     TripRecord,
@@ -172,16 +174,40 @@ class BehaviorGraph:
             yield from self.out_edges[node_id]
 
     def validate(self) -> "BehaviorGraph":
-        """Check the facts that retrieval and scoring read from Desire and Intention nodes.
+        """Check every fact a snapshot stores twice against its other copy.
 
-        A Desire's trip_purpose and start_time must be schema categories and
-        its label their ``desire_text``; an Intention must name a registered
-        choice set and one of its options, and no two Intentions the same
-        option. Raises DataError naming the first node that breaks a rule.
+        The registered choice sets must be the schema's bundled sets: the
+        same names, and the same options in the same order. A Person's
+        attributes must be a schema profile and its label their
+        ``profile_to_text``. A Desire's trip_purpose and start_time must be
+        schema categories and its label their ``desire_text``; an Intention
+        must name a registered choice set and one of its options, and no two
+        Intentions the same option. Raises DataError naming the first choice
+        set or node that breaks a rule.
         """
+        from .embedding import profile_to_text  # local import avoids a cycle
+
+        for name in sorted(self.choice_sets.keys() | BUNDLED_CHOICE_SETS.keys()):
+            if self.choice_sets.get(name) != BUNDLED_CHOICE_SETS.get(name):
+                raise DataError(
+                    f"graph choice set {name!r} is not the schema's: "
+                    f"expected {sorted(BUNDLED_CHOICE_SETS)} with their schema options"
+                )
         seen: dict[tuple[str, str], NodeId] = {}
         for node in self.nodes:
-            if node.kind == NodeKind.DESIRE:
+            if node.kind == NodeKind.PERSON:
+                attributes = node.attributes
+                if attributes.keys() != set(PROFILE_FIELDS) or any(
+                    attributes[f] not in INPUT_CATEGORIES[f] for f in PROFILE_FIELDS
+                ):
+                    raise DataError(
+                        f"graph node {node.id} (Person): attributes are not a schema profile"
+                    )
+                if node.label != profile_to_text(attributes):
+                    raise DataError(
+                        f"graph node {node.id} (Person): label differs from its attributes"
+                    )
+            elif node.kind == NodeKind.DESIRE:
                 purpose = node.attributes.get("trip_purpose")
                 hour = node.attributes.get("start_time")
                 if purpose not in TRIP_PURPOSES or hour not in START_TIMES:

@@ -5,14 +5,24 @@ of POIs (each attached to a street node and tagged with one trip-purpose
 category), and a per-mode speed table. Routing is plain Dijkstra with
 deterministic tie-breaking, and POI search returns every POI of a category
 reachable within the time budget implied by a (mode, duration bin) pair.
+
+``search_pois``, ``nearest_poi`` and ``shortest_path`` read their trees
+through a cache on the city, so each tree comes from one ``dijkstra`` run
+and equals what ``dijkstra`` returns. Trees rooted at POI nodes, where most
+trips start, are kept packed in arrays (12 bytes per node and source) for
+the city's lifetime; the latest tree from any other node is kept in one
+slot, so the POI search and the route of one trip share a run.
+``add_node`` and ``add_edge`` drop the cache; editing ``positions`` or
+``adjacency`` directly bypasses that drop and leaves stale trees.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+from array import array
 from dataclasses import dataclass, field
-from typing import IO
+from typing import IO, Optional
 
 from .errors import DataError, UnknownCategory, UnknownNode
 from .rng import substream
@@ -49,16 +59,111 @@ def edge_id(u: int, v: int) -> str:
     return f"{u}-{v}" if u < v else f"{v}-{u}"
 
 
+class _DictTree:
+    """One ``dijkstra`` result as it came: dicts keyed by node."""
+
+    __slots__ = ("source", "dist", "prev")
+
+    def __init__(self, source: int, dist: dict[int, float], prev: dict[int, int]):
+        self.source, self.dist, self.prev = source, dist, prev
+
+    def distance(self, node: int) -> Optional[float]:
+        """Distance from the source, None when unreachable."""
+        return self.dist.get(node)
+
+    def path(self, target: int) -> list[int]:
+        """Node sequence source..target; the target must be reachable."""
+        path = [target]
+        while path[-1] != self.source:
+            path.append(self.prev[path[-1]])
+        path.reverse()
+        return path
+
+
+class _PackedTree:
+    """One ``dijkstra`` result as two arrays over a shared node index.
+
+    ``dist[i]`` and ``prev[i]`` belong to node ``nodes[i]``; ``prev`` holds
+    the predecessor's index, or -1 where ``dijkstra`` set none. Every node
+    ``dijkstra`` reaches, bar the source, has a predecessor, so that is the
+    reachability test and the results equal the dict form's.
+    """
+
+    __slots__ = ("source", "index", "nodes", "dist", "prev")
+
+    def __init__(self, tree: _DictTree, index: dict[int, int], nodes: list[int]):
+        self.source, self.index, self.nodes = tree.source, index, nodes
+        self.dist = array("d", [0.0]) * len(nodes)
+        self.prev = array("i", [-1]) * len(nodes)
+        for node, d in tree.dist.items():
+            self.dist[index[node]] = d
+        for node, p in tree.prev.items():
+            self.prev[index[node]] = index[p]
+
+    def distance(self, node: int) -> Optional[float]:
+        i = self.index.get(node)
+        if i is None or (self.prev[i] < 0 and node != self.source):
+            return None
+        return self.dist[i]
+
+    def path(self, target: int) -> list[int]:
+        path = [target]
+        i = self.index[target]
+        while path[-1] != self.source:
+            i = self.prev[i]
+            path.append(self.nodes[i])
+        path.reverse()
+        return path
+
+
+class _TreeCache:
+    """The shortest-path trees of one city, one ``dijkstra`` run each.
+
+    Trees rooted at POI nodes stay packed until the cache is dropped; the
+    latest tree from any other node stays in one slot.
+    """
+
+    def __init__(self):
+        self.index: dict[int, int] = {}  # node -> position in packed arrays
+        self.nodes: list[int] = []
+        self.packed: dict[int, _PackedTree] = {}
+        self.last: Optional[_DictTree] = None
+
+    def tree(self, city: "CityModel", source: int):
+        found = self.packed.get(source)
+        if found is not None:
+            return found
+        last = self.last  # one read: another thread may refill the slot
+        if last is not None and last.source == source:
+            return last
+        tree = _DictTree(source, *dijkstra(city, source))
+        if any(poi.node == source for poi in city.pois.values()):
+            if not self.index:
+                self.nodes = sorted(city.positions)
+                self.index = {node: i for i, node in enumerate(self.nodes)}
+            packed = _PackedTree(tree, self.index, self.nodes)
+            self.packed[source] = packed
+            return packed
+        self.last = tree
+        return tree
+
+
 @dataclass
 class CityModel:
     positions: dict[int, tuple[float, float]] = field(default_factory=dict)
     adjacency: dict[int, list[tuple[int, float]]] = field(default_factory=dict)
     pois: dict[str, Poi] = field(default_factory=dict)
     speeds: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_MODE_SPEEDS))
+    # shortest-path trees read by the routing functions; dropped whenever
+    # the street graph changes through add_node or add_edge
+    _trees: _TreeCache = field(
+        default_factory=_TreeCache, init=False, repr=False, compare=False
+    )
 
     def add_node(self, node: int, x: float, y: float) -> int:
         self.positions[node] = (float(x), float(y))
         self.adjacency.setdefault(node, [])
+        self._trees = _TreeCache()
         return node
 
     def add_edge(self, u: int, v: int, length: float) -> None:
@@ -69,6 +174,7 @@ class CityModel:
             raise ValueError("edge length must be positive")
         self.adjacency[u].append((v, float(length)))
         self.adjacency[v].append((u, float(length)))
+        self._trees = _TreeCache()
 
     def add_poi(self, poi_id: str, category: str, node: int) -> Poi:
         if node not in self.positions:
@@ -211,14 +317,11 @@ def shortest_path(city: CityModel, source: int, target: int) -> tuple[float, lis
         raise UnknownNode(f"no street node {target}")
     if source == target:
         return 0.0, [source]
-    dist, prev = dijkstra(city, source)
-    if target not in dist:
+    tree = city._trees.tree(city, source)
+    distance = tree.distance(target)
+    if distance is None:
         raise UnknownNode(f"node {target} unreachable from {source}")
-    path = [target]
-    while path[-1] != source:
-        path.append(prev[path[-1]])
-    path.reverse()
-    return dist[target], path
+    return distance, tree.path(target)
 
 
 def search_pois(
@@ -235,11 +338,11 @@ def search_pois(
     """
     candidates = city.pois_of_category(category)
     radius = city.speed(mode) * duration_upper_minutes(duration_bin)
-    dist, _ = dijkstra(city, from_node)
+    tree = city._trees.tree(city, from_node)
     in_range = [
-        (dist[p.node], p.id)
+        (d, p.id)
         for p in candidates
-        if p.node in dist and dist[p.node] <= radius
+        if (d := tree.distance(p.node)) is not None and d <= radius
     ]
     in_range.sort()
     return [poi_id for _, poi_id in in_range]
@@ -248,8 +351,10 @@ def search_pois(
 def nearest_poi(city: CityModel, from_node: int, category: str) -> str:
     """Closest POI of the category regardless of range; ties by POI id."""
     candidates = city.pois_of_category(category)
-    dist, _ = dijkstra(city, from_node)
-    return min((dist[p.node], p.id) for p in candidates if p.node in dist)[1]
+    tree = city._trees.tree(city, from_node)
+    return min(
+        (d, p.id) for p in candidates if (d := tree.distance(p.node)) is not None
+    )[1]
 
 
 # ----------------------------------------------------------------------

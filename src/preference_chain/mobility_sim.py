@@ -3,9 +3,11 @@
 Each agent gets a day plan (template- or LLM-generated), and every entry
 runs the same loop: choose mode and duration via the calibrated choice
 pipeline, search POIs reachable in the implied travel-time budget, let the
-LLM pick one (nearest on fallback), route along the shortest path, and
-tally edge traversals and POI visits. Agents are simulated independently
-and their tallies merged associatively, so serial and parallel runs agree.
+LLM pick one (nearest on fallback), route along the shortest path (the
+search and the route read one shortest-path tree of the origin, cached on
+the city), and tally edge traversals and POI visits. Agents are simulated
+independently and their tallies merged associatively, so serial and
+parallel runs agree.
 """
 
 from __future__ import annotations

@@ -33,8 +33,12 @@ def golden_city():
     return grid_city(width=6, height=6, spacing=100.0, pois_per_category=3, seed=GOLDEN_SEED)
 
 
-def golden_run():
-    """The fixed 10-agent day: returns (tally, trip logs)."""
+def golden_run(city=None):
+    """The fixed 10-agent day: returns (tally, trip logs).
+
+    ``city`` defaults to a new ``golden_city()``; pass one to simulate the
+    day again on a city that already holds routing trees.
+    """
     config = RunConfig()
     spec = default_synthetic_spec()
     records = generate_synthetic(spec, size=GOLDEN_REFERENCE_SIZE, seed=GOLDEN_SEED)
@@ -47,7 +51,7 @@ def golden_run():
         llm_provider=build_llm_provider(config),
         config=config.pipeline_config(),
     )
-    city = golden_city()
+    city = city if city is not None else golden_city()
     profiles = generate_profiles(GOLDEN_AGENTS, spec, GOLDEN_SEED)
     agents = make_agents(profiles, city, GOLDEN_SEED)
     scheduler = LlmScheduleProvider(chain.llm_provider, config.generation)

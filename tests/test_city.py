@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from preference_chain import city as city_module
 from preference_chain.city import (
     DEFAULT_MODE_SPEEDS,
     CityModel,
@@ -279,6 +280,102 @@ def test_nearest_poi_ignores_budget():
     assert nearest_poi(city, 2, "shop") == "shop-a"
     assert nearest_poi(city, 4, "shop") == "shop-b"
     assert nearest_poi(city, 0, "work") == "work-0"
+
+
+# ----------------------------------------------------------------------
+# routing cache: cached trees against a fresh city for every call
+# ----------------------------------------------------------------------
+
+
+def _fresh(city):
+    """A copy of the city's streets and POIs that holds no routing trees."""
+    return CityModel(
+        positions=dict(city.positions),
+        adjacency={u: list(neighbors) for u, neighbors in city.adjacency.items()},
+        pois=dict(city.pois),
+        speeds=dict(city.speeds),
+    )
+
+
+def _outcome(query, city, *args):
+    """("returned", result) or ("raised", type, message) for one query."""
+    try:
+        return "returned", query(city, *args)
+    except (UnknownNode, ValueError) as exc:  # ValueError: nearest_poi finds no POI
+        return "raised", type(exc), str(exc)
+
+
+def _tied_grid(rng):
+    return grid_city(width=6, height=5, spacing=100.0, pois_per_category=2, seed=11)
+
+
+def _random_lengths(rng):
+    city, _ = _random_city(rng, 30)
+    for i, node in enumerate(rng.choice(30, size=8, replace=False)):
+        category = ("shop", "work")[i % 2]
+        city.add_poi(f"{category}-{i}", category, int(node))
+    return city
+
+
+@pytest.mark.parametrize("build", [_tied_grid, _random_lengths], ids=["tied-grid", "random"])
+def test_cached_routing_equals_a_fresh_city(build, monkeypatch):
+    rng = np.random.default_rng(2024)
+    city = build(rng)
+    runs = {"cached": 0, "fresh": 0}
+    dijkstra_once = city_module.dijkstra
+    side = "cached"
+
+    def counted(city, source):
+        runs[side] += 1
+        return dijkstra_once(city, source)
+
+    monkeypatch.setattr(city_module, "dijkstra", counted)
+    categories = sorted({p.category for p in city.pois.values()})
+    island = max(city.positions) + 1
+    city.add_node(island, -50.0, -50.0)  # unreachable until an edge reaches it
+    unknown = island + 1000
+    edge_length = 100.0 if build is _tied_grid else None
+    errors = set()
+    source = min(city.positions)
+    for step in range(400):
+        roll = rng.random()
+        nodes = sorted(city.positions)
+        if roll < 0.03:
+            new = max(nodes) + 1
+            city.add_node(new, float(rng.uniform(0, 500)), float(rng.uniform(0, 500)))
+            continue
+        if roll < 0.06 and step > 200:
+            u, v = (int(x) for x in rng.choice(nodes, size=2, replace=False))
+            city.add_edge(u, v, edge_length or float(rng.integers(1, 100)))
+            continue
+        if roll < 0.09:
+            node = int(rng.choice(nodes))
+            city.add_poi(f"extra-{step}", categories[step % len(categories)], node)
+            continue
+        if rng.random() < 0.5:  # a new origin; otherwise the trip's origin again
+            source = int(rng.choice(nodes + [island, unknown]))
+        category = categories[int(rng.integers(len(categories)))]
+        kind = int(rng.integers(3))
+        if kind == 0:
+            mode = sorted(DEFAULT_MODE_SPEEDS)[int(rng.integers(len(DEFAULT_MODE_SPEEDS)))]
+            duration = DURATION_BINS[int(rng.integers(len(DURATION_BINS)))]
+            query, args = search_pois, (source, category, mode, duration)
+        elif kind == 1:
+            query, args = nearest_poi, (source, category)
+        else:
+            target = int(rng.choice(nodes + [island, unknown]))
+            query, args = shortest_path, (source, target)
+        side = "cached"
+        cached = _outcome(query, city, *args)
+        side = "fresh"
+        fresh = _outcome(query, _fresh(city), *args)
+        assert cached == fresh, (step, query.__name__, args)
+        if fresh[0] == "raised":
+            errors.add(fresh[2])
+    # the walk met an unknown node and an unreachable target, and the cache saved runs
+    assert f"no street node {unknown}" in errors
+    assert any("unreachable" in message for message in errors)
+    assert runs["cached"] < runs["fresh"]
 
 
 # ----------------------------------------------------------------------

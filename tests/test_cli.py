@@ -373,10 +373,12 @@ def _nan_speed_city() -> str:
 
 
 def _broken_graph(mutate) -> str:
-    """A snapshot of a two-record graph after ``mutate`` on its nodes, as JSONL.
+    """A snapshot of a two-record graph after ``mutate`` on its lines, as JSONL.
 
-    ``mutate`` gets the Desire and Intention node objects by kind; the
-    intentions are private_auto, 10-20 and walking, in id order.
+    ``mutate`` gets the choice_set lines and the Person, Desire and
+    Intention node objects by kind; the choice sets are duration_minutes
+    and primary_mode, the intentions private_auto, 10-20 and walking, in
+    that order.
     """
     records = [
         make_record(),
@@ -385,8 +387,17 @@ def _broken_graph(mutate) -> str:
     buffer = io.StringIO()
     build_graph(records).dump_jsonl(buffer)
     objs = [json.loads(line) for line in buffer.getvalue().splitlines()]
-    mutate({kind: [o for o in objs if o.get("kind") == kind] for kind in ("Desire", "Intention")})
+    kinds = ("choice_set", "Person", "Desire", "Intention")
+    mutate({kind: [o for o in objs if kind in (o["t"], o.get("kind"))] for kind in kinds})
     return "".join(json.dumps(o) + "\n" for o in objs)
+
+
+def _rename_duration_set(lines) -> None:
+    """Rename duration_minutes to weather, in its choice_set line and its intentions."""
+    lines["choice_set"][0]["name"] = "weather"
+    for node in lines["Intention"]:
+        if node["attributes"]["choice_set"] == "duration_minutes":
+            node["attributes"]["choice_set"] = "weather"
 
 
 @pytest.mark.parametrize(
@@ -438,6 +449,23 @@ def _broken_graph(mutate) -> str:
             "graph",
             _broken_graph(lambda n: n["Intention"][0]["attributes"].update(choice_set=["x"])),
             id="graph-attribute-not-a-string",
+        ),
+        pytest.param(
+            "graph",
+            _broken_graph(_rename_duration_set),
+            id="graph-choice-set-renamed",
+        ),
+        pytest.param(
+            "graph",
+            _broken_graph(lambda n: n["choice_set"][1]["options"].append("teleport")),
+            id="graph-choice-set-extra-option",
+        ),
+        pytest.param(
+            "graph",
+            _broken_graph(
+                lambda n: [p["attributes"].update(age_group="65+") for p in n["Person"]]
+            ),
+            id="graph-person-attributes-not-its-label",
         ),
         pytest.param("city", "{oops", id="city-bad-json"),
         pytest.param("city", _nan_speed_city(), id="city-nan-speed"),

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from preference_chain import city as city_module
 from preference_chain.behavior_graph import GraphBuildConfig, build_from_records
 from preference_chain.city import CityModel, grid_city, shortest_path
 from preference_chain.errors import EmptySamples, ParseFailure, ProviderError
@@ -30,6 +31,7 @@ from preference_chain.mobility_sim import (
 from preference_chain.pipeline import PreferenceChain
 from preference_chain.rng import substream
 from preference_chain.schema import DURATION_BINS, PRIMARY_MODES
+from tests.golden import EDGE_TALLY_PATH, POI_TALLY_PATH, golden_city, golden_run
 
 INTENTIONS = ("primary_mode", "duration_minutes")
 
@@ -555,3 +557,30 @@ def test_run_day_rejects_misaligned_inputs():
     city, agents, plans = _population()
     with pytest.raises(ValueError):
         run_day(agents, plans[:-1], city, reference_chain(), seed=0)
+
+
+def test_golden_day_routes_from_each_source_once(monkeypatch):
+    """Each trip shares one dijkstra run; a POI-rooted tree is computed once per city."""
+    runs = []
+    dijkstra = city_module.dijkstra
+
+    def counted(city, source):
+        runs.append(source)
+        return dijkstra(city, source)
+
+    monkeypatch.setattr(city_module, "dijkstra", counted)
+    city = golden_city()
+    poi_nodes = {poi.node for poi in city.pois.values()}
+    for day in range(2):
+        runs.clear()
+        tally, trips = golden_run(city)
+        edge_buffer, poi_buffer = io.StringIO(), io.StringIO()
+        tally.write_edge_csv(edge_buffer)
+        tally.write_poi_csv(poi_buffer)
+        assert edge_buffer.getvalue().encode() == EDGE_TALLY_PATH.read_bytes()
+        assert poi_buffer.getvalue().encode() == POI_TALLY_PATH.read_bytes()
+        from_pois = {t.origin for t in trips if t.origin in poi_nodes}
+        from_others = [t for t in trips if t.origin not in poi_nodes]
+        assert 0 < len(runs) <= len(from_pois) + len(from_others)
+        # every POI-rooted tree is computed once per city, not once per trip
+        assert sum(source in poi_nodes for source in runs) <= (len(from_pois) if day == 0 else 0)
