@@ -120,6 +120,9 @@ class BehaviorGraph:
         # provider id -> retrieval's person index, built by the first query
         # and dropped when a person is added
         self._person_indexes: dict[str, tuple] = {}
+        # provider id -> (query desire text, stored desire text) -> retrieval's
+        # want_to weight; a weight depends on nothing else, so it is never dropped
+        self._desire_weights: dict[str, dict[tuple[str, str], float]] = {}
 
     # ------------------------------------------------------------------
     # basic mutation

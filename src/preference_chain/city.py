@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from array import array
 from dataclasses import dataclass, field
 from typing import IO, Optional
@@ -27,6 +28,11 @@ from typing import IO, Optional
 from .errors import DataError, UnknownCategory, UnknownNode
 from .rng import substream
 from .schema import DURATION_BINS, TRIP_PURPOSES
+
+# Distances within this many meters tie in ``dijkstra``. Every edge must be
+# longer: a shorter edge ties its two ends, and the source could then get a
+# predecessor and the predecessor map a cycle.
+TIE_TOLERANCE = 1e-12
 
 # Meters per minute. Order-of-magnitude defaults, not calibrated data.
 DEFAULT_MODE_SPEEDS: dict[str, float] = {
@@ -170,8 +176,10 @@ class CityModel:
         for node in (u, v):
             if node not in self.positions:
                 raise UnknownNode(f"no street node {node}")
-        if not length > 0:  # also rejects NaN
-            raise ValueError("edge length must be positive")
+        if not TIE_TOLERANCE < length < math.inf:  # also rejects NaN
+            raise ValueError(
+                f"edge length must be finite and above {TIE_TOLERANCE} m, got {length!r}"
+            )
         self.adjacency[u].append((v, float(length)))
         self.adjacency[v].append((u, float(length)))
         self._trees = _TreeCache()
@@ -291,6 +299,7 @@ def dijkstra(city: CityModel, source: int) -> tuple[dict[int, float], dict[int, 
     """
     if source not in city.positions:
         raise UnknownNode(f"no street node {source}")
+    tie = TIE_TOLERANCE
     dist = {source: 0.0}
     prev: dict[int, int] = {}
     heap = [(0.0, source)]
@@ -304,7 +313,7 @@ def dijkstra(city: CityModel, source: int) -> tuple[dict[int, float], dict[int, 
             nd = d + length
             old = dist.get(v)
             # strict improvement or same-distance lower-id parent
-            if old is None or nd < old - 1e-12 or (abs(nd - old) <= 1e-12 and u < prev.get(v, u + 1)):
+            if old is None or nd < old - tie or (abs(nd - old) <= tie and u < prev.get(v, u + 1)):
                 dist[v] = nd
                 prev[v] = u
                 heapq.heappush(heap, (nd, v))

@@ -5,6 +5,12 @@ profile, desire and any natural-language conditions (weather, city, ...);
 the provider's reply is parsed back into a distribution that replaces the
 prior. Every failure path (network, malformed output, unknown options)
 falls back to the prior, so calibration never raises.
+
+The prompt reads the profile text that ``QueryAgent.profile_text`` renders
+once per agent, so the choice sets of one query share one rendering. Reply
+blocks are decoded by the json module's C decoder where they are valid
+JSON, and scanned one character at a time in Python only where they are
+not; nothing is cached between replies.
 """
 
 from __future__ import annotations
@@ -18,13 +24,14 @@ from typing import Optional, Protocol
 
 import requests
 
-from .embedding import profile_to_text
 from .errors import ParseFailure, ProviderError
 from .preference import PreferenceDistribution
 from .retrieval import QueryAgent
 from .schema import ChoiceCategorySet
 
 PRIOR_JSON_MARKER = "Prior probabilities (JSON): "
+
+_DECODER = json.JSONDecoder()
 
 
 @dataclass(frozen=True)
@@ -66,7 +73,7 @@ def build_prompt(agent: QueryAgent, prior: PreferenceDistribution) -> str:
     options = prior.choice_set.options
     lines = [
         "You are simulating the travel choices of one person.",
-        f"Profile: {profile_to_text(agent.profile)}",
+        f"Profile: {agent.profile_text}",
         f"Desire: {agent.desire_text()}",
         f"Conditions: {agent.context.strip() or 'none'}",
         f"Based on similar people, the prior probabilities for {prior.choice_set.name} are:",
@@ -86,14 +93,22 @@ def json_blocks(text: str, brackets: str = "{}"):
 
     ``brackets`` is the (open, close) pair: "{}" for objects, "[]" for
     arrays. Brackets inside JSON strings do not count, and blocks that are
-    not valid JSON are skipped.
+    not valid JSON, or nest too deep to decode, are skipped.
+
+    At each opening bracket outside a block and outside a string, the C
+    decoder first tries to read a whole JSON value there. A valid value
+    ends at its balancing bracket, so this yields what the character
+    scanner below would, and scanning resumes after it; when the decoder
+    fails, the scanner takes the block one character at a time.
     """
     opening, closing = brackets
     depth = 0
     start = 0
     in_string = False
     escaped = False
-    for i, ch in enumerate(text):
+    i, size = 0, len(text)
+    while i < size:
+        ch = text[i]
         if in_string:
             if escaped:
                 escaped = False
@@ -101,20 +116,29 @@ def json_blocks(text: str, brackets: str = "{}"):
                 escaped = True
             elif ch == '"':
                 in_string = False
-            continue
-        if ch == '"':
+        elif ch == '"':
             in_string = True
         elif ch == opening:
             if depth == 0:
-                start = i
+                try:
+                    block, end = _DECODER.raw_decode(text, i)
+                except (ValueError, RecursionError):
+                    start = i
+                else:
+                    yield block
+                    i = end
+                    continue
             depth += 1
         elif ch == closing and depth > 0:
             depth -= 1
             if depth == 0:
                 try:
-                    yield json.loads(text[start : i + 1])
-                except ValueError:  # not JSON, or an integer too long to convert
+                    block = json.loads(text[start : i + 1])
+                except (ValueError, RecursionError):  # also an integer too long to convert
                     pass
+                else:
+                    yield block
+        i += 1
 
 
 def parse_response(raw: str, choice_set: ChoiceCategorySet) -> dict[str, float]:

@@ -2,8 +2,11 @@
 
 A path's weight is the product of its edge weights. The raw score of a
 choice option is the sum of the weights of all simple paths (at most K
-edges) from the agent node to that option's intention node; ``raw_scores``
-scores every option of a choice set in one depth-first walk. The prior
+edges) from the agent node to that option's intention node. One
+depth-first walk from the agent sums the paths into every intention node
+of the subgraph at once, whatever its choice set; the sums are memoised on
+the ``BehavioralSubgraph``, keyed by K, until its next ``add_node`` or
+``add_edge``, so the choice sets of one query share a walk. The prior
 distribution normalizes the raw scores over the full candidate option set.
 Options with no path score zero; an all-zero score vector falls back to a
 uniform distribution flagged as degenerate."""
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .behavior_graph import NodeId
+from .behavior_graph import NodeId, NodeKind
 from .retrieval import BehavioralSubgraph
 from .schema import ChoiceCategorySet
 
@@ -59,26 +62,18 @@ def uniform_distribution(choice_set: ChoiceCategorySet, degenerate: bool = False
     return PreferenceDistribution(choice_set, {o: p for o in choice_set.options}, degenerate)
 
 
-def raw_scores(
-    subgraph: BehavioralSubgraph,
-    choice_set: ChoiceCategorySet,
-    max_edges: int = DEFAULT_MAX_PATH_EDGES,
-) -> dict[str, float]:
-    """Raw score of every option of ``choice_set``, from one walk.
+def _walk_paths(subgraph: BehavioralSubgraph, max_edges: int) -> dict[NodeId, float]:
+    """intention node id -> ``math.fsum`` of the weights of its paths.
 
     A depth-first walk from the agent node visits every simple path of at
-    most ``max_edges`` edges once. A path that ends at an intention of this
-    choice set adds its weight to that option, and the walk goes on through
-    the intention. Each score is the ``math.fsum`` of its path weights, so
-    it does not depend on the order the walk finds the paths in; options
-    that no path reaches score 0.0.
+    most ``max_edges`` edges once. A path that ends at an intention adds
+    its weight to that node, and the walk goes on through the intention.
+    fsum rounds correctly, so a sum does not depend on the order the walk
+    finds the paths in; an intention that no path reaches sums to 0.0.
     """
-    option_of = {
-        node_id: option
-        for option, node_id in subgraph.intention_ids(choice_set.name).items()
-        if option in choice_set
+    weights: dict[NodeId, list[float]] = {
+        node.id: [] for node in subgraph.nodes.values() if node.kind == NodeKind.INTENTION
     }
-    weights: dict[str, list[float]] = {option: [] for option in choice_set.options}
     on_path: set[NodeId] = {subgraph.agent_id}
 
     def walk(current: NodeId, weight: float, edges_left: int) -> None:
@@ -86,9 +81,9 @@ def raw_scores(
             if target in on_path:
                 continue
             path_weight = weight * w
-            option = option_of.get(target)
-            if option is not None:
-                weights[option].append(path_weight)
+            ends_here = weights.get(target)
+            if ends_here is not None:
+                ends_here.append(path_weight)
             if edges_left > 1:
                 on_path.add(target)
                 walk(target, path_weight, edges_left - 1)
@@ -96,7 +91,25 @@ def raw_scores(
 
     if max_edges >= 1:
         walk(subgraph.agent_id, 1.0, max_edges)
-    return {option: math.fsum(ws) for option, ws in weights.items()}
+    return {node_id: math.fsum(ws) for node_id, ws in weights.items()}
+
+
+def raw_scores(
+    subgraph: BehavioralSubgraph,
+    choice_set: ChoiceCategorySet,
+    max_edges: int = DEFAULT_MAX_PATH_EDGES,
+) -> dict[str, float]:
+    """Raw score of every option of ``choice_set``: the fsum of its path weights.
+
+    The path sums come from the subgraph's memo for ``max_edges``, which
+    the first call after the subgraph last changed fills with one walk.
+    Options that no path reaches score 0.0.
+    """
+    sums = subgraph._path_sums.get(max_edges)
+    if sums is None:
+        sums = subgraph._path_sums[max_edges] = _walk_paths(subgraph, max_edges)
+    node_of = subgraph.intention_ids(choice_set.name)
+    return {option: sums.get(node_of.get(option), 0.0) for option in choice_set.options}
 
 
 def prior_distribution(

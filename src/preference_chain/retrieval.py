@@ -9,11 +9,27 @@ similarity, and only the persons at or above it are sorted. The
 extracted subgraph carries finalized edge weights: similar_to from the
 profile similarity, want_to from desire-text similarity, choose_to from
 the temporal proximity between the query desire and the stored one.
+
+Values that depend on a few texts are computed once and kept by the object
+that owns their inputs:
+
+  * ``QueryAgent.profile_text`` renders the agent's profile on first use
+    and keeps it for the agent's lifetime; retrieval, extraction and the
+    calibration prompt all read it.
+  * The person index lives on the ``BehaviorGraph``, one per provider id,
+    and is dropped when a Person node is added.
+  * want_to weights live in a table on the ``BehaviorGraph``, keyed by
+    provider id and then by (query desire text, stored desire text). A
+    weight depends on nothing else, so the table is never dropped; it
+    holds at most one entry per pair of distinct desire texts.
+  * ``raw_scores`` memoises its path walk on the ``BehavioralSubgraph``
+    (see ``preference``); ``add_node`` and ``add_edge`` drop the memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -44,6 +60,11 @@ class QueryAgent:
     start_time: int
     context: str = ""
 
+    @cached_property
+    def profile_text(self) -> str:
+        """``profile_to_text(self.profile)``, rendered once per agent."""
+        return profile_to_text(self.profile)
+
     def desire_text(self) -> str:
         return desire_text(self.trip_purpose, self.start_time)
 
@@ -62,11 +83,17 @@ class BehavioralSubgraph:
 
     All weights are finalized; parallel edges are kept (one stored
     choose_to edge per observation, each contributing its own path).
+    ``preference.raw_scores`` keeps its path sums here, keyed by the path
+    length limit; ``add_node`` and ``add_edge`` drop them, editing ``nodes``
+    or ``out_edges`` directly does not.
     """
 
     agent_id: NodeId = AGENT_NODE_ID
     nodes: dict[NodeId, SubgraphNode] = field(default_factory=dict)
     out_edges: dict[NodeId, list[tuple[NodeId, EdgeKind, float]]] = field(default_factory=dict)
+    _path_sums: dict[int, dict[NodeId, float]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def add_node(
         self,
@@ -78,12 +105,14 @@ class BehavioralSubgraph:
         if node_id not in self.nodes:
             self.nodes[node_id] = SubgraphNode(node_id, kind, label, choice_set)
             self.out_edges[node_id] = []
+            self._path_sums.clear()
         return node_id
 
     def add_edge(self, source: NodeId, target: NodeId, kind: EdgeKind, weight: float) -> None:
         if source not in self.nodes or target not in self.nodes:
             raise UnknownNode(f"subgraph edge endpoints {source}->{target} not present")
         self.out_edges[source].append((target, kind, weight))
+        self._path_sums.clear()
 
     def intention_ids(self, choice_set: str) -> dict[str, NodeId]:
         """option label -> node id for intentions of one choice set."""
@@ -139,7 +168,7 @@ def top_k_similar(
     ids, matrix = _person_index(graph, provider)
     if not ids:
         raise EmptyGraph("graph contains no Person nodes")
-    query = np.asarray(provider.embed(profile_to_text(agent.profile)), dtype=float)
+    query = np.asarray(provider.embed(agent.profile_text), dtype=float)
     if query.shape != matrix.shape[1:]:
         raise DimensionMismatch(f"query embedding {query.shape} vs persons {matrix.shape[1:]}")
     query, norm = _norm(query)
@@ -192,13 +221,16 @@ def extract_subgraph(
                     next_frontier.append(edge.target)
         frontier = next_frontier
 
+    order = sorted(best)
     sub = BehavioralSubgraph()
-    agent_label = profile_to_text(agent.profile)
-    sub.add_node(AGENT_NODE_ID, NodeKind.AGENT, agent_label)
-    agent_desire_vec = provider.embed(agent.desire_text())
+    sub.add_node(AGENT_NODE_ID, NodeKind.AGENT, agent.profile_text)
+    # Embedded even when every want_to weight is in the table, so that an
+    # embedder failing on the query desire fails every query alike.
+    query_desire = agent.desire_text()
+    query_desire_vec = provider.embed(query_desire)
 
-    for node_id in sorted(best):
-        node = graph.node(node_id)
+    for node_id in order:
+        node = graph.nodes[node_id]
         sub.add_node(node_id, node.kind, node.label, node.attributes.get("choice_set"))
 
     for person_id, w_sim in persons:
@@ -206,24 +238,27 @@ def extract_subgraph(
 
     # Pass 2: copy traversable edges whose source sits strictly inside the
     # depth budget, finalizing weights that depend on the query desire.
-    desire_want: dict[NodeId, float] = {}
-    for node_id in sorted(best):
+    want_weights = graph._desire_weights.setdefault(provider.provider_id, {})
+    for node_id in order:
         if best[node_id] > depth - 1:
             continue
+        choose_weight = None
         for edge in graph.out_edges[node_id]:
             if edge.kind not in _TRAVERSABLE:
                 continue
             if edge.kind == EdgeKind.RELATIVE_OF:
                 weight = edge.weight
             elif edge.kind == EdgeKind.WANT_TO:
-                weight = desire_want.get(edge.target)
+                key = (query_desire, graph.nodes[edge.target].label)
+                weight = want_weights.get(key)
                 if weight is None:
-                    stored_vec = provider.embed(graph.node(edge.target).label)
-                    weight = similarity_weight(agent_desire_vec, stored_vec)
-                    desire_want[edge.target] = weight
+                    weight = similarity_weight(query_desire_vec, provider.embed(key[1]))
+                    want_weights[key] = weight
             else:  # CHOOSE_TO: source is the desire carrying the recorded hour
-                recorded_hour = int(graph.node(edge.source).attributes["start_time"])
-                weight = temporal_proximity(agent.start_time, recorded_hour, tau)
+                if choose_weight is None:
+                    recorded_hour = int(graph.nodes[node_id].attributes["start_time"])
+                    choose_weight = temporal_proximity(agent.start_time, recorded_hour, tau)
+                weight = choose_weight
             sub.add_edge(edge.source, edge.target, edge.kind, weight)
 
     return sub

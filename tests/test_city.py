@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from preference_chain import city as city_module
 from preference_chain.city import (
     DEFAULT_MODE_SPEEDS,
+    TIE_TOLERANCE,
     CityModel,
     Poi,
     dijkstra,
@@ -66,8 +68,12 @@ def test_add_edge_requires_known_nodes_and_positive_length():
     with pytest.raises(UnknownNode):
         city.add_edge(0, 1, 50.0)
     city.add_node(1, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        city.add_edge(0, 1, 0.0)
+    for length in (0.0, -1.0, 1e-13, TIE_TOLERANCE, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            city.add_edge(0, 1, length)
+    assert city.adjacency == {0: [], 1: []}
+    city.add_edge(0, 1, 2 * TIE_TOLERANCE)
+    assert dijkstra(city, 0) == ({0: 0.0, 1: 2 * TIE_TOLERANCE}, {1: 0})
 
 
 def test_add_poi_requires_known_node():

@@ -372,6 +372,16 @@ def _nan_speed_city() -> str:
     return json.dumps(obj)
 
 
+def _grid_city_with_edge_lengths(length: float) -> str:
+    """The simulate test's grid city with every edge ``length`` meters long, as JSON."""
+    buffer = io.StringIO()
+    grid_city(width=3, height=3, pois_per_category=1).to_json(buffer)
+    obj = json.loads(buffer.getvalue())
+    for edge in obj["edges"]:
+        edge["length"] = length
+    return json.dumps(obj)
+
+
 def _broken_graph(mutate) -> str:
     """A snapshot of a two-record graph after ``mutate`` on its lines, as JSONL.
 
@@ -473,6 +483,8 @@ def _rename_duration_set(lines) -> None:
         pytest.param(
             "city", _broken_city(lambda c: c["edges"][0].update(length=0)), id="city-zero-length"
         ),
+        pytest.param("city", _grid_city_with_edge_lengths(math.inf), id="city-infinite-lengths"),
+        pytest.param("city", _grid_city_with_edge_lengths(1e-13), id="city-lengths-below-tie"),
         pytest.param(
             "city",
             _broken_city(lambda c: c["nodes"].append({"id": 2, "x": 0.0, "y": 9.0})),

@@ -14,6 +14,7 @@ from preference_chain.llm_remodel import (
     ScriptedMockLlm,
     build_prompt,
     calibrate,
+    json_blocks,
     parse_response,
 )
 from preference_chain.preference import PreferenceDistribution, uniform_distribution
@@ -131,6 +132,88 @@ def test_parse_handles_braces_inside_strings():
     assert got["walk"] == 0.5
 
 
+def _scanned_blocks(text: str, brackets: str):
+    """The character scanner ``json_blocks`` had before its decoder fast path.
+
+    Kept as the oracle of ``test_json_blocks_equal_the_character_scanner``.
+    """
+    opening, closing = brackets
+    depth = 0
+    start = 0
+    in_string = False
+    escaped = False
+    for i, ch in enumerate(text):
+        if in_string:
+            if escaped:
+                escaped = False
+            elif ch == "\\":
+                escaped = True
+            elif ch == '"':
+                in_string = False
+            continue
+        if ch == '"':
+            in_string = True
+        elif ch == opening:
+            if depth == 0:
+                start = i
+            depth += 1
+        elif ch == closing and depth > 0:
+            depth -= 1
+            if depth == 0:
+                try:
+                    yield json.loads(text[start : i + 1])
+                except ValueError:
+                    pass
+
+
+def _random_json_value(rng: random.Random, depth: int = 0):
+    """A random JSON-able value whose strings hold brackets, quotes and escapes."""
+    scalars = [
+        lambda: rng.choice(["x", "{", "}", "[", "]", '"', "\\", '\\"', "{]", "a\nb", "é"])
+        * rng.randint(0, 3),
+        lambda: rng.uniform(-1e6, 1e6),
+        lambda: rng.randint(-(10**30), 10**30),
+        lambda: rng.choice([math.nan, math.inf, -math.inf, 0.0, -0.0, True, False, None]),
+    ]
+    if depth >= 3 or rng.random() < 0.4:
+        return rng.choice(scalars)()
+    if rng.random() < 0.5:
+        return [_random_json_value(rng, depth + 1) for _ in range(rng.randint(0, 3))]
+    return {
+        str(_random_json_value(rng, 3)): _random_json_value(rng, depth + 1)
+        for _ in range(rng.randint(0, 3))
+    }
+
+
+def _random_reply_text(rng: random.Random) -> str:
+    """Prose mixed with valid and invalid blocks, stray brackets and quotes."""
+    pieces = [
+        lambda: rng.choice(["Sure: ", "here you go ", "\n", " thinking... ", "done."]),
+        lambda: json.dumps(_random_json_value(rng), indent=rng.choice([None, 1])),
+        lambda: rng.choice(['{"walk": broken}', "{'a': 1}", '{"a" 1}', "[1,]", "{,}", "[}", "{]"]),
+        lambda: rng.choice(["{", "}", "[", "]", '"', "\\", '\\"', '"{"', '"]"']),
+        lambda: rng.choice(["NaN", "-Infinity", '{"walk": NaN}', "[NaN, Infinity]"]),
+        lambda: rng.choice(['{"walk": ', "[", ""])
+        + "1" + "0" * rng.choice([20, 400, 5000])
+        + rng.choice(["}", "]", ""]),
+        lambda: '"line\nbreak {"a": 1}"',
+    ]
+    return "".join(rng.choice(pieces)() for _ in range(rng.randint(0, 8)))
+
+
+def test_json_blocks_equal_the_character_scanner():
+    rng = random.Random(8080)
+    yielded = {"{}": 0, "[]": 0}
+    for _ in range(2500):
+        text = _random_reply_text(rng)
+        for brackets in yielded:
+            got = list(json_blocks(text, brackets))
+            # repr tells NaN, -0.0, 1 and 1.0 apart and equates NaN with NaN
+            assert repr(got) == repr(list(_scanned_blocks(text, brackets))), (text, brackets)
+            yielded[brackets] += len(got)
+    assert min(yielded.values()) > 500, yielded
+
+
 # ----------------------------------------------------------------------
 # calibrate
 # ----------------------------------------------------------------------
@@ -188,8 +271,20 @@ def test_degenerate_prior_failure_reports_uniform_source():
         ('{"walk": 1e308, "bike": 1e308}', CalibrationSource.LLM_ACCEPTED),
         ('{"walk": 1' + "0" * 400 + "}", CalibrationSource.FALLBACK_PRIOR),
         ('{"walk": 1' + "0" * 5000 + "}", CalibrationSource.FALLBACK_PRIOR),
+        ('{"a":' * 1000 + "1" + "}" * 1000, CalibrationSource.FALLBACK_PRIOR),
+        ('{"walk": ' + "[" * 1000 + "1" + "]" * 1000 + "}", CalibrationSource.FALLBACK_PRIOR),
+        ('{"a":' * 1000 + "1" + "}" * 1000 + ' {"walk": 1}', CalibrationSource.LLM_ACCEPTED),
     ],
-    ids=["infinity", "nan", "huge-sum", "int-beyond-float", "int-too-long"],
+    ids=[
+        "infinity",
+        "nan",
+        "huge-sum",
+        "int-beyond-float",
+        "int-too-long",
+        "nested-object",
+        "nested-array",
+        "nested-then-valid",
+    ],
 )
 def test_hostile_reply_never_breaks_calibration(reply, source):
     prior = _prior()

@@ -189,6 +189,25 @@ def test_llm_schedule_falls_back_on_garbage(profile):
     assert generate_schedule(profile, scripted, 3) == generate_schedule(profile, template, 3)
 
 
+_NESTED_ARRAY = "[" * 1000 + "1" + "]" * 1000
+_NESTED_OBJECT = '[{"hour": ' + '{"a":' * 1000 + "1" + "}" * 1000 + ', "purpose": "work"}]'
+
+
+def test_parse_schedule_skips_blocks_nested_too_deep_to_decode():
+    for raw in (_NESTED_ARRAY, _NESTED_OBJECT):
+        with pytest.raises(ParseFailure):
+            parse_schedule(raw)
+    valid = '[{"hour": 10, "purpose": "eat"}]'
+    assert parse_schedule(_NESTED_ARRAY + " then " + valid).entries == ((10, "eat"),)
+
+
+def test_llm_schedule_falls_back_on_deeply_nested_replies(profile):
+    template = TemplateScheduleProvider()
+    for raw in (_NESTED_ARRAY, _NESTED_OBJECT):
+        scripted = LlmScheduleProvider(ScriptedMockLlm([raw]))
+        assert generate_schedule(profile, scripted, 3) == generate_schedule(profile, template, 3)
+
+
 def test_llm_schedule_falls_back_on_provider_error(profile):
     exploding = LlmScheduleProvider(ExplodingLlm())
     template = TemplateScheduleProvider()

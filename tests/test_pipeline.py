@@ -1,9 +1,11 @@
+import sys
+
 import pytest
 
 from preference_chain.behavior_graph import GraphBuildConfig, build_from_records
 from preference_chain.ingest import default_synthetic_spec, generate_synthetic
 from preference_chain.llm_remodel import CalibrationSource, ScriptedMockLlm
-from preference_chain import pipeline
+from preference_chain import embedding, pipeline, preference
 from preference_chain.pipeline import PipelineConfig, PreferenceChain
 from preference_chain.preference import uniform_distribution
 from preference_chain.retrieval import QueryAgent, top_k_similar
@@ -71,6 +73,30 @@ def test_predict_all_without_persons_retrieves_once(monkeypatch):
     for name, result in results.items():
         assert result.prior.degenerate
         assert result.prior == uniform_distribution(chain.graph.choice_sets[name], True)
+
+
+def test_predict_all_walks_once_and_renders_the_profile_once(monkeypatch):
+    chain = _chain()
+    agent = _agent()
+    walks, renders = [], []
+    walk, render = preference._walk_paths, embedding.profile_to_text
+
+    def counting_walk(*args):
+        walks.append(args)
+        return walk(*args)
+
+    def counting_render(profile):
+        renders.append(profile)
+        return render(profile)
+
+    monkeypatch.setattr(preference, "_walk_paths", counting_walk)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("preference_chain") and getattr(module, "profile_to_text", None) is render:
+            monkeypatch.setattr(module, "profile_to_text", counting_render)
+    results = chain.predict_all(agent)
+    assert len(results) == 2
+    assert len(walks) == 1
+    assert len(renders) == 1
 
 
 def test_predict_all_covers_registered_choice_sets():

@@ -1,18 +1,39 @@
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
 
-from preference_chain.behavior_graph import EdgeKind, NodeKind
+from preference_chain.behavior_graph import (
+    EdgeKind,
+    GraphBuildConfig,
+    NodeKind,
+    build_from_records,
+)
+from preference_chain.embedding import HashEmbedder
+from preference_chain.ingest import default_synthetic_spec, generate_synthetic
 from preference_chain.preference import (
     PreferenceDistribution,
     prior_distribution,
     raw_scores,
     uniform_distribution,
 )
-from preference_chain.retrieval import AGENT_NODE_ID, BehavioralSubgraph
-from preference_chain.schema import ChoiceCategorySet
+from preference_chain.retrieval import (
+    AGENT_NODE_ID,
+    BehavioralSubgraph,
+    QueryAgent,
+    extract_subgraph,
+    top_k_similar,
+)
+from preference_chain.schema import (
+    INPUT_CATEGORIES,
+    PROFILE_FIELDS,
+    START_TIMES,
+    TRIP_PURPOSES,
+    AgentProfile,
+    ChoiceCategorySet,
+)
 
 
 def _chain_subgraph():
@@ -147,6 +168,113 @@ def test_raw_score_matches_brute_force_oracle():
         # fsum rounds correctly and each product is taken in path order, so
         # the order in which paths are found cannot change a bit.
         assert raw_scores(sub, options, max_edges) == expected, (trial, max_edges)
+
+
+def _per_choice_set_scores(subgraph, choice_set, max_edges):
+    """The walk per choice set that ``raw_scores`` made before it shared one.
+
+    Kept as the oracle of the memoised walk: only paths that end at an
+    intention of ``choice_set`` are collected.
+    """
+    option_of = {
+        node_id: option
+        for option, node_id in subgraph.intention_ids(choice_set.name).items()
+        if option in choice_set
+    }
+    weights = {option: [] for option in choice_set.options}
+    on_path = {subgraph.agent_id}
+
+    def walk(current, weight, edges_left):
+        for target, _kind, w in subgraph.out_edges.get(current, ()):
+            if target in on_path:
+                continue
+            path_weight = weight * w
+            option = option_of.get(target)
+            if option is not None:
+                weights[option].append(path_weight)
+            if edges_left > 1:
+                on_path.add(target)
+                walk(target, path_weight, edges_left - 1)
+                on_path.remove(target)
+
+    if max_edges >= 1:
+        walk(subgraph.agent_id, 1.0, max_edges)
+    return {option: math.fsum(ws) for option, ws in weights.items()}
+
+
+def _random_agent(rng: random.Random) -> QueryAgent:
+    profile = AgentProfile(**{f: rng.choice(INPUT_CATEGORIES[f]) for f in PROFILE_FIELDS})
+    return QueryAgent(profile, rng.choice(TRIP_PURPOSES), int(rng.choice(START_TIMES)))
+
+
+_BOTH_FIELDS = GraphBuildConfig(intention_fields=("primary_mode", "duration_minutes"))
+
+
+def _extract(graph, agent, provider):
+    return extract_subgraph(graph, agent, top_k_similar(graph, agent, 5, provider), provider)
+
+
+def test_cached_weights_and_scores_equal_a_fresh_graph():
+    records = generate_synthetic(default_synthetic_spec(), size=150, seed=3)
+    warm = build_from_records(records, _BOTH_FIELDS)
+    provider = HashEmbedder()
+    rng = random.Random(808)
+    agents = [_random_agent(rng) for _ in range(40)]
+    for agent in agents:
+        _extract(warm, agent, provider)
+    table = warm._desire_weights[provider.provider_id]
+    filled = dict(table)
+    for agent in agents:
+        sub = _extract(warm, agent, provider)
+        fresh = _extract(build_from_records(records, _BOTH_FIELDS), agent, HashEmbedder())
+        assert sub.nodes == fresh.nodes
+        # repr round-trips every float, so equal reprs are equal bits
+        assert repr(sub.out_edges) == repr(fresh.out_edges)
+        for max_edges in range(1, 6):
+            for choice_set in warm.choice_sets.values():
+                scores = raw_scores(sub, choice_set, max_edges)
+                assert repr(scores) == repr(raw_scores(fresh, choice_set, max_edges))
+                assert repr(scores) == repr(_per_choice_set_scores(fresh, choice_set, max_edges))
+    assert table == filled  # the second round read every want_to weight from the table
+
+
+def test_desire_weights_are_kept_per_provider():
+    records = generate_synthetic(default_synthetic_spec(), size=60, seed=5)
+    graph = build_from_records(records, _BOTH_FIELDS)
+    agent = _random_agent(random.Random(2))
+    wide, narrow = HashEmbedder(256), HashEmbedder(64)
+    persons = top_k_similar(graph, agent, 5, wide)
+    extract_subgraph(graph, agent, persons, wide)
+    tables = graph._desire_weights
+    # Mark the wide provider's entries: the narrow one must not read them.
+    tables["hash-256"] = dict.fromkeys(tables["hash-256"], 0.125)
+    narrow_sub = extract_subgraph(graph, agent, persons, narrow)
+    fresh = build_from_records(records, _BOTH_FIELDS)
+    assert repr(narrow_sub.out_edges) == repr(
+        extract_subgraph(fresh, agent, persons, HashEmbedder(64)).out_edges
+    )
+    assert set(tables) == {"hash-256", "hash-64"}
+    assert tables["hash-256"].keys() == tables["hash-64"].keys()
+    want_to = [
+        w
+        for edges in extract_subgraph(graph, agent, persons, wide).out_edges.values()
+        for _, kind, w in edges
+        if kind == EdgeKind.WANT_TO
+    ]
+    assert want_to and set(want_to) == {0.125}  # the wide provider reads its own entries
+
+
+def test_subgraph_edits_drop_the_walk():
+    sub = _chain_subgraph()
+    assert raw_scores(sub, _WALKING) == {"walking": pytest.approx(0.36)}
+    sub.add_edge(0, 2, EdgeKind.WANT_TO, 0.5)  # a second path: 0.9 * 0.5 * 0.5
+    assert raw_scores(sub, _WALKING) == _per_choice_set_scores(sub, _WALKING, 4)
+    assert raw_scores(sub, _WALKING) == {"walking": pytest.approx(0.585)}
+    sub.add_node(4, NodeKind.INTENTION, "walking", choice_set="mode")  # now the option's node
+    assert raw_scores(sub, _WALKING) == {"walking": 0.0}
+    sub.add_edge(2, 4, EdgeKind.CHOOSE_TO, 1.0)
+    assert raw_scores(sub, _WALKING) == _per_choice_set_scores(sub, _WALKING, 4)
+    assert raw_scores(sub, _WALKING, 3) == _per_choice_set_scores(sub, _WALKING, 3)
 
 
 # ----------------------------------------------------------------------
