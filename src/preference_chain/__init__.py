@@ -44,6 +44,7 @@ from .city import (
     DEFAULT_MODE_SPEEDS,
     CityModel,
     Poi,
+    ShortestPathTree,
     dijkstra,
     duration_upper_minutes,
     edge_id,

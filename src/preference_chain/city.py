@@ -6,14 +6,18 @@ category), and a per-mode speed table. Routing is plain Dijkstra with
 deterministic tie-breaking, and POI search returns every POI of a category
 reachable within the time budget implied by a (mode, duration bin) pair.
 
-``search_pois``, ``nearest_poi`` and ``shortest_path`` read their trees
-through a cache on the city, so each tree comes from one ``dijkstra`` run
-and equals what ``dijkstra`` returns. Trees rooted at POI nodes, where most
-trips start, are kept packed in arrays (12 bytes per node and source) for
-the city's lifetime; the latest tree from any other node is kept in one
-slot, so the POI search and the route of one trip share a run.
-``add_node`` and ``add_edge`` drop the cache; editing ``positions`` or
-``adjacency`` directly bypasses that drop and leaves stale trees.
+``dijkstra`` runs over an index of the city's node ids in sorted order and
+an adjacency list by index, and returns its tree as two arrays over that
+index (12 bytes per node). ``search_pois``, ``nearest_poi`` and
+``shortest_path`` read their trees through a cache on the city, so each
+tree comes from one ``dijkstra`` run. Trees rooted at POI nodes, where
+most trips start, stay for the city's lifetime; the latest tree from any
+other node stays in one slot, so the POI search and the route of one trip
+share a run. The index is built on the first routing call, and ``add_node``
+and ``add_edge`` drop it together with the trees. Editing ``positions`` or
+``adjacency`` directly bypasses that drop: after the first routing call,
+``dijkstra`` itself goes on reading the old index and the cached trees
+go stale.
 """
 
 from __future__ import annotations
@@ -65,92 +69,74 @@ def edge_id(u: int, v: int) -> str:
     return f"{u}-{v}" if u < v else f"{v}-{u}"
 
 
-class _DictTree:
-    """One ``dijkstra`` result as it came: dicts keyed by node."""
+class ShortestPathTree:
+    """One ``dijkstra`` result as two arrays over the city's node index.
 
-    __slots__ = ("source", "dist", "prev")
-
-    def __init__(self, source: int, dist: dict[int, float], prev: dict[int, int]):
-        self.source, self.dist, self.prev = source, dist, prev
-
-    def distance(self, node: int) -> Optional[float]:
-        """Distance from the source, None when unreachable."""
-        return self.dist.get(node)
-
-    def path(self, target: int) -> list[int]:
-        """Node sequence source..target; the target must be reachable."""
-        path = [target]
-        while path[-1] != self.source:
-            path.append(self.prev[path[-1]])
-        path.reverse()
-        return path
-
-
-class _PackedTree:
-    """One ``dijkstra`` result as two arrays over a shared node index.
-
-    ``dist[i]`` and ``prev[i]`` belong to node ``nodes[i]``; ``prev`` holds
-    the predecessor's index, or -1 where ``dijkstra`` set none. Every node
-    ``dijkstra`` reaches, bar the source, has a predecessor, so that is the
-    reachability test and the results equal the dict form's.
+    ``dist[i]`` and ``prev[i]`` belong to node ``nodes[i]``: the distance
+    from the source, inf where unreachable, and the predecessor's index,
+    -1 at the source and where unreachable.
     """
 
     __slots__ = ("source", "index", "nodes", "dist", "prev")
 
-    def __init__(self, tree: _DictTree, index: dict[int, int], nodes: list[int]):
-        self.source, self.index, self.nodes = tree.source, index, nodes
-        self.dist = array("d", [0.0]) * len(nodes)
-        self.prev = array("i", [-1]) * len(nodes)
-        for node, d in tree.dist.items():
-            self.dist[index[node]] = d
-        for node, p in tree.prev.items():
-            self.prev[index[node]] = index[p]
+    def __init__(
+        self, source: int, index: dict[int, int], nodes: list[int], dist: array, prev: array
+    ):
+        self.source, self.index, self.nodes = source, index, nodes
+        self.dist, self.prev = dist, prev
 
     def distance(self, node: int) -> Optional[float]:
+        """Distance from the source, None when unreachable."""
         i = self.index.get(node)
-        if i is None or (self.prev[i] < 0 and node != self.source):
+        if i is None or self.dist[i] == math.inf:
             return None
         return self.dist[i]
 
     def path(self, target: int) -> list[int]:
+        """Node sequence source..target; the target must be reachable."""
         path = [target]
-        i = self.index[target]
-        while path[-1] != self.source:
-            i = self.prev[i]
+        i = self.prev[self.index[target]]
+        while i >= 0:
             path.append(self.nodes[i])
+            i = self.prev[i]
         path.reverse()
         return path
 
 
 class _TreeCache:
-    """The shortest-path trees of one city, one ``dijkstra`` run each.
+    """The street graph in index form and the shortest-path trees over it.
 
-    Trees rooted at POI nodes stay packed until the cache is dropped; the
-    latest tree from any other node stays in one slot.
+    The index lists node ids in sorted order; the graph is built on the
+    first routing call. Trees rooted at POI nodes stay until the cache is
+    dropped; the latest tree from any other node stays in one slot.
     """
 
     def __init__(self):
-        self.index: dict[int, int] = {}  # node -> position in packed arrays
-        self.nodes: list[int] = []
-        self.packed: dict[int, _PackedTree] = {}
-        self.last: Optional[_DictTree] = None
+        self.graph = None  # (index, nodes, adjacency by index), set in one assignment
+        self.kept: dict[int, ShortestPathTree] = {}
+        self.last: Optional[ShortestPathTree] = None
 
-    def tree(self, city: "CityModel", source: int):
-        found = self.packed.get(source)
+    def street_graph(self, city: "CityModel"):
+        graph = self.graph
+        if graph is None:
+            nodes = sorted(city.positions)
+            index = {node: i for i, node in enumerate(nodes)}
+            adjacency = [[(index[v], length) for v, length in city.adjacency[u]] for u in nodes]
+            graph = self.graph = (index, nodes, adjacency)
+        return graph
+
+    def tree(self, city: "CityModel", source: int) -> ShortestPathTree:
+        found = self.kept.get(source)
         if found is not None:
             return found
         last = self.last  # one read: another thread may refill the slot
         if last is not None and last.source == source:
             return last
-        tree = _DictTree(source, *dijkstra(city, source))
+        tree = dijkstra(city, source)
         if any(poi.node == source for poi in city.pois.values()):
-            if not self.index:
-                self.nodes = sorted(city.positions)
-                self.index = {node: i for i, node in enumerate(self.nodes)}
-            packed = _PackedTree(tree, self.index, self.nodes)
-            self.packed[source] = packed
-            return packed
-        self.last = tree
+            self.kept[source] = tree
+        else:
+            self.last = tree
         return tree
 
 
@@ -160,8 +146,8 @@ class CityModel:
     adjacency: dict[int, list[tuple[int, float]]] = field(default_factory=dict)
     pois: dict[str, Poi] = field(default_factory=dict)
     speeds: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_MODE_SPEEDS))
-    # shortest-path trees read by the routing functions; dropped whenever
-    # the street graph changes through add_node or add_edge
+    # node index and shortest-path trees read by the routing functions;
+    # dropped whenever the street graph changes through add_node or add_edge
     _trees: _TreeCache = field(
         default_factory=_TreeCache, init=False, repr=False, compare=False
     )
@@ -238,17 +224,20 @@ class CityModel:
     # ------------------------------------------------------------------
 
     def to_json(self, fp: IO[str]) -> None:
+        # one record per add_edge, which stores an edge in both lists and a
+        # loop twice in one; sorted by edge_id, parallel edges in call order
         edges = []
-        for name in self.edge_ids():
-            u, v = (int(s) for s in name.split("-"))
-            length = next(l for t, l in self.adjacency[u] if t == v)
-            edges.append({"u": u, "v": v, "length": length})
+        for u, neighbors in self.adjacency.items():
+            loops = [length for v, length in neighbors if v == u]
+            edges += [(edge_id(u, u), u, u, length) for length in loops[::2]]
+            edges += [(edge_id(u, v), u, v, length) for v, length in neighbors if u < v]
+        edges.sort(key=lambda edge: edge[0])
         obj = {
             "nodes": [
                 {"id": n, "x": self.positions[n][0], "y": self.positions[n][1]}
                 for n in sorted(self.positions)
             ],
-            "edges": edges,
+            "edges": [{"u": u, "v": v, "length": length} for _, u, v, length in edges],
             "pois": [
                 {"id": p.id, "category": p.category, "node": p.node}
                 for p in sorted(self.pois.values(), key=lambda p: p.id)
@@ -291,33 +280,37 @@ class CityModel:
 # ----------------------------------------------------------------------
 
 
-def dijkstra(city: CityModel, source: int) -> tuple[dict[int, float], dict[int, int]]:
-    """Distances and predecessor map from one source node.
+def dijkstra(city: CityModel, source: int) -> ShortestPathTree:
+    """The shortest-path tree from one source node.
 
-    Heap entries are (distance, node) so equal-distance pops resolve by
-    node id, making predecessor trees deterministic.
+    Heap entries are (distance, index), and the index sorts node ids, so
+    equal-distance pops resolve by node id, making predecessor trees
+    deterministic.
     """
     if source not in city.positions:
         raise UnknownNode(f"no street node {source}")
+    index, nodes, adjacency = city._trees.street_graph(city)
     tie = TIE_TOLERANCE
-    dist = {source: 0.0}
-    prev: dict[int, int] = {}
-    heap = [(0.0, source)]
-    done = set()
+    dist = array("d", [math.inf]) * len(nodes)
+    prev = array("i", [-1]) * len(nodes)
+    done = bytearray(len(nodes))
+    s = index[source]
+    dist[s] = 0.0
+    heap = [(0.0, s)]
     while heap:
         d, u = heapq.heappop(heap)
-        if u in done:
+        if done[u]:
             continue
-        done.add(u)
-        for v, length in city.adjacency[u]:
+        done[u] = 1
+        for v, length in adjacency[u]:
             nd = d + length
-            old = dist.get(v)
+            old = dist[v]
             # strict improvement or same-distance lower-id parent
-            if old is None or nd < old - tie or (abs(nd - old) <= tie and u < prev.get(v, u + 1)):
+            if nd < old - tie or (abs(nd - old) <= tie and u < prev[v]):
                 dist[v] = nd
                 prev[v] = u
                 heapq.heappush(heap, (nd, v))
-    return dist, prev
+    return ShortestPathTree(source, index, nodes, dist, prev)
 
 
 def shortest_path(city: CityModel, source: int, target: int) -> tuple[float, list[int]]:

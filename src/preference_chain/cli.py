@@ -114,7 +114,15 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
         raise ConfigError(f"{flag} expects comma-separated integers: {exc}") from exc
     if not values:
         raise ConfigError(f"{flag} expects at least one integer")
+    for value in values:
+        _non_negative(value, flag)
     return values
+
+
+def _non_negative(value: int, flag: str) -> int:
+    if value < 0:
+        raise ConfigError(f"{flag} must be >= 0, got {value}")
+    return value
 
 
 # ----------------------------------------------------------------------
@@ -128,7 +136,7 @@ def cmd_gen_synth(args, config: RunConfig) -> int:
             spec = SyntheticSpec.from_json(fp)
     else:
         spec = default_synthetic_spec()
-    size = args.size if args.size is not None else spec.population
+    size = _non_negative(args.size, "--size") if args.size is not None else spec.population
     records = generate_synthetic(spec, size=size, seed=config.pipeline.seed)
     if not args.out:
         raise ConfigError("--out file is required")
@@ -258,15 +266,16 @@ def cmd_evaluate(args, config: RunConfig) -> int:
 
 
 def cmd_sweep(args, config: RunConfig) -> int:
-    records = _load_reference(args, config)
     sizes = _parse_int_list(args.sizes, "--sizes")
-    seeds = list(range(args.seeds)) if args.seeds else [config.pipeline.seed]
+    seeds = list(range(_non_negative(args.seeds, "--seeds"))) or [config.pipeline.seed]
+    n_validation = _non_negative(args.n_validation, "--n-validation")
+    records = _load_reference(args, config)
     out = _out_dir(args, config)
     rows = sweep_reference_sizes(
         records,
         sizes=sizes,
         seeds=seeds,
-        n_validation=args.n_validation,
+        n_validation=n_validation,
         config=config.pipeline_config(),
         embed_provider=build_embed_provider(config),
         llm_provider=build_llm_provider(config),

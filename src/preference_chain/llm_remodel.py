@@ -96,14 +96,13 @@ def json_blocks(text: str, brackets: str = "{}"):
     not valid JSON, or nest too deep to decode, are skipped.
 
     At each opening bracket outside a block and outside a string, the C
-    decoder first tries to read a whole JSON value there. A valid value
-    ends at its balancing bracket, so this yields what the character
-    scanner below would, and scanning resumes after it; when the decoder
-    fails, the scanner takes the block one character at a time.
+    decoder tries to read a whole JSON value there. A valid value ends at
+    its balancing bracket, so it is the balanced block, and scanning
+    resumes after it. When the decoder fails, the block is not valid JSON,
+    and the scanner below only walks past it one character at a time.
     """
     opening, closing = brackets
     depth = 0
-    start = 0
     in_string = False
     escaped = False
     i, size = 0, len(text)
@@ -122,8 +121,8 @@ def json_blocks(text: str, brackets: str = "{}"):
             if depth == 0:
                 try:
                     block, end = _DECODER.raw_decode(text, i)
-                except (ValueError, RecursionError):
-                    start = i
+                except (ValueError, RecursionError):  # also an integer too long to convert
+                    pass
                 else:
                     yield block
                     i = end
@@ -131,13 +130,6 @@ def json_blocks(text: str, brackets: str = "{}"):
             depth += 1
         elif ch == closing and depth > 0:
             depth -= 1
-            if depth == 0:
-                try:
-                    block = json.loads(text[start : i + 1])
-                except (ValueError, RecursionError):  # also an integer too long to convert
-                    pass
-                else:
-                    yield block
         i += 1
 
 

@@ -1,5 +1,6 @@
 """Street-network model: routing, POI search, grid construction, snapshots."""
 
+import heapq
 import io
 import json
 import math
@@ -73,7 +74,8 @@ def test_add_edge_requires_known_nodes_and_positive_length():
             city.add_edge(0, 1, length)
     assert city.adjacency == {0: [], 1: []}
     city.add_edge(0, 1, 2 * TIE_TOLERANCE)
-    assert dijkstra(city, 0) == ({0: 0.0, 1: 2 * TIE_TOLERANCE}, {1: 0})
+    tree = dijkstra(city, 0)
+    assert (list(tree.dist), list(tree.prev)) == ([0.0, 2 * TIE_TOLERANCE], [-1, 0])
 
 
 def test_add_poi_requires_known_node():
@@ -123,7 +125,8 @@ def test_validate_rejects_empty_city_and_bad_speed():
 
 
 def test_line_city_distances_from_middle():
-    dist, _ = dijkstra(line_city(), 2)
+    tree = dijkstra(line_city(), 2)
+    dist = {node: tree.distance(node) for node in range(5)}
     assert dist == {2: 0.0, 1: 200.0, 3: 100.0, 0: 300.0, 4: 400.0}
 
 
@@ -205,9 +208,76 @@ def test_dijkstra_matches_floyd_warshall_on_random_graphs():
         city, edges = _random_city(rng, n)
         oracle = _floyd_warshall(n, edges)
         for source in range(n):
-            dist, _ = dijkstra(city, source)
+            tree = dijkstra(city, source)
             for target in range(n):
-                assert dist[target] == pytest.approx(oracle[source][target], abs=1e-9)
+                assert tree.distance(target) == pytest.approx(oracle[source][target], abs=1e-9)
+
+
+def _reference_dijkstra(city, source):
+    """The dict-based Dijkstra the tree form replaced: (distances, predecessors)."""
+    dist = {source: 0.0}
+    prev = {}
+    heap = [(0.0, source)]
+    done = set()
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        done.add(u)
+        for v, length in city.adjacency[u]:
+            nd = d + length
+            old = dist.get(v)
+            if old is None or nd < old - TIE_TOLERANCE or (
+                abs(nd - old) <= TIE_TOLERANCE and u < prev.get(v, u + 1)
+            ):
+                dist[v] = nd
+                prev[v] = u
+                heapq.heappush(heap, (nd, v))
+    return dist, prev
+
+
+def _tied_random_city(rng):
+    """Scattered ids (some negative), lengths 1-3 m, parallel edges, loops, an island."""
+    n = int(rng.integers(6, 30))
+    ids = sorted(int(x) for x in rng.choice(np.arange(-60, 60), size=n + 2, replace=False))
+    rng.shuffle(ids)
+    city = CityModel()
+    for node in ids:
+        city.add_node(node, float(rng.uniform(0, 100)), float(rng.uniform(0, 100)))
+    main, island = ids[:n], ids[n:]
+    for k in range(1, n):
+        city.add_edge(main[int(rng.integers(0, k))], main[k], float(rng.integers(1, 4)))
+    for _ in range(2 * n):
+        u, v = (main[int(i)] for i in rng.integers(0, n, size=2))  # u == v is a loop
+        city.add_edge(u, v, float(rng.integers(1, 4)))
+    city.add_edge(island[0], island[1], 1.0)
+    return city
+
+
+def _tied_grid_city(rng):
+    width, height = (int(x) for x in rng.integers(2, 7, size=2))
+    return grid_city(width=width, height=height, spacing=100.0, pois_per_category=1)
+
+
+@pytest.mark.parametrize("build", [_tied_random_city, _tied_grid_city], ids=["random", "grid"])
+def test_tree_equals_the_dict_reference_exactly(build):
+    rng = np.random.default_rng(31)
+    unreachable = 0
+    for _ in range(25):
+        city = build(rng)
+        for source in city.positions:
+            tree = dijkstra(city, source)
+            dist, prev = _reference_dijkstra(city, source)
+            unreachable += len(city.positions) - len(dist)
+            for node in city.positions:
+                assert tree.distance(node) == dist.get(node)  # exact, None if unreachable
+                if node in dist:
+                    path = [node]
+                    while path[-1] != source:
+                        path.append(prev[path[-1]])
+                    assert tree.path(node) == path[::-1]
+    # only the random cities have an island
+    assert (unreachable > 0) == (build is _tied_random_city)
 
 
 def test_shortest_path_edges_exist_and_sum_to_distance():
@@ -449,7 +519,7 @@ def test_city_json_preserves_contents():
     assert obj["speeds"] == DEFAULT_MODE_SPEEDS
     reloaded = CityModel.from_json(io.StringIO(buffer.getvalue()))
     assert reloaded.pois["shop-b"] == Poi("shop-b", "shop", 4)
-    assert dijkstra(reloaded, 2)[0] == dijkstra(city, 2)[0]
+    assert dijkstra(reloaded, 2).dist == dijkstra(city, 2).dist
 
 
 def test_city_save_load_files(tmp_path):
@@ -459,3 +529,46 @@ def test_city_save_load_files(tmp_path):
     reloaded = CityModel.load(path)
     assert reloaded.positions == city.positions
     assert reloaded.edge_ids() == city.edge_ids()
+
+
+def test_city_json_keeps_parallel_edges_and_loops():
+    city = line_city()
+    city.add_edge(0, 1, 10.0)  # a second, shorter 0-1 street
+    city.add_edge(1, 0, 5.0)
+    city.add_edge(2, 2, 7.0)
+    buffer = io.StringIO()
+    city.to_json(buffer)
+    edges = json.loads(buffer.getvalue())["edges"]
+    assert [(e["u"], e["v"], e["length"]) for e in edges[:3]] == [
+        (0, 1, 100.0),
+        (0, 1, 10.0),
+        (0, 1, 5.0),
+    ]
+    assert sum(e["u"] == e["v"] == 2 for e in edges) == 1
+    reloaded = CityModel.from_json(io.StringIO(buffer.getvalue()))
+    assert shortest_path(city, 0, 1) == shortest_path(reloaded, 0, 1) == (5.0, [0, 1])
+    assert {u: sorted(n) for u, n in reloaded.adjacency.items()} == {
+        u: sorted(n) for u, n in city.adjacency.items()
+    }
+    again = io.StringIO()
+    reloaded.to_json(again)
+    assert again.getvalue() == buffer.getvalue()
+
+
+def test_city_with_negative_node_ids_saves_and_reloads(tmp_path):
+    city = CityModel()
+    for node in (-12, -1, 0, 3):
+        city.add_node(node, float(node), 0.0)
+    city.add_edge(-12, -1, 11.0)
+    city.add_edge(0, -1, 1.0)
+    city.add_edge(3, -12, 40.0)
+    city.add_poi("shop-0", "shop", -12)
+    path = tmp_path / "city.json"
+    city.save(path)
+    reloaded = CityModel.load(path)
+    assert reloaded.positions == city.positions
+    assert reloaded.edge_ids() == city.edge_ids() == ["-1-0", "-12--1", "-12-3"]
+    for source in city.positions:
+        for target in city.positions:
+            assert shortest_path(reloaded, source, target) == shortest_path(city, source, target)
+    assert nearest_poi(reloaded, 0, "shop") == "shop-0"

@@ -298,6 +298,26 @@ def test_sweep_rejects_bad_sizes(tmp_path, trips_csv, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--seeds", -1],
+        ["sweep", "--sizes", "10,-5"],
+        ["sweep", "--n-validation", -20],
+        ["gen-synth", "--size", -3],
+    ],
+    ids=["seeds", "sizes", "n-validation", "size"],
+)
+def test_negative_sizes_and_counts_exit_2(tmp_path, trips_csv, capsys, argv):
+    """The exit-code corpus for negative sizes and counts: config errors, no output."""
+    if argv[0] == "sweep":  # valid values first; the negative one overrides its flag
+        argv = ["sweep", "--reference", trips_csv, "--sizes", "5", "--n-validation", 20] + argv[1:]
+    out = tmp_path / "out"
+    assert run(argv + ["--out", out]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------------
 # simulate
 # ----------------------------------------------------------------------
