@@ -8,7 +8,9 @@ reachable within the time budget implied by a (mode, duration bin) pair.
 
 ``dijkstra`` runs over an index of the city's node ids in sorted order and
 an adjacency list by index, and returns its tree as two arrays over that
-index (12 bytes per node). ``search_pois``, ``nearest_poi`` and
+index (12 bytes per node). A settled node is final and each predecessor
+was settled before its node, so every tree is acyclic and the source has
+no predecessor. ``search_pois``, ``nearest_poi`` and
 ``shortest_path`` read their trees through a cache on the city, so each
 tree comes from one ``dijkstra`` run. Trees rooted at POI nodes, where
 most trips start, stay for the city's lifetime; the latest tree from any
@@ -33,9 +35,12 @@ from .errors import DataError, UnknownCategory, UnknownNode
 from .rng import substream
 from .schema import DURATION_BINS, TRIP_PURPOSES
 
-# Distances within this many meters tie in ``dijkstra``. Every edge must be
-# longer: a shorter edge ties its two ends, and the source could then get a
-# predecessor and the predecessor map a cycle.
+# Distances within this many meters tie in ``dijkstra``, and the lower node
+# id then wins the predecessor of a node not yet settled. ``add_edge``
+# rejects edges this short. Far from the source a longer edge can still add
+# nothing to a distance (1e6 + 1e-11 == 1e6), but ``dijkstra`` never relaxes
+# a settled node, so no tie gives the source a predecessor or the
+# predecessors a cycle.
 TIE_TOLERANCE = 1e-12
 
 # Meters per minute. Order-of-magnitude defaults, not calibrated data.
@@ -285,32 +290,38 @@ def dijkstra(city: CityModel, source: int) -> ShortestPathTree:
 
     Heap entries are (distance, index), and the index sorts node ids, so
     equal-distance pops resolve by node id, making predecessor trees
-    deterministic.
+    deterministic. A settled node is final: its neighbours never relax it
+    again, so every predecessor was settled before its node, the tree is
+    acyclic and the source has no predecessor. The search keeps Python
+    lists, which the interpreter indexes faster than arrays, and the tree
+    gets them as arrays.
     """
     if source not in city.positions:
         raise UnknownNode(f"no street node {source}")
     index, nodes, adjacency = city._trees.street_graph(city)
-    tie = TIE_TOLERANCE
-    dist = array("d", [math.inf]) * len(nodes)
-    prev = array("i", [-1]) * len(nodes)
-    done = bytearray(len(nodes))
+    pop, push, tie = heapq.heappop, heapq.heappush, TIE_TOLERANCE
+    dist = [math.inf] * len(nodes)
+    prev = [-1] * len(nodes)
+    done = [False] * len(nodes)
     s = index[source]
     dist[s] = 0.0
     heap = [(0.0, s)]
     while heap:
-        d, u = heapq.heappop(heap)
+        d, u = pop(heap)
         if done[u]:
             continue
-        done[u] = 1
+        done[u] = True
         for v, length in adjacency[u]:
+            if done[v]:
+                continue
             nd = d + length
             old = dist[v]
             # strict improvement or same-distance lower-id parent
             if nd < old - tie or (abs(nd - old) <= tie and u < prev[v]):
                 dist[v] = nd
                 prev[v] = u
-                heapq.heappush(heap, (nd, v))
-    return ShortestPathTree(source, index, nodes, dist, prev)
+                push(heap, (nd, v))
+    return ShortestPathTree(source, index, nodes, array("d", dist), array("i", prev))
 
 
 def shortest_path(city: CityModel, source: int, target: int) -> tuple[float, list[int]]:

@@ -115,13 +115,13 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
     if not values:
         raise ConfigError(f"{flag} expects at least one integer")
     for value in values:
-        _non_negative(value, flag)
+        _at_least(value, flag)
     return values
 
 
-def _non_negative(value: int, flag: str) -> int:
-    if value < 0:
-        raise ConfigError(f"{flag} must be >= 0, got {value}")
+def _at_least(value: int, flag: str, minimum: int = 0) -> int:
+    if value < minimum:
+        raise ConfigError(f"{flag} must be >= {minimum}, got {value}")
     return value
 
 
@@ -136,7 +136,7 @@ def cmd_gen_synth(args, config: RunConfig) -> int:
             spec = SyntheticSpec.from_json(fp)
     else:
         spec = default_synthetic_spec()
-    size = _non_negative(args.size, "--size") if args.size is not None else spec.population
+    size = _at_least(args.size, "--size") if args.size is not None else spec.population
     records = generate_synthetic(spec, size=size, seed=config.pipeline.seed)
     if not args.out:
         raise ConfigError("--out file is required")
@@ -267,8 +267,8 @@ def cmd_evaluate(args, config: RunConfig) -> int:
 
 def cmd_sweep(args, config: RunConfig) -> int:
     sizes = _parse_int_list(args.sizes, "--sizes")
-    seeds = list(range(_non_negative(args.seeds, "--seeds"))) or [config.pipeline.seed]
-    n_validation = _non_negative(args.n_validation, "--n-validation")
+    seeds = list(range(_at_least(args.seeds, "--seeds"))) or [config.pipeline.seed]
+    n_validation = _at_least(args.n_validation, "--n-validation", 1)
     records = _load_reference(args, config)
     out = _out_dir(args, config)
     rows = sweep_reference_sizes(

@@ -236,8 +236,8 @@ def _reference_dijkstra(city, source):
     return dist, prev
 
 
-def _tied_random_city(rng):
-    """Scattered ids (some negative), lengths 1-3 m, parallel edges, loops, an island."""
+def _tied_random_city(rng, lengths=(1.0, 2.0, 3.0)):
+    """Scattered ids (some negative), given lengths (1-3 m), parallel edges, loops, an island."""
     n = int(rng.integers(6, 30))
     ids = sorted(int(x) for x in rng.choice(np.arange(-60, 60), size=n + 2, replace=False))
     rng.shuffle(ids)
@@ -246,12 +246,20 @@ def _tied_random_city(rng):
         city.add_node(node, float(rng.uniform(0, 100)), float(rng.uniform(0, 100)))
     main, island = ids[:n], ids[n:]
     for k in range(1, n):
-        city.add_edge(main[int(rng.integers(0, k))], main[k], float(rng.integers(1, 4)))
+        city.add_edge(main[int(rng.integers(0, k))], main[k], lengths[int(rng.integers(0, 3))])
     for _ in range(2 * n):
         u, v = (main[int(i)] for i in rng.integers(0, n, size=2))  # u == v is a loop
-        city.add_edge(u, v, float(rng.integers(1, 4)))
-    city.add_edge(island[0], island[1], 1.0)
+        city.add_edge(u, v, lengths[int(rng.integers(0, 3))])
+    city.add_edge(island[0], island[1], lengths[0])
     return city
+
+
+def _rounded_random_city(rng):
+    """The random city with lengths 0.1-0.3 m, where sums tie only after rounding.
+
+    0.1 + 0.2 and 0.3 differ by 5.6e-17, inside the tie tolerance.
+    """
+    return _tied_random_city(rng, lengths=(0.1, 0.2, 0.3))
 
 
 def _tied_grid_city(rng):
@@ -259,7 +267,11 @@ def _tied_grid_city(rng):
     return grid_city(width=width, height=height, spacing=100.0, pois_per_category=1)
 
 
-@pytest.mark.parametrize("build", [_tied_random_city, _tied_grid_city], ids=["random", "grid"])
+@pytest.mark.parametrize(
+    "build",
+    [_tied_random_city, _tied_grid_city, _rounded_random_city],
+    ids=["random", "grid", "rounded"],
+)
 def test_tree_equals_the_dict_reference_exactly(build):
     rng = np.random.default_rng(31)
     unreachable = 0
@@ -277,7 +289,46 @@ def test_tree_equals_the_dict_reference_exactly(build):
                         path.append(prev[path[-1]])
                     assert tree.path(node) == path[::-1]
     # only the random cities have an island
-    assert (unreachable > 0) == (build is _tied_random_city)
+    assert (unreachable > 0) == (build is not _tied_grid_city)
+
+
+def test_edge_below_the_float_spacing_leaves_the_tree_acyclic():
+    """1e6 + 1e-11 == 1e6, so node 1 ties node 3 after 3 is settled; 3 keeps its parent."""
+    city = CityModel()
+    for node in (1, 3, 5):
+        city.add_node(node, float(node), 0.0)
+    city.add_edge(5, 3, 1e6)
+    city.add_edge(3, 1, 1e-11)
+    tree = dijkstra(city, 5)
+    for start in range(len(tree.nodes)):  # a bounded walk: a cycle fails, never hangs
+        i = start
+        for _ in range(len(tree.nodes)):
+            if i < 0:
+                break
+            i = tree.prev[i]
+        assert i < 0, f"predecessor cycle through {tree.nodes[start]}: {list(tree.prev)}"
+    assert list(tree.prev) == [1, 2, -1]
+    assert shortest_path(city, 5, 1) == (1e6, [5, 3, 1])
+
+
+def test_trees_are_arrays_also_when_kept(monkeypatch):
+    """Trees hold 12 bytes per node; the POI trees stay for the city's lifetime."""
+    city = line_city()
+    trees = []
+    dijkstra_once = city_module.dijkstra
+
+    def recorded(city, source):
+        trees.append(dijkstra_once(city, source))
+        return trees[-1]
+
+    monkeypatch.setattr(city_module, "dijkstra", recorded)
+    trees.append(dijkstra(city, 2))
+    search_pois(city, 3, "shop", "walking", "0-10")  # work-0 sits at node 3
+    search_pois(city, 2, "shop", "walking", "0-10")  # fills the one other slot
+    search_pois(city, 3, "shop", "walking", "0-10")  # the kept tree, no new run
+    assert [tree.source for tree in trees] == [2, 3, 2]
+    for tree in trees:
+        assert (tree.dist.typecode, tree.prev.typecode) == ("d", "i")
 
 
 def test_shortest_path_edges_exist_and_sum_to_distance():

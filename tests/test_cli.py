@@ -304,13 +304,14 @@ def test_sweep_rejects_bad_sizes(tmp_path, trips_csv, capsys):
         ["sweep", "--seeds", -1],
         ["sweep", "--sizes", "10,-5"],
         ["sweep", "--n-validation", -20],
+        ["sweep", "--n-validation", 0],
         ["gen-synth", "--size", -3],
     ],
-    ids=["seeds", "sizes", "n-validation", "size"],
+    ids=["seeds", "sizes", "n-validation", "n-validation-zero", "size"],
 )
 def test_negative_sizes_and_counts_exit_2(tmp_path, trips_csv, capsys, argv):
-    """The exit-code corpus for negative sizes and counts: config errors, no output."""
-    if argv[0] == "sweep":  # valid values first; the negative one overrides its flag
+    """The exit-code corpus for sizes and counts out of range: config errors, no output."""
+    if argv[0] == "sweep":  # valid values first; the bad one overrides its flag
         argv = ["sweep", "--reference", trips_csv, "--sizes", "5", "--n-validation", 20] + argv[1:]
     out = tmp_path / "out"
     assert run(argv + ["--out", out]) == 2
