@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import IO, Iterable, Optional
 
+from .embedding import profile_to_text
 from .errors import DataError, KindMismatch, UnknownNode, WeightOutOfRange
 from .schema import (
     BUNDLED_CHOICE_SETS,
@@ -188,8 +189,6 @@ class BehaviorGraph:
         Intentions the same option. Raises DataError naming the first choice
         set or node that breaks a rule.
         """
-        from .embedding import profile_to_text  # local import avoids a cycle
-
         for name in sorted(self.choice_sets.keys() | BUNDLED_CHOICE_SETS.keys()):
             if self.choice_sets.get(name) != BUNDLED_CHOICE_SETS.get(name):
                 raise DataError(
@@ -341,8 +340,6 @@ def build_from_records(
     relative_of edges are added pairwise (both directions) between persons
     sharing an explicit household_id.
     """
-    from .embedding import profile_to_text  # local import avoids a cycle
-
     config = config or GraphBuildConfig()
     graph = BehaviorGraph()
     for choice_set in BUNDLED_CHOICE_SETS.values():

@@ -3,23 +3,10 @@
 A small undirected street network with meter-valued edge lengths, a table
 of POIs (each attached to a street node and tagged with one trip-purpose
 category), and a per-mode speed table. Routing is plain Dijkstra with
-deterministic tie-breaking, and POI search returns every POI of a category
-reachable within the time budget implied by a (mode, duration bin) pair.
-
-``dijkstra`` runs over an index of the city's node ids in sorted order and
-an adjacency list by index, and returns its tree as two arrays over that
-index (12 bytes per node). A settled node is final and each predecessor
-was settled before its node, so every tree is acyclic and the source has
-no predecessor. ``search_pois``, ``nearest_poi`` and
-``shortest_path`` read their trees through a cache on the city, so each
-tree comes from one ``dijkstra`` run. Trees rooted at POI nodes, where
-most trips start, stay for the city's lifetime; the latest tree from any
-other node stays in one slot, so the POI search and the route of one trip
-share a run. The index is built on the first routing call, and ``add_node``
-and ``add_edge`` drop it together with the trees. Editing ``positions`` or
-``adjacency`` directly bypasses that drop: after the first routing call,
-``dijkstra`` itself goes on reading the old index and the cached trees
-go stale.
+deterministic tie-breaking (``dijkstra``), and POI search returns every POI
+of a category reachable within the time budget implied by a (mode,
+duration bin) pair. ``search_pois``, ``nearest_poi`` and ``shortest_path``
+read their shortest-path trees through a ``_TreeCache`` on the city.
 """
 
 from __future__ import annotations
@@ -37,10 +24,7 @@ from .schema import DURATION_BINS, TRIP_PURPOSES
 
 # Distances within this many meters tie in ``dijkstra``, and the lower node
 # id then wins the predecessor of a node not yet settled. ``add_edge``
-# rejects edges this short. Far from the source a longer edge can still add
-# nothing to a distance (1e6 + 1e-11 == 1e6), but ``dijkstra`` never relaxes
-# a settled node, so no tie gives the source a predecessor or the
-# predecessors a cycle.
+# rejects edges this short.
 TIE_TOLERANCE = 1e-12
 
 # Meters per minute. Order-of-magnitude defaults, not calibrated data.
@@ -112,8 +96,10 @@ class _TreeCache:
     """The street graph in index form and the shortest-path trees over it.
 
     The index lists node ids in sorted order; the graph is built on the
-    first routing call. Trees rooted at POI nodes stay until the cache is
-    dropped; the latest tree from any other node stays in one slot.
+    first routing call. Trees rooted at POI nodes, where most trips start,
+    stay until the cache is dropped; the latest tree from any other node
+    stays in one slot, so the POI search and the route of one trip share a
+    ``dijkstra`` run.
     """
 
     def __init__(self):
@@ -152,7 +138,9 @@ class CityModel:
     pois: dict[str, Poi] = field(default_factory=dict)
     speeds: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_MODE_SPEEDS))
     # node index and shortest-path trees read by the routing functions;
-    # dropped whenever the street graph changes through add_node or add_edge
+    # dropped whenever the street graph changes through add_node or add_edge.
+    # Editing positions or adjacency directly bypasses the drop, and routing
+    # then reads the old index and stale trees.
     _trees: _TreeCache = field(
         default_factory=_TreeCache, init=False, repr=False, compare=False
     )
@@ -291,10 +279,11 @@ def dijkstra(city: CityModel, source: int) -> ShortestPathTree:
     Heap entries are (distance, index), and the index sorts node ids, so
     equal-distance pops resolve by node id, making predecessor trees
     deterministic. A settled node is final: its neighbours never relax it
-    again, so every predecessor was settled before its node, the tree is
-    acyclic and the source has no predecessor. The search keeps Python
-    lists, which the interpreter indexes faster than arrays, and the tree
-    gets them as arrays.
+    again, not even when an edge adds nothing to a far distance
+    (1e6 + 1e-11 == 1e6), so every predecessor was settled before its node,
+    the tree is acyclic and the source has no predecessor. The search keeps
+    Python lists, which the interpreter indexes faster than arrays, and the
+    tree gets them as arrays.
     """
     if source not in city.positions:
         raise UnknownNode(f"no street node {source}")

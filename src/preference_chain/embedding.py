@@ -9,8 +9,8 @@ edge weights. Two providers ship with the package:
   * RemoteEmbedder — HTTP provider posting {"model", "prompt"} and reading
     a top-level "embedding" array from the JSON response.
 
-Both are wrapped in an in-process cache keyed by (provider id, text) so
-repeated retrievals are deterministic and cheap.
+Each provider instance embeds a text once and keeps the vector, keyed by
+the text, so repeated retrievals are deterministic and cheap.
 """
 
 from __future__ import annotations
@@ -107,12 +107,11 @@ def hash_embed(text: str, dimension: int = DEFAULT_HASH_DIMENSION) -> np.ndarray
     return vec / np.linalg.norm(vec)
 
 
-class HashEmbedder:
-    """Offline provider around hash_embed, with a result cache."""
+class _CachedEmbedder:
+    """Embeds each text once per instance; subclasses supply ``_compute``."""
 
-    def __init__(self, dimension: int = DEFAULT_HASH_DIMENSION):
-        self.dimension = dimension
-        self.provider_id = f"hash-{dimension}"
+    def __init__(self, provider_id: str):
+        self.provider_id = provider_id
         self._cache: dict[str, np.ndarray] = {}
         self._lock = threading.Lock()
 
@@ -121,13 +120,24 @@ class HashEmbedder:
             cached = self._cache.get(text)
         if cached is not None:
             return cached
-        vec = hash_embed(text, self.dimension)
+        vec = self._compute(text)
         with self._lock:
             self._cache[text] = vec
         return vec
 
 
-class RemoteEmbedder:
+class HashEmbedder(_CachedEmbedder):
+    """Offline provider around hash_embed."""
+
+    def __init__(self, dimension: int = DEFAULT_HASH_DIMENSION):
+        super().__init__(f"hash-{dimension}")
+        self.dimension = dimension
+
+    def _compute(self, text: str) -> np.ndarray:
+        return hash_embed(text, self.dimension)
+
+
+class RemoteEmbedder(_CachedEmbedder):
     """HTTP embedding provider.
 
     POSTs {"model": ..., "prompt": text} to ``url`` and expects a JSON
@@ -143,29 +153,17 @@ class RemoteEmbedder:
         timeout: float = 30.0,
         session=None,
     ):
+        # Cached person indexes are keyed by provider id, so the id names the
+        # endpoint as well as the model.
+        super().__init__(f"remote-embed:{model}@{url}")
         self.url = url
         self.model = model
         self.timeout = timeout
-        # Cached person indexes are keyed by provider id, so the id names the
-        # endpoint as well as the model.
-        self.provider_id = f"remote-embed:{model}@{url}"
         self._session = session or requests.Session()
-        self._cache: dict[str, np.ndarray] = {}
-        self._lock = threading.Lock()
 
-    def embed(self, text: str) -> np.ndarray:
+    def _compute(self, text: str) -> np.ndarray:
         if not text.strip():
             raise EmptyText("cannot embed empty text")
-        with self._lock:
-            cached = self._cache.get(text)
-        if cached is not None:
-            return cached
-        vec = self._fetch(text)
-        with self._lock:
-            self._cache[text] = vec
-        return vec
-
-    def _fetch(self, text: str) -> np.ndarray:
         try:
             response = self._session.post(
                 self.url,

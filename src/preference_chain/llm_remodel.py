@@ -297,11 +297,7 @@ class RemoteLlm:
                 if not isinstance(text, str):
                     raise ProviderError("completion response lacks a text field 'response'")
                 return text
-            except ProviderError as exc:
-                last_error = exc
-            except requests.RequestException as exc:
-                last_error = exc
-            except ValueError as exc:
+            except (ProviderError, requests.RequestException, ValueError) as exc:
                 last_error = exc
             if attempt < self.max_retries and self.retry_wait > 0:
                 time.sleep(self.retry_wait)

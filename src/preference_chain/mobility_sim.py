@@ -24,6 +24,7 @@ from .city import (
     search_pois,
     shortest_path,
 )
+from .embedding import profile_to_text
 from .errors import DataError, EmptySamples, ParseFailure, ProviderError
 from .ingest import SyntheticSpec, draw_column
 from .llm_remodel import GenerationParams, LlmProvider, json_blocks
@@ -123,8 +124,6 @@ class TemplateScheduleProvider:
 
 
 def schedule_prompt(profile: AgentProfile) -> str:
-    from .embedding import profile_to_text
-
     return "\n".join(
         [
             "Plan one day of trips for a person.",

@@ -3,13 +3,12 @@
 A path's weight is the product of its edge weights. The raw score of a
 choice option is the sum of the weights of all simple paths (at most K
 edges) from the agent node to that option's intention node. One
-depth-first walk from the agent sums the paths into every intention node
-of the subgraph at once, whatever its choice set; the sums are memoised on
-the ``BehavioralSubgraph``, keyed by K, until its next ``add_node`` or
-``add_edge``, so the choice sets of one query share a walk. The prior
-distribution normalizes the raw scores over the full candidate option set.
-Options with no path score zero; an all-zero score vector falls back to a
-uniform distribution flagged as degenerate."""
+depth-first walk from the agent sums the paths into every option of the
+subgraph at once, whatever its choice set, so the choice sets of one query
+share a walk (kept on the ``BehavioralSubgraph``). The prior distribution
+normalizes the raw scores over the full candidate option set. Options with
+no path score zero; an all-zero score vector falls back to a uniform
+distribution flagged as degenerate."""
 
 from __future__ import annotations
 
@@ -62,18 +61,22 @@ def uniform_distribution(choice_set: ChoiceCategorySet, degenerate: bool = False
     return PreferenceDistribution(choice_set, {o: p for o in choice_set.options}, degenerate)
 
 
-def _walk_paths(subgraph: BehavioralSubgraph, max_edges: int) -> dict[NodeId, float]:
-    """intention node id -> ``math.fsum`` of the weights of its paths.
+def _walk_paths(subgraph: BehavioralSubgraph, max_edges: int) -> dict[tuple[str, str], float]:
+    """(choice set, option) -> ``math.fsum`` of the weights of its paths.
 
-    A depth-first walk from the agent node visits every simple path of at
-    most ``max_edges`` edges once. A path that ends at an intention adds
-    its weight to that node, and the walk goes on through the intention.
-    fsum rounds correctly, so a sum does not depend on the order the walk
-    finds the paths in; an intention that no path reaches sums to 0.0.
+    An option is scored at the last intention node in ``subgraph.nodes``
+    that names it. A depth-first walk from the agent node visits every
+    simple path of at most ``max_edges`` edges once. A path that ends at a
+    scoring node adds its weight to that node, and the walk goes on through
+    it. fsum rounds correctly, so a sum does not depend on the order the
+    walk finds the paths in; an option that no path reaches sums to 0.0.
     """
-    weights: dict[NodeId, list[float]] = {
-        node.id: [] for node in subgraph.nodes.values() if node.kind == NodeKind.INTENTION
+    scorer: dict[tuple[str, str], NodeId] = {
+        (node.attributes.get("choice_set"), node.label): node.id
+        for node in subgraph.nodes.values()
+        if node.kind == NodeKind.INTENTION
     }
+    weights: dict[NodeId, list[float]] = {node_id: [] for node_id in scorer.values()}
     on_path: set[NodeId] = {subgraph.agent_id}
 
     def walk(current: NodeId, weight: float, edges_left: int) -> None:
@@ -91,7 +94,7 @@ def _walk_paths(subgraph: BehavioralSubgraph, max_edges: int) -> dict[NodeId, fl
 
     if max_edges >= 1:
         walk(subgraph.agent_id, 1.0, max_edges)
-    return {node_id: math.fsum(ws) for node_id, ws in weights.items()}
+    return {key: math.fsum(weights[node_id]) for key, node_id in scorer.items()}
 
 
 def raw_scores(
@@ -101,15 +104,15 @@ def raw_scores(
 ) -> dict[str, float]:
     """Raw score of every option of ``choice_set``: the fsum of its path weights.
 
-    The path sums come from the subgraph's memo for ``max_edges``, which
-    the first call after the subgraph last changed fills with one walk.
-    Options that no path reaches score 0.0.
+    The path sums come from one ``_walk_paths`` per ``max_edges``, kept on
+    the subgraph (see ``BehavioralSubgraph``). Options that no path reaches
+    score 0.0.
     """
     sums = subgraph._path_sums.get(max_edges)
     if sums is None:
         sums = subgraph._path_sums[max_edges] = _walk_paths(subgraph, max_edges)
-    node_of = subgraph.intention_ids(choice_set.name)
-    return {option: sums.get(node_of.get(option), 0.0) for option in choice_set.options}
+    name = choice_set.name
+    return {option: sums.get((name, option), 0.0) for option in choice_set.options}
 
 
 def prior_distribution(

@@ -1,42 +1,31 @@
 """Similar-person retrieval and behavioral subgraph extraction.
 
 A query runs in two stages: vector similarity search picks the top-k most
-similar Person nodes, then a breadth-first search (default depth 3 edges)
-walks forward from all of them at once collecting desires and intentions.
-The similarity search is one matrix-vector product against a per-graph
-index of unit profile vectors; a partition finds the k-th largest
-similarity, and only the persons at or above it are sorted. The
-extracted subgraph carries finalized edge weights: similar_to from the
-profile similarity, want_to from desire-text similarity, choose_to from
-the temporal proximity between the query desire and the stored one.
+similar Person nodes (``top_k_similar``), then a breadth-first search
+(default depth 3 edges) walks forward from all of them at once collecting
+desires and intentions. The extracted subgraph carries finalized edge
+weights: similar_to from the profile similarity, want_to from desire-text
+similarity, choose_to from the temporal proximity between the query desire
+and the stored one.
 
 Values that depend on a few texts are computed once and kept by the object
-that owns their inputs:
-
-  * ``QueryAgent.profile_text`` renders the agent's profile on first use
-    and keeps it for the agent's lifetime; retrieval, extraction and the
-    calibration prompt all read it.
-  * The person index lives on the ``BehaviorGraph``, one per provider id,
-    and is dropped when a Person node is added.
-  * want_to weights live in a table on the ``BehaviorGraph``, keyed by
-    provider id and then by (query desire text, stored desire text). A
-    weight depends on nothing else, so the table is never dropped; it
-    holds at most one entry per pair of distinct desire texts.
-  * ``raw_scores`` memoises its path walk on the ``BehavioralSubgraph``
-    (see ``preference``); ``add_node`` and ``add_edge`` drop the memo.
+that owns their inputs: the profile text by ``QueryAgent``, the person
+index and the want_to weights by the ``BehaviorGraph`` (see its
+constructor), and the path sums by the ``BehavioralSubgraph``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
 from .behavior_graph import (
     BehaviorGraph,
     EdgeKind,
+    Node,
     NodeId,
     NodeKind,
     desire_text,
@@ -70,30 +59,23 @@ class QueryAgent:
 
 
 @dataclass
-class SubgraphNode:
-    id: NodeId
-    kind: NodeKind
-    label: str
-    choice_set: Optional[str] = None
-
-
-@dataclass
 class BehavioralSubgraph:
     """Small weighted digraph rooted at the agent node (id -1).
 
-    All weights are finalized; parallel edges are kept (one stored
-    choose_to edge per observation, each contributing its own path).
+    ``nodes`` holds the behavior graph's own ``Node`` objects, shared rather
+    than copied (an Intention's choice set is its
+    ``attributes["choice_set"]``), plus the agent node. All
+    weights are finalized; parallel edges are kept (one stored choose_to
+    edge per observation, each contributing its own path).
     ``preference.raw_scores`` keeps its path sums here, keyed by the path
     length limit; ``add_node`` and ``add_edge`` drop them, editing ``nodes``
     or ``out_edges`` directly does not.
     """
 
-    agent_id: NodeId = AGENT_NODE_ID
-    nodes: dict[NodeId, SubgraphNode] = field(default_factory=dict)
+    agent_id: ClassVar[NodeId] = AGENT_NODE_ID
+    nodes: dict[NodeId, Node] = field(default_factory=dict)
     out_edges: dict[NodeId, list[tuple[NodeId, EdgeKind, float]]] = field(default_factory=dict)
-    _path_sums: dict[int, dict[NodeId, float]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    _path_sums: dict[int, dict] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def add_node(
         self,
@@ -103,7 +85,8 @@ class BehavioralSubgraph:
         choice_set: Optional[str] = None,
     ) -> NodeId:
         if node_id not in self.nodes:
-            self.nodes[node_id] = SubgraphNode(node_id, kind, label, choice_set)
+            attributes = {} if choice_set is None else {"choice_set": choice_set}
+            self.nodes[node_id] = Node(node_id, kind, label, attributes)
             self.out_edges[node_id] = []
             self._path_sums.clear()
         return node_id
@@ -113,14 +96,6 @@ class BehavioralSubgraph:
             raise UnknownNode(f"subgraph edge endpoints {source}->{target} not present")
         self.out_edges[source].append((target, kind, weight))
         self._path_sums.clear()
-
-    def intention_ids(self, choice_set: str) -> dict[str, NodeId]:
-        """option label -> node id for intentions of one choice set."""
-        return {
-            n.label: n.id
-            for n in self.nodes.values()
-            if n.kind == NodeKind.INTENTION and n.choice_set == choice_set
-        }
 
     def node_count(self) -> int:
         return len(self.nodes)
@@ -221,26 +196,22 @@ def extract_subgraph(
                     next_frontier.append(edge.target)
         frontier = next_frontier
 
-    order = sorted(best)
-    sub = BehavioralSubgraph()
-    sub.add_node(AGENT_NODE_ID, NodeKind.AGENT, agent.profile_text)
     # Embedded even when every want_to weight is in the table, so that an
     # embedder failing on the query desire fails every query alike.
     query_desire = agent.desire_text()
     query_desire_vec = provider.embed(query_desire)
-
-    for node_id in order:
-        node = graph.nodes[node_id]
-        sub.add_node(node_id, node.kind, node.label, node.attributes.get("choice_set"))
-
-    for person_id, w_sim in persons:
-        sub.add_edge(AGENT_NODE_ID, person_id, EdgeKind.SIMILAR_TO, w_sim)
-
-    # Pass 2: copy traversable edges whose source sits strictly inside the
-    # depth budget, finalizing weights that depend on the query desire.
     want_weights = graph._desire_weights.setdefault(provider.provider_id, {})
-    for node_id in order:
-        if best[node_id] > depth - 1:
+
+    # Pass 2: every node the search reached, in id order after the agent,
+    # with its traversable edges if it sits strictly inside the depth
+    # budget; every edge target is then in the map too. Weights that depend
+    # on the query desire are finalized here.
+    nodes = {AGENT_NODE_ID: Node(AGENT_NODE_ID, NodeKind.AGENT, agent.profile_text)}
+    out_edges = {AGENT_NODE_ID: [(p, EdgeKind.SIMILAR_TO, w) for p, w in persons]}
+    for node_id in sorted(best):
+        nodes[node_id] = graph.nodes[node_id]
+        edges = out_edges[node_id] = []
+        if best[node_id] == depth:
             continue
         choose_weight = None
         for edge in graph.out_edges[node_id]:
@@ -259,6 +230,6 @@ def extract_subgraph(
                     recorded_hour = int(graph.nodes[node_id].attributes["start_time"])
                     choose_weight = temporal_proximity(agent.start_time, recorded_hour, tau)
                 weight = choose_weight
-            sub.add_edge(edge.source, edge.target, edge.kind, weight)
+            edges.append((edge.target, edge.kind, weight))
 
-    return sub
+    return BehavioralSubgraph(nodes=nodes, out_edges=out_edges)

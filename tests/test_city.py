@@ -4,6 +4,8 @@ import heapq
 import io
 import json
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -442,6 +444,24 @@ def _random_lengths(rng):
         category = ("shop", "work")[i % 2]
         city.add_poi(f"{category}-{i}", category, int(node))
     return city
+
+
+@pytest.mark.parametrize("build", [_tied_grid, _random_lengths], ids=["tied-grid", "random"])
+def test_shortest_path_on_four_threads_equals_serial(build):
+    serial_city = build(np.random.default_rng(7))
+    nodes = sorted(serial_city.positions)
+    rng = np.random.default_rng(8)
+    routes = [tuple(int(n) for n in rng.choice(nodes, size=2)) for _ in range(300)]
+    serial = [shortest_path(serial_city, a, b) for a, b in routes]
+    shared = build(np.random.default_rng(7))  # no tree cached yet
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so interleavings vary
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(lambda r: shortest_path(shared, *r), routes, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
 
 
 @pytest.mark.parametrize("build", [_tied_grid, _random_lengths], ids=["tied-grid", "random"])

@@ -4,6 +4,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -357,6 +360,42 @@ def test_simulate_rerun_identical_and_tally_comparison(tmp_path, trips_csv, caps
     summary = json.loads((compared / "summary.json").read_text(encoding="utf-8"))
     assert summary["flow_kld"] == pytest.approx(0.0, abs=1e-6)  # same run against itself
     capsys.readouterr()
+
+
+def test_outputs_do_not_depend_on_the_string_hash_seed(tmp_path, trips_csv):
+    validation = tmp_path / "val.csv"
+    assert run(["gen-synth", "--size", 20, "--seed", 3, "--out", validation]) == 0
+    city_path = tmp_path / "city.json"
+    grid_city(width=4, height=4, pois_per_category=2, seed=1).save(city_path)
+    env = {k: v for k, v in os.environ.items() if k not in ("PC_LLM_URL", "PC_EMBED_URL")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    commands = {
+        "evaluate": ["--reference", trips_csv, "--validation", validation, "--baselines"],
+        "simulate": ["--city", city_path, "--reference", trips_csv, "--agents", 3],
+    }
+    runs = []
+    for hash_seed in ("1", "2"):
+        cwd = tmp_path / f"hash-{hash_seed}"  # outputs go to a relative path, printed alike
+        cwd.mkdir()
+        printed = []
+        for command, argv in commands.items():
+            done = subprocess.run(
+                [sys.executable, "-m", "preference_chain", command, *map(str, argv),
+                 "--out", f"out/{command}"],
+                cwd=cwd,
+                env=dict(env, PYTHONHASHSEED=hash_seed),
+                capture_output=True,
+                timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            printed.append(done.stdout)
+        out = cwd / "out"
+        files = {
+            p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()
+        }
+        runs.append((printed, files))
+    assert {"evaluate/report.csv", "simulate/edge_tally.csv"} <= runs[0][1].keys()
+    assert runs[0] == runs[1]
 
 
 def test_simulate_errors(tmp_path, trips_csv, capsys):

@@ -1,4 +1,6 @@
+import random
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -10,7 +12,14 @@ from preference_chain.pipeline import PipelineConfig, PreferenceChain
 from preference_chain.preference import uniform_distribution
 from preference_chain.retrieval import QueryAgent, top_k_similar
 from preference_chain.rng import substream
-from preference_chain.schema import DURATION_SET, PRIMARY_MODE_SET
+from preference_chain.schema import (
+    DURATION_SET,
+    INPUT_CATEGORIES,
+    PRIMARY_MODE_SET,
+    PROFILE_FIELDS,
+    TRIP_PURPOSES,
+    AgentProfile,
+)
 
 from tests.conftest import make_profile
 
@@ -153,3 +162,31 @@ def test_substream_determinism_and_separation():
     assert a.tolist() != d.tolist()
     # int names are accepted and distinct from their string forms
     assert substream(7, 3).random(2).tolist() != substream(7, "3").random(2).tolist()
+
+
+def _seeded_agents(seed, n):
+    rng = random.Random(seed)
+    return [
+        QueryAgent(
+            AgentProfile(**{f: rng.choice(INPUT_CATEGORIES[f]) for f in PROFILE_FIELDS}),
+            rng.choice(TRIP_PURPOSES),
+            rng.randrange(24),
+        )
+        for _ in range(n)
+    ]
+
+
+def test_predict_all_on_four_threads_equals_serial():
+    serial_chain = _chain(n=120, seed=9)
+    serial = [serial_chain.predict_all(agent) for agent in _seeded_agents(5, 300)]
+    shared = _chain(n=120, seed=9)  # its caches start empty and fill under the threads
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so interleavings vary
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            agents = _seeded_agents(5, 300)
+            threaded = list(pool.map(shared.predict_all, agents, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    # repr round-trips every float, so equal reprs are equal bits
+    assert repr(threaded) == repr(serial)

@@ -176,11 +176,12 @@ def _per_choice_set_scores(subgraph, choice_set, max_edges):
     Kept as the oracle of the memoised walk: only paths that end at an
     intention of ``choice_set`` are collected.
     """
-    option_of = {
-        node_id: option
-        for option, node_id in subgraph.intention_ids(choice_set.name).items()
-        if option in choice_set
+    node_of = {  # option label -> node id; the last intention naming it wins
+        n.label: n.id
+        for n in subgraph.nodes.values()
+        if n.kind == NodeKind.INTENTION and n.attributes.get("choice_set") == choice_set.name
     }
+    option_of = {node_id: option for option, node_id in node_of.items() if option in choice_set}
     weights = {option: [] for option in choice_set.options}
     on_path = {subgraph.agent_id}
 

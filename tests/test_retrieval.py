@@ -1,4 +1,5 @@
 import gc
+import random
 import weakref
 
 import numpy as np
@@ -22,12 +23,16 @@ from preference_chain.embedding import (
 from preference_chain.errors import DimensionMismatch, EmptyGraph
 from preference_chain.ingest import default_synthetic_spec, generate_synthetic
 from preference_chain.pipeline import PreferenceChain
+from preference_chain.preference import raw_scores
 from preference_chain.retrieval import (
     AGENT_NODE_ID,
+    BehavioralSubgraph,
     QueryAgent,
     extract_subgraph,
     top_k_similar,
 )
+
+from preference_chain.schema import INPUT_CATEGORIES, PROFILE_FIELDS, TRIP_PURPOSES
 
 from tests.conftest import make_profile, make_record
 
@@ -285,6 +290,88 @@ def test_subgraph_nodes_match_bfs_oracle():
         expected = set(_reachable_oracle(graph, [p for p, _ in persons], depth))
         got = set(sub.nodes) - {AGENT_NODE_ID}
         assert got == expected
+
+
+def _household_records(rng: random.Random, size: int):
+    """Records over few profiles, purposes and hours, most in households.
+
+    Few distinct values make persons share households (relative_of edges)
+    and repeat a desire with the same option (parallel choose_to edges).
+    """
+    few = {f: rng.sample(INPUT_CATEGORIES[f], 2) for f in PROFILE_FIELDS}
+    purposes, hours = rng.sample(TRIP_PURPOSES, 3), rng.sample(range(24), 3)
+    return [
+        make_record(
+            profile=make_profile(**{f: rng.choice(few[f]) for f in PROFILE_FIELDS}),
+            trip_purpose=rng.choice(purposes),
+            start_time=rng.choice(hours),
+            primary_mode=rng.choice(("walking", "biking", "private_auto")),
+            duration_minutes=rng.choice(("0-10", "10-20")),
+            household_id=f"h{rng.randrange(4)}" if rng.random() < 0.7 else None,
+        )
+        for _ in range(size)
+    ]
+
+
+def _subgraph_by_add_calls(graph, agent, persons, depth, tau):
+    """The subgraph built node by node and edge by edge, weights computed afresh."""
+    best = _reachable_oracle(graph, [p for p, _ in persons], depth)
+    provider = HashEmbedder()
+    query_vec = provider.embed(agent.desire_text())
+    sub = BehavioralSubgraph()
+    sub.add_node(AGENT_NODE_ID, NodeKind.AGENT, profile_to_text(agent.profile))
+    for node_id in sorted(best):
+        node = graph.nodes[node_id]
+        sub.add_node(node_id, node.kind, node.label, node.attributes.get("choice_set"))
+    for person_id, w_sim in persons:
+        sub.add_edge(AGENT_NODE_ID, person_id, EdgeKind.SIMILAR_TO, w_sim)
+    for node_id in sorted(best):
+        if best[node_id] > depth - 1:
+            continue
+        for edge in graph.out_edges[node_id]:
+            if edge.kind == EdgeKind.RELATIVE_OF:
+                weight = edge.weight
+            elif edge.kind == EdgeKind.WANT_TO:
+                target = provider.embed(graph.nodes[edge.target].label)
+                weight = similarity_weight(query_vec, target)
+            elif edge.kind == EdgeKind.CHOOSE_TO:
+                hour = int(graph.nodes[node_id].attributes["start_time"])
+                weight = temporal_proximity(agent.start_time, hour, tau)
+            else:
+                continue
+            sub.add_edge(edge.source, edge.target, edge.kind, weight)
+    return sub
+
+
+def _node_facts(sub):
+    return [(n.id, n.kind, n.label, n.attributes.get("choice_set")) for n in sub.nodes.values()]
+
+
+def test_one_pass_subgraph_equals_the_add_call_build():
+    rng = random.Random(4242)
+    seen = {EdgeKind.RELATIVE_OF: 0, "parallel choose_to": 0}
+    for trial in range(30):
+        graph = _build(_household_records(rng, rng.randrange(8, 40)), both_fields=True)
+        provider = HashEmbedder()
+        agent = _agent(trip_purpose=rng.choice(TRIP_PURPOSES), start_time=rng.randrange(24))
+        persons = top_k_similar(graph, agent, rng.randrange(1, 7), provider)
+        for depth in (1, 2, 3, 4):
+            tau = rng.choice((0.5, 2.0, 4.0, 9.0))
+            sub = extract_subgraph(graph, agent, persons, provider, depth=depth, tau=tau)
+            ref = _subgraph_by_add_calls(graph, agent, persons, depth, tau)
+            assert _node_facts(sub) == _node_facts(ref), (trial, depth)
+            # repr round-trips every float, so equal reprs are equal bits
+            assert repr(sub.out_edges) == repr(ref.out_edges), (trial, depth)
+            for max_edges in range(1, 6):
+                for choice_set in graph.choice_sets.values():
+                    assert repr(raw_scores(sub, choice_set, max_edges)) == repr(
+                        raw_scores(ref, choice_set, max_edges)
+                    ), (trial, depth, max_edges)
+            edges = [(s, t, k) for s, out in sub.out_edges.items() for t, k, _ in out]
+            seen[EdgeKind.RELATIVE_OF] += sum(k == EdgeKind.RELATIVE_OF for _, _, k in edges)
+            choose = [e for e in edges if e[2] == EdgeKind.CHOOSE_TO]
+            seen["parallel choose_to"] += len(choose) - len(set(choose))
+    assert all(seen.values()), seen  # the graphs exercised both edge shapes
 
 
 def test_subgraph_depth_three_reaches_relatives_intentions():
