@@ -62,6 +62,7 @@ from .config import (
     run_manifest,
 )
 from .evaluate import (
+    ValidationTruth,
     build_report,
     chain_predictions,
     evaluate_predictions,

@@ -39,6 +39,7 @@ from .errors import (
 )
 from .evaluate import (
     INTENTION_FIELDS,
+    ValidationTruth,
     build_graph,
     chain_predictions,
     evaluate_predictions,
@@ -222,20 +223,22 @@ def cmd_evaluate(args, config: RunConfig) -> int:
     seed = config.pipeline.seed
 
     chain = _build_chain(build_graph(reference), config)
+    truth = ValidationTruth(validation)
     reports = {
         "chain": evaluate_predictions(
-            validation, chain_predictions(chain, validation), seed
+            validation, chain_predictions(chain, validation), seed, truth
         )
     }
     if args.baselines:
         choice_sets = [BUNDLED_CHOICE_SETS[name] for name in INTENTION_FIELDS]
         reports["uniform"] = evaluate_predictions(
-            validation, uniform_predictions(choice_sets, len(validation)), seed
+            validation, uniform_predictions(choice_sets, len(validation)), seed, truth
         )
         reports["marginal"] = evaluate_predictions(
             validation,
             marginal_predictions(reference, choice_sets, len(validation)),
             seed,
+            truth,
         )
 
     with open(out / "report.csv", "w", encoding="utf-8") as fp:

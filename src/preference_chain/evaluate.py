@@ -6,6 +6,12 @@ into concrete choices. True and predicted (group, choice) pairs are then
 folded into per-dimension joint distributions — one demographic dimension
 at a time — and compared with KLD/MAE. Uniform and reference-marginal
 predictors provide the baselines.
+
+What depends on the validation records alone, each record's group key on
+every dimension and the true joint of each (choice set, dimension), is
+computed once per validation set as a ``ValidationTruth`` and shared by
+every report on that set: the sweep's graph sizes within a seed, and the
+chain and baseline reports of ``prefchain evaluate``.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from typing import IO, Optional, Sequence
 
 from .behavior_graph import BehaviorGraph, GraphBuildConfig, build_from_records
 from .errors import EmptyReference, NotEnoughRecords, UnknownKey
-from .metrics import EvaluationReport, joint_from_samples, kld, mae
+from .metrics import EvaluationReport, JointDistribution, joint_from_samples, kld, mae
 from .pipeline import PipelineConfig, PreferenceChain
 from .preference import PreferenceDistribution, uniform_distribution
 from .retrieval import QueryAgent
@@ -54,13 +60,14 @@ def chain_predictions(
     """Calibrated posterior per (registered choice set, record).
 
     Records sharing (profile, purpose, start time) get the same posterior,
-    so queries are memoized on that key.
+    so queries are memoized on that key; a frozen profile hashes and
+    compares by its attribute values.
     """
     names = sorted(chain.graph.choice_sets)
     table: PredictionTable = {name: [] for name in names}
     memo: dict[tuple, dict[str, PreferenceDistribution]] = {}
     for record in records:
-        key = (record.profile.key(), record.trip_purpose, record.start_time)
+        key = (record.profile, record.trip_purpose, record.start_time)
         got = memo.get(key)
         if got is None:
             agent = QueryAgent(record.profile, record.trip_purpose, record.start_time)
@@ -113,14 +120,48 @@ def sample_predictions(
     return sampled
 
 
+class ValidationTruth:
+    """What every report on one validation set shares.
+
+    ``groups`` holds each record's group key per input dimension, and
+    ``joint`` the true joint of a (choice set, dimension) pair, computed on
+    first use and kept.
+    """
+
+    def __init__(self, records: Sequence[TripRecord]):
+        self.records = records
+        self.groups = {
+            dimension: [group_value(r, dimension) for r in records]
+            for dimension in INPUT_CATEGORIES
+        }
+        self._joints: dict[tuple[str, str], JointDistribution] = {}
+
+    def joint(self, name: str, dimension: str) -> JointDistribution:
+        joint = self._joints.get((name, dimension))
+        if joint is None:
+            pairs = zip(self.groups[dimension], (getattr(r, name) for r in self.records))
+            joint = joint_from_samples(
+                list(pairs), INPUT_CATEGORIES[dimension], BUNDLED_CHOICE_SETS[name]
+            )
+            self._joints[name, dimension] = joint
+        return joint
+
+
 def build_report(
-    records: Sequence[TripRecord], sampled: dict[str, list[str]]
+    records: Sequence[TripRecord],
+    sampled: dict[str, list[str]],
+    truth: Optional[ValidationTruth] = None,
 ) -> EvaluationReport:
     """KLD/MAE of predicted vs. true joints, one entry per dimension pair.
 
     Entries are named "<choice set>:<dimension>"; choice sets in sorted
-    order, dimensions in schema order.
+    order, dimensions in schema order. ``truth``, if given, must have been
+    built from ``records``; without it one is built here.
     """
+    if truth is None:
+        truth = ValidationTruth(records)
+    elif truth.records is not records:
+        raise ValueError("validation truth built from other records")
     report = EvaluationReport()
     for name in sorted(sampled):
         choice_set = BUNDLED_CHOICE_SETS[name]
@@ -128,13 +169,8 @@ def build_report(
         if len(choices) != len(records):
             raise ValueError("sampled choices not aligned with records")
         for dimension, groups in INPUT_CATEGORIES.items():
-            true_pairs = [
-                (group_value(r, dimension), getattr(r, name)) for r in records
-            ]
-            pred_pairs = [
-                (group_value(r, dimension), c) for r, c in zip(records, choices)
-            ]
-            p = joint_from_samples(true_pairs, groups, choice_set)
+            p = truth.joint(name, dimension)
+            pred_pairs = list(zip(truth.groups[dimension], choices))
             q = joint_from_samples(pred_pairs, groups, choice_set)
             report.add(f"{name}:{dimension}", kld(p, q), mae(p, q))
     return report
@@ -144,9 +180,10 @@ def evaluate_predictions(
     records: Sequence[TripRecord],
     predictions: PredictionTable,
     seed: int,
+    truth: Optional[ValidationTruth] = None,
 ) -> EvaluationReport:
     """Sample once from each prediction and score the resulting joints."""
-    return build_report(records, sample_predictions(predictions, seed))
+    return build_report(records, sample_predictions(predictions, seed), truth)
 
 
 def write_combined_csv(fp: IO[str], reports: dict[str, EvaluationReport]) -> None:
@@ -193,11 +230,12 @@ def sweep_reference_sizes(
         perm = substream(seed, "sweep").permutation(len(records))
         validation = [records[i] for i in perm[:n_validation]]
         pool = [records[i] for i in perm[n_validation:]]
+        truth = ValidationTruth(validation)
         for n in sizes:
             graph = build_graph(pool[:n])
             chain = PreferenceChain(graph, embed_provider, llm_provider, config)
             predictions = chain_predictions(chain, validation)
-            report = evaluate_predictions(validation, predictions, seed)
+            report = evaluate_predictions(validation, predictions, seed, truth)
             rows.append((n, seed, "kld", report.mean_kld))
             rows.append((n, seed, "mae", report.mean_mae))
     return rows

@@ -293,6 +293,8 @@ class RemoteLlm:
                 response = self._session.post(self.url, json=payload, timeout=self.timeout)
                 response.raise_for_status()
                 body = response.json()
+                if not isinstance(body, dict):
+                    raise ProviderError("completion response is not a JSON object")
                 text = body.get("response")
                 if not isinstance(text, str):
                     raise ProviderError("completion response lacks a text field 'response'")

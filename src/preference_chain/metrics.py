@@ -8,6 +8,7 @@ stay finite; MAE is the mean absolute cell difference.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -45,18 +46,27 @@ def joint_from_samples(
     groups: Sequence[str],
     choices: ChoiceCategorySet,
 ) -> JointDistribution:
-    """Counting estimator: cell(i, j) = count(i, j) / total."""
+    """Counting estimator: cell(i, j) = count(i, j) / total.
+
+    Pairs are counted in a dict, which keeps them in order of first
+    occurrence, so an unknown group or choice is reported for the first
+    sample that has one.
+    """
     if not samples:
         raise EmptySamples("cannot estimate a joint from zero samples")
     group_index = {g: i for i, g in enumerate(groups)}
     choice_index = {c: j for j, c in enumerate(choices.options)}
-    counts = np.zeros((len(groups), len(choices)), dtype=float)
-    for group, choice in samples:
+    pair_counts = Counter(samples)
+    rows, cols = [], []
+    for group, choice in pair_counts:
         if group not in group_index:
             raise UnknownKey(f"group {group!r} not on the declared axis")
         if choice not in choice_index:
             raise UnknownKey(f"choice {choice!r} not in choice set {choices.name!r}")
-        counts[group_index[group], choice_index[choice]] += 1.0
+        rows.append(group_index[group])
+        cols.append(choice_index[choice])
+    counts = np.zeros((len(groups), len(choices)), dtype=float)
+    counts[rows, cols] = list(pair_counts.values())
     return JointDistribution(tuple(groups), choices, counts / counts.sum())
 
 

@@ -13,7 +13,9 @@ distribution flagged as degenerate."""
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -50,15 +52,43 @@ class PreferenceDistribution:
         return np.array([self.probabilities[o] for o in self.choice_set.options])
 
     def sample(self, rng: np.random.Generator) -> str:
-        """Draw one option; deterministic given the generator state."""
-        cumulative = np.cumsum(self.as_array())
-        idx = int(np.searchsorted(cumulative, rng.random(), side="right"))
-        return self.choice_set.options[min(idx, len(self.choice_set) - 1)]
+        """Draw one option; deterministic given the generator state.
+
+        The cumulative sums are added left to right, as ``np.cumsum`` does,
+        and the draw goes to the first option whose sum exceeds it.
+        """
+        options = self.choice_set.options
+        cumulative = list(accumulate(self.probabilities[o] for o in options))
+        idx = bisect_right(cumulative, rng.random())
+        return options[min(idx, len(options) - 1)]
 
 
 def uniform_distribution(choice_set: ChoiceCategorySet, degenerate: bool = False) -> PreferenceDistribution:
     p = 1.0 / len(choice_set)
     return PreferenceDistribution(choice_set, {o: p for o in choice_set.options}, degenerate)
+
+
+def _extend_paths(
+    out_edges: dict[NodeId, list],
+    weights: dict[NodeId, list[float]],
+    on_path: set[NodeId],
+    current: NodeId,
+    weight: float,
+    edges_left: int,
+) -> None:
+    """Extend the path ending at ``current`` by every edge off the path,
+    appending each extension's weight to its target's list in ``weights``."""
+    for target, _kind, w in out_edges.get(current, ()):
+        if target in on_path:
+            continue
+        path_weight = weight * w
+        ends_here = weights.get(target)
+        if ends_here is not None:
+            ends_here.append(path_weight)
+        if edges_left > 1:
+            on_path.add(target)
+            _extend_paths(out_edges, weights, on_path, target, path_weight, edges_left - 1)
+            on_path.remove(target)
 
 
 def _walk_paths(subgraph: BehavioralSubgraph, max_edges: int) -> dict[tuple[str, str], float]:
@@ -70,6 +100,9 @@ def _walk_paths(subgraph: BehavioralSubgraph, max_edges: int) -> dict[tuple[str,
     scoring node adds its weight to that node, and the walk goes on through
     it. fsum rounds correctly, so a sum does not depend on the order the
     walk finds the paths in; an option that no path reaches sums to 0.0.
+    The walk is a module-level function, not a nested one, because a
+    closure that calls itself is a reference cycle, which would leave every
+    query's subgraph and walk state to the cyclic garbage collector.
     """
     scorer: dict[tuple[str, str], NodeId] = {
         (node.attributes.get("choice_set"), node.label): node.id
@@ -77,23 +110,9 @@ def _walk_paths(subgraph: BehavioralSubgraph, max_edges: int) -> dict[tuple[str,
         if node.kind == NodeKind.INTENTION
     }
     weights: dict[NodeId, list[float]] = {node_id: [] for node_id in scorer.values()}
-    on_path: set[NodeId] = {subgraph.agent_id}
-
-    def walk(current: NodeId, weight: float, edges_left: int) -> None:
-        for target, _kind, w in subgraph.out_edges.get(current, ()):
-            if target in on_path:
-                continue
-            path_weight = weight * w
-            ends_here = weights.get(target)
-            if ends_here is not None:
-                ends_here.append(path_weight)
-            if edges_left > 1:
-                on_path.add(target)
-                walk(target, path_weight, edges_left - 1)
-                on_path.remove(target)
-
     if max_edges >= 1:
-        walk(subgraph.agent_id, 1.0, max_edges)
+        agent = subgraph.agent_id
+        _extend_paths(subgraph.out_edges, weights, {agent}, agent, 1.0, max_edges)
     return {key: math.fsum(weights[node_id]) for key, node_id in scorer.items()}
 
 

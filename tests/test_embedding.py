@@ -1,4 +1,5 @@
 import json
+import math
 import zlib
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 from preference_chain.embedding import (
     HashEmbedder,
     RemoteEmbedder,
+    _MIN_NORM,
+    _norm,
     cosine_similarity,
     hash_embed,
     profile_to_text,
@@ -50,6 +53,28 @@ def test_cosine_properties_random():
         assert c == pytest.approx(cosine_similarity(1e300 * a, 1e-170 * b), abs=1e-12)
     assert cosine_similarity(a, a) == pytest.approx(1.0)
     assert cosine_similarity(a, -a) == pytest.approx(-1.0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_norm_is_bit_identical_to_numpy_two_norm():
+    # sqrt(v . v) is how np.linalg.norm computes a 1-D float 2-norm, so the
+    # two agree bit for bit, on the raw vector and on the rescaled one
+    # that _norm returns, from underflowing to overflowing scales.
+    rng = np.random.default_rng(21)
+    mismatches = 0
+    for exponent in np.linspace(-200, 153, 105):
+        for _ in range(100):
+            vec = rng.normal(size=int(rng.integers(1, 300))) * 10.0**exponent
+            mismatches += math.sqrt(vec.dot(vec)) != float(np.linalg.norm(vec))
+            out, norm = _norm(vec)
+            expected = float(np.linalg.norm(vec))
+            if not _MIN_NORM <= expected < math.inf:
+                assert np.array_equal(out, vec / np.abs(vec).max())
+                expected = float(np.linalg.norm(out))
+            else:
+                assert out is vec
+            mismatches += norm != expected
+    assert mismatches == 0
 
 
 def test_similarity_weight_clamps_negative():

@@ -1,6 +1,7 @@
 """Evaluation harness: prediction tables, baselines, reports, size sweep."""
 
 import io
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from preference_chain.behavior_graph import GraphBuildConfig, build_from_records
 from preference_chain.errors import EmptyReference, NotEnoughRecords, UnknownKey
 from preference_chain.evaluate import (
     DEFAULT_SWEEP_SIZES,
+    ValidationTruth,
     build_report,
     chain_predictions,
     evaluate_predictions,
@@ -20,6 +22,7 @@ from preference_chain.evaluate import (
     write_sweep_csv,
 )
 from preference_chain.ingest import default_synthetic_spec, generate_synthetic, split_reference_validation
+from preference_chain.metrics import EvaluationReport, joint_from_samples, kld, mae
 from preference_chain.pipeline import PipelineConfig, PreferenceChain
 from preference_chain.preference import PreferenceDistribution
 from preference_chain.schema import BUNDLED_CHOICE_SETS, INPUT_CATEGORIES
@@ -174,6 +177,38 @@ def test_build_report_rejects_misaligned_samples():
     records = [make_record(None), make_record(None)]
     with pytest.raises(ValueError):
         build_report(records, {"primary_mode": ["walking"]})
+
+
+def _report_per_call(records, sampled):
+    """build_report recomputing group keys and true joints on every call."""
+    report = EvaluationReport()
+    for name in sorted(sampled):
+        choice_set = BUNDLED_CHOICE_SETS[name]
+        for dimension, groups in INPUT_CATEGORIES.items():
+            true_pairs = [(group_value(r, dimension), getattr(r, name)) for r in records]
+            pred_pairs = [(group_value(r, dimension), c) for r, c in zip(records, sampled[name])]
+            p = joint_from_samples(true_pairs, groups, choice_set)
+            q = joint_from_samples(pred_pairs, groups, choice_set)
+            report.add(f"{name}:{dimension}", kld(p, q), mae(p, q))
+    return report
+
+
+def test_build_report_with_shared_truth_equals_per_call_report():
+    rng = random.Random(9)
+    for seed in range(3):
+        records = generate_synthetic(default_synthetic_spec(), size=rng.randint(1, 150), seed=seed)
+        truth = ValidationTruth(records)
+        for _ in range(4):  # several predictors scored on one validation set
+            names = rng.choice([INTENTIONS, INTENTIONS[:1], INTENTIONS[1:]])
+            sampled = {
+                name: [rng.choice(BUNDLED_CHOICE_SETS[name].options) for _ in records]
+                for name in names
+            }
+            expected = _report_per_call(records, sampled).entries
+            assert build_report(records, sampled, truth).entries == expected
+            assert build_report(records, sampled).entries == expected
+    with pytest.raises(ValueError, match="other records"):
+        build_report(list(records), sampled, truth)
 
 
 def test_chain_beats_baselines_on_recoverable_structure():

@@ -407,6 +407,28 @@ def test_remote_llm_exhausts_retries():
     assert len(session.posts) == 3
 
 
+@pytest.mark.parametrize("body", [[1, 2], "x", None, 3])
+def test_remote_llm_non_object_body_falls_back_to_prior(body):
+    from preference_chain.behavior_graph import GraphBuildConfig, build_from_records
+    from preference_chain.ingest import default_synthetic_spec, generate_synthetic
+    from preference_chain.pipeline import PreferenceChain
+
+    llm = RemoteLlm(
+        "http://x", model="m", session=_FlakySession(0, body), max_retries=0, retry_wait=0
+    )
+    with pytest.raises(ProviderError):
+        llm.complete("p", GenerationParams())
+    records = generate_synthetic(default_synthetic_spec(), size=30, seed=3)
+    graph = build_from_records(
+        records, GraphBuildConfig(intention_fields=("primary_mode", "duration_minutes"))
+    )
+    results = PreferenceChain(graph, llm_provider=llm).predict_all(_agent())
+    assert set(results) == {"primary_mode", "duration_minutes"}
+    for result in results.values():
+        assert result.source == CalibrationSource.FALLBACK_PRIOR
+        assert result.posterior.probabilities == result.prior.probabilities
+
+
 def test_remote_llm_rejects_missing_text_field():
     session = _FlakySession(0, {"bad": 1})
     llm = RemoteLlm("http://x", model="m", session=session, max_retries=0, retry_wait=0)

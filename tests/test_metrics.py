@@ -1,5 +1,6 @@
 import io
 import math
+import random
 
 import numpy as np
 import pytest
@@ -50,6 +51,46 @@ def test_joint_from_samples_errors():
         joint_from_samples([("child", "walk")], _GROUPS, _CHOICES)
     with pytest.raises(UnknownKey):
         joint_from_samples([("young", "fly")], _GROUPS, _CHOICES)
+
+
+def _joint_one_at_a_time(samples, groups, choices):
+    """The counting estimator one sample at a time, checking each."""
+    group_index = {g: i for i, g in enumerate(groups)}
+    choice_index = {c: j for j, c in enumerate(choices.options)}
+    counts = np.zeros((len(groups), len(choices)), dtype=float)
+    for group, choice in samples:
+        if group not in group_index:
+            raise UnknownKey(f"group {group!r} not on the declared axis")
+        if choice not in choice_index:
+            raise UnknownKey(f"choice {choice!r} not in choice set {choices.name!r}")
+        counts[group_index[group], choice_index[choice]] += 1.0
+    return counts / counts.sum()
+
+
+def _error(estimate, samples, groups, choices):
+    with pytest.raises(UnknownKey) as info:
+        estimate(samples, groups, choices)
+    return str(info.value)
+
+
+def test_joint_from_samples_equals_one_at_a_time_count():
+    rng = random.Random(11)
+    groups = ("a", "b", "c")
+    choices = ChoiceCategorySet("m", ("w", "x", "y", "z"))
+    for _ in range(200):
+        samples = [
+            (rng.choice(groups), rng.choice(choices.options))
+            for _ in range(rng.randint(1, 80))
+        ]
+        expected = _joint_one_at_a_time(samples, groups, choices)
+        assert np.array_equal(joint_from_samples(samples, groups, choices).cells, expected)
+        # one or two unknown keys put anywhere: the same error, for the first
+        bad = list(samples)
+        for pair in rng.sample([("q", "w"), ("a", "v"), ("q", "v")], rng.randint(1, 2)):
+            bad.insert(rng.randint(0, len(bad)), pair)
+        assert _error(joint_from_samples, bad, groups, choices) == _error(
+            lambda *args: _joint_one_at_a_time(*args), bad, groups, choices
+        )
 
 
 def test_kld_hand_oracle():

@@ -1,3 +1,4 @@
+import gc
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -6,7 +7,7 @@ import pytest
 
 from preference_chain.behavior_graph import GraphBuildConfig, build_from_records
 from preference_chain.ingest import default_synthetic_spec, generate_synthetic
-from preference_chain.llm_remodel import CalibrationSource, ScriptedMockLlm
+from preference_chain.llm_remodel import CalibrationSource, IdentityMockLlm, ScriptedMockLlm
 from preference_chain import embedding, pipeline, preference
 from preference_chain.pipeline import PipelineConfig, PreferenceChain
 from preference_chain.preference import uniform_distribution
@@ -22,6 +23,7 @@ from preference_chain.schema import (
 )
 
 from tests.conftest import make_profile
+from tests.golden import golden_run
 
 
 def _chain(n=40, seed=41, llm=None, config=None):
@@ -190,3 +192,31 @@ def test_predict_all_on_four_threads_equals_serial():
         sys.setswitchinterval(interval)
     # repr round-trips every float, so equal reprs are equal bits
     assert repr(threaded) == repr(serial)
+
+
+def _predict_fifty(llm):
+    chain = _chain(n=60, seed=0, llm=llm)
+    agents = _seeded_agents(12, 50)
+    return lambda: [chain.predict_all(agent) for agent in agents]
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        pytest.param(lambda: _predict_fifty(IdentityMockLlm()), id="identity-llm"),
+        pytest.param(lambda: _predict_fifty(ScriptedMockLlm(["not json"])), id="garbage-llm"),
+        pytest.param(lambda: golden_run, id="simulated-day"),
+    ],
+)
+def test_queries_leave_no_cyclic_garbage(run):
+    # Every object a query makes is freed by reference counting when the
+    # query returns, so the cyclic collector finds nothing after it.
+    work = run()
+    work()  # warm every cache first
+    gc.collect()
+    gc.disable()
+    try:
+        work()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -366,6 +366,47 @@ def test_sampling_frequencies_converge():
     assert counts["c"] / n == pytest.approx(0.1, abs=0.02)
 
 
+def _numpy_sample(dist, rng):
+    """The sampler as numpy: cumsum, then searchsorted to the right."""
+    cumulative = np.cumsum(dist.as_array())
+    idx = int(np.searchsorted(cumulative, rng.random(), side="right"))
+    return dist.choice_set.options[min(idx, len(dist.choice_set) - 1)]
+
+
+class _FixedDraw:
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+def test_sampling_equals_numpy_cumsum_and_searchsorted():
+    rng = random.Random(17)
+    draws = np.random.default_rng(17)
+    for _ in range(400):
+        options = tuple("abcdefg"[: rng.randint(1, 7)])
+        kind = rng.random()
+        if kind < 0.25:  # a point mass
+            weights = [0.0] * len(options)
+            weights[rng.randrange(len(options))] = 1.0
+        else:  # with a zero in about a third of the options
+            weights = [0.0 if rng.random() < 0.3 else rng.random() for _ in options]
+            if not any(weights):
+                weights[0] = 1.0
+        total = math.fsum(weights)
+        dist = PreferenceDistribution(
+            ChoiceCategorySet("s", options), {o: w / total for o, w in zip(options, weights)}
+        )
+        cumulative = np.cumsum(dist.as_array()).tolist()
+        # draws at every cumulative boundary and a float to either side
+        values = [0.0, *draws.random(5).tolist()]
+        for c in cumulative:
+            values += [c, math.nextafter(c, 0.0), math.nextafter(c, 2.0)]
+        for value in values:
+            assert dist.sample(_FixedDraw(value)) == _numpy_sample(dist, _FixedDraw(value))
+
+
 def test_sampling_point_mass():
     dist = PreferenceDistribution(_MODES, {"a": 0.0, "b": 1.0, "c": 0.0})
     rng = np.random.default_rng(0)
