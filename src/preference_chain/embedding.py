@@ -63,13 +63,13 @@ def _norm(vec: np.ndarray) -> tuple[np.ndarray, float]:
     range (entries near 1e300 or 1e-170) is first divided by its largest
     absolute entry, which changes neither its direction nor any cosine.
     Every other vector comes back as it is, with the plain norm. The norm
-    is ``sqrt(vec . vec)``, which is how ``np.linalg.norm`` computes the
-    2-norm of a 1-D float vector, without its dispatch.
+    is ``sqrt(np.vdot(vec, vec))``, the BLAS dot ``np.linalg.norm`` takes
+    for a 1-D float vector, without its dispatch or ``dot``'s overflow warning.
     """
-    norm = math.sqrt(vec.dot(vec))
+    norm = math.sqrt(np.vdot(vec, vec))
     if not _MIN_NORM <= norm < math.inf and np.isfinite(vec).all() and vec.any():
         vec = vec / np.abs(vec).max()
-        norm = math.sqrt(vec.dot(vec))
+        norm = math.sqrt(np.vdot(vec, vec))
     return vec, norm
 
 

@@ -1,14 +1,17 @@
 """End-to-end query pipeline: retrieve, score, calibrate.
 
 One PreferenceChain instance owns an immutable behavior graph, the two
-providers, and the numeric knobs. Queries are pure reads and may run
-concurrently.
+providers, and the numeric knobs. Queries may run concurrently. The chain
+holds all a profile's top-k persons depend on, so it memoises them; each new
+chain starts cold, and ``BehaviorGraph.add_node`` of a person drops them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Optional
+
+import numpy as np
 
 from .behavior_graph import BehaviorGraph
 from .embedding import EmbeddingProvider, HashEmbedder
@@ -68,6 +71,8 @@ class PipelineConfig:
                 raise ConfigError(message)
 
 
+_TOP_K = np.dtype([("id", np.int64), ("sim", np.float64)])  # GC-untracked; tolist is exact
+
 # Default of the ``subgraph`` arguments below: retrieve one for the query.
 # An explicit None is what ``subgraph()`` returns for a graph without persons.
 _RETRIEVE: Any = object()
@@ -85,13 +90,23 @@ class PreferenceChain:
         self.embed_provider = embed_provider or HashEmbedder()
         self.llm_provider = llm_provider or IdentityMockLlm()
         self.config = config or PipelineConfig()
+        self._similar: tuple = (None, {})  # (person index, text -> top-k _TOP_K array)
 
     def subgraph(self, agent: QueryAgent) -> Optional[BehavioralSubgraph]:
         """Retrieval + extraction; None when the graph has no persons."""
-        try:
-            persons = top_k_similar(self.graph, agent, self.config.k, self.embed_provider)
-        except EmptyGraph:
-            return None
+        indexes, provider_id = self.graph._person_indexes, self.embed_provider.provider_id
+        read_from, memo = self._similar
+        if indexes.get(provider_id) is not read_from:
+            memo = {}
+        found = memo.get(agent.profile_text)
+        if found is None:
+            try:
+                persons = top_k_similar(self.graph, agent, self.config.k, self.embed_provider)
+            except EmptyGraph:
+                return None
+            self._similar = (indexes.get(provider_id), memo)
+            found = memo[agent.profile_text] = np.array(persons, _TOP_K)
+        persons = found.tolist()
         return extract_subgraph(
             self.graph,
             agent,

@@ -8,10 +8,10 @@ weights: similar_to from the profile similarity, want_to from desire-text
 similarity, choose_to from the temporal proximity between the query desire
 and the stored one.
 
-Values that depend on a few texts are computed once and kept by the object
-that owns their inputs: the profile text by ``QueryAgent``, the person
-index and the want_to weights by the ``BehaviorGraph`` (see its
-constructor), and the path sums by the ``BehavioralSubgraph``.
+Values that depend on a few texts are computed once, by the object that
+owns their inputs: the profile text by ``QueryAgent``, the person index and
+want_to weights by the ``BehaviorGraph`` (see its constructor), path sums
+by the ``BehavioralSubgraph``, and top-k persons by ``pipeline``'s chain.
 """
 
 from __future__ import annotations

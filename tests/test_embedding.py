@@ -38,7 +38,6 @@ def test_cosine_errors():
         cosine_similarity(np.zeros(3), np.ones(3))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_cosine_properties_random():
     rng = np.random.default_rng(5)
     for _ in range(50):

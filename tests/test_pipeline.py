@@ -5,7 +5,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from preference_chain.behavior_graph import GraphBuildConfig, build_from_records
+from preference_chain.behavior_graph import GraphBuildConfig, NodeKind, build_from_records
+from preference_chain.embedding import hash_embed, profile_to_text
+from preference_chain.errors import ProviderError
 from preference_chain.ingest import default_synthetic_spec, generate_synthetic
 from preference_chain.llm_remodel import CalibrationSource, IdentityMockLlm, ScriptedMockLlm
 from preference_chain import embedding, pipeline, preference
@@ -22,7 +24,7 @@ from preference_chain.schema import (
     AgentProfile,
 )
 
-from tests.conftest import make_profile
+from tests.conftest import make_profile, make_record
 from tests.golden import golden_run
 
 
@@ -220,3 +222,100 @@ def test_queries_leave_no_cyclic_garbage(run):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _recurring_agents(seed, n_profiles, n):
+    """``n`` queries over ``n_profiles`` profiles, each with its own purpose, hour and context."""
+    rng = random.Random(seed)
+    profiles = [agent.profile for agent in _seeded_agents(seed, n_profiles)]
+    return [
+        QueryAgent(
+            rng.choice(profiles),
+            rng.choice(TRIP_PURPOSES),
+            rng.randrange(24),
+            rng.choice(["", "heavy snow", "holiday"]),
+        )
+        for _ in range(n)
+    ]
+
+
+def test_memoised_retrieval_equals_a_fresh_chain_per_query():
+    chain = _chain(n=120, seed=9)
+    agents = _recurring_agents(3, 8, 60)
+    assert len({agent.profile_text for agent in agents}) < len(agents)
+    shared = [chain.predict_all(agent) for agent in agents]
+    fresh = [PreferenceChain(chain.graph).predict_all(agent) for agent in agents]
+    assert repr(shared) == repr(fresh)
+
+
+def test_top_k_runs_once_per_profile_text_per_chain(monkeypatch):
+    calls = []
+
+    def counting_top_k(graph, agent, *args):
+        calls.append(agent.profile_text)
+        return top_k_similar(graph, agent, *args)
+
+    monkeypatch.setattr(pipeline, "top_k_similar", counting_top_k)
+    chain = _chain(n=120, seed=9)
+    agents = _recurring_agents(4, 8, 40)
+    for agent in agents:
+        chain.predict_all(agent)
+    assert sorted(calls) == sorted({agent.profile_text for agent in agents})
+    calls.clear()
+    PreferenceChain(chain.graph).predict_all(agents[0])  # a second chain searches again
+    assert calls == [agents[0].profile_text]
+
+
+def test_person_added_after_a_chains_query_is_retrieved_by_its_next_query():
+    graph = build_from_records(
+        [make_record(age_group=age) for age in ("18-24", "45-54", "65+")],
+        GraphBuildConfig(intention_fields=("primary_mode",)),
+    )
+    chain = PreferenceChain(graph, config=PipelineConfig(k=2))
+    before = chain.subgraph(_agent()).out_edges[-1]
+    profile = make_profile()  # the agent's own profile
+    added = graph.add_node(NodeKind.PERSON, profile_to_text(profile), profile.as_dict())
+    after = chain.subgraph(_agent()).out_edges[-1]
+    assert [edge[0] for edge in after] == [added, before[0][0]]
+    assert after[0][2] == pytest.approx(1.0)
+
+
+class _FlakyEmbedder:
+    """Hash vectors, except that each text in ``fail`` raises once."""
+
+    provider_id = "flaky-hash"
+
+    def __init__(self):
+        self.fail = set()
+        self.calls = []
+
+    def embed(self, text):
+        self.calls.append(text)
+        if text in self.fail:
+            self.fail.remove(text)
+            raise ProviderError("embedder unavailable")
+        return hash_embed(text)
+
+
+def test_an_embedder_error_is_not_memoised():
+    embedder = _FlakyEmbedder()
+    chain = PreferenceChain(_chain(n=120, seed=9).graph, embedder)
+    agent = _agent()
+    chain.predict_all(_agent(profile=make_profile(age_group="65+")))  # builds the person index
+    embedder.fail.add(agent.profile_text)
+    with pytest.raises(ProviderError):
+        chain.predict_all(agent)
+    calls = embedder.calls.count(agent.profile_text)
+    result = chain.predict_all(agent)
+    assert embedder.calls.count(agent.profile_text) == calls + 1
+    assert repr(result) == repr(PreferenceChain(chain.graph).predict_all(agent))
+
+
+def test_memo_entries_are_not_tracked_by_the_cyclic_collector():
+    chain = _chain(n=120, seed=9)
+    for agent in _recurring_agents(5, 8, 30):
+        chain.predict_all(agent)
+    _, memo = chain._similar
+    assert memo
+    for text, persons in memo.items():
+        assert not gc.is_tracked(text) and not gc.is_tracked(persons)

@@ -124,7 +124,6 @@ class _ScaledHash:
         return hash_embed(text) * self.scale
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("scale", [1e300, 1e-170])
 def test_extreme_vector_scales_keep_retrieval_and_priors(scale):
     graph = _build(generate_synthetic(default_synthetic_spec(), size=60, seed=21), True)
