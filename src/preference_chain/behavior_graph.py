@@ -33,6 +33,7 @@ from .schema import (
     PROFILE_FIELDS,
     START_TIMES,
     TRIP_PURPOSES,
+    AgentProfile,
     TripRecord,
 )
 
@@ -333,7 +334,7 @@ def build_from_records(
 ) -> BehaviorGraph:
     """Construct the behavior graph for a list of validated trip records.
 
-    Persons are deduplicated by their exact attribute tuple. Each person
+    Persons are deduplicated by their (frozen) profile. Each person
     gets one desire node per distinct (trip_purpose, start_time) pair, and
     each record adds one choose_to edge per configured intention field from
     its desire to the lazily created intention node of the observed option.
@@ -345,20 +346,19 @@ def build_from_records(
     for choice_set in BUNDLED_CHOICE_SETS.values():
         graph.register_choice_set(choice_set)
 
-    person_index: dict[tuple[str, ...], NodeId] = {}
+    person_index: dict[AgentProfile, NodeId] = {}
     desire_index: dict[tuple[NodeId, str, int], NodeId] = {}
     intention_index: dict[tuple[str, str], NodeId] = {}
     households: dict[str, set[NodeId]] = {}
 
     for i, record in enumerate(records):
         record.validate(i)
-        person_key = record.profile.key()
-        person_id = person_index.get(person_key)
+        person_id = person_index.get(record.profile)
         if person_id is None:
             person_id = graph.add_node(
                 NodeKind.PERSON, profile_to_text(record.profile), record.profile.as_dict()
             )
-            person_index[person_key] = person_id
+            person_index[record.profile] = person_id
         if record.household_id is not None:
             households.setdefault(record.household_id, set()).add(person_id)
 

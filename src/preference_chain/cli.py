@@ -26,13 +26,14 @@ from .config import (
     build_llm_provider,
     load_config,
     run_manifest,
-    write_manifest,
+    write_json,
 )
 from .errors import (
     ConfigError,
     DataError,
     EmbeddingError,
     EmptyReference,
+    EmptySamples,
     GraphError,
     ProviderError,
     SchemaViolation,
@@ -81,12 +82,13 @@ def _require_path(value: Optional[str], flag: str) -> Path:
 
 
 def _out_dir(args, config: RunConfig) -> Path:
+    """The --out directory, checked but not created: a command creates it to write."""
     value = getattr(args, "out", None) or config.paths.out_dir
     if not value:
         raise ConfigError("--out directory is required")
-    path = Path(value)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    if Path(value).exists() and not Path(value).is_dir():
+        raise ConfigError(f"--out {value} exists and is not a directory")
+    return Path(value)
 
 
 def _load_reference(args, config: RunConfig):
@@ -241,25 +243,14 @@ def cmd_evaluate(args, config: RunConfig) -> int:
             truth,
         )
 
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "report.csv", "w", encoding="utf-8") as fp:
         write_combined_csv(fp, reports)
     with open(out / "report.json", "w", encoding="utf-8") as fp:
-        json.dump(
-            {name: report.summary() for name, report in sorted(reports.items())},
-            fp,
-            indent=2,
-            sort_keys=True,
-        )
-        fp.write("\n")
+        write_json(fp, {name: report.summary() for name, report in reports.items()})
     with open(out / "manifest.json", "w", encoding="utf-8") as fp:
-        write_manifest(
-            fp,
-            run_manifest(
-                config,
-                "evaluate",
-                {"n_reference": len(reference), "n_validation": len(validation)},
-            ),
-        )
+        extra = {"n_reference": len(reference), "n_validation": len(validation)}
+        write_json(fp, run_manifest(config, "evaluate", extra))
     chain_report = reports["chain"]
     print(
         f"evaluate: mean kld {chain_report.mean_kld:.4f}, "
@@ -283,17 +274,17 @@ def cmd_sweep(args, config: RunConfig) -> int:
         embed_provider=build_embed_provider(config),
         llm_provider=build_llm_provider(config),
     )
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "sweep.csv", "w", encoding="utf-8") as fp:
         write_sweep_csv(fp, rows)
     with open(out / "manifest.json", "w", encoding="utf-8") as fp:
-        write_manifest(
-            fp, run_manifest(config, "sweep", {"sizes": sizes, "seeds": seeds})
-        )
+        write_json(fp, run_manifest(config, "sweep", {"sizes": sizes, "seeds": seeds}))
     print(f"sweep: {len(rows)} rows -> {out / 'sweep.csv'}")
     return 0
 
 
 def cmd_simulate(args, config: RunConfig) -> int:
+    n_agents = _at_least(args.agents, "--agents", 1)
     city_path = args.city or config.paths.city_file
     if city_path:
         city = CityModel.load(_require_path(city_path, "--city"))
@@ -302,11 +293,15 @@ def cmd_simulate(args, config: RunConfig) -> int:
     chain = _build_chain(build_graph(_load_reference(args, config)), config)
     out = _out_dir(args, config)
     seed = config.pipeline.seed
+    reference_tally = None
+    if args.reference_tally:
+        with open(_require_path(args.reference_tally, "--reference-tally"), "r", encoding="utf-8") as fp:
+            reference_tally = TrafficTally.from_csv(edge_fp=fp)
+        if reference_tally.total_edge_traversals() == 0:
+            raise EmptySamples(f"reference tally {args.reference_tally} has zero total")
 
-    if args.agents < 1:
-        raise ConfigError("--agents must be >= 1")
     spec = default_synthetic_spec()
-    profiles = generate_profiles(args.agents, spec, seed)
+    profiles = generate_profiles(n_agents, spec, seed)
     agents = make_agents(profiles, city, seed)
     scheduler = LlmScheduleProvider(chain.llm_provider, config.generation)
     plans = [
@@ -315,25 +310,23 @@ def cmd_simulate(args, config: RunConfig) -> int:
     ]
     tally, trips = run_day(agents, plans, city, chain, seed, context=args.context)
 
-    with open(out / "edge_tally.csv", "w", encoding="utf-8") as fp:
-        tally.write_edge_csv(fp)
-    with open(out / "poi_tally.csv", "w", encoding="utf-8") as fp:
-        tally.write_poi_csv(fp)
     summary = {
         "agents": len(agents),
         "trips": len(trips),
         "edge_traversals": tally.total_edge_traversals(),
         "poi_visits": tally.total_visits(),
     }
-    if args.reference_tally:
-        with open(_require_path(args.reference_tally, "--reference-tally"), "r", encoding="utf-8") as fp:
-            reference_tally = TrafficTally.from_csv(edge_fp=fp)
+    if reference_tally is not None:
         summary["flow_kld"] = flow_kld(tally, reference_tally)
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / "edge_tally.csv", "w", encoding="utf-8") as fp:
+        tally.write_edge_csv(fp)
+    with open(out / "poi_tally.csv", "w", encoding="utf-8") as fp:
+        tally.write_poi_csv(fp)
     with open(out / "summary.json", "w", encoding="utf-8") as fp:
-        json.dump(summary, fp, indent=2, sort_keys=True)
-        fp.write("\n")
+        write_json(fp, summary)
     with open(out / "manifest.json", "w", encoding="utf-8") as fp:
-        write_manifest(fp, run_manifest(config, "simulate", {"agents": len(agents)}))
+        write_json(fp, run_manifest(config, "simulate", {"agents": len(agents)}))
     print(
         f"simulate: {len(agents)} agents, {len(trips)} trips, "
         f"{tally.total_edge_traversals()} traversals -> {out}"

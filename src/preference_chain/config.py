@@ -188,6 +188,6 @@ def run_manifest(config: RunConfig, command: str, extra: Optional[dict] = None) 
     return manifest
 
 
-def write_manifest(fp: IO[str], manifest: dict) -> None:
-    json.dump(manifest, fp, indent=2, sort_keys=True)
+def write_json(fp: IO[str], obj: dict) -> None:
+    json.dump(obj, fp, indent=2, sort_keys=True)
     fp.write("\n")

@@ -9,8 +9,7 @@ edge weights. Two providers ship with the package:
   * RemoteEmbedder — HTTP provider posting {"model", "prompt"} and reading
     a top-level "embedding" array from the JSON response.
 
-Each provider instance embeds a text once and keeps the vector, keyed by
-the text, so repeated retrievals are deterministic and cheap.
+Each provider instance embeds a text once; see ``_CachedEmbedder``.
 """
 
 from __future__ import annotations
@@ -106,7 +105,8 @@ def hash_embed(text: str, dimension: int = DEFAULT_HASH_DIMENSION) -> np.ndarray
     vec = np.zeros(dimension, dtype=float)
     for token in tokens:
         vec[zlib.crc32(token.encode("utf-8")) % dimension] += 1.0
-    return vec / np.linalg.norm(vec)
+    vec, norm = _norm(vec)
+    return vec / norm
 
 
 class _CachedEmbedder:

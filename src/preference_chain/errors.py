@@ -52,7 +52,8 @@ class UnknownKey(DataError):
 
 
 class InvalidSpec(DataError):
-    pass
+    def __init__(self, reason: str):
+        super().__init__(f"invalid synthetic spec: {reason}")
 
 
 class UnknownCategory(DataError):

@@ -7,11 +7,8 @@ folded into per-dimension joint distributions — one demographic dimension
 at a time — and compared with KLD/MAE. Uniform and reference-marginal
 predictors provide the baselines.
 
-What depends on the validation records alone, each record's group key on
-every dimension and the true joint of each (choice set, dimension), is
-computed once per validation set as a ``ValidationTruth`` and shared by
-every report on that set: the sweep's graph sizes within a seed, and the
-chain and baseline reports of ``prefchain evaluate``.
+What depends on the validation records alone is computed once per
+validation set; see ``ValidationTruth``.
 """
 
 from __future__ import annotations
@@ -123,9 +120,10 @@ def sample_predictions(
 class ValidationTruth:
     """What every report on one validation set shares.
 
-    ``groups`` holds each record's group key per input dimension, and
-    ``joint`` the true joint of a (choice set, dimension) pair, computed on
-    first use and kept.
+    The sweep's graph sizes within a seed share one, and so do the chain
+    and baseline reports of ``prefchain evaluate``. ``groups`` holds each
+    record's group key per input dimension, and ``joint`` the true joint
+    of a (choice set, dimension) pair, computed on first use and kept.
     """
 
     def __init__(self, records: Sequence[TripRecord]):

@@ -72,13 +72,15 @@ def write_csv_fp(records: Sequence[TripRecord], fp: IO[str]) -> None:
 
 
 def _validate_distribution(name: str, table: dict, allowed: Sequence[str]) -> None:
-    if not table:
-        raise InvalidSpec(f"{name}: empty distribution")
+    if not isinstance(table, dict) or not table:
+        raise InvalidSpec(f"{name}: not a non-empty object of probabilities")
     unknown = [k for k in table if k not in allowed]
     if unknown:
         raise InvalidSpec(f"{name}: unknown categories {unknown}")
-    if any(v < 0 for v in table.values()):
-        raise InvalidSpec(f"{name}: negative probability")
+    if not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) and v >= 0 for v in table.values()
+    ):
+        raise InvalidSpec(f"{name}: a probability is negative or not a number")
     total = sum(table.values())
     if abs(total - 1.0) > 1e-9:
         raise InvalidSpec(f"{name}: probabilities sum to {total}, not 1")
@@ -99,15 +101,19 @@ class SyntheticSpec:
     def validate(self) -> "SyntheticSpec":
         if self.spec_version != SPEC_VERSION:
             raise InvalidSpec(f"unsupported spec_version {self.spec_version!r}")
-        if self.population < 0:
-            raise InvalidSpec("population must be >= 0")
+        population = self.population
+        if isinstance(population, bool) or not isinstance(population, int) or population < 0:
+            raise InvalidSpec(f"population must be an integer >= 0, got {population!r}")
+        objects = (self.marginals, self.mode_conditionals, self.duration_conditionals)
+        if not all(isinstance(obj, dict) for obj in objects):
+            raise InvalidSpec("marginals and conditionals must be objects")
         for column in INPUT_CATEGORIES:
             if column not in self.marginals:
                 raise InvalidSpec(f"marginals missing column {column!r}")
             _validate_distribution(
                 f"marginals[{column}]", self.marginals[column], INPUT_CATEGORIES[column]
             )
-        if self.conditioned_on not in INPUT_CATEGORIES:
+        if not isinstance(self.conditioned_on, str) or self.conditioned_on not in INPUT_CATEGORIES:
             raise InvalidSpec(f"conditioned_on {self.conditioned_on!r} is not an input column")
         support = [k for k, v in self.marginals[self.conditioned_on].items() if v > 0]
         for bucket in support:
@@ -138,8 +144,8 @@ class SyntheticSpec:
 
     @classmethod
     def from_json(cls, fp: IO[str]) -> "SyntheticSpec":
-        obj = json.load(fp)
         try:
+            obj = json.load(fp)
             spec = cls(
                 population=obj["population"],
                 seed=obj["seed"],
@@ -149,8 +155,8 @@ class SyntheticSpec:
                 duration_conditionals=obj["duration_conditionals"],
                 spec_version=obj.get("spec_version", "missing"),
             )
-        except (KeyError, TypeError) as exc:
-            raise InvalidSpec(f"malformed synthetic spec: {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:  # also bad JSON and text encoding
+            raise InvalidSpec(f"{type(exc).__name__}: {exc}") from exc
         return spec.validate()
 
 

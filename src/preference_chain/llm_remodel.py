@@ -6,11 +6,8 @@ the provider's reply is parsed back into a distribution that replaces the
 prior. Every failure path (network, malformed output, unknown options)
 falls back to the prior, so calibration never raises.
 
-The prompt reads the profile text that ``QueryAgent.profile_text`` renders
-once per agent, so the choice sets of one query share one rendering. Reply
-blocks are decoded by the json module's C decoder where they are valid
-JSON, and scanned one character at a time in Python only where they are
-not; nothing is cached between replies.
+The prompt's profile text is ``QueryAgent.profile_text``; replies are
+decoded by ``json_blocks``.
 """
 
 from __future__ import annotations

@@ -3,11 +3,9 @@
 Each agent gets a day plan (template- or LLM-generated), and every entry
 runs the same loop: choose mode and duration via the calibrated choice
 pipeline, search POIs reachable in the implied travel-time budget, let the
-LLM pick one (nearest on fallback), route along the shortest path (the
-search and the route read one shortest-path tree of the origin, cached on
-the city), and tally edge traversals and POI visits. Agents are simulated
-independently and their tallies merged associatively, so serial and
-parallel runs agree.
+LLM pick one (nearest on fallback), route along the shortest path (see
+``city._TreeCache``), and tally edge traversals and POI visits. Agents are
+simulated independently; see ``run_day``.
 """
 
 from __future__ import annotations
@@ -93,15 +91,11 @@ class DayPlan:
 
 
 class ScheduleProvider(Protocol):
-    provider_id: str
-
     def plan(self, profile: AgentProfile, rng) -> DayPlan: ...
 
 
 class TemplateScheduleProvider:
     """Deterministic-in-rng skeleton plans keyed on employment status."""
-
-    provider_id = "template-schedule"
 
     def plan(self, profile: AgentProfile, rng) -> DayPlan:
         status = profile.employment_status
@@ -159,7 +153,6 @@ class LlmScheduleProvider:
     def __init__(self, llm: LlmProvider, params: Optional[GenerationParams] = None):
         self.llm = llm
         self.params = params or GenerationParams()
-        self.provider_id = f"llm-schedule:{llm.provider_id}"
 
     def plan(self, profile: AgentProfile, rng) -> DayPlan:
         try:
@@ -268,6 +261,19 @@ def select_poi(
 # ----------------------------------------------------------------------
 
 
+def _count(counts: dict[tuple[str, int], int], key: str, hour: int, count: int) -> None:
+    if not (0 <= hour <= 23):
+        raise ValueError(f"hour {hour} outside 0..23")
+    counts[key, hour] = counts.get((key, hour), 0) + count
+
+
+def _write_counts(fp: IO[str], column: str, counts: dict[tuple[str, int], int]) -> None:
+    writer = csv.writer(fp, lineterminator="\n")
+    writer.writerow([column, "hour", "count"])
+    for key, hour in sorted(counts):
+        writer.writerow([key, hour, counts[key, hour]])
+
+
 @dataclass
 class TrafficTally:
     """Per-hour traversal counts by street edge and visit counts by POI."""
@@ -275,18 +281,11 @@ class TrafficTally:
     edge_counts: dict[tuple[str, int], int] = field(default_factory=dict)
     poi_counts: dict[tuple[str, int], int] = field(default_factory=dict)
 
-    @staticmethod
-    def _check_hour(hour: int) -> None:
-        if not (0 <= hour <= 23):
-            raise ValueError(f"hour {hour} outside 0..23")
-
     def record_edge(self, edge: str, hour: int, count: int = 1) -> None:
-        self._check_hour(hour)
-        self.edge_counts[(edge, hour)] = self.edge_counts.get((edge, hour), 0) + count
+        _count(self.edge_counts, edge, hour, count)
 
     def record_visit(self, poi: str, hour: int, count: int = 1) -> None:
-        self._check_hour(hour)
-        self.poi_counts[(poi, hour)] = self.poi_counts.get((poi, hour), 0) + count
+        _count(self.poi_counts, poi, hour, count)
 
     def add(self, other: "TrafficTally") -> None:
         """Add ``other``'s counts to this tally in place."""
@@ -308,16 +307,10 @@ class TrafficTally:
         return sum(self.poi_counts.values())
 
     def write_edge_csv(self, fp: IO[str]) -> None:
-        writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow(["edge", "hour", "count"])
-        for (edge, hour) in sorted(self.edge_counts):
-            writer.writerow([edge, hour, self.edge_counts[(edge, hour)]])
+        _write_counts(fp, "edge", self.edge_counts)
 
     def write_poi_csv(self, fp: IO[str]) -> None:
-        writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow(["poi", "hour", "count"])
-        for (poi, hour) in sorted(self.poi_counts):
-            writer.writerow([poi, hour, self.poi_counts[(poi, hour)]])
+        _write_counts(fp, "poi", self.poi_counts)
 
     @classmethod
     def from_csv(cls, edge_fp: Optional[IO[str]] = None, poi_fp: Optional[IO[str]] = None) -> "TrafficTally":

@@ -100,9 +100,6 @@ class BehavioralSubgraph:
     def node_count(self) -> int:
         return len(self.nodes)
 
-    def weights(self) -> list[float]:
-        return [w for edges in self.out_edges.values() for (_, _, w) in edges]
-
 
 def _person_index(graph: BehaviorGraph, provider: EmbeddingProvider):
     """(person ids, row-normalized embedding matrix), cached on the graph."""

@@ -134,10 +134,6 @@ class AgentProfile:
     def as_dict(self) -> dict[str, str]:
         return {f.name: getattr(self, f.name) for f in dc_fields(self)}
 
-    def key(self) -> tuple[str, ...]:
-        """Exact attribute tuple, used as the person-dedup key."""
-        return tuple(getattr(self, f.name) for f in dc_fields(self))
-
 
 @dataclass(frozen=True)
 class TripRecord:

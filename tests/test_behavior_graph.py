@@ -133,15 +133,15 @@ def test_build_household_links_create_relative_edges():
 
 def _counting_oracle(records, intention_fields):
     """Expected node/edge counts computed directly from the record list."""
-    persons = {r.profile.key() for r in records}
-    desires = {(r.profile.key(), r.trip_purpose, r.start_time) for r in records}
+    persons = {r.profile for r in records}
+    desires = {(r.profile, r.trip_purpose, r.start_time) for r in records}
     intentions = {
         (f, getattr(r, f)) for r in records for f in intention_fields
     }
     households = {}
     for r in records:
         if r.household_id is not None:
-            households.setdefault(r.household_id, set()).add(r.profile.key())
+            households.setdefault(r.household_id, set()).add(r.profile)
     rel_edges = sum(len(m) * (len(m) - 1) for m in households.values())
     return {
         "persons": len(persons),

@@ -1,6 +1,7 @@
 """Command-line workflows end to end: happy paths, reruns, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -17,7 +18,7 @@ from preference_chain.city import grid_city
 from preference_chain.cli import main
 from preference_chain.embedding import RemoteEmbedder
 from preference_chain.evaluate import build_graph
-from preference_chain.ingest import read_csv
+from preference_chain.ingest import default_synthetic_spec, read_csv
 from tests.conftest import make_record
 from tests.test_embedding import _FakeResponse
 
@@ -298,6 +299,7 @@ def test_sweep_rejects_bad_sizes(tmp_path, trips_csv, capsys):
         ["sweep", "--reference", trips_csv, "--sizes", "50", "--n-validation", 50,
          "--out", tmp_path / "s"]
     ) == 3
+    assert not (tmp_path / "s").exists()
     capsys.readouterr()
 
 
@@ -320,6 +322,21 @@ def test_negative_sizes_and_counts_exit_2(tmp_path, trips_csv, capsys, argv):
     assert run(argv + ["--out", out]) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "sweep", "simulate"])
+def test_out_that_is_a_file_exits_2(tmp_path, trips_csv, capsys, command):
+    """An --out that names an existing file is a config error before any work."""
+    out = tmp_path / "taken"
+    out.write_text("keep\n", encoding="utf-8")
+    argv = {
+        "evaluate": ["evaluate", "--reference", trips_csv, "--validation", trips_csv],
+        "sweep": ["sweep", "--reference", trips_csv, "--sizes", "5", "--n-validation", 20],
+        "simulate": ["simulate", "--reference", trips_csv, "--agents", 1],
+    }[command]
+    assert run(argv + ["--out", out]) == 2
+    assert "is not a directory" in capsys.readouterr().err
+    assert out.read_text(encoding="utf-8") == "keep\n"
 
 
 # ----------------------------------------------------------------------
@@ -398,6 +415,68 @@ def test_outputs_do_not_depend_on_the_string_hash_seed(tmp_path, trips_csv):
     assert runs[0] == runs[1]
 
 
+# sha256 of every file the commands in test_cli_output_bytes_are_pinned write;
+# for a manifest.json, of its text with "version" and "config_hash" blanked.
+_CLI_DIGESTS = {
+    "evaluate/manifest.json": "4923a4b0ef40f477cb21ff715f53ecb89ce01263df9363105f8275b903a68d2a",
+    "evaluate/report.csv": "24ff2641c6dbaa4a86dd73c8b22ef8454c3dbf5d38a4b4fb4503887a020e2ef5",
+    "evaluate/report.json": "650095bb63e747df5c44c843c556124215b5d676e059eeaeb45a3a1f5afa8083",
+    "graph.jsonl": "9e6e4bd094caa511040359a78c86860449bc321ca4c61fbb3b5d36fd1b8a3679",
+    "predict.json": "7e67a59e170d9cab85a178064282222789c5824ec3c926bf69ce30e54c4b4c37",
+    "reference-day/edge_tally.csv": "b52a2963457864cfb10c7f7aa16f9dc8ac99c55c48b619ef4d53c1da488ba4dc",
+    "reference-day/manifest.json": "5dba58418e3b9a9bd1f685aeca517113711fc8384e7466ad7cb18518d6a4e356",
+    "reference-day/poi_tally.csv": "2d7391e68fe00f484d905d0605d9395b0ec5e56ae2960095ffa6d9c1c570b94c",
+    "reference-day/summary.json": "c811d1e1c1b5e310098690c27d554122586c155853ed58b8970d034f3516d011",
+    "simulate/edge_tally.csv": "be813490a4e33f781f37876158d74c664797607c9a471ca3ed256707f86d01cd",
+    "simulate/manifest.json": "c3a88c671bed71fdb465ab3a6d4dfb45d36253d9aa2486aee19ccf39407b6ca7",
+    "simulate/poi_tally.csv": "c8f04d6bc9d9777f58f527ea650cf8785553218487210086bdca0cd2cf9b3201",
+    "simulate/summary.json": "6933afecbe2f14b102d9f6ce9a49e942c59c9d8508c5bedf534ec89da730cc94",
+    "sweep/manifest.json": "ae3bb182e9be2e09e6ed0fd38dbe3e70fad2a5ea7c486af53c3ad8998fc31f41",
+    "sweep/sweep.csv": "25b993d7e2e364985ad3c43e18eab102e25df86a69f431f62cf2721db41e30cf",
+    "trips.csv": "834e685b173b4683d4d85182e952dd739e348b84e175968b2dc61df2d1fc9d62",
+    "val.csv": "9c1e0cbae3bfb5abfce11356d8509d43a173ff67a95b975a6cb89abe596dab4a",
+}
+
+
+def test_cli_output_bytes_are_pinned(tmp_path, capsys):
+    """Each command's output files, byte for byte, on small seeded inputs."""
+    out = tmp_path / "out"
+    out.mkdir()
+    trips, validation = out / "trips.csv", out / "val.csv"
+    city = tmp_path / "city.json"
+    grid_city(width=4, height=4, pois_per_category=2, seed=1).save(city)
+    simulate = ["simulate", "--city", city, "--reference", trips, "--agents", 3]
+    commands = [
+        ["gen-synth", "--size", 200, "--seed", 3, "--out", trips],
+        ["gen-synth", "--size", 40, "--seed", 4, "--out", validation],
+        ["evaluate", "--reference", trips, "--validation", validation, "--baselines",
+         "--out", out / "evaluate"],
+        ["sweep", "--reference", trips, "--sizes", "10,50", "--seeds", 2,
+         "--n-validation", 100, "--out", out / "sweep"],
+        simulate + ["--seed", 1, "--out", out / "reference-day"],
+        simulate + ["--reference-tally", out / "reference-day" / "edge_tally.csv",
+                    "--out", out / "simulate"],
+        ["build-graph", "--reference", trips, "--out", out / "graph.jsonl"],
+        ["predict", "--agent", write_agent(tmp_path / "agent.json"), "--reference", trips,
+         "--out", out / "predict.json"],
+    ]
+    for argv in commands:
+        assert run(argv) == 0, argv
+    capsys.readouterr()
+    digests = {}
+    for p in sorted(out.rglob("*")):
+        if not p.is_file():
+            continue
+        data = p.read_bytes()
+        if p.name == "manifest.json":
+            manifest = json.loads(data)
+            assert data.decode("utf-8") == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+            manifest.update(version="", config_hash="")
+            data = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8")
+        digests[p.relative_to(out).as_posix()] = hashlib.sha256(data).hexdigest()
+    assert digests == _CLI_DIGESTS
+
+
 def test_simulate_errors(tmp_path, trips_csv, capsys):
     assert run(
         ["simulate", "--city", tmp_path / "nope.json", "--reference", trips_csv,
@@ -406,6 +485,7 @@ def test_simulate_errors(tmp_path, trips_csv, capsys):
     assert run(
         ["simulate", "--reference", trips_csv, "--agents", 0, "--out", tmp_path / "s"]
     ) == 2
+    assert not (tmp_path / "s").exists()
     capsys.readouterr()
 
 
@@ -460,6 +540,17 @@ def _broken_graph(mutate) -> str:
     kinds = ("choice_set", "Person", "Desire", "Intention")
     mutate({kind: [o for o in objs if kind in (o["t"], o.get("kind"))] for kind in kinds})
     return "".join(json.dumps(o) + "\n" for o in objs)
+
+
+def _broken_spec(mutate=None, **fields) -> str:
+    """The bundled synthetic spec with ``fields`` replaced, then ``mutate``d, as JSON."""
+    buffer = io.StringIO()
+    default_synthetic_spec().to_json(buffer)
+    obj = json.loads(buffer.getvalue())
+    obj.update(fields)
+    if mutate is not None:
+        mutate(obj)
+    return json.dumps(obj)
 
 
 def _rename_duration_set(lines) -> None:
@@ -553,6 +644,23 @@ def _rename_duration_set(lines) -> None:
         pytest.param("tally", "edge,count\n0-1,3\n", id="tally-missing-column"),
         pytest.param("tally", "edge,hour,count\n0-1,24,3\n", id="tally-hour-24"),
         pytest.param("tally", "edge,hour,count\n0-1,8,3\n1-2,8,-1\n", id="tally-negative-count"),
+        pytest.param("tally", "edge,hour,count\n0-1,99,3\n", id="tally-hour-99"),
+        pytest.param("tally", "edge,hour,count\n", id="tally-header-only"),
+        pytest.param("tally", "edge,hour,count\n0-1,8,0\n", id="tally-zero-total"),
+        pytest.param("spec", "{oops", id="spec-bad-json"),
+        pytest.param("spec", _broken_spec(population="10"), id="spec-population-string"),
+        pytest.param("spec", _broken_spec(population=5.5), id="spec-population-float"),
+        pytest.param("spec", _broken_spec(population=True), id="spec-population-bool"),
+        pytest.param(
+            "spec",
+            _broken_spec(lambda s: s["marginals"]["age_group"].update({"25-34": "0.12"})),
+            id="spec-probability-string",
+        ),
+        pytest.param(
+            "spec",
+            _broken_spec(lambda s: s["marginals"].update(age_group=["25-34", "65+"])),
+            id="spec-marginal-list",
+        ),
     ],
 )
 def test_bad_input_files_exit_3(tmp_path, trips_csv, capsys, kind, text):
@@ -560,15 +668,19 @@ def test_bad_input_files_exit_3(tmp_path, trips_csv, capsys, kind, text):
     bad.write_text(text, encoding="utf-8")
     city = tmp_path / "city.json"
     grid_city(width=3, height=3, pois_per_category=1).save(city)
-    simulate = ["simulate", "--reference", trips_csv, "--agents", 1, "--out", tmp_path / "s"]
+    out = tmp_path / "s"
+    simulate = ["simulate", "--reference", trips_csv, "--agents", 1, "--out", out]
     argv = {
-        "graph": ["predict", "--agent", write_agent(tmp_path / "agent.json"), "--graph", bad],
+        "graph": ["predict", "--agent", write_agent(tmp_path / "agent.json"), "--graph", bad,
+                  "--out", out],
         "city": simulate + ["--city", bad],
         "tally": simulate + ["--city", city, "--reference-tally", bad],
+        "spec": ["gen-synth", "--spec", bad, "--out", out],
     }[kind]
     assert run(argv) == 3
     err = capsys.readouterr().err
     assert "data error" in err and kind in err
+    assert not out.exists()
 
 
 # ----------------------------------------------------------------------

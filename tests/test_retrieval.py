@@ -447,7 +447,7 @@ def test_subgraph_finalizes_weights():
     }
     assert choose[desire_text("work", 10)] == pytest.approx(temporal_proximity(8, 10))
     assert choose[desire_text("shop", 17)] == pytest.approx(temporal_proximity(8, 17))
-    assert all(0.0 <= w <= 1.0 for w in sub.weights())
+    assert all(0.0 <= w <= 1.0 for edges in sub.out_edges.values() for _, _, w in edges)
 
 
 def test_subgraph_keeps_parallel_choose_edges():
