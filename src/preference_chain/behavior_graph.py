@@ -125,6 +125,9 @@ class BehaviorGraph:
         # provider id -> (query desire text, stored desire text) -> retrieval's
         # want_to weight; a weight depends on nothing else, so it is never dropped
         self._desire_weights: dict[str, dict[tuple[str, str], float]] = {}
+        # add_edge calls so far; an extracted subgraph that reads the graph
+        # raises StaleSubgraph once it differs from the count at extraction
+        self._edges_added = 0
 
     # ------------------------------------------------------------------
     # basic mutation
@@ -155,6 +158,7 @@ class BehaviorGraph:
                 f"{kind.value} edge may not connect {pair[0].value} -> {pair[1].value}"
             )
         self.out_edges[source].append(Edge(source, target, kind, weight))
+        self._edges_added += 1
 
     # ------------------------------------------------------------------
     # queries

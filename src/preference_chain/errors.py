@@ -80,6 +80,10 @@ class EmptyGraph(GraphError):
     pass
 
 
+class StaleSubgraph(GraphError):
+    """An extracted subgraph was read after an edge was added to its graph."""
+
+
 class EmbeddingError(PreferenceChainError):
     pass
 

@@ -22,7 +22,7 @@ from typing import Optional, Protocol
 import requests
 
 from .errors import ParseFailure, ProviderError
-from .preference import PreferenceDistribution
+from .preference import SUM_TOLERANCE, PreferenceDistribution
 from .retrieval import QueryAgent
 from .schema import ChoiceCategorySet
 
@@ -135,35 +135,46 @@ def parse_response(raw: str, choice_set: ChoiceCategorySet) -> dict[str, float]:
 
     Keys must be a subset of the choice set; missing options are filled
     with 0 and negative values clamped to 0. Non-finite values are
-    rejected. The result is renormalized unless it already sums to 1
-    within tolerance (keeping an echoed prior bit-exact); values whose sum
-    overflows are scaled down by their maximum first. Raises ParseFailure
-    when nothing usable is found.
+    rejected. The result is renormalized unless its ``math.fsum`` is 1
+    within ``SUM_TOLERANCE``, the test ``PreferenceDistribution`` applies
+    (keeping an echoed prior bit-exact); values whose sum overflows are
+    scaled down by their maximum first. Raises ParseFailure when nothing
+    usable is found: unknown keys first, then the first bad value in option
+    order.
     """
+    members = choice_set.members
     for obj in json_blocks(raw):
-        unknown = [k for k in obj if k not in choice_set]
+        values = dict.fromkeys(choice_set.options, 0.0)
+        unknown, bad = [], {}
+        for option, v in obj.items():
+            if option not in members:
+                unknown.append(option)
+                continue
+            if type(v) is not float:  # the decoder makes no float subclass
+                if not isinstance(v, int) or isinstance(v, bool):
+                    bad[option] = f"non-numeric probability for {option!r}: {v!r}"
+                    continue
+                try:
+                    v = float(v)
+                except OverflowError:  # an integer beyond the float range
+                    v = math.inf
+            if not math.isfinite(v):
+                bad[option] = f"non-finite probability for {option!r}: {v!r}"
+            elif v > 0.0:
+                values[option] = v
         if unknown:
             raise ParseFailure(f"unknown option keys {unknown}")
-        values = {}
-        for option in choice_set.options:
-            v = obj.get(option, 0.0)
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise ParseFailure(f"non-numeric probability for {option!r}: {v!r}")
-            try:
-                v = float(v)
-            except OverflowError:  # an integer beyond the float range
-                v = math.inf
-            if not math.isfinite(v):
-                raise ParseFailure(f"non-finite probability for {option!r}: {v!r}")
-            values[option] = max(0.0, v)
-        total = sum(values.values())
-        if math.isinf(total):
+        if bad:
+            raise ParseFailure(next(bad[o] for o in choice_set.options if o in bad))
+        try:
+            total = math.fsum(values.values())
+        except OverflowError:  # finite values whose sum is beyond the float range
             peak = max(values.values())
             values = {o: v / peak for o, v in values.items()}
-            total = sum(values.values())
+            total = math.fsum(values.values())
         if total <= 0.0:
             raise ParseFailure("all probabilities zero after clamping")
-        if abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > SUM_TOLERANCE:
             values = {o: v / total for o, v in values.items()}
         return values
     raise ParseFailure("no JSON object found in response")

@@ -5,10 +5,12 @@ choice option is the sum of the weights of all simple paths (at most K
 edges) from the agent node to that option's intention node. One
 depth-first walk from the agent sums the paths into every option of the
 subgraph at once, whatever its choice set, so the choice sets of one query
-share a walk (kept on the ``BehavioralSubgraph``). The prior distribution
-normalizes the raw scores over the full candidate option set. Options with
-no path score zero; an all-zero score vector falls back to a uniform
-distribution flagged as degenerate."""
+share a walk (kept on the ``BehavioralSubgraph``): ``_walk_graph`` over the
+behavior graph for an extracted subgraph, ``_walk_paths`` over the edges
+of a hand-built one. The prior distribution normalizes the raw scores over
+the full candidate option set. Options with no path score zero; an
+all-zero score vector falls back to a uniform distribution flagged as
+degenerate."""
 
 from __future__ import annotations
 
@@ -19,11 +21,13 @@ from itertools import accumulate
 
 import numpy as np
 
-from .behavior_graph import NodeId, NodeKind
-from .retrieval import BehavioralSubgraph
+from .behavior_graph import EdgeKind, NodeId, NodeKind
+from .retrieval import BehavioralSubgraph, Extraction
 from .schema import ChoiceCategorySet
 
 DEFAULT_MAX_PATH_EDGES = 4
+
+_WANT_TO = EdgeKind.WANT_TO  # bound once, as in ``retrieval``
 
 SUM_TOLERANCE = 1e-9
 
@@ -37,15 +41,19 @@ class PreferenceDistribution:
     degenerate: bool = False
 
     def __post_init__(self):
-        missing = [o for o in self.choice_set.options if o not in self.probabilities]
-        if missing:
-            raise ValueError(f"distribution missing options {missing}")
-        total = math.fsum(self.probabilities.values())  # raises on inf + -inf
+        probabilities = self.probabilities
+        if probabilities.keys() != self.choice_set.members:
+            missing = [o for o in self.choice_set.options if o not in probabilities]
+            if missing:
+                raise ValueError(f"distribution missing options {missing}")
+            unknown = [o for o in probabilities if o not in self.choice_set.members]
+            raise ValueError(f"distribution has options outside its choice set {unknown}")
+        total = math.fsum(probabilities.values())  # raises on inf + -inf
         if not math.isfinite(total):  # some value is NaN or infinite
             raise ValueError("non-finite probability")
         if abs(total - 1.0) > SUM_TOLERANCE:
             raise ValueError(f"probabilities sum to {total}, not 1")
-        if any(p < 0 for p in self.probabilities.values()):
+        if min(probabilities.values()) < 0:
             raise ValueError("negative probability")
 
     def as_array(self) -> np.ndarray:
@@ -116,6 +124,46 @@ def _walk_paths(subgraph: BehavioralSubgraph, max_edges: int) -> dict[tuple[str,
     return {key: math.fsum(weights[node_id]) for key, node_id in scorer.items()}
 
 
+def _walk_graph(extraction: Extraction, max_edges: int) -> dict[tuple[str, str], float]:
+    """``_walk_paths`` of an extracted subgraph, read from the behavior graph.
+
+    ``BehaviorGraph.add_edge`` lets a Person have only relative_of and
+    want_to edges, a Desire only choose_to edges and an Intention none. So
+    every path runs agent, persons, one desire, one intention: the walk
+    goes on only through relatives, and adds one term per choose_to edge of
+    a desire. The scoring intentions are the choose_to targets of the
+    desires inside the depth budget. Products are taken in path order, so
+    the sums equal ``_walk_paths`` on the copy bit for bit.
+    """
+    extraction.check_fresh()
+    graph_edges, depths, depth = extraction.graph.out_edges, extraction.depths, extraction.depth
+    want, choose = extraction.want, extraction.choose
+    terms: dict[NodeId, list[float]] = {
+        edge.target: [] for desire in choose for edge in graph_edges[desire]
+    }
+    # (person, path weight, edges left after it, persons on the path)
+    stack = [(p, w, max_edges - 1, (p,)) for p, w in extraction.persons] if max_edges >= 3 else []
+    while stack:
+        person, weight, edges_left, on_path = stack.pop()
+        for edge in graph_edges[person]:
+            target = edge.target
+            if edge.kind == _WANT_TO:
+                choose_weight = choose.get(target)  # None past the depth budget
+                if choose_weight is not None:
+                    path_weight = weight * want[target] * choose_weight
+                    for chosen in graph_edges[target]:
+                        terms[chosen.target].append(path_weight)
+            # a relative's intentions are three edges on
+            elif edges_left > 2 and target not in on_path and depths[target] < depth:
+                stack.append((target, weight * edge.weight, edges_left - 1, on_path + (target,)))
+    graph_nodes = extraction.graph.nodes
+    sums = {}
+    for node_id in sorted(terms):  # the last intention naming an option wins
+        node = graph_nodes[node_id]
+        sums[(node.attributes.get("choice_set"), node.label)] = math.fsum(terms[node_id])
+    return sums
+
+
 def raw_scores(
     subgraph: BehavioralSubgraph,
     choice_set: ChoiceCategorySet,
@@ -123,13 +171,18 @@ def raw_scores(
 ) -> dict[str, float]:
     """Raw score of every option of ``choice_set``: the fsum of its path weights.
 
-    The path sums come from one ``_walk_paths`` per ``max_edges``, kept on
-    the subgraph (see ``BehavioralSubgraph``). Options that no path reaches
-    score 0.0.
+    The path sums come from one walk per ``max_edges`` (see the module
+    docstring), kept on the subgraph. Options that no path reaches score
+    0.0.
     """
     sums = subgraph._path_sums.get(max_edges)
     if sums is None:
-        sums = subgraph._path_sums[max_edges] = _walk_paths(subgraph, max_edges)
+        extraction = subgraph.extraction
+        if extraction is None:
+            sums = _walk_paths(subgraph, max_edges)
+        else:
+            sums = _walk_graph(extraction, max_edges)
+        subgraph._path_sums[max_edges] = sums
     name = choice_set.name
     return {option: sums.get((name, option), 0.0) for option in choice_set.options}
 

@@ -3,10 +3,7 @@
 A query runs in two stages: vector similarity search picks the top-k most
 similar Person nodes (``top_k_similar``), then a breadth-first search
 (default depth 3 edges) walks forward from all of them at once collecting
-desires and intentions. The extracted subgraph carries finalized edge
-weights: similar_to from the profile similarity, want_to from desire-text
-similarity, choose_to from the temporal proximity between the query desire
-and the stored one.
+desires and intentions (``extract_subgraph``).
 
 Values that depend on a few texts are computed once, by the object that
 owns their inputs: the profile text by ``QueryAgent``, the person index and
@@ -18,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import ClassVar, Optional
+from typing import ClassVar, NamedTuple, Optional
 
 import numpy as np
 
@@ -32,13 +29,16 @@ from .behavior_graph import (
     temporal_proximity,
 )
 from .embedding import EmbeddingProvider, _norm, profile_to_text, similarity_weight
-from .errors import DimensionMismatch, EmptyGraph, UnknownNode, ZeroVector
+from .errors import DimensionMismatch, EmptyGraph, StaleSubgraph, UnknownNode, ZeroVector
 from .schema import AgentProfile
 
 AGENT_NODE_ID: NodeId = -1
 
-# Edge kinds the forward search is allowed to follow.
-_TRAVERSABLE = (EdgeKind.RELATIVE_OF, EdgeKind.WANT_TO, EdgeKind.CHOOSE_TO)
+# Bound once: looking a member up on its Enum class costs several times
+# more than comparing two members.
+_PERSON = NodeKind.PERSON
+_RELATIVE_OF, _WANT_TO, _CHOOSE_TO = EdgeKind.RELATIVE_OF, EdgeKind.WANT_TO, EdgeKind.CHOOSE_TO
+
 
 @dataclass(frozen=True)
 class QueryAgent:
@@ -58,6 +58,26 @@ class QueryAgent:
         return desire_text(self.trip_purpose, self.start_time)
 
 
+class Extraction(NamedTuple):
+    """What ``extract_subgraph`` found, read in place of a copied subgraph."""
+
+    graph: BehaviorGraph
+    edges_added: int                 # graph._edges_added at extraction
+    agent_label: str
+    persons: tuple[tuple[NodeId, float], ...]
+    depths: dict[NodeId, int]        # node -> its breadth-first search depth
+    depth: int
+    want: dict[NodeId, float]        # desire -> weight of every want_to edge into it
+    choose: dict[NodeId, float]      # desire -> weight of each of its choose_to edges
+
+    def check_fresh(self) -> None:
+        """Raise StaleSubgraph if the graph gained an edge since extraction."""
+        if self.graph._edges_added != self.edges_added:
+            raise StaleSubgraph(
+                "an edge was added to the behavior graph after the subgraph was extracted"
+            )
+
+
 @dataclass
 class BehavioralSubgraph:
     """Small weighted digraph rooted at the agent node (id -1).
@@ -70,12 +90,36 @@ class BehavioralSubgraph:
     ``preference.raw_scores`` keeps its path sums here, keyed by the path
     length limit; ``add_node`` and ``add_edge`` drop them, editing ``nodes``
     or ``out_edges`` directly does not.
+
+    A subgraph from ``extract_subgraph`` holds its ``extraction`` instead,
+    and builds ``nodes`` and ``out_edges`` from it on their first read
+    (explain, demos, tests); a query never reads them. ``raw_scores`` walks
+    the behavior graph, not the copy, until the first ``add_node`` or
+    ``add_edge`` on the subgraph drops the extraction. Once an edge has been
+    added to the behavior graph, that first read and that walk raise
+    StaleSubgraph, rather than mix edges from before and after it.
     """
 
     agent_id: ClassVar[NodeId] = AGENT_NODE_ID
     nodes: dict[NodeId, Node] = field(default_factory=dict)
     out_edges: dict[NodeId, list[tuple[NodeId, EdgeKind, float]]] = field(default_factory=dict)
     _path_sums: dict[int, dict] = field(default_factory=dict, init=False, repr=False, compare=False)
+    extraction: Optional[Extraction] = field(default=None, init=False, repr=False, compare=False)
+
+    @classmethod
+    def extracted(cls, extraction: Extraction) -> "BehavioralSubgraph":
+        subgraph = cls.__new__(cls)  # nodes and out_edges are left to __getattr__
+        subgraph._path_sums = {}
+        subgraph.extraction = extraction
+        return subgraph
+
+    def __getattr__(self, name):
+        # Reached only for an attribute that is not set: on an extracted
+        # subgraph, nodes and out_edges before their first read.
+        if name not in ("nodes", "out_edges") or self.extraction is None:
+            raise AttributeError(name)
+        self.nodes, self.out_edges = _copy_subgraph(self.extraction)
+        return getattr(self, name)
 
     def add_node(
         self,
@@ -89,6 +133,7 @@ class BehavioralSubgraph:
             self.nodes[node_id] = Node(node_id, kind, label, attributes)
             self.out_edges[node_id] = []
             self._path_sums.clear()
+            self.extraction = None
         return node_id
 
     def add_edge(self, source: NodeId, target: NodeId, kind: EdgeKind, weight: float) -> None:
@@ -96,9 +141,37 @@ class BehavioralSubgraph:
             raise UnknownNode(f"subgraph edge endpoints {source}->{target} not present")
         self.out_edges[source].append((target, kind, weight))
         self._path_sums.clear()
+        self.extraction = None
 
     def node_count(self) -> int:
         return len(self.nodes)
+
+
+def _copy_subgraph(extraction: Extraction) -> tuple[dict, dict]:
+    """The nodes and out_edges of an extracted subgraph.
+
+    Every node the search reached, in id order after the agent, with its
+    edges if it sits strictly inside the depth budget; every edge target is
+    then in the map too.
+    """
+    extraction.check_fresh()
+    graph, depths, depth = extraction.graph, extraction.depths, extraction.depth
+    nodes = {AGENT_NODE_ID: Node(AGENT_NODE_ID, NodeKind.AGENT, extraction.agent_label)}
+    out_edges = {AGENT_NODE_ID: [(p, EdgeKind.SIMILAR_TO, w) for p, w in extraction.persons]}
+    for node_id in sorted(depths):
+        nodes[node_id] = graph.nodes[node_id]
+        edges = out_edges[node_id] = []
+        if depths[node_id] == depth:
+            continue
+        for edge in graph.out_edges[node_id]:
+            if edge.kind == _RELATIVE_OF:
+                weight = edge.weight
+            elif edge.kind == _WANT_TO:
+                weight = extraction.want[edge.target]
+            else:
+                weight = extraction.choose[node_id]
+            edges.append((edge.target, edge.kind, weight))
+    return nodes, out_edges
 
 
 def _person_index(graph: BehaviorGraph, provider: EmbeddingProvider):
@@ -168,27 +241,33 @@ def extract_subgraph(
 
     ``depth`` counts edges from the person node; a node belongs to the
     subgraph iff its minimal edge distance from any selected person is
-    <= depth. The synthetic agent node (-1) and its similar_to edges are
-    injected on top, and all want_to / choose_to weights are finalized
-    against the agent's desire.
+    <= depth, and an edge iff its source's distance is < depth. The
+    synthetic agent node (-1) gets a similar_to edge to each person,
+    weighted by its similarity. Before returning, extraction finalizes
+    every weight that depends on the query desire: want_to from the
+    desire-text similarity (through the graph's table), choose_to from the
+    temporal proximity of the hours. So an embedder error, or a desire
+    without ``start_time``, raises here.
     """
     if not persons:
         raise ValueError("persons must be non-empty")
     if depth < 1:
         raise ValueError("depth must be >= 1")
     for person_id, _ in persons:
-        if graph.node(person_id).kind != NodeKind.PERSON:
+        if graph.node(person_id).kind != _PERSON:
             raise UnknownNode(f"node {person_id} is not a Person")
+    out_edges = graph.out_edges
 
-    # Pass 1: minimal edge distance from the nearest selected person, by a
-    # breadth-first search from all of them at once.
+    # Minimal edge distance from the nearest selected person, by a
+    # breadth-first search from all of them at once. Every edge out of a
+    # Person or Desire may be followed (see ``preference._walk_graph``).
     best: dict[NodeId, int] = {person_id: 0 for person_id, _ in persons}
     frontier = list(best)
     for d in range(1, depth + 1):
         next_frontier = []
         for node_id in frontier:
-            for edge in graph.out_edges[node_id]:
-                if edge.kind in _TRAVERSABLE and edge.target not in best:
+            for edge in out_edges[node_id]:
+                if edge.target not in best:
                     best[edge.target] = d
                     next_frontier.append(edge.target)
         frontier = next_frontier
@@ -199,34 +278,27 @@ def extract_subgraph(
     query_desire_vec = provider.embed(query_desire)
     want_weights = graph._desire_weights.setdefault(provider.provider_id, {})
 
-    # Pass 2: every node the search reached, in id order after the agent,
-    # with its traversable edges if it sits strictly inside the depth
-    # budget; every edge target is then in the map too. Weights that depend
-    # on the query desire are finalized here.
-    nodes = {AGENT_NODE_ID: Node(AGENT_NODE_ID, NodeKind.AGENT, agent.profile_text)}
-    out_edges = {AGENT_NODE_ID: [(p, EdgeKind.SIMILAR_TO, w) for p, w in persons]}
+    want: dict[NodeId, float] = {}
+    choose: dict[NodeId, float] = {}
     for node_id in sorted(best):
-        nodes[node_id] = graph.nodes[node_id]
-        edges = out_edges[node_id] = []
         if best[node_id] == depth:
             continue
-        choose_weight = None
-        for edge in graph.out_edges[node_id]:
-            if edge.kind not in _TRAVERSABLE:
-                continue
-            if edge.kind == EdgeKind.RELATIVE_OF:
-                weight = edge.weight
-            elif edge.kind == EdgeKind.WANT_TO:
+        for edge in out_edges[node_id]:
+            if edge.kind == _WANT_TO and edge.target not in want:
                 key = (query_desire, graph.nodes[edge.target].label)
                 weight = want_weights.get(key)
                 if weight is None:
                     weight = similarity_weight(query_desire_vec, provider.embed(key[1]))
                     want_weights[key] = weight
-            else:  # CHOOSE_TO: source is the desire carrying the recorded hour
-                if choose_weight is None:
-                    recorded_hour = int(graph.nodes[node_id].attributes["start_time"])
-                    choose_weight = temporal_proximity(agent.start_time, recorded_hour, tau)
-                weight = choose_weight
-            edges.append((edge.target, edge.kind, weight))
+                want[edge.target] = weight
+            elif edge.kind == _CHOOSE_TO:
+                # the source is the desire carrying the recorded hour
+                recorded_hour = int(graph.nodes[node_id].attributes["start_time"])
+                choose[node_id] = temporal_proximity(agent.start_time, recorded_hour, tau)
+                break
 
-    return BehavioralSubgraph(nodes=nodes, out_edges=out_edges)
+    return BehavioralSubgraph.extracted(
+        Extraction(
+            graph, graph._edges_added, agent.profile_text, tuple(persons), best, depth, want, choose
+        )
+    )

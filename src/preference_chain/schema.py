@@ -8,7 +8,7 @@ duration bin).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass, field, fields as dc_fields
 from typing import Iterator, Mapping, Optional
 
 from .errors import SchemaViolation
@@ -87,19 +87,24 @@ HOUSEHOLD_COLUMN = "household_id"  # optional link column for relative_of edges
 
 @dataclass(frozen=True)
 class ChoiceCategorySet:
-    """Named, ordered set of candidate option keys for one choice dimension."""
+    """Named, ordered set of candidate option keys for one choice dimension.
+
+    ``members`` is the options as a frozenset, for membership tests.
+    """
 
     name: str
     options: tuple[str, ...]
+    members: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.options:
             raise ValueError(f"choice set {self.name!r} has no options")
-        if len(set(self.options)) != len(self.options):
+        object.__setattr__(self, "members", frozenset(self.options))
+        if len(self.members) != len(self.options):
             raise ValueError(f"choice set {self.name!r} has duplicate options")
 
     def __contains__(self, option: str) -> bool:
-        return option in self.options
+        return option in self.members
 
     def __len__(self) -> int:
         return len(self.options)

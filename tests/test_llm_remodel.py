@@ -274,6 +274,12 @@ def test_degenerate_prior_failure_reports_uniform_source():
         ('{"a":' * 1000 + "1" + "}" * 1000, CalibrationSource.FALLBACK_PRIOR),
         ('{"walk": ' + "[" * 1000 + "1" + "]" * 1000 + "}", CalibrationSource.FALLBACK_PRIOR),
         ('{"a":' * 1000 + "1" + "}" * 1000 + ' {"walk": 1}', CalibrationSource.LLM_ACCEPTED),
+        # a plain sum is within the tolerance of 1 and the exact sum is not
+        (
+            '{"walk": 1.0000000009999999, "bike": 8.326672684688674e-17,'
+            ' "drive": 8.326672684688674e-17}',
+            CalibrationSource.LLM_ACCEPTED,
+        ),
     ],
     ids=[
         "infinity",
@@ -284,6 +290,7 @@ def test_degenerate_prior_failure_reports_uniform_source():
         "nested-object",
         "nested-array",
         "nested-then-valid",
+        "sum-at-tolerance",
     ],
 )
 def test_hostile_reply_never_breaks_calibration(reply, source):
@@ -324,6 +331,61 @@ def test_random_hostile_replies_never_break_calibration():
                 assert abs(math.fsum(values) - 1.0) <= 1e-9, reply
                 sources.add(result.source)
     assert sources == set(CalibrationSource)
+
+
+def _two_pass_parse(raw, choice_set):
+    """``parse_response`` as two passes over the first object, kept as its oracle."""
+    for obj in json_blocks(raw):
+        unknown = [k for k in obj if k not in choice_set.options]
+        if unknown:
+            raise ParseFailure(f"unknown option keys {unknown}")
+        values = {}
+        for option in choice_set.options:
+            v = obj.get(option, 0.0)
+            if not isinstance(v, (int, float)) or isinstance(v, bool):
+                raise ParseFailure(f"non-numeric probability for {option!r}: {v!r}")
+            try:
+                v = float(v)
+            except OverflowError:
+                v = math.inf
+            if not math.isfinite(v):
+                raise ParseFailure(f"non-finite probability for {option!r}: {v!r}")
+            values[option] = max(0.0, v)
+        if math.isinf(sum(values.values())):
+            peak = max(values.values())
+            values = {o: v / peak for o, v in values.items()}
+        total = math.fsum(values.values())
+        if total <= 0.0:
+            raise ParseFailure("all probabilities zero after clamping")
+        if abs(total - 1.0) > 1e-9:
+            values = {o: v / total for o, v in values.items()}
+        return values
+    raise ParseFailure("no JSON object found in response")
+
+
+def _parsed_or_error(parse, raw):
+    try:
+        return repr(parse(raw, _MODES))
+    except ParseFailure as exc:
+        return f"ParseFailure: {exc}"
+
+
+def test_one_pass_parse_equals_the_two_pass_oracle():
+    rng = random.Random(41)
+    kinds = (
+        "unknown option keys",
+        "non-numeric probability",
+        "non-finite probability",
+        "all probabilities zero",
+        "no JSON object",
+    )
+    outcomes = set()
+    for _ in range(3000):
+        reply = _random_hostile_reply(rng)
+        got = _parsed_or_error(parse_response, reply)
+        assert got == _parsed_or_error(_two_pass_parse, reply), reply
+        outcomes.add(next((kind for kind in kinds if kind in got), "parsed"))
+    assert outcomes == {*kinds, "parsed"}  # every way to fail, and success, occurred
 
 
 def test_blend_mixes_prior_and_response():

@@ -1,4 +1,5 @@
 import gc
+import json
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -10,7 +11,7 @@ from preference_chain.embedding import hash_embed, profile_to_text
 from preference_chain.errors import ProviderError
 from preference_chain.ingest import default_synthetic_spec, generate_synthetic
 from preference_chain.llm_remodel import CalibrationSource, IdentityMockLlm, ScriptedMockLlm
-from preference_chain import embedding, pipeline, preference
+from preference_chain import embedding, pipeline, preference, retrieval
 from preference_chain.pipeline import PipelineConfig, PreferenceChain
 from preference_chain.preference import uniform_distribution
 from preference_chain.retrieval import QueryAgent, top_k_similar
@@ -91,24 +92,32 @@ def test_predict_all_without_persons_retrieves_once(monkeypatch):
 def test_predict_all_walks_once_and_renders_the_profile_once(monkeypatch):
     chain = _chain()
     agent = _agent()
-    walks, renders = [], []
-    walk, render = preference._walk_paths, embedding.profile_to_text
+    calls = {"graph walk": 0, "subgraph walk": 0, "edge copy": 0}
+    renders = []
+    render = embedding.profile_to_text
 
-    def counting_walk(*args):
-        walks.append(args)
-        return walk(*args)
+    def counting(name, module, attribute):
+        original = getattr(module, attribute)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, attribute, counted)
 
     def counting_render(profile):
         renders.append(profile)
         return render(profile)
 
-    monkeypatch.setattr(preference, "_walk_paths", counting_walk)
+    counting("graph walk", preference, "_walk_graph")
+    counting("subgraph walk", preference, "_walk_paths")
+    counting("edge copy", retrieval, "_copy_subgraph")
     for name, module in list(sys.modules.items()):
         if name.startswith("preference_chain") and getattr(module, "profile_to_text", None) is render:
             monkeypatch.setattr(module, "profile_to_text", counting_render)
     results = chain.predict_all(agent)
     assert len(results) == 2
-    assert len(walks) == 1
+    assert calls == {"graph walk": 1, "subgraph walk": 0, "edge copy": 0}
     assert len(renders) == 1
 
 
@@ -129,6 +138,18 @@ def test_scripted_llm_posterior_replaces_prior():
     result = chain.predict(_agent(), PRIMARY_MODE_SET)
     assert result.source == CalibrationSource.LLM_ACCEPTED
     assert result.posterior.probabilities["walking"] == pytest.approx(0.4)
+
+
+def test_a_reply_summing_to_one_only_in_plain_floats_is_renormalized():
+    # The plain sum is 1.0000000009999996, within the tolerance of 1; the
+    # exact sum is 1.000000001, beyond it.
+    tiny = 8.326672684688674e-17
+    reply = {option: tiny for option in PRIMARY_MODE_SET.options}
+    reply["walking"] = 1.0000000009999996
+    chain = _chain(llm=ScriptedMockLlm([json.dumps(reply)]))
+    result = chain.predict(_agent(), PRIMARY_MODE_SET)
+    assert result.source == CalibrationSource.LLM_ACCEPTED
+    assert result.posterior.probabilities["walking"] == pytest.approx(1.0)
 
 
 def test_agent_context_used_when_not_overridden():

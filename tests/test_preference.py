@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from preference_chain.behavior_graph import (
+    BehaviorGraph,
     EdgeKind,
     GraphBuildConfig,
     NodeKind,
     build_from_records,
+    desire_text,
 )
 from preference_chain.embedding import HashEmbedder
 from preference_chain.ingest import default_synthetic_spec, generate_synthetic
@@ -278,6 +280,115 @@ def test_subgraph_edits_drop_the_walk():
     assert raw_scores(sub, _WALKING, 3) == _per_choice_set_scores(sub, _WALKING, 3)
 
 
+def _random_behavior_graph(rng: random.Random):
+    """A graph built through ``add_node``/``add_edge`` with every shape the walk meets.
+
+    Households are relative_of chains and cycles; want_to and choose_to
+    edges repeat (parallel edges); persons share desires; and some options
+    are named by two intentions, created in random order among the others.
+    """
+    graph = BehaviorGraph()
+    choice_sets = (
+        ChoiceCategorySet("mode", ("walk", "bike", "drive")),
+        ChoiceCategorySet("time", ("short", "long")),
+    )
+    for choice_set in choice_sets:
+        graph.register_choice_set(choice_set)
+    persons = [graph.add_node(NodeKind.PERSON, f"person {i}") for i in range(rng.randint(2, 7))]
+    intentions = [
+        (choice_set.name, option)
+        for choice_set in choice_sets
+        for option in choice_set.options
+        for _ in range(rng.choice((1, 1, 2)))
+    ]
+    rng.shuffle(intentions)
+    desires = []
+    for i, (name, option) in enumerate(intentions):
+        graph.add_node(NodeKind.INTENTION, option, {"choice_set": name})
+        if i == 0 or rng.random() < 0.5:
+            hour = rng.randrange(24)
+            desires.append(
+                graph.add_node(
+                    NodeKind.DESIRE,
+                    desire_text(rng.choice(TRIP_PURPOSES[:3]), hour),
+                    {"start_time": str(hour)},
+                )
+            )
+    intention_ids = [n.id for n in graph.nodes if n.kind == NodeKind.INTENTION]
+    household = rng.sample(persons, rng.randint(2, len(persons)))
+    for a, b in zip(household, household[1:] + household[:1]):  # a cycle
+        graph.add_edge(a, b, EdgeKind.RELATIVE_OF, rng.random())
+        if rng.random() < 0.5:
+            graph.add_edge(b, a, EdgeKind.RELATIVE_OF, rng.random())
+    for person in persons:
+        for desire in rng.choices(desires, k=rng.randint(0, 3)):  # shared and repeated
+            graph.add_edge(person, desire, EdgeKind.WANT_TO, 1.0)
+    for desire in desires:
+        for intention in rng.choices(intention_ids, k=rng.randint(0, 4)):
+            graph.add_edge(desire, intention, EdgeKind.CHOOSE_TO, 1.0)
+    return graph, persons
+
+
+def _scoring_node(subgraph, choice_set, option):
+    """The last intention of ``subgraph`` naming the option, or None."""
+    found = None
+    for node in subgraph.nodes.values():
+        if node.kind == NodeKind.INTENTION and (
+            node.attributes.get("choice_set"), node.label
+        ) == (choice_set.name, option):
+            found = node.id
+    return found
+
+
+def test_graph_walk_equals_the_copy_walk_and_brute_force():
+    rng = random.Random(1507)
+    provider = HashEmbedder(64)
+    seen = dict.fromkeys(
+        ("relative hop", "two relative hops", "parallel choose_to", "shared desire", "twin"), 0
+    )
+    for trial in range(100):
+        graph, persons = _random_behavior_graph(rng)
+        agent = _random_agent(rng)
+        retrieved = [(p, rng.random()) for p in rng.sample(persons, rng.randint(1, min(3, len(persons))))]
+        for depth in range(1, 5):
+            sub = extract_subgraph(graph, agent, retrieved, provider, depth=depth, tau=3.0)
+            scores = {
+                (choice_set.name, max_edges): raw_scores(sub, choice_set, max_edges)
+                for choice_set in graph.choice_sets.values()
+                for max_edges in range(1, 6)
+            }
+            copy = BehavioralSubgraph(nodes=sub.nodes, out_edges=sub.out_edges)
+            for (name, max_edges), got in scores.items():
+                choice_set = graph.choice_sets[name]
+                expected = {}
+                for option in choice_set.options:
+                    node_id = _scoring_node(copy, choice_set, option)
+                    paths = [] if node_id is None else _brute_force_paths(copy, node_id, max_edges)
+                    expected[option] = math.fsum(paths)
+                # repr round-trips every float, so equal reprs are equal bits
+                assert repr(got) == repr(raw_scores(copy, choice_set, max_edges))
+                assert repr(got) == repr(expected), (trial, depth, max_edges)
+                for epsilon in (0.0, 0.1):
+                    assert repr(prior_distribution(sub, choice_set, max_edges, epsilon)) == repr(
+                        prior_distribution(copy, choice_set, max_edges, epsilon)
+                    ), (trial, depth, max_edges, epsilon)
+            for name in graph.choice_sets:
+                seen["relative hop"] += scores[name, 4] != scores[name, 3]
+                seen["two relative hops"] += scores[name, 5] != scores[name, 4]
+            edges = [(s, t, k) for s, out in copy.out_edges.items() for t, k, _ in out]
+            choose = [e for e in edges if e[2] == EdgeKind.CHOOSE_TO]
+            seen["parallel choose_to"] += len(choose) - len(set(choose))
+            wanted = [t for _, t, k in edges if k == EdgeKind.WANT_TO]
+            seen["shared desire"] += len(wanted) - len(set(wanted))
+            keys = [
+                (n.attributes["choice_set"], n.label)
+                for n in copy.nodes.values()
+                if n.kind == NodeKind.INTENTION
+            ]
+            seen["twin"] += len(keys) - len(set(keys))
+    assert all(seen.values()), seen  # the graphs exercised every shape
+
+
 # ----------------------------------------------------------------------
 # prior_distribution
 # ----------------------------------------------------------------------
@@ -347,6 +458,14 @@ def test_distribution_validation():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="non-finite"):
             PreferenceDistribution(_MODES, {"a": bad, "b": 0.0, "c": 0.0})
+
+
+def test_distribution_rejects_options_outside_its_choice_set():
+    modes = ChoiceCategorySet("mode", ("walk", "bike", "drive"))
+    with pytest.raises(ValueError, match=r"outside its choice set \['teleport'\]"):
+        PreferenceDistribution(modes, {"walk": 0.3, "bike": 0.3, "drive": 0.3, "teleport": 0.1})
+    with pytest.raises(ValueError, match="missing options"):  # a missing option is named first
+        PreferenceDistribution(modes, {"walk": 0.5, "bike": 0.5, "teleport": 0.0})
 
 
 def test_distribution_array_in_option_order():

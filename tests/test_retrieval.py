@@ -20,7 +20,7 @@ from preference_chain.embedding import (
     profile_to_text,
     similarity_weight,
 )
-from preference_chain.errors import DimensionMismatch, EmptyGraph
+from preference_chain.errors import DimensionMismatch, EmptyGraph, ProviderError, StaleSubgraph
 from preference_chain.ingest import default_synthetic_spec, generate_synthetic
 from preference_chain.pipeline import PreferenceChain
 from preference_chain.preference import raw_scores
@@ -32,7 +32,12 @@ from preference_chain.retrieval import (
     top_k_similar,
 )
 
-from preference_chain.schema import INPUT_CATEGORIES, PROFILE_FIELDS, TRIP_PURPOSES
+from preference_chain.schema import (
+    INPUT_CATEGORIES,
+    PRIMARY_MODE_SET,
+    PROFILE_FIELDS,
+    TRIP_PURPOSES,
+)
 
 from tests.conftest import make_profile, make_record
 
@@ -490,6 +495,66 @@ def test_subgraph_deterministic():
     s2 = extract_subgraph(graph, agent, persons, HashEmbedder())
     assert list(s1.nodes) == list(s2.nodes)
     assert s1.out_edges == s2.out_edges
+
+
+class _FailingOn(HashEmbedder):
+    """Hash vectors, except that embedding ``text`` raises ProviderError."""
+
+    def __init__(self, text):
+        super().__init__()
+        self.text = text
+
+    def embed(self, text):
+        if text == self.text:
+            raise ProviderError("embedder unavailable")
+        return super().embed(text)
+
+
+def test_an_embedder_error_on_a_stored_desire_raises_from_extraction():
+    graph = _build([make_record(trip_purpose="shop", start_time=17)])
+    agent = _agent(trip_purpose="work", start_time=8)
+    embedder = _FailingOn(desire_text("shop", 17))
+    persons = top_k_similar(graph, agent, 1, embedder)
+    with pytest.raises(ProviderError):
+        extract_subgraph(graph, agent, persons, embedder)
+
+
+def test_an_edge_added_to_the_graph_after_extraction_raises_on_the_next_read():
+    graph = _build([make_record(), make_record(trip_purpose="shop", start_time=17)])
+    agent = _agent()
+    persons = top_k_similar(graph, agent, 1, HashEmbedder())
+    sub = extract_subgraph(graph, agent, persons, HashEmbedder())
+    read = extract_subgraph(graph, agent, persons, HashEmbedder())
+    copied = repr(read.out_edges)
+    graph.add_node(NodeKind.PERSON, "a person added without an edge")
+    assert repr(sub.out_edges) == copied  # a node alone changes no subgraph
+    sub = extract_subgraph(graph, agent, persons, HashEmbedder())
+    person, desire = persons[0][0], graph.nodes_of_kind(NodeKind.DESIRE)[0].id
+    graph.add_edge(person, desire, EdgeKind.WANT_TO, 1.0)
+    for stale in (sub, read):
+        with pytest.raises(StaleSubgraph):
+            raw_scores(stale, PRIMARY_MODE_SET)
+    with pytest.raises(StaleSubgraph):
+        sub.out_edges
+    with pytest.raises(StaleSubgraph):
+        sub.nodes
+    assert repr(read.out_edges) == copied  # a copy read before the edit stays
+
+
+def test_an_extracted_subgraph_edited_in_place_is_scored_from_its_copy():
+    graph = _build([make_record(), make_record(trip_purpose="shop", start_time=17)])
+    agent = _agent()
+    persons = top_k_similar(graph, agent, 1, HashEmbedder())
+    sub = extract_subgraph(graph, agent, persons, HashEmbedder())
+    before = raw_scores(sub, PRIMARY_MODE_SET)
+    walking = max(sub.nodes) + 1
+    sub.add_node(walking, NodeKind.INTENTION, "walking", choice_set="primary_mode")
+    desire = next(n for n in sub.nodes.values() if n.kind == NodeKind.DESIRE).id
+    sub.add_edge(desire, walking, EdgeKind.CHOOSE_TO, 1.0)
+    after = raw_scores(sub, PRIMARY_MODE_SET)
+    assert sub.extraction is None
+    assert before["walking"] == 0.0 and after["walking"] > 0.0
+    assert after["private_auto"] == before["private_auto"]
 
 
 def test_query_agent_desire_text():
