@@ -24,7 +24,7 @@ from enum import Enum
 from typing import IO, Iterable, Optional
 
 from .embedding import profile_to_text
-from .errors import DataError, KindMismatch, UnknownNode, WeightOutOfRange
+from .errors import DataError, FrozenGraph, KindMismatch, UnknownNode, WeightOutOfRange
 from .schema import (
     BUNDLED_CHOICE_SETS,
     ChoiceCategorySet,
@@ -113,21 +113,21 @@ def temporal_proximity(hour_a: int, hour_b: int, tau: float = 4.0) -> float:
 
 
 class BehaviorGraph:
-    """Mutable during construction, treated as immutable afterwards."""
+    """Built by ``add_node`` and ``add_edge``, frozen by its first query.
+
+    A query fills one of the two caches below. From then on ``add_node``
+    and ``add_edge`` raise FrozenGraph, so no cached value can go stale.
+    """
 
     def __init__(self):
         self.nodes: list[Node] = []
         self.out_edges: dict[NodeId, list[Edge]] = {}
         self.choice_sets: dict[str, ChoiceCategorySet] = {}
-        # provider id -> retrieval's person index, built by the first query
-        # and dropped when a person is added
+        # provider id -> retrieval's person index, built by the first search
         self._person_indexes: dict[str, tuple] = {}
         # provider id -> (query desire text, stored desire text) -> retrieval's
-        # want_to weight; a weight depends on nothing else, so it is never dropped
+        # want_to weight, filled by each extraction
         self._desire_weights: dict[str, dict[tuple[str, str], float]] = {}
-        # add_edge calls so far; an extracted subgraph that reads the graph
-        # raises StaleSubgraph once it differs from the count at extraction
-        self._edges_added = 0
 
     # ------------------------------------------------------------------
     # basic mutation
@@ -137,16 +137,22 @@ class BehaviorGraph:
         self.choice_sets[choice_set.name] = choice_set
 
     def add_node(self, kind: NodeKind, label: str, attributes: Optional[dict] = None) -> NodeId:
+        if self._person_indexes or self._desire_weights:
+            raise FrozenGraph("a behavior graph cannot gain a node after its first query")
+        if not isinstance(kind, NodeKind):
+            raise KindMismatch(f"node kind {kind!r} is not a NodeKind")
         if not label:
             raise ValueError("node label must be non-empty")
         node_id = len(self.nodes)
         self.nodes.append(Node(node_id, kind, label, dict(attributes or {})))
         self.out_edges[node_id] = []
-        if kind == NodeKind.PERSON:
-            self._person_indexes.clear()
         return node_id
 
     def add_edge(self, source: NodeId, target: NodeId, kind: EdgeKind, weight: float) -> None:
+        if self._person_indexes or self._desire_weights:
+            raise FrozenGraph("a behavior graph cannot gain an edge after its first query")
+        if not isinstance(kind, EdgeKind):
+            raise KindMismatch(f"edge kind {kind!r} is not an EdgeKind")
         for node_id in (source, target):
             if not (0 <= node_id < len(self.nodes)):
                 raise UnknownNode(f"no node with id {node_id}")
@@ -158,7 +164,6 @@ class BehaviorGraph:
                 f"{kind.value} edge may not connect {pair[0].value} -> {pair[1].value}"
             )
         self.out_edges[source].append(Edge(source, target, kind, weight))
-        self._edges_added += 1
 
     # ------------------------------------------------------------------
     # queries

@@ -80,8 +80,8 @@ class EmptyGraph(GraphError):
     pass
 
 
-class StaleSubgraph(GraphError):
-    """An extracted subgraph was read after an edge was added to its graph."""
+class FrozenGraph(GraphError):
+    """An edit to a behavior graph after its first query."""
 
 
 class EmbeddingError(PreferenceChainError):

@@ -1,9 +1,9 @@
 """End-to-end query pipeline: retrieve, score, calibrate.
 
-One PreferenceChain instance owns an immutable behavior graph, the two
-providers, and the numeric knobs. Queries may run concurrently. The chain
-holds all a profile's top-k persons depend on, so it memoises them; each new
-chain starts cold, and ``BehaviorGraph.add_node`` of a person drops them.
+One PreferenceChain instance owns a behavior graph, which its first query
+freezes, the two providers, and the numeric knobs. Queries may run
+concurrently. The chain holds all a profile's top-k persons depend on, so it
+memoises them; each new chain starts cold.
 """
 
 from __future__ import annotations
@@ -90,22 +90,17 @@ class PreferenceChain:
         self.embed_provider = embed_provider or HashEmbedder()
         self.llm_provider = llm_provider or IdentityMockLlm()
         self.config = config or PipelineConfig()
-        self._similar: tuple = (None, {})  # (person index, text -> top-k _TOP_K array)
+        self._similar: dict[str, np.ndarray] = {}  # profile text -> top-k _TOP_K array
 
     def subgraph(self, agent: QueryAgent) -> Optional[BehavioralSubgraph]:
         """Retrieval + extraction; None when the graph has no persons."""
-        indexes, provider_id = self.graph._person_indexes, self.embed_provider.provider_id
-        read_from, memo = self._similar
-        if indexes.get(provider_id) is not read_from:
-            memo = {}
-        found = memo.get(agent.profile_text)
+        found = self._similar.get(agent.profile_text)
         if found is None:
             try:
                 persons = top_k_similar(self.graph, agent, self.config.k, self.embed_provider)
             except EmptyGraph:
                 return None
-            self._similar = (indexes.get(provider_id), memo)
-            found = memo[agent.profile_text] = np.array(persons, _TOP_K)
+            found = self._similar[agent.profile_text] = np.array(persons, _TOP_K)
         persons = found.tolist()
         return extract_subgraph(
             self.graph,

@@ -135,7 +135,6 @@ def _walk_graph(extraction: Extraction, max_edges: int) -> dict[tuple[str, str],
     desires inside the depth budget. Products are taken in path order, so
     the sums equal ``_walk_paths`` on the copy bit for bit.
     """
-    extraction.check_fresh()
     graph_edges, depths, depth = extraction.graph.out_edges, extraction.depths, extraction.depth
     want, choose = extraction.want, extraction.choose
     terms: dict[NodeId, list[float]] = {

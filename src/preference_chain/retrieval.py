@@ -5,10 +5,8 @@ similar Person nodes (``top_k_similar``), then a breadth-first search
 (default depth 3 edges) walks forward from all of them at once collecting
 desires and intentions (``extract_subgraph``).
 
-Values that depend on a few texts are computed once, by the object that
-owns their inputs: the profile text by ``QueryAgent``, the person index and
-want_to weights by the ``BehaviorGraph`` (see its constructor), path sums
-by the ``BehavioralSubgraph``, and top-k persons by ``pipeline``'s chain.
+Each cache is described by its owner: ``QueryAgent``, ``BehaviorGraph``,
+``BehavioralSubgraph`` and ``pipeline.PreferenceChain``.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from .behavior_graph import (
     temporal_proximity,
 )
 from .embedding import EmbeddingProvider, _norm, profile_to_text, similarity_weight
-from .errors import DimensionMismatch, EmptyGraph, StaleSubgraph, UnknownNode, ZeroVector
+from .errors import DimensionMismatch, EmptyGraph, UnknownNode, ZeroVector
 from .schema import AgentProfile
 
 AGENT_NODE_ID: NodeId = -1
@@ -62,20 +60,12 @@ class Extraction(NamedTuple):
     """What ``extract_subgraph`` found, read in place of a copied subgraph."""
 
     graph: BehaviorGraph
-    edges_added: int                 # graph._edges_added at extraction
     agent_label: str
     persons: tuple[tuple[NodeId, float], ...]
     depths: dict[NodeId, int]        # node -> its breadth-first search depth
     depth: int
     want: dict[NodeId, float]        # desire -> weight of every want_to edge into it
     choose: dict[NodeId, float]      # desire -> weight of each of its choose_to edges
-
-    def check_fresh(self) -> None:
-        """Raise StaleSubgraph if the graph gained an edge since extraction."""
-        if self.graph._edges_added != self.edges_added:
-            raise StaleSubgraph(
-                "an edge was added to the behavior graph after the subgraph was extracted"
-            )
 
 
 @dataclass
@@ -94,10 +84,8 @@ class BehavioralSubgraph:
     A subgraph from ``extract_subgraph`` holds its ``extraction`` instead,
     and builds ``nodes`` and ``out_edges`` from it on their first read
     (explain, demos, tests); a query never reads them. ``raw_scores`` walks
-    the behavior graph, not the copy, until the first ``add_node`` or
-    ``add_edge`` on the subgraph drops the extraction. Once an edge has been
-    added to the behavior graph, that first read and that walk raise
-    StaleSubgraph, rather than mix edges from before and after it.
+    the behavior graph (frozen by extraction), not the copy, until the
+    first ``add_node`` or ``add_edge`` on the subgraph drops the extraction.
     """
 
     agent_id: ClassVar[NodeId] = AGENT_NODE_ID
@@ -154,7 +142,6 @@ def _copy_subgraph(extraction: Extraction) -> tuple[dict, dict]:
     edges if it sits strictly inside the depth budget; every edge target is
     then in the map too.
     """
-    extraction.check_fresh()
     graph, depths, depth = extraction.graph, extraction.depths, extraction.depth
     nodes = {AGENT_NODE_ID: Node(AGENT_NODE_ID, NodeKind.AGENT, extraction.agent_label)}
     out_edges = {AGENT_NODE_ID: [(p, EdgeKind.SIMILAR_TO, w) for p, w in extraction.persons]}
@@ -298,7 +285,5 @@ def extract_subgraph(
                 break
 
     return BehavioralSubgraph.extracted(
-        Extraction(
-            graph, graph._edges_added, agent.profile_text, tuple(persons), best, depth, want, choose
-        )
+        Extraction(graph, agent.profile_text, tuple(persons), best, depth, want, choose)
     )

@@ -63,8 +63,16 @@ def test_add_edge_kind_discipline():
     g = BehaviorGraph()
     p1 = g.add_node(NodeKind.PERSON, "p1")
     p2 = g.add_node(NodeKind.PERSON, "p2")
+    d = g.add_node(NodeKind.DESIRE, "d")
     with pytest.raises(KindMismatch):
         g.add_edge(p1, p2, EdgeKind.SIMILAR_TO, 0.5)
+    # equal to a member, but not one: a snapshot could not write its kind
+    with pytest.raises(KindMismatch):
+        g.add_edge(p1, d, "want_to", 1.0)
+    with pytest.raises(KindMismatch):
+        g.add_node("Person", "p3")
+    assert (g.node_count(), g.edge_count()) == (3, 0)
+    g.dump_jsonl(io.StringIO())
 
 
 def test_add_edge_unknown_node():

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from preference_chain import config as config_module
-from preference_chain.behavior_graph import BehaviorGraph
+from preference_chain.behavior_graph import BehaviorGraph, NodeKind
 from preference_chain.city import grid_city
 from preference_chain.cli import main
 from preference_chain.embedding import RemoteEmbedder
@@ -239,6 +239,22 @@ def test_predict_scores_each_prior_once(tmp_path, trips_csv, capsys, monkeypatch
     capsys.readouterr()
     # one of each per choice set: primary_mode and duration_minutes
     assert calls == {"prior_distribution": 2, "calibrate": 2}
+
+
+def test_an_edit_after_a_query_exits_3(tmp_path, trips_csv, capsys, monkeypatch):
+    from preference_chain import pipeline
+
+    predict_all = pipeline.PreferenceChain.predict_all
+
+    def predict_then_edit(chain, agent):
+        results = predict_all(chain, agent)
+        chain.graph.add_node(NodeKind.PERSON, "a person added after a query")
+        return results
+
+    monkeypatch.setattr(pipeline.PreferenceChain, "predict_all", predict_then_edit)
+    agent = write_agent(tmp_path / "agent.json")
+    assert run(["predict", "--agent", agent, "--reference", trips_csv]) == 3
+    assert "data error: a behavior graph cannot gain a node" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,7 @@ from preference_chain.embedding import (
     profile_to_text,
     similarity_weight,
 )
-from preference_chain.errors import DimensionMismatch, EmptyGraph, ProviderError, StaleSubgraph
+from preference_chain.errors import DimensionMismatch, EmptyGraph, FrozenGraph, ProviderError
 from preference_chain.ingest import default_synthetic_spec, generate_synthetic
 from preference_chain.pipeline import PreferenceChain
 from preference_chain.preference import raw_scores
@@ -175,11 +175,12 @@ def test_person_added_after_a_query_is_retrieved():
     graph = _build([make_record(age_group=age) for age in ("18-24", "45-54", "65+")])
     provider = HashEmbedder()
     before = top_k_similar(graph, _agent(), 2, provider)
+    counts = (graph.node_count(), graph.edge_count())
     profile = make_profile()  # the agent's own profile
-    added = graph.add_node(NodeKind.PERSON, profile_to_text(profile), profile.as_dict())
-    after = top_k_similar(graph, _agent(), 2, provider)
-    assert [pid for pid, _ in after] == [added, before[0][0]]
-    assert after[0][1] == pytest.approx(1.0)
+    with pytest.raises(FrozenGraph):
+        graph.add_node(NodeKind.PERSON, profile_to_text(profile), profile.as_dict())
+    assert (graph.node_count(), graph.edge_count()) == counts
+    assert top_k_similar(graph, _agent(), 2, provider) == before
 
 
 class _OnesEmbedder:
@@ -524,21 +525,84 @@ def test_an_edge_added_to_the_graph_after_extraction_raises_on_the_next_read():
     agent = _agent()
     persons = top_k_similar(graph, agent, 1, HashEmbedder())
     sub = extract_subgraph(graph, agent, persons, HashEmbedder())
-    read = extract_subgraph(graph, agent, persons, HashEmbedder())
-    copied = repr(read.out_edges)
-    graph.add_node(NodeKind.PERSON, "a person added without an edge")
-    assert repr(sub.out_edges) == copied  # a node alone changes no subgraph
-    sub = extract_subgraph(graph, agent, persons, HashEmbedder())
+    scores, copied = raw_scores(sub, PRIMARY_MODE_SET), repr(sub.out_edges)
+    counts = (graph.node_count(), graph.edge_count())
     person, desire = persons[0][0], graph.nodes_of_kind(NodeKind.DESIRE)[0].id
-    graph.add_edge(person, desire, EdgeKind.WANT_TO, 1.0)
-    for stale in (sub, read):
-        with pytest.raises(StaleSubgraph):
-            raw_scores(stale, PRIMARY_MODE_SET)
-    with pytest.raises(StaleSubgraph):
-        sub.out_edges
-    with pytest.raises(StaleSubgraph):
-        sub.nodes
-    assert repr(read.out_edges) == copied  # a copy read before the edit stays
+    with pytest.raises(FrozenGraph):
+        graph.add_edge(person, desire, EdgeKind.WANT_TO, 1.0)
+    assert (graph.node_count(), graph.edge_count()) == counts
+    again = extract_subgraph(graph, agent, persons, HashEmbedder())
+    assert raw_scores(again, PRIMARY_MODE_SET) == scores
+    assert repr(again.out_edges) == copied
+
+
+def _graph_with_persons():
+    return _build([make_record(), make_record(trip_purpose="shop", start_time=17)])
+
+
+def _graph_without_persons():
+    graph = _build([])
+    attributes = {"trip_purpose": "work", "start_time": "8"}
+    graph.add_node(NodeKind.DESIRE, desire_text("work", 8), attributes)
+    graph.add_node(NodeKind.INTENTION, "walking", {"choice_set": "primary_mode"})
+    return graph
+
+
+def _extract_from_a_person_given_by_hand(graph):
+    person = graph.nodes_of_kind(NodeKind.PERSON)[0].id
+    extract_subgraph(graph, _agent(), [(person, 1.0)], HashEmbedder())
+    assert not graph._person_indexes  # the want_to table alone freezes it
+
+
+def _chain_query_without_persons(graph):
+    chain = PreferenceChain(graph)
+    assert chain.subgraph(_agent()) is None
+    assert graph._person_indexes[chain.embed_provider.provider_id][0] == []
+
+
+_FIRST_QUERIES = {
+    "top_k_similar": (
+        _graph_with_persons, lambda g: top_k_similar(g, _agent(), 1, HashEmbedder())
+    ),
+    "extract_subgraph": (_graph_with_persons, _extract_from_a_person_given_by_hand),
+    "predict_all": (_graph_with_persons, lambda g: PreferenceChain(g).predict_all(_agent())),
+    "chain_without_persons": (_graph_without_persons, _chain_query_without_persons),
+}
+
+
+def _edit(graph):
+    """Add one node and one edge that the unfrozen graph accepts."""
+    desire = graph.nodes_of_kind(NodeKind.DESIRE)[0].id
+    intention = graph.nodes_of_kind(NodeKind.INTENTION)[0].id
+    return [
+        lambda: graph.add_node(NodeKind.INTENTION, "bicycle", {"choice_set": "primary_mode"}),
+        lambda: graph.add_edge(desire, intention, EdgeKind.CHOOSE_TO, 1.0),
+    ]
+
+
+@pytest.mark.parametrize("first_query", sorted(_FIRST_QUERIES))
+def test_the_first_query_freezes_the_graph(first_query):
+    build, query = _FIRST_QUERIES[first_query]
+    graph = build()
+    query(graph)
+    counts = (graph.node_count(), graph.edge_count())
+    for edit in _edit(graph):
+        with pytest.raises(FrozenGraph):
+            edit()
+    assert (graph.node_count(), graph.edge_count()) == counts
+
+
+def test_a_chain_validation_and_a_snapshot_leave_the_graph_editable(tmp_path):
+    graph = _graph_with_persons()
+    PreferenceChain(graph)
+    graph.validate()
+    graph.save(tmp_path / "graph.jsonl")
+    loaded = BehaviorGraph.load(tmp_path / "graph.jsonl")
+    for g in (graph, loaded):
+        counts = (g.node_count(), g.edge_count())
+        for edit in _edit(g):
+            edit()
+        assert (g.node_count(), g.edge_count()) == (counts[0] + 1, counts[1] + 1)
 
 
 def test_an_extracted_subgraph_edited_in_place_is_scored_from_its_copy():
