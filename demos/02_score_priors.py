@@ -37,7 +37,7 @@ agent = QueryAgent(
 )
 
 subgraph = chain.subgraph(agent)
-print(f"retrieved subgraph: {len(subgraph.nodes)} nodes "
+print(f"retrieved subgraph: {subgraph.node_count()} nodes "
       f"(k={chain.config.k} similar persons plus their neighborhoods)\n")
 
 # Each path's weight is the product of its edge weights; a raw score sums

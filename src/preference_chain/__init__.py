@@ -104,6 +104,7 @@ from .preference import (
 )
 from .retrieval import (
     BehavioralSubgraph,
+    Extraction,
     QueryAgent,
     extract_subgraph,
     top_k_similar,

@@ -22,7 +22,7 @@ from typing import Optional, Protocol
 import requests
 
 from .errors import ParseFailure, ProviderError
-from .preference import SUM_TOLERANCE, PreferenceDistribution
+from .preference import SUM_TOLERANCE, PreferenceDistribution, scaled_fsum
 from .retrieval import QueryAgent
 from .schema import ChoiceCategorySet
 
@@ -166,12 +166,7 @@ def parse_response(raw: str, choice_set: ChoiceCategorySet) -> dict[str, float]:
             raise ParseFailure(f"unknown option keys {unknown}")
         if bad:
             raise ParseFailure(next(bad[o] for o in choice_set.options if o in bad))
-        try:
-            total = math.fsum(values.values())
-        except OverflowError:  # finite values whose sum is beyond the float range
-            peak = max(values.values())
-            values = {o: v / peak for o, v in values.items()}
-            total = math.fsum(values.values())
+        values, total = scaled_fsum(values)
         if total <= 0.0:
             raise ParseFailure("all probabilities zero after clamping")
         if abs(total - 1.0) > SUM_TOLERANCE:

@@ -3,11 +3,14 @@
 One PreferenceChain instance owns a behavior graph, which its first query
 freezes, the two providers, and the numeric knobs. Queries may run
 concurrently. The chain holds all a profile's top-k persons depend on, so it
-memoises them; each new chain starts cold.
+memoises them; each new chain starts cold. Each query's subgraph is its
+own ``retrieval.Extraction``, which keeps its path sums for the choice sets
+it is scored on.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -30,7 +33,7 @@ from .preference import (
     prior_distribution,
     uniform_distribution,
 )
-from .retrieval import BehavioralSubgraph, QueryAgent, extract_subgraph, top_k_similar
+from .retrieval import Extraction, QueryAgent, extract_subgraph, top_k_similar
 from .schema import ChoiceCategorySet
 
 
@@ -55,13 +58,17 @@ class PipelineConfig:
     def __post_init__(self):
         try:
             checks = [
-                (self.k >= 1, "pipeline.k must be >= 1"),
-                (self.max_path_edges >= 1, "pipeline.max_path_edges must be >= 1"),
-                (self.depth >= 1, "pipeline.depth must be >= 1"),
-                (self.epsilon >= 0, "pipeline.epsilon must be >= 0"),
+                # each comparison comes first, so that a string raises TypeError
+                (self.k >= 1 and type(self.k) is int, "pipeline.k must be an integer >= 1"),
+                (
+                    self.max_path_edges >= 1 and type(self.max_path_edges) is int,
+                    "pipeline.max_path_edges must be an integer >= 1",
+                ),
+                (self.depth >= 1 and type(self.depth) is int, "pipeline.depth must be an integer >= 1"),
+                (0 <= self.epsilon < math.inf, "pipeline.epsilon must be finite and >= 0"),
                 (self.tau > 0, "pipeline.tau must be > 0"),
                 (0.0 <= self.blend <= 1.0, "pipeline.blend must be in [0, 1]"),
-                (self.seed >= 0, "pipeline.seed must be >= 0"),
+                (self.seed >= 0 and type(self.seed) is int, "pipeline.seed must be an integer >= 0"),
                 (self.generation.temperature >= 0, "generation.temperature must be >= 0"),
             ]
         except TypeError as exc:  # non-numeric value in a numeric knob
@@ -92,7 +99,7 @@ class PreferenceChain:
         self.config = config or PipelineConfig()
         self._similar: dict[str, np.ndarray] = {}  # profile text -> top-k _TOP_K array
 
-    def subgraph(self, agent: QueryAgent) -> Optional[BehavioralSubgraph]:
+    def subgraph(self, agent: QueryAgent) -> Optional[Extraction]:
         """Retrieval + extraction; None when the graph has no persons."""
         found = self._similar.get(agent.profile_text)
         if found is None:
@@ -115,7 +122,7 @@ class PreferenceChain:
         self,
         agent: QueryAgent,
         choice_set: ChoiceCategorySet,
-        subgraph: Optional[BehavioralSubgraph] = _RETRIEVE,
+        subgraph: Optional[Extraction] = _RETRIEVE,
     ) -> PreferenceDistribution:
         """The graph prior; degenerate uniform when ``subgraph`` is None."""
         if subgraph is _RETRIEVE:
@@ -130,7 +137,7 @@ class PreferenceChain:
         self,
         agent: QueryAgent,
         choice_set: ChoiceCategorySet,
-        subgraph: Optional[BehavioralSubgraph] = _RETRIEVE,
+        subgraph: Optional[Extraction] = _RETRIEVE,
     ) -> CalibrationResult:
         """Prior followed by LLM calibration, conditioned on ``agent.context``.
 

@@ -4,13 +4,13 @@ A path's weight is the product of its edge weights. The raw score of a
 choice option is the sum of the weights of all simple paths (at most K
 edges) from the agent node to that option's intention node. One
 depth-first walk from the agent sums the paths into every option of the
-subgraph at once, whatever its choice set, so the choice sets of one query
-share a walk (kept on the ``BehavioralSubgraph``): ``_walk_graph`` over the
-behavior graph for an extracted subgraph, ``_walk_paths`` over the edges
-of a hand-built one. The prior distribution normalizes the raw scores over
-the full candidate option set. Options with no path score zero; an
-all-zero score vector falls back to a uniform distribution flagged as
-degenerate."""
+subgraph at once, whatever its choice set. An ``Extraction`` is walked by
+``_walk_graph`` over the behavior graph, once per path length limit, and
+keeps the sums, so the choice sets of one query share a walk; a hand-built
+``BehavioralSubgraph`` is walked by ``_walk_paths`` over its edges on every
+call. The prior distribution normalizes the raw scores over the full
+candidate option set. Options with no path score zero; an all-zero score
+vector falls back to a uniform distribution flagged as degenerate."""
 
 from __future__ import annotations
 
@@ -69,6 +69,17 @@ class PreferenceDistribution:
         cumulative = list(accumulate(self.probabilities[o] for o in options))
         idx = bisect_right(cumulative, rng.random())
         return options[min(idx, len(options) - 1)]
+
+
+def scaled_fsum(values: dict[str, float]) -> tuple[dict[str, float], float]:
+    """``values`` and their ``math.fsum``; when finite values sum beyond the
+    float range, both are taken after dividing every value by the largest."""
+    try:
+        return values, math.fsum(values.values())
+    except OverflowError:
+        peak = max(values.values())
+        values = {o: v / peak for o, v in values.items()}
+        return values, math.fsum(values.values())
 
 
 def uniform_distribution(choice_set: ChoiceCategorySet, degenerate: bool = False) -> PreferenceDistribution:
@@ -164,30 +175,27 @@ def _walk_graph(extraction: Extraction, max_edges: int) -> dict[tuple[str, str],
 
 
 def raw_scores(
-    subgraph: BehavioralSubgraph,
+    subgraph: BehavioralSubgraph | Extraction,
     choice_set: ChoiceCategorySet,
     max_edges: int = DEFAULT_MAX_PATH_EDGES,
 ) -> dict[str, float]:
     """Raw score of every option of ``choice_set``: the fsum of its path weights.
 
-    The path sums come from one walk per ``max_edges`` (see the module
-    docstring), kept on the subgraph. Options that no path reaches score
-    0.0.
+    The path sums come from one walk (see the module docstring). Options
+    that no path reaches score 0.0.
     """
-    sums = subgraph._path_sums.get(max_edges)
-    if sums is None:
-        extraction = subgraph.extraction
-        if extraction is None:
-            sums = _walk_paths(subgraph, max_edges)
-        else:
-            sums = _walk_graph(extraction, max_edges)
-        subgraph._path_sums[max_edges] = sums
+    if isinstance(subgraph, Extraction):
+        sums = subgraph.path_sums.get(max_edges)
+        if sums is None:
+            sums = subgraph.path_sums[max_edges] = _walk_graph(subgraph, max_edges)
+    else:
+        sums = _walk_paths(subgraph, max_edges)
     name = choice_set.name
     return {option: sums.get((name, option), 0.0) for option in choice_set.options}
 
 
 def prior_distribution(
-    subgraph: BehavioralSubgraph,
+    subgraph: BehavioralSubgraph | Extraction,
     choice_set: ChoiceCategorySet,
     max_edges: int = DEFAULT_MAX_PATH_EDGES,
     epsilon: float = 0.0,
@@ -199,13 +207,12 @@ def prior_distribution(
     total mass is still zero the result is uniform with the degenerate
     flag set.
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
-    scores = {
+    if not 0 <= epsilon < math.inf:  # NaN fails too
+        raise ValueError("epsilon must be finite and >= 0")
+    scores, total = scaled_fsum({
         option: score + epsilon
         for option, score in raw_scores(subgraph, choice_set, max_edges).items()
-    }
-    total = math.fsum(scores.values())
+    })
     if total <= 0.0:
         return uniform_distribution(choice_set, degenerate=True)
     return PreferenceDistribution(

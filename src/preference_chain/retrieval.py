@@ -3,17 +3,19 @@
 A query runs in two stages: vector similarity search picks the top-k most
 similar Person nodes (``top_k_similar``), then a breadth-first search
 (default depth 3 edges) walks forward from all of them at once collecting
-desires and intentions (``extract_subgraph``).
+desires and intentions (``extract_subgraph``). The search returns an
+``Extraction``, the query's read-only record; a ``BehavioralSubgraph`` is
+a plain graph that tests build by hand.
 
 Each cache is described by its owner: ``QueryAgent``, ``BehaviorGraph``,
-``BehavioralSubgraph`` and ``pipeline.PreferenceChain``.
+``Extraction`` and ``pipeline.PreferenceChain``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import ClassVar, NamedTuple, Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -56,9 +58,18 @@ class QueryAgent:
         return desire_text(self.trip_purpose, self.start_time)
 
 
-class Extraction(NamedTuple):
-    """What ``extract_subgraph`` found, read in place of a copied subgraph."""
+@dataclass(frozen=True, eq=False)
+class Extraction:
+    """What ``extract_subgraph`` found: one query's read-only subgraph record.
 
+    It is scored straight from the behavior graph, which its extraction
+    froze (``preference._walk_graph``), and keeps the path sums of each
+    path length limit in ``path_sums``. ``nodes`` and ``out_edges``, the
+    subgraph as a copy, are built on their first read; only the benchmark
+    tracer, demos and tests read them. ``node_count()`` builds no copy.
+    """
+
+    agent_id: ClassVar[NodeId] = AGENT_NODE_ID
     graph: BehaviorGraph
     agent_label: str
     persons: tuple[tuple[NodeId, float], ...]
@@ -66,48 +77,32 @@ class Extraction(NamedTuple):
     depth: int
     want: dict[NodeId, float]        # desire -> weight of every want_to edge into it
     choose: dict[NodeId, float]      # desire -> weight of each of its choose_to edges
+    path_sums: dict[int, dict] = field(default_factory=dict, init=False, repr=False)
+
+    def node_count(self) -> int:
+        return len(self.depths) + 1  # the agent node is not in the depth map
+
+    @cached_property
+    def _copy(self) -> tuple[dict, dict]:
+        return _copy_subgraph(self)
+
+    nodes = property(lambda self: self._copy[0])
+    out_edges = property(lambda self: self._copy[1])
 
 
 @dataclass
 class BehavioralSubgraph:
-    """Small weighted digraph rooted at the agent node (id -1).
+    """Small weighted digraph rooted at the agent node (id -1), built by hand.
 
-    ``nodes`` holds the behavior graph's own ``Node`` objects, shared rather
-    than copied (an Intention's choice set is its
-    ``attributes["choice_set"]``), plus the agent node. All
-    weights are finalized; parallel edges are kept (one stored choose_to
-    edge per observation, each contributing its own path).
-    ``preference.raw_scores`` keeps its path sums here, keyed by the path
-    length limit; ``add_node`` and ``add_edge`` drop them, editing ``nodes``
-    or ``out_edges`` directly does not.
-
-    A subgraph from ``extract_subgraph`` holds its ``extraction`` instead,
-    and builds ``nodes`` and ``out_edges`` from it on their first read
-    (explain, demos, tests); a query never reads them. ``raw_scores`` walks
-    the behavior graph (frozen by extraction), not the copy, until the
-    first ``add_node`` or ``add_edge`` on the subgraph drops the extraction.
+    Tests build one to score a graph of their own; ``preference.raw_scores``
+    walks its ``out_edges`` on every call. An Intention's choice set is its
+    ``attributes["choice_set"]``. All weights are finalized; parallel edges
+    are kept (each contributes its own path).
     """
 
     agent_id: ClassVar[NodeId] = AGENT_NODE_ID
     nodes: dict[NodeId, Node] = field(default_factory=dict)
     out_edges: dict[NodeId, list[tuple[NodeId, EdgeKind, float]]] = field(default_factory=dict)
-    _path_sums: dict[int, dict] = field(default_factory=dict, init=False, repr=False, compare=False)
-    extraction: Optional[Extraction] = field(default=None, init=False, repr=False, compare=False)
-
-    @classmethod
-    def extracted(cls, extraction: Extraction) -> "BehavioralSubgraph":
-        subgraph = cls.__new__(cls)  # nodes and out_edges are left to __getattr__
-        subgraph._path_sums = {}
-        subgraph.extraction = extraction
-        return subgraph
-
-    def __getattr__(self, name):
-        # Reached only for an attribute that is not set: on an extracted
-        # subgraph, nodes and out_edges before their first read.
-        if name not in ("nodes", "out_edges") or self.extraction is None:
-            raise AttributeError(name)
-        self.nodes, self.out_edges = _copy_subgraph(self.extraction)
-        return getattr(self, name)
 
     def add_node(
         self,
@@ -120,19 +115,12 @@ class BehavioralSubgraph:
             attributes = {} if choice_set is None else {"choice_set": choice_set}
             self.nodes[node_id] = Node(node_id, kind, label, attributes)
             self.out_edges[node_id] = []
-            self._path_sums.clear()
-            self.extraction = None
         return node_id
 
     def add_edge(self, source: NodeId, target: NodeId, kind: EdgeKind, weight: float) -> None:
         if source not in self.nodes or target not in self.nodes:
             raise UnknownNode(f"subgraph edge endpoints {source}->{target} not present")
         self.out_edges[source].append((target, kind, weight))
-        self._path_sums.clear()
-        self.extraction = None
-
-    def node_count(self) -> int:
-        return len(self.nodes)
 
 
 def _copy_subgraph(extraction: Extraction) -> tuple[dict, dict]:
@@ -223,7 +211,7 @@ def extract_subgraph(
     provider: EmbeddingProvider,
     depth: int = 3,
     tau: float = 4.0,
-) -> BehavioralSubgraph:
+) -> Extraction:
     """Breadth-first forward search from the selected persons.
 
     ``depth`` counts edges from the person node; a node belongs to the
@@ -251,6 +239,8 @@ def extract_subgraph(
     best: dict[NodeId, int] = {person_id: 0 for person_id, _ in persons}
     frontier = list(best)
     for d in range(1, depth + 1):
+        if not frontier:  # nothing left to visit
+            break
         next_frontier = []
         for node_id in frontier:
             for edge in out_edges[node_id]:
@@ -284,6 +274,4 @@ def extract_subgraph(
                 choose[node_id] = temporal_proximity(agent.start_time, recorded_hour, tau)
                 break
 
-    return BehavioralSubgraph.extracted(
-        Extraction(graph, agent.profile_text, tuple(persons), best, depth, want, choose)
-    )
+    return Extraction(graph, agent.profile_text, tuple(persons), best, depth, want, choose)

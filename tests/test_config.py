@@ -62,6 +62,13 @@ _PIPELINE_OUT_OF_RANGE = [
     ("blend", 1.5),
     ("blend", -0.1),
     ("seed", -1),
+    ("k", 2.5),
+    ("k", 1e20),
+    ("k", True),
+    ("depth", 2.5),
+    ("max_path_edges", 2.5),
+    ("seed", 1.5),
+    ("epsilon", float("inf")),
 ]
 
 

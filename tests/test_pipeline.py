@@ -119,6 +119,11 @@ def test_predict_all_walks_once_and_renders_the_profile_once(monkeypatch):
     assert len(results) == 2
     assert calls == {"graph walk": 1, "subgraph walk": 0, "edge copy": 0}
     assert len(renders) == 1
+    subgraph = chain.subgraph(agent)
+    count = subgraph.node_count()
+    assert calls["edge copy"] == 0
+    assert count == len(subgraph.nodes) and calls["edge copy"] == 1
+    assert subgraph.out_edges.keys() == subgraph.nodes.keys() and calls["edge copy"] == 1
 
 
 def test_predict_all_covers_registered_choice_sets():

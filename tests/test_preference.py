@@ -280,6 +280,17 @@ def test_subgraph_edits_drop_the_walk():
     assert raw_scores(sub, _WALKING, 3) == _per_choice_set_scores(sub, _WALKING, 3)
 
 
+def test_a_hand_built_subgraph_edited_through_its_edges_is_scored_anew():
+    sub = _chain_subgraph()
+    sub.add_node(4, NodeKind.INTENTION, "walking", choice_set="mode")  # now the option's node
+    assert raw_scores(sub, _WALKING) == {"walking": 0.0}
+    sub.out_edges[2].append((4, EdgeKind.CHOOSE_TO, 1.0))
+    assert raw_scores(sub, _WALKING) == {"walking": pytest.approx(0.72)}
+    sub.out_edges[0].append((2, EdgeKind.WANT_TO, 0.5))  # a second path: 0.9 * 0.5 * 1.0
+    assert raw_scores(sub, _WALKING) == {"walking": pytest.approx(1.17)}
+    assert raw_scores(sub, _WALKING) == _per_choice_set_scores(sub, _WALKING, 4)
+
+
 def _random_behavior_graph(rng: random.Random):
     """A graph built through ``add_node``/``add_edge`` with every shape the walk meets.
 
@@ -427,6 +438,17 @@ def test_prior_epsilon_smooths_missing_options():
     assert dist.probabilities["a"] == pytest.approx(0.7 / 1.1)
     with pytest.raises(ValueError):
         prior_distribution(sub, _MODES, epsilon=-0.1)
+
+
+def test_prior_with_an_epsilon_near_the_float_limit_is_finite_and_normalized():
+    sub = _two_option_subgraph(0.6, 0.2)
+    dist = prior_distribution(sub, _MODES, epsilon=1e308)  # the plain sum overflows
+    assert all(math.isfinite(p) for p in dist.probabilities.values())
+    assert math.fsum(dist.probabilities.values()) == pytest.approx(1.0)
+    assert dist.probabilities == pytest.approx({o: 1 / 3 for o in _MODES.options})
+    for epsilon in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            prior_distribution(sub, _MODES, epsilon=epsilon)
 
 
 def test_prior_degenerate_uniform_when_no_paths():

@@ -406,6 +406,20 @@ def test_subgraph_depth_three_reaches_relatives_intentions():
     assert labels2 == {"private_auto"}
 
 
+def test_a_search_deeper_than_the_graph_equals_one_at_depth_50():
+    records = generate_synthetic(default_synthetic_spec(), size=30, seed=32)
+    graph = _build(records)
+    agent = _agent()
+    persons = top_k_similar(graph, agent, 5, HashEmbedder())
+    deep, shallow = (
+        extract_subgraph(graph, agent, persons, HashEmbedder(), depth=depth)
+        for depth in (10**6, 50)
+    )
+    assert deep.depths == shallow.depths and max(deep.depths.values()) < 50
+    assert repr(deep.out_edges) == repr(shallow.out_edges)
+    assert repr(raw_scores(deep, PRIMARY_MODE_SET)) == repr(raw_scores(shallow, PRIMARY_MODE_SET))
+
+
 def test_subgraph_edges_only_from_interior_nodes():
     records = generate_synthetic(default_synthetic_spec(), size=30, seed=32)
     graph = _build(records)
@@ -611,14 +625,19 @@ def test_an_extracted_subgraph_edited_in_place_is_scored_from_its_copy():
     persons = top_k_similar(graph, agent, 1, HashEmbedder())
     sub = extract_subgraph(graph, agent, persons, HashEmbedder())
     before = raw_scores(sub, PRIMARY_MODE_SET)
-    walking = max(sub.nodes) + 1
-    sub.add_node(walking, NodeKind.INTENTION, "walking", choice_set="primary_mode")
-    desire = next(n for n in sub.nodes.values() if n.kind == NodeKind.DESIRE).id
-    sub.add_edge(desire, walking, EdgeKind.CHOOSE_TO, 1.0)
-    after = raw_scores(sub, PRIMARY_MODE_SET)
-    assert sub.extraction is None
+    assert not hasattr(sub, "add_node") and not hasattr(sub, "add_edge")
+    copy = BehavioralSubgraph(
+        nodes=dict(sub.nodes), out_edges={n: list(e) for n, e in sub.out_edges.items()}
+    )
+    walking = max(copy.nodes) + 1
+    copy.add_node(walking, NodeKind.INTENTION, "walking", choice_set="primary_mode")
+    desire = next(n for n in copy.nodes.values() if n.kind == NodeKind.DESIRE).id
+    copy.add_edge(desire, walking, EdgeKind.CHOOSE_TO, 1.0)
+    after = raw_scores(copy, PRIMARY_MODE_SET)
     assert before["walking"] == 0.0 and after["walking"] > 0.0
     assert after["private_auto"] == before["private_auto"]
+    assert raw_scores(sub, PRIMARY_MODE_SET) == before
+    assert walking not in sub.nodes
 
 
 def test_query_agent_desire_text():
