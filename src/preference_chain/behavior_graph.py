@@ -153,12 +153,9 @@ class BehaviorGraph:
             raise FrozenGraph("a behavior graph cannot gain an edge after its first query")
         if not isinstance(kind, EdgeKind):
             raise KindMismatch(f"edge kind {kind!r} is not an EdgeKind")
-        for node_id in (source, target):
-            if not (0 <= node_id < len(self.nodes)):
-                raise UnknownNode(f"no node with id {node_id}")
+        pair = (self.node(source).kind, self.node(target).kind)
         if not (0.0 <= weight <= 1.0):
             raise WeightOutOfRange(f"weight {weight} outside [0, 1]")
-        pair = (self.nodes[source].kind, self.nodes[target].kind)
         if pair not in _ENDPOINT_RULES[kind]:
             raise KindMismatch(
                 f"{kind.value} edge may not connect {pair[0].value} -> {pair[1].value}"

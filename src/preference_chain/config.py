@@ -1,11 +1,12 @@
 """Run configuration: sectioned JSON file with defaults, strict key checking.
 
 A config file holds four optional sections (paths, providers, pipeline,
-generation); unknown sections or keys are rejected so typos fail loudly.
-Mock providers are the default — remote ones need explicit URLs, which the
-environment variables PC_LLM_URL / PC_EMBED_URL can inject (setting one
-also turns the corresponding mock flag off). The canonical-JSON sha256 of
-a config is recorded in every output manifest.
+generation); unknown sections or keys are rejected so typos fail loudly,
+and each section is checked when it is built. Mock providers are the
+default — remote ones need explicit URLs, which the environment variables
+PC_LLM_URL / PC_EMBED_URL can inject (setting one also turns the
+corresponding mock flag off). The canonical-JSON sha256 of a config is
+recorded in every output manifest.
 """
 
 from __future__ import annotations
@@ -44,6 +45,14 @@ class ProvidersConfig:
     embed_url: Optional[str] = None
     embed_model: str = "nomic-embed-text"
 
+    def __post_init__(self):
+        if not self.mock_llm and not self.llm_url:
+            raise ConfigError("providers.llm_url required when mock_llm is false")
+        if not self.mock_llm and not self.llm_model:
+            raise ConfigError("providers.llm_model required when mock_llm is false")
+        if not self.mock_embed and not self.embed_url:
+            raise ConfigError("providers.embed_url required when mock_embed is false")
+
 
 def _section(cls, obj, name: str, **fixed):
     """Build ``cls`` from one JSON section; ``fixed`` fields come from elsewhere."""
@@ -65,7 +74,7 @@ def _section(cls, obj, name: str, **fixed):
 class RunConfig:
     paths: PathsConfig = field(default_factory=PathsConfig)
     providers: ProvidersConfig = field(default_factory=ProvidersConfig)
-    # The "pipeline" and "generation" sections; validated when built.
+    # The "pipeline" and "generation" sections.
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
 
     @property
@@ -81,23 +90,13 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown config sections: {unknown}")
         generation = _section(GenerationParams, obj.get("generation"), "generation")
-        config = cls(
+        return cls(
             paths=_section(PathsConfig, obj.get("paths"), "paths"),
             providers=_section(ProvidersConfig, obj.get("providers"), "providers"),
             pipeline=_section(
                 PipelineConfig, obj.get("pipeline"), "pipeline", generation=generation
             ),
         )
-        return config.validate()
-
-    def validate(self) -> "RunConfig":
-        if not self.providers.mock_llm and not self.providers.llm_url:
-            raise ConfigError("providers.llm_url required when mock_llm is false")
-        if not self.providers.mock_llm and not self.providers.llm_model:
-            raise ConfigError("providers.llm_model required when mock_llm is false")
-        if not self.providers.mock_embed and not self.providers.embed_url:
-            raise ConfigError("providers.embed_url required when mock_embed is false")
-        return self
 
     def to_dict(self) -> dict:
         pipeline = dataclasses.asdict(self.pipeline)
@@ -130,7 +129,7 @@ class RunConfig:
             providers = dataclasses.replace(providers, mock_llm=mock_llm)
         if mock_embed is not None:
             providers = dataclasses.replace(providers, mock_embed=mock_embed)
-        return dataclasses.replace(self, providers=providers, pipeline=pipeline).validate()
+        return dataclasses.replace(self, providers=providers, pipeline=pipeline)
 
 
 def apply_env_overrides(config: RunConfig, environ: Mapping[str, str] = os.environ) -> RunConfig:
@@ -144,7 +143,7 @@ def apply_env_overrides(config: RunConfig, environ: Mapping[str, str] = os.envir
         providers = dataclasses.replace(providers, embed_url=embed_url, mock_embed=False)
     if providers is config.providers:
         return config
-    return dataclasses.replace(config, providers=providers).validate()
+    return dataclasses.replace(config, providers=providers)
 
 
 def load_config(path) -> RunConfig:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from typing import IO, Optional, Sequence
+from typing import IO, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .schema import (
     HOUSEHOLD_COLUMN,
     INPUT_CATEGORIES,
     PRIMARY_MODES,
+    PROFILE_FIELDS,
     AgentProfile,
     TripRecord,
     record_from_row,
@@ -101,9 +102,10 @@ class SyntheticSpec:
     def validate(self) -> "SyntheticSpec":
         if self.spec_version != SPEC_VERSION:
             raise InvalidSpec(f"unsupported spec_version {self.spec_version!r}")
-        population = self.population
-        if isinstance(population, bool) or not isinstance(population, int) or population < 0:
-            raise InvalidSpec(f"population must be an integer >= 0, got {population!r}")
+        for name in ("population", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 0:
+                raise InvalidSpec(f"{name} must be an integer >= 0, got {value!r}")
         objects = (self.marginals, self.mode_conditionals, self.duration_conditionals)
         if not all(isinstance(obj, dict) for obj in objects):
             raise InvalidSpec("marginals and conditionals must be objects")
@@ -202,26 +204,21 @@ def generate_synthetic(
             rng, spec.duration_conditionals[bucket], count, DURATION_BINS
         )
 
-    records = []
-    for i in range(n):
-        profile = AgentProfile(
-            age_group=columns["age_group"][i],
-            income_group=columns["income_group"][i],
-            employment_status=columns["employment_status"][i],
-            household_size=columns["household_size"][i],
-            available_vehicles=columns["available_vehicles"][i],
-            education=columns["education"][i],
+    return [
+        TripRecord(
+            profile=profile,
+            trip_purpose=columns["trip_purpose"][i],
+            start_time=int(columns["start_time"][i]),
+            primary_mode=modes[i],
+            duration_minutes=durations[i],
         )
-        records.append(
-            TripRecord(
-                profile=profile,
-                trip_purpose=columns["trip_purpose"][i],
-                start_time=int(columns["start_time"][i]),
-                primary_mode=modes[i],
-                duration_minutes=durations[i],
-            )
-        )
-    return records
+        for i, profile in enumerate(profiles_from_columns(columns))
+    ]
+
+
+def profiles_from_columns(columns: Mapping[str, np.ndarray]) -> list[AgentProfile]:
+    """One profile per row of the drawn ``PROFILE_FIELDS`` columns."""
+    return [AgentProfile(*row) for row in zip(*(columns[name] for name in PROFILE_FIELDS))]
 
 
 def split_reference_validation(

@@ -24,7 +24,7 @@ from .city import (
 )
 from .embedding import profile_to_text
 from .errors import DataError, EmptySamples, ParseFailure, ProviderError
-from .ingest import SyntheticSpec, draw_column
+from .ingest import SyntheticSpec, draw_column, profiles_from_columns
 from .llm_remodel import GenerationParams, LlmProvider, json_blocks
 from .metrics import JointDistribution, kld
 from .pipeline import PreferenceChain
@@ -75,7 +75,7 @@ class DayPlan:
     def validate(self) -> "DayPlan":
         last = -1
         for hour, purpose in self.entries:
-            if not (isinstance(hour, int) and 0 <= hour <= 23):
+            if not (type(hour) is int and 0 <= hour <= 23):
                 raise ValueError(f"plan hour {hour!r} outside 0..23")
             if hour <= last:
                 raise ValueError("plan hours must be strictly increasing")
@@ -177,14 +177,12 @@ def generate_profiles(n: int, spec: SyntheticSpec, seed: int) -> list[AgentProfi
     rng = substream(seed, "profiles")
     if n == 0:
         return []
-    columns = {
-        name: draw_column(rng, spec.marginals[name], n, INPUT_CATEGORIES[name])
-        for name in PROFILE_FIELDS
-    }
-    return [
-        AgentProfile(**{name: columns[name][i] for name in PROFILE_FIELDS})
-        for i in range(n)
-    ]
+    return profiles_from_columns(
+        {
+            name: draw_column(rng, spec.marginals[name], n, INPUT_CATEGORIES[name])
+            for name in PROFILE_FIELDS
+        }
+    )
 
 
 def make_agents(profiles: Sequence[AgentProfile], city: CityModel, seed: int) -> list[AgentState]:

@@ -218,11 +218,11 @@ def extract_subgraph(
     subgraph iff its minimal edge distance from any selected person is
     <= depth, and an edge iff its source's distance is < depth. The
     synthetic agent node (-1) gets a similar_to edge to each person,
-    weighted by its similarity. Before returning, extraction finalizes
-    every weight that depends on the query desire: want_to from the
-    desire-text similarity (through the graph's table), choose_to from the
-    temporal proximity of the hours. So an embedder error, or a desire
-    without ``start_time``, raises here.
+    weighted by its similarity. As the search expands each node, it
+    finalizes the weights of its edges that depend on the query desire:
+    want_to from the desire-text similarity (through the graph's table),
+    choose_to from the temporal proximity of the hours. So an embedder
+    error, or a desire without ``start_time``, raises here.
     """
     if not persons:
         raise ValueError("persons must be non-empty")
@@ -231,12 +231,21 @@ def extract_subgraph(
     for person_id, _ in persons:
         if graph.node(person_id).kind != _PERSON:
             raise UnknownNode(f"node {person_id} is not a Person")
-    out_edges = graph.out_edges
+    out_edges, nodes = graph.out_edges, graph.nodes
+    # Embedded even when every want_to weight is in the table, so that an
+    # embedder failing on the query desire fails every query alike.
+    query_desire = agent.desire_text()
+    query_desire_vec = provider.embed(query_desire)
+    want_weights = graph._desire_weights.setdefault(provider.provider_id, {})
 
     # Minimal edge distance from the nearest selected person, by a
-    # breadth-first search from all of them at once. Every edge out of a
-    # Person or Desire may be followed (see ``preference._walk_graph``).
+    # breadth-first search from all of them at once; each node inside the
+    # depth budget is expanded once, and the weights of its want_to and
+    # choose_to edges are finalized then. Every edge out of a Person or
+    # Desire may be followed (see ``preference._walk_graph``).
     best: dict[NodeId, int] = {person_id: 0 for person_id, _ in persons}
+    want: dict[NodeId, float] = {}
+    choose: dict[NodeId, float] = {}
     frontier = list(best)
     for d in range(1, depth + 1):
         if not frontier:  # nothing left to visit
@@ -244,34 +253,22 @@ def extract_subgraph(
         next_frontier = []
         for node_id in frontier:
             for edge in out_edges[node_id]:
-                if edge.target not in best:
-                    best[edge.target] = d
-                    next_frontier.append(edge.target)
+                target = edge.target
+                if target not in best:
+                    best[target] = d
+                    next_frontier.append(target)
+                if edge.kind == _WANT_TO:
+                    if target not in want:
+                        key = (query_desire, nodes[target].label)
+                        weight = want_weights.get(key)
+                        if weight is None:
+                            weight = similarity_weight(query_desire_vec, provider.embed(key[1]))
+                            want_weights[key] = weight
+                        want[target] = weight
+                elif edge.kind == _CHOOSE_TO and node_id not in choose:
+                    # the source is the desire carrying the recorded hour
+                    recorded_hour = int(nodes[node_id].attributes["start_time"])
+                    choose[node_id] = temporal_proximity(agent.start_time, recorded_hour, tau)
         frontier = next_frontier
-
-    # Embedded even when every want_to weight is in the table, so that an
-    # embedder failing on the query desire fails every query alike.
-    query_desire = agent.desire_text()
-    query_desire_vec = provider.embed(query_desire)
-    want_weights = graph._desire_weights.setdefault(provider.provider_id, {})
-
-    want: dict[NodeId, float] = {}
-    choose: dict[NodeId, float] = {}
-    for node_id in sorted(best):
-        if best[node_id] == depth:
-            continue
-        for edge in out_edges[node_id]:
-            if edge.kind == _WANT_TO and edge.target not in want:
-                key = (query_desire, graph.nodes[edge.target].label)
-                weight = want_weights.get(key)
-                if weight is None:
-                    weight = similarity_weight(query_desire_vec, provider.embed(key[1]))
-                    want_weights[key] = weight
-                want[edge.target] = weight
-            elif edge.kind == _CHOOSE_TO:
-                # the source is the desire carrying the recorded hour
-                recorded_hour = int(graph.nodes[node_id].attributes["start_time"])
-                choose[node_id] = temporal_proximity(agent.start_time, recorded_hour, tau)
-                break
 
     return Extraction(graph, agent.profile_text, tuple(persons), best, depth, want, choose)

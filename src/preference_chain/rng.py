@@ -15,10 +15,7 @@ import numpy as np
 
 def substream(root_seed: int, *names) -> np.random.Generator:
     """Generator for the (root_seed, *names) substream."""
-    entropy = [int(root_seed) & 0xFFFFFFFF]
+    entropy = [int(root_seed)]
     for name in names:
-        if isinstance(name, int):
-            entropy.append(name & 0xFFFFFFFF)
-        else:
-            entropy.append(zlib.crc32(str(name).encode("utf-8")))
+        entropy.append(name if isinstance(name, int) else zlib.crc32(str(name).encode("utf-8")))
     return np.random.default_rng(np.random.SeedSequence(entropy))

@@ -155,7 +155,7 @@ class TripRecord:
         self.profile.validate(row)
         if self.trip_purpose not in TRIP_PURPOSES:
             raise SchemaViolation(row, "trip_purpose", self.trip_purpose)
-        if not (isinstance(self.start_time, int) and 0 <= self.start_time <= 23):
+        if not (type(self.start_time) is int and 0 <= self.start_time <= 23):
             raise SchemaViolation(row, "start_time", self.start_time)
         if self.primary_mode not in PRIMARY_MODES:
             raise SchemaViolation(row, "primary_mode", self.primary_mode)

@@ -13,7 +13,7 @@ from preference_chain.behavior_graph import (
     build_from_records,
     temporal_proximity,
 )
-from preference_chain.errors import KindMismatch, UnknownNode, WeightOutOfRange
+from preference_chain.errors import KindMismatch, SchemaViolation, UnknownNode, WeightOutOfRange
 from preference_chain.ingest import default_synthetic_spec, generate_synthetic
 from preference_chain.schema import (
     AGE_GROUPS,
@@ -80,6 +80,11 @@ def test_add_edge_unknown_node():
     p = g.add_node(NodeKind.PERSON, "p")
     with pytest.raises(UnknownNode):
         g.add_edge(p, 99, EdgeKind.WANT_TO, 0.5)
+    # an unknown node is reported before a bad weight, a bad weight before a bad kind pair
+    with pytest.raises(UnknownNode):
+        g.add_edge(-1, p, EdgeKind.SIMILAR_TO, 1.5)
+    with pytest.raises(WeightOutOfRange):
+        g.add_edge(p, p, EdgeKind.CHOOSE_TO, 1.5)
 
 
 def test_temporal_proximity_bounds_and_symmetry():
@@ -111,6 +116,11 @@ def test_build_dedups_persons_and_splits_desires():
     assert len(persons) == 1
     assert len(desires) == 2
     assert len(choose) == 2
+
+
+def test_build_rejects_a_boolean_start_time():
+    with pytest.raises(SchemaViolation, match="start_time"):
+        build_from_records([make_record(start_time=True)])
 
 
 def test_build_empty_records_registers_choice_sets():

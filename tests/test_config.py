@@ -1,5 +1,6 @@
 """Run configuration: parsing, validation, hashing, env overrides, providers."""
 
+import dataclasses
 import json
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from preference_chain.config import (
     ENV_EMBED_URL,
     ENV_LLM_URL,
+    ProvidersConfig,
     RunConfig,
     apply_env_overrides,
     build_embed_provider,
@@ -106,6 +108,13 @@ def test_remote_providers_require_urls():
         {"providers": {"mock_llm": False, "llm_url": "http://localhost:11434/api/generate"}}
     )
     assert config.providers.llm_url.endswith("generate")
+    # the section checks itself however it is built
+    with pytest.raises(ConfigError, match="llm_url"):
+        RunConfig(providers=ProvidersConfig(mock_llm=False))
+    with pytest.raises(ConfigError, match="embed_url"):
+        dataclasses.replace(ProvidersConfig(), mock_embed=False)
+    with pytest.raises(ConfigError, match="llm_url"):
+        RunConfig().with_overrides(mock_llm=False)
 
 
 def test_to_dict_round_trip():

@@ -192,6 +192,11 @@ def test_spec_validation_failures():
     with pytest.raises(InvalidSpec):
         broken.validate()
 
+    broken = copy.deepcopy(spec)
+    broken.seed = -1
+    with pytest.raises(InvalidSpec, match="seed"):
+        broken.validate()
+
 
 def test_spec_json_round_trip():
     spec = default_synthetic_spec(population=500, seed=42)

@@ -77,6 +77,8 @@ def test_day_plan_rejects_bad_entries():
         DayPlan(((9, "commute"),)).validate()
     with pytest.raises(ValueError, match="outside"):
         DayPlan(((9.5, "work"),)).validate()
+    with pytest.raises(ValueError, match="outside"):
+        DayPlan(((True, "work"),)).validate()
 
 
 def test_day_plan_empty_is_valid():
@@ -170,6 +172,7 @@ def test_parse_schedule_failures():
         '[{"hour": 9, "purpose": "work"}, {"hour": 9, "purpose": "eat"}]',
         '[{"hour": 9, "purpose": "work"}, {"hour": 8, "purpose": "eat"}]',
         '[{"hour": 25, "purpose": "work"}]',
+        '[{"hour": true, "purpose": "work"}]',
         '[{"hour": 9, "purpose": "commute"}]',
     ):
         with pytest.raises(ParseFailure):

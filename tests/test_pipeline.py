@@ -192,6 +192,8 @@ def test_substream_determinism_and_separation():
     assert a.tolist() != d.tolist()
     # int names are accepted and distinct from their string forms
     assert substream(7, 3).random(2).tolist() != substream(7, "3").random(2).tolist()
+    # seeds past 32 bits are not folded onto smaller ones
+    assert substream(0, "x").random(4).tolist() != substream(2**32, "x").random(4).tolist()
 
 
 def _seeded_agents(seed, n):

@@ -40,6 +40,7 @@ from preference_chain.schema import (
 )
 
 from tests.conftest import make_profile, make_record
+from tests.test_preference import _random_behavior_graph
 
 
 def _agent(**kwargs) -> QueryAgent:
@@ -352,14 +353,26 @@ def _node_facts(sub):
     return [(n.id, n.kind, n.label, n.attributes.get("choice_set")) for n in sub.nodes.values()]
 
 
-def test_one_pass_subgraph_equals_the_add_call_build():
-    rng = random.Random(4242)
-    seen = {EdgeKind.RELATIVE_OF: 0, "parallel choose_to": 0}
-    for trial in range(30):
+def _one_pass_inputs(rng: random.Random):
+    """(graph, agent, persons, provider): graphs built from records, then
+    the seeded add-call graphs, whose desires are shared by persons and
+    whose options may be named by twin intentions."""
+    for _ in range(30):
         graph = _build(_household_records(rng, rng.randrange(8, 40)), both_fields=True)
         provider = HashEmbedder()
         agent = _agent(trip_purpose=rng.choice(TRIP_PURPOSES), start_time=rng.randrange(24))
-        persons = top_k_similar(graph, agent, rng.randrange(1, 7), provider)
+        yield graph, agent, top_k_similar(graph, agent, rng.randrange(1, 7), provider), provider
+    for _ in range(30):
+        graph, persons = _random_behavior_graph(rng)
+        agent = _agent(trip_purpose=rng.choice(TRIP_PURPOSES[:3]), start_time=rng.randrange(24))
+        chosen = rng.sample(persons, rng.randint(1, len(persons)))
+        yield graph, agent, [(p, rng.random()) for p in chosen], HashEmbedder()
+
+
+def test_one_pass_subgraph_equals_the_add_call_build():
+    rng = random.Random(4242)
+    seen = dict.fromkeys((EdgeKind.RELATIVE_OF, "parallel choose_to", "shared desire", "twin"), 0)
+    for trial, (graph, agent, persons, provider) in enumerate(_one_pass_inputs(rng)):
         for depth in (1, 2, 3, 4):
             tau = rng.choice((0.5, 2.0, 4.0, 9.0))
             sub = extract_subgraph(graph, agent, persons, provider, depth=depth, tau=tau)
@@ -376,7 +389,11 @@ def test_one_pass_subgraph_equals_the_add_call_build():
             seen[EdgeKind.RELATIVE_OF] += sum(k == EdgeKind.RELATIVE_OF for _, _, k in edges)
             choose = [e for e in edges if e[2] == EdgeKind.CHOOSE_TO]
             seen["parallel choose_to"] += len(choose) - len(set(choose))
-    assert all(seen.values()), seen  # the graphs exercised both edge shapes
+            wanted = [t for _, t, k in edges if k == EdgeKind.WANT_TO]
+            seen["shared desire"] += len(wanted) - len(set(wanted))
+            keys = [(c, label) for _, kind, label, c in _node_facts(sub) if kind == NodeKind.INTENTION]
+            seen["twin"] += len(keys) - len(set(keys))
+    assert all(seen.values()), seen  # the graphs exercised every shape
 
 
 def test_subgraph_depth_three_reaches_relatives_intentions():
