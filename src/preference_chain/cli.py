@@ -2,8 +2,12 @@
 
 Subcommands: gen-synth, build-graph, predict, evaluate, sweep, simulate.
 Every command runs fully offline with the default mock providers and is
-reproducible from (config, seed); output directories always receive a
-manifest recording the seed, config hash, and provider ids.
+reproducible from (config, seed); ``gen-synth --spec`` draws with the
+spec's seed unless ``--seed`` is on the command line. Each ``--out`` is
+checked before any work: a file must not be a directory and must lie in one
+that exists, a directory must not be a file. Every output directory
+receives its data files and then a manifest recording the seed, config
+hash, and provider ids.
 
 Exit codes: 0 ok, 2 config error, 3 data error, 4 provider error (including
 embeddings that cannot be compared).
@@ -81,9 +85,21 @@ def _require_path(value: Optional[str], flag: str) -> Path:
     return path
 
 
+def _out_file(value: Optional[str]) -> Path:
+    """The --out file, checked before any work: not a directory, in one that exists."""
+    if not value:
+        raise ConfigError("--out file is required")
+    path = Path(value)
+    if path.is_dir():
+        raise ConfigError(f"--out {path} is a directory")
+    if not path.parent.is_dir():
+        raise ConfigError(f"--out {path}: no such directory {path.parent}")
+    return path
+
+
 def _out_dir(args, config: RunConfig) -> Path:
-    """The --out directory, checked but not created: a command creates it to write."""
-    value = getattr(args, "out", None) or config.paths.out_dir
+    """The --out directory, checked but not created: ``_write_run`` creates it."""
+    value = args.out or config.paths.out_dir
     if not value:
         raise ConfigError("--out directory is required")
     if Path(value).exists() and not Path(value).is_dir():
@@ -91,14 +107,22 @@ def _out_dir(args, config: RunConfig) -> Path:
     return Path(value)
 
 
-def _load_reference(args, config: RunConfig):
-    path = _require_path(
-        getattr(args, "reference", None) or config.paths.reference_csv, "--reference"
-    )
+def _load_records(value: Optional[str], flag: str):
+    """The records of the trip CSV a flag names; EmptyReference when it holds none."""
+    path = _require_path(value, flag)
     records = read_csv(path)
     if not records:
         raise EmptyReference(f"{path} contains no records")
     return records
+
+
+def _write_run(out: Path, config: RunConfig, command: str, extra: dict, files: dict) -> None:
+    """Create ``out``, write each ``files`` name with its writer in order, then the manifest."""
+    out.mkdir(parents=True, exist_ok=True)
+    files = {**files, "manifest.json": lambda fp: write_json(fp, run_manifest(config, command, extra))}
+    for name, write in files.items():
+        with open(out / name, "w", encoding="utf-8") as fp:
+            write(fp)
 
 
 def _build_chain(graph: BehaviorGraph, config: RunConfig) -> PreferenceChain:
@@ -134,26 +158,25 @@ def _at_least(value: int, flag: str, minimum: int = 0) -> int:
 
 
 def cmd_gen_synth(args, config: RunConfig) -> int:
+    out = _out_file(args.out)
     if args.spec:
         with open(_require_path(args.spec, "--spec"), "r", encoding="utf-8") as fp:
             spec = SyntheticSpec.from_json(fp)
     else:
         spec = default_synthetic_spec()
     size = _at_least(args.size, "--size") if args.size is not None else spec.population
-    records = generate_synthetic(spec, size=size, seed=config.pipeline.seed)
-    if not args.out:
-        raise ConfigError("--out file is required")
-    write_csv(records, args.out)
+    seed = spec.seed if args.spec and args.seed is None else config.pipeline.seed
+    records = generate_synthetic(spec, size=size, seed=seed)
+    write_csv(records, out)
     print(f"wrote {len(records)} records to {args.out}")
     return 0
 
 
 def cmd_build_graph(args, config: RunConfig) -> int:
-    records = _load_reference(args, config)
+    out = _out_file(args.out)
+    records = _load_records(args.reference or config.paths.reference_csv, "--reference")
     graph = build_graph(records)
-    if not args.out:
-        raise ConfigError("--out file is required")
-    graph.save(args.out)
+    graph.save(out)
     print(
         f"graph: {graph.node_count()} nodes, {graph.edge_count()} edges, "
         f"{len(records)} records -> {args.out}"
@@ -191,12 +214,13 @@ def _agent_from_json(path: Path) -> QueryAgent:
 
 
 def cmd_predict(args, config: RunConfig) -> int:
+    out = args.out and _out_file(args.out)
     agent = _agent_from_json(_require_path(args.agent, "--agent"))
     snapshot = args.graph or config.paths.graph_file
     if snapshot:
         graph = BehaviorGraph.load(_require_path(snapshot, "--graph"))
     else:
-        graph = build_graph(_load_reference(args, config))
+        graph = build_graph(_load_records(args.reference or config.paths.reference_csv, "--reference"))
     output = {
         name: {
             "prior": result.prior.probabilities,
@@ -207,20 +231,15 @@ def cmd_predict(args, config: RunConfig) -> int:
         for name, result in _build_chain(graph, config).predict_all(agent).items()
     }
     text = json.dumps(output, indent=2, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+    if out:
+        out.write_text(text + "\n", encoding="utf-8")
     print(text)
     return 0
 
 
 def cmd_evaluate(args, config: RunConfig) -> int:
-    reference = _load_reference(args, config)
-    validation_path = _require_path(
-        args.validation or config.paths.validation_csv, "--validation"
-    )
-    validation = read_csv(validation_path)
-    if not validation:
-        raise EmptyReference(f"{validation_path} contains no records")
+    reference = _load_records(args.reference or config.paths.reference_csv, "--reference")
+    validation = _load_records(args.validation or config.paths.validation_csv, "--validation")
     out = _out_dir(args, config)
     seed = config.pipeline.seed
 
@@ -243,14 +262,11 @@ def cmd_evaluate(args, config: RunConfig) -> int:
             truth,
         )
 
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "report.csv", "w", encoding="utf-8") as fp:
-        write_combined_csv(fp, reports)
-    with open(out / "report.json", "w", encoding="utf-8") as fp:
-        write_json(fp, {name: report.summary() for name, report in reports.items()})
-    with open(out / "manifest.json", "w", encoding="utf-8") as fp:
-        extra = {"n_reference": len(reference), "n_validation": len(validation)}
-        write_json(fp, run_manifest(config, "evaluate", extra))
+    extra = {"n_reference": len(reference), "n_validation": len(validation)}
+    _write_run(out, config, "evaluate", extra, {
+        "report.csv": lambda fp: write_combined_csv(fp, reports),
+        "report.json": lambda fp: write_json(fp, {n: r.summary() for n, r in reports.items()}),
+    })
     chain_report = reports["chain"]
     print(
         f"evaluate: mean kld {chain_report.mean_kld:.4f}, "
@@ -263,7 +279,7 @@ def cmd_sweep(args, config: RunConfig) -> int:
     sizes = _parse_int_list(args.sizes, "--sizes")
     seeds = list(range(_at_least(args.seeds, "--seeds"))) or [config.pipeline.seed]
     n_validation = _at_least(args.n_validation, "--n-validation", 1)
-    records = _load_reference(args, config)
+    records = _load_records(args.reference or config.paths.reference_csv, "--reference")
     out = _out_dir(args, config)
     rows = sweep_reference_sizes(
         records,
@@ -274,24 +290,22 @@ def cmd_sweep(args, config: RunConfig) -> int:
         embed_provider=build_embed_provider(config),
         llm_provider=build_llm_provider(config),
     )
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "sweep.csv", "w", encoding="utf-8") as fp:
-        write_sweep_csv(fp, rows)
-    with open(out / "manifest.json", "w", encoding="utf-8") as fp:
-        write_json(fp, run_manifest(config, "sweep", {"sizes": sizes, "seeds": seeds}))
+    files = {"sweep.csv": lambda fp: write_sweep_csv(fp, rows)}
+    _write_run(out, config, "sweep", {"sizes": sizes, "seeds": seeds}, files)
     print(f"sweep: {len(rows)} rows -> {out / 'sweep.csv'}")
     return 0
 
 
 def cmd_simulate(args, config: RunConfig) -> int:
     n_agents = _at_least(args.agents, "--agents", 1)
+    out = _out_dir(args, config)
     city_path = args.city or config.paths.city_file
     if city_path:
         city = CityModel.load(_require_path(city_path, "--city"))
     else:
         city = grid_city(seed=config.pipeline.seed)
-    chain = _build_chain(build_graph(_load_reference(args, config)), config)
-    out = _out_dir(args, config)
+    reference = _load_records(args.reference or config.paths.reference_csv, "--reference")
+    chain = _build_chain(build_graph(reference), config)
     seed = config.pipeline.seed
     reference_tally = None
     if args.reference_tally:
@@ -318,15 +332,11 @@ def cmd_simulate(args, config: RunConfig) -> int:
     }
     if reference_tally is not None:
         summary["flow_kld"] = flow_kld(tally, reference_tally)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "edge_tally.csv", "w", encoding="utf-8") as fp:
-        tally.write_edge_csv(fp)
-    with open(out / "poi_tally.csv", "w", encoding="utf-8") as fp:
-        tally.write_poi_csv(fp)
-    with open(out / "summary.json", "w", encoding="utf-8") as fp:
-        write_json(fp, summary)
-    with open(out / "manifest.json", "w", encoding="utf-8") as fp:
-        write_json(fp, run_manifest(config, "simulate", {"agents": len(agents)}))
+    _write_run(out, config, "simulate", {"agents": len(agents)}, {
+        "edge_tally.csv": tally.write_edge_csv,
+        "poi_tally.csv": tally.write_poi_csv,
+        "summary.json": lambda fp: write_json(fp, summary),
+    })
     print(
         f"simulate: {len(agents)} agents, {len(trips)} trips, "
         f"{tally.total_edge_traversals()} traversals -> {out}"

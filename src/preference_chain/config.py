@@ -1,12 +1,15 @@
 """Run configuration: sectioned JSON file with defaults, strict key checking.
 
 A config file holds four optional sections (paths, providers, pipeline,
-generation); unknown sections or keys are rejected so typos fail loudly,
-and each section is checked when it is built. Mock providers are the
-default — remote ones need explicit URLs, which the environment variables
-PC_LLM_URL / PC_EMBED_URL can inject (setting one also turns the
-corresponding mock flag off). The canonical-JSON sha256 of a config is
-recorded in every output manifest.
+generation); unknown sections or keys are rejected so typos fail loudly.
+Each section checks its own fields when it is built, through
+``errors.check_config``: paths are strings or null, the mock flags are
+booleans, provider URLs and models are strings or null, and the
+"pipeline" and "generation" ranges are checked by ``PipelineConfig`` and
+``GenerationParams``. Mock providers are the default — remote ones need
+explicit URLs, which the environment variables PC_LLM_URL / PC_EMBED_URL
+can inject (setting one also turns the corresponding mock flag off). The
+canonical-JSON sha256 of a config is recorded in every output manifest.
 """
 
 from __future__ import annotations
@@ -19,12 +22,20 @@ from dataclasses import dataclass, field
 from typing import IO, Mapping, Optional
 
 from .embedding import EmbeddingProvider, HashEmbedder, RemoteEmbedder
-from .errors import ConfigError
+from .errors import ConfigError, check_config
 from .llm_remodel import GenerationParams, IdentityMockLlm, LlmProvider, RemoteLlm
 from .pipeline import PipelineConfig
 
 ENV_LLM_URL = "PC_LLM_URL"
 ENV_EMBED_URL = "PC_EMBED_URL"
+
+
+def _strings_or_null(section: str, obj, names) -> list[tuple[bool, str]]:
+    """One ``check_config`` pair per field of ``obj`` that must be a string or None."""
+    return [
+        (isinstance(getattr(obj, name), (str, type(None))), f"{section}.{name} must be a string or null")
+        for name in names
+    ]
 
 
 @dataclass(frozen=True)
@@ -34,6 +45,10 @@ class PathsConfig:
     city_file: Optional[str] = None
     graph_file: Optional[str] = None
     out_dir: Optional[str] = None
+
+    def __post_init__(self):
+        names = [f.name for f in dataclasses.fields(self)]
+        check_config(lambda: _strings_or_null("paths", self, names))
 
 
 @dataclass(frozen=True)
@@ -46,12 +61,14 @@ class ProvidersConfig:
     embed_model: str = "nomic-embed-text"
 
     def __post_init__(self):
-        if not self.mock_llm and not self.llm_url:
-            raise ConfigError("providers.llm_url required when mock_llm is false")
-        if not self.mock_llm and not self.llm_model:
-            raise ConfigError("providers.llm_model required when mock_llm is false")
-        if not self.mock_embed and not self.embed_url:
-            raise ConfigError("providers.embed_url required when mock_embed is false")
+        check_config(lambda: [
+            (type(self.mock_llm) is bool, "providers.mock_llm must be true or false"),
+            (type(self.mock_embed) is bool, "providers.mock_embed must be true or false"),
+            *_strings_or_null("providers", self, ("llm_url", "llm_model", "embed_url", "embed_model")),
+            (self.mock_llm or self.llm_url, "providers.llm_url required when mock_llm is false"),
+            (self.mock_llm or self.llm_model, "providers.llm_model required when mock_llm is false"),
+            (self.mock_embed or self.embed_url, "providers.embed_url required when mock_embed is false"),
+        ])
 
 
 def _section(cls, obj, name: str, **fixed):

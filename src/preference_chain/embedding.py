@@ -109,6 +109,24 @@ def hash_embed(text: str, dimension: int = DEFAULT_HASH_DIMENSION) -> np.ndarray
     return vec / norm
 
 
+def post_json(session, url: str, payload: dict, timeout: float, field: str):
+    """POST ``payload`` as JSON to ``url`` and return ``field`` of the reply.
+
+    Raises ProviderError when the request fails (a payload that is not
+    valid JSON, such as a NaN, included) or the reply is not a JSON object
+    holding ``field``. Both remote providers send their requests here.
+    """
+    try:
+        response = session.post(url, json=payload, timeout=timeout)
+        response.raise_for_status()
+        body = response.json()
+    except (requests.RequestException, ValueError) as exc:  # ValueError: not JSON
+        raise ProviderError(f"request to {url} failed: {exc}") from exc
+    if not isinstance(body, dict) or field not in body:
+        raise ProviderError(f"reply from {url} is not a JSON object with a {field!r} field")
+    return body[field]
+
+
 class _CachedEmbedder:
     """Embeds each text once per instance; subclasses supply ``_compute``."""
 
@@ -166,19 +184,8 @@ class RemoteEmbedder(_CachedEmbedder):
     def _compute(self, text: str) -> np.ndarray:
         if not text.strip():
             raise EmptyText("cannot embed empty text")
-        try:
-            response = self._session.post(
-                self.url,
-                json={"model": self.model, "prompt": text},
-                timeout=self.timeout,
-            )
-            response.raise_for_status()
-            payload = response.json()
-        except requests.RequestException as exc:
-            raise ProviderError(f"embedding request failed: {exc}") from exc
-        except ValueError as exc:
-            raise ProviderError(f"embedding response is not JSON: {exc}") from exc
-        values = payload.get("embedding") if isinstance(payload, dict) else None
+        payload = {"model": self.model, "prompt": text}
+        values = post_json(self._session, self.url, payload, self.timeout, "embedding")
         if not isinstance(values, list) or not values:
             raise ProviderError("embedding response lacks a non-empty 'embedding' array")
         try:

@@ -14,6 +14,21 @@ class ConfigError(PreferenceChainError):
     """Invalid or incomplete run configuration."""
 
 
+def check_config(checks) -> None:
+    """Raise ConfigError with the message of the first failed ``(ok, message)``.
+
+    ``checks`` is a function returning the pairs. It is called here, so a
+    comparison against a value of the wrong type (a string in a numeric
+    field) raises ConfigError too.
+    """
+    try:
+        failed = [message for ok, message in checks() if not ok]
+    except TypeError as exc:
+        raise ConfigError(f"config value has the wrong type: {exc}") from exc
+    if failed:
+        raise ConfigError(failed[0])
+
+
 class DataError(PreferenceChainError):
     """Invalid input data (CSV rows, specs, sample lists)."""
 

@@ -26,6 +26,7 @@ from .schema import (
     INPUT_CATEGORIES,
     PRIMARY_MODES,
     PROFILE_FIELDS,
+    SUM_TOLERANCE,
     AgentProfile,
     TripRecord,
     record_from_row,
@@ -83,7 +84,7 @@ def _validate_distribution(name: str, table: dict, allowed: Sequence[str]) -> No
     ):
         raise InvalidSpec(f"{name}: a probability is negative or not a number")
     total = sum(table.values())
-    if abs(total - 1.0) > 1e-9:
+    if abs(total - 1.0) > SUM_TOLERANCE:
         raise InvalidSpec(f"{name}: probabilities sum to {total}, not 1")
 
 

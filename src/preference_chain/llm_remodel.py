@@ -21,10 +21,11 @@ from typing import Optional, Protocol
 
 import requests
 
-from .errors import ParseFailure, ProviderError
-from .preference import SUM_TOLERANCE, PreferenceDistribution, scaled_fsum
+from .embedding import post_json
+from .errors import ParseFailure, ProviderError, check_config
+from .preference import PreferenceDistribution, scaled_fsum
 from .retrieval import QueryAgent
-from .schema import ChoiceCategorySet
+from .schema import SUM_TOLERANCE, ChoiceCategorySet
 
 PRIOR_JSON_MARKER = "Prior probabilities (JSON): "
 
@@ -33,10 +34,20 @@ _DECODER = json.JSONDecoder()
 
 @dataclass(frozen=True)
 class GenerationParams:
+    """The "generation" section of a run config, checked when built."""
+
     temperature: float = 0.6
     top_p: float = 0.95
     top_k: int = 20
     repeat_penalty: float = 1.0
+
+    def __post_init__(self):
+        check_config(lambda: [
+            (0 <= self.temperature < math.inf, "generation.temperature must be >= 0 and finite"),
+            (0 <= self.top_p <= 1, "generation.top_p must be in [0, 1]"),
+            (self.top_k >= 0 and type(self.top_k) is int, "generation.top_k must be an integer >= 0"),
+            (0 < self.repeat_penalty < math.inf, "generation.repeat_penalty must be finite and > 0"),
+        ])
 
 
 class LlmProvider(Protocol):
@@ -293,16 +304,11 @@ class RemoteLlm:
         last_error: Optional[Exception] = None
         for attempt in range(self.max_retries + 1):
             try:
-                response = self._session.post(self.url, json=payload, timeout=self.timeout)
-                response.raise_for_status()
-                body = response.json()
-                if not isinstance(body, dict):
-                    raise ProviderError("completion response is not a JSON object")
-                text = body.get("response")
+                text = post_json(self._session, self.url, payload, self.timeout, "response")
                 if not isinstance(text, str):
                     raise ProviderError("completion response lacks a text field 'response'")
                 return text
-            except (ProviderError, requests.RequestException, ValueError) as exc:
+            except ProviderError as exc:
                 last_error = exc
             if attempt < self.max_retries and self.retry_wait > 0:
                 time.sleep(self.retry_wait)

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AxisMismatch, EmptySamples, UnknownKey
-from .schema import ChoiceCategorySet
+from .schema import SUM_TOLERANCE, ChoiceCategorySet
 
 
 @dataclass
@@ -34,7 +34,7 @@ class JointDistribution:
         if (self.cells < 0).any():
             raise ValueError("negative cell")
         total = float(self.cells.sum())
-        if abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > SUM_TOLERANCE:
             raise ValueError(f"joint cells sum to {total}, not 1")
 
     def same_axes(self, other: "JointDistribution") -> bool:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .behavior_graph import BehaviorGraph
 from .embedding import EmbeddingProvider, HashEmbedder
-from .errors import ConfigError, EmptyGraph
+from .errors import EmptyGraph, check_config
 from .llm_remodel import (
     CalibrationResult,
     CalibrationSource,
@@ -42,8 +42,8 @@ class PipelineConfig:
     """The pipeline knobs, checked when built: out-of-range values raise ConfigError.
 
     The fields are the "pipeline" section of a run config plus its
-    "generation" section. ``seed`` is the run's root seed; queries are
-    deterministic and do not read it.
+    "generation" section, which checks itself. ``seed`` is the run's root
+    seed; queries are deterministic and do not read it.
     """
 
     k: int = 5                      # similar persons retrieved
@@ -56,26 +56,19 @@ class PipelineConfig:
     generation: GenerationParams = field(default_factory=GenerationParams)
 
     def __post_init__(self):
-        try:
-            checks = [
-                # each comparison comes first, so that a string raises TypeError
-                (self.k >= 1 and type(self.k) is int, "pipeline.k must be an integer >= 1"),
-                (
-                    self.max_path_edges >= 1 and type(self.max_path_edges) is int,
-                    "pipeline.max_path_edges must be an integer >= 1",
-                ),
-                (self.depth >= 1 and type(self.depth) is int, "pipeline.depth must be an integer >= 1"),
-                (0 <= self.epsilon < math.inf, "pipeline.epsilon must be finite and >= 0"),
-                (self.tau > 0, "pipeline.tau must be > 0"),
-                (0.0 <= self.blend <= 1.0, "pipeline.blend must be in [0, 1]"),
-                (self.seed >= 0 and type(self.seed) is int, "pipeline.seed must be an integer >= 0"),
-                (self.generation.temperature >= 0, "generation.temperature must be >= 0"),
-            ]
-        except TypeError as exc:  # non-numeric value in a numeric knob
-            raise ConfigError(f"config value has the wrong type: {exc}") from exc
-        for ok, message in checks:
-            if not ok:
-                raise ConfigError(message)
+        check_config(lambda: [
+            # each comparison comes first, so that a string raises TypeError
+            (self.k >= 1 and type(self.k) is int, "pipeline.k must be an integer >= 1"),
+            (
+                self.max_path_edges >= 1 and type(self.max_path_edges) is int,
+                "pipeline.max_path_edges must be an integer >= 1",
+            ),
+            (self.depth >= 1 and type(self.depth) is int, "pipeline.depth must be an integer >= 1"),
+            (0 <= self.epsilon < math.inf, "pipeline.epsilon must be finite and >= 0"),
+            (self.tau > 0, "pipeline.tau must be > 0"),
+            (0.0 <= self.blend <= 1.0, "pipeline.blend must be in [0, 1]"),
+            (self.seed >= 0 and type(self.seed) is int, "pipeline.seed must be an integer >= 0"),
+        ])
 
 
 _TOP_K = np.dtype([("id", np.int64), ("sim", np.float64)])  # GC-untracked; tolist is exact

@@ -23,13 +23,11 @@ import numpy as np
 
 from .behavior_graph import EdgeKind, NodeId, NodeKind
 from .retrieval import BehavioralSubgraph, Extraction
-from .schema import ChoiceCategorySet
+from .schema import SUM_TOLERANCE, ChoiceCategorySet
 
 DEFAULT_MAX_PATH_EDGES = 4
 
 _WANT_TO = EdgeKind.WANT_TO  # bound once, as in ``retrieval``
-
-SUM_TOLERANCE = 1e-9
 
 
 @dataclass

@@ -84,6 +84,9 @@ PROFILE_FIELDS = (
 CSV_COLUMNS = tuple(INPUT_CATEGORIES) + tuple(OUTPUT_CATEGORIES)
 HOUSEHOLD_COLUMN = "household_id"  # optional link column for relative_of edges
 
+# How far from 1 the sum of a probability table may be and still count as 1.
+SUM_TOLERANCE = 1e-9
+
 
 @dataclass(frozen=True)
 class ChoiceCategorySet:

@@ -86,6 +86,24 @@ def test_gen_synth_custom_spec_file(tmp_path):
     assert {r.start_time for r in records} <= {8, 12, 17, 21}
 
 
+def test_gen_synth_spec_seed_draws_unless_seed_flag(tmp_path):
+    """A spec's own seed draws the records; --seed on the command line wins."""
+    import dataclasses
+
+    outs = {}
+    for seed in (0, 42):
+        spec_path = tmp_path / f"spec{seed}.json"
+        with open(spec_path, "w", encoding="utf-8") as fp:
+            dataclasses.replace(default_synthetic_spec(), seed=seed).to_json(fp)
+        for flags in ([], ["--seed", 5]):
+            out = tmp_path / f"trips{seed}-{len(flags)}.csv"
+            argv = ["gen-synth", "--spec", spec_path, "--size", 30, "--out", out]
+            assert run(argv + flags) == 0
+            outs[seed, bool(flags)] = out.read_bytes()
+    assert outs[0, False] != outs[42, False]
+    assert outs[0, True] == outs[42, True]
+
+
 def test_gen_synth_requires_out(capsys):
     assert run(["gen-synth", "--size", 5]) == 2
     assert "config error" in capsys.readouterr().err
@@ -353,6 +371,47 @@ def test_out_that_is_a_file_exits_2(tmp_path, trips_csv, capsys, command):
     assert run(argv + ["--out", out]) == 2
     assert "is not a directory" in capsys.readouterr().err
     assert out.read_text(encoding="utf-8") == "keep\n"
+
+
+@pytest.mark.parametrize("case", ["directory", "no-parent"])
+@pytest.mark.parametrize("command", ["gen-synth", "build-graph", "predict"])
+def test_out_file_that_cannot_be_written_exits_2(
+    tmp_path, trips_csv, capsys, monkeypatch, command, case
+):
+    """An --out file that is a directory, or lies in none, is a config error before any work."""
+    from preference_chain import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before --out was checked")
+
+    monkeypatch.setattr(cli, "generate_synthetic", no_work)
+    monkeypatch.setattr(cli, "build_graph", no_work)
+    agent = write_agent(tmp_path / "agent.json")
+    target = tmp_path / "target"
+    target.mkdir()
+    out = target if case == "directory" else target / "missing" / "out.txt"
+    argv = {
+        "gen-synth": ["gen-synth", "--size", 5],
+        "build-graph": ["build-graph", "--reference", trips_csv],
+        "predict": ["predict", "--agent", agent, "--reference", trips_csv],
+    }[command]
+    assert run(argv + ["--out", out]) == 2
+    captured = capsys.readouterr()
+    assert "config error: --out" in captured.err and captured.out == ""
+    assert list(target.iterdir()) == []
+
+
+def test_simulate_checks_out_before_building_the_graph(tmp_path, trips_csv, capsys, monkeypatch):
+    from preference_chain import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("graph built before --out was checked")
+
+    monkeypatch.setattr(cli, "build_graph", no_work)
+    out = tmp_path / "taken"
+    out.write_text("keep\n", encoding="utf-8")
+    assert run(["simulate", "--reference", trips_csv, "--agents", 1, "--out", out]) == 2
+    assert "is not a directory" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -712,6 +771,30 @@ def test_config_file_errors(tmp_path, capsys):
     unknown.write_text(json.dumps({"nonsense": {}}), encoding="utf-8")
     assert run(["gen-synth", "--config", unknown, "--size", 1, "--out", tmp_path / "x"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "section",
+    [
+        {"providers": {"mock_llm": "false"}},
+        {"generation": {"top_p": float("nan")}},
+        {"generation": {"temperature": float("inf")}},
+        {"generation": {"top_k": "lots"}},
+        {"generation": {"repeat_penalty": -3}},
+        {"paths": {"reference_csv": 5}},
+    ],
+    ids=["mock-llm-string", "top-p-nan", "temperature-inf", "top-k-string", "repeat-penalty",
+         "path-number"],
+)
+def test_bad_config_field_exits_2(tmp_path, trips_csv, capsys, section):
+    """Each config section checks its own fields: a bad one exits 2 before any prediction."""
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(section), encoding="utf-8")
+    agent = write_agent(tmp_path / "agent.json")
+    reference = [] if "paths" in section else ["--reference", trips_csv]
+    assert run(["predict", "--config", config, "--agent", agent] + reference) == 2
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and captured.out == ""
 
 
 def test_config_paths_section_supplies_reference(tmp_path, trips_csv):

@@ -74,10 +74,33 @@ _PIPELINE_OUT_OF_RANGE = [
 ]
 
 
+# Each section checks its own fields, whatever builds it.
+_SECTION_BAD_VALUES = [
+    ("generation", "temperature", -1.0),
+    ("generation", "temperature", float("inf")),
+    ("generation", "temperature", float("nan")),
+    ("generation", "top_p", float("nan")),
+    ("generation", "top_p", 1.5),
+    ("generation", "top_p", -0.1),
+    ("generation", "top_k", "lots"),
+    ("generation", "top_k", -1),
+    ("generation", "top_k", 2.5),
+    ("generation", "top_k", True),
+    ("generation", "repeat_penalty", -3),
+    ("generation", "repeat_penalty", 0.0),
+    ("generation", "repeat_penalty", float("inf")),
+    ("providers", "mock_llm", "false"),
+    ("providers", "mock_embed", 0),
+    ("providers", "llm_url", 5),
+    ("providers", "embed_model", ["m"]),
+    ("paths", "reference_csv", 5),
+    ("paths", "out_dir", {"dir": "x"}),
+]
+
+
 @pytest.mark.parametrize(
     "section,key,value",
-    [("pipeline", key, value) for key, value in _PIPELINE_OUT_OF_RANGE]
-    + [("generation", "temperature", -1.0)],
+    [("pipeline", key, value) for key, value in _PIPELINE_OUT_OF_RANGE] + _SECTION_BAD_VALUES,
 )
 def test_from_dict_rejects_out_of_range_values(section, key, value):
     with pytest.raises(ConfigError):

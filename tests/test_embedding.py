@@ -199,6 +199,58 @@ def test_remote_embedder_bad_payload_raises():
             provider.embed("hello")
 
 
+class _HttpErrorResponse(_FakeResponse):
+    def raise_for_status(self):
+        import requests
+
+        raise requests.HTTPError("500 Server Error")
+
+
+class _NotJsonResponse(_FakeResponse):
+    def json(self):
+        import requests
+
+        raise requests.JSONDecodeError("Expecting value", "<html>", 0)
+
+
+class _ReplySession:
+    """Answers every post with one response and counts the posts."""
+
+    def __init__(self, response):
+        self.response = response
+        self.posts = 0
+
+    def post(self, url, json=None, timeout=None):
+        self.posts += 1
+        return self.response
+
+
+_BAD_REPLIES = {
+    "http-error": _HttpErrorResponse({"embedding": [1.0, 2.0], "response": "ok"}),
+    "not-json": _NotJsonResponse(None),
+    "not-an-object": _FakeResponse([1.0, 2.0]),
+    "no-field": _FakeResponse({"other": 1}),
+}
+
+
+@pytest.mark.parametrize("reply", list(_BAD_REPLIES))
+@pytest.mark.parametrize("provider", ["llm", "embed"])
+def test_remote_providers_raise_provider_error_on_a_bad_reply(provider, reply):
+    """Both providers send through ``post_json``; the LLM retries each failure."""
+    from preference_chain.llm_remodel import GenerationParams, RemoteLlm
+
+    session = _ReplySession(_BAD_REPLIES[reply])
+    if provider == "llm":
+        llm = RemoteLlm("http://x", "m", max_retries=2, retry_wait=0, session=session)
+        with pytest.raises(ProviderError):
+            llm.complete("p", GenerationParams())
+        assert session.posts == llm.max_retries + 1
+    else:
+        with pytest.raises(ProviderError):
+            RemoteEmbedder("http://x", "m", session=session).embed("hello")
+        assert session.posts == 1
+
+
 def test_remote_embedder_no_fallback_raises():
     provider = RemoteEmbedder("http://x/embed", "m", session=_FailingSession())
     with pytest.raises(ProviderError):
