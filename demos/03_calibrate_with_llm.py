@@ -32,7 +32,7 @@ mode_set = graph.choice_sets["primary_mode"]
 agent = QueryAgent(
     profile=AgentProfile(
         age_group="35-44",
-        income_group="$100k-$200k",
+        income_group="$100k-$150k",
         employment_status="employed",
         household_size="3",
         available_vehicles="two",

@@ -35,6 +35,7 @@ from .schema import (
     TRIP_PURPOSES,
     AgentProfile,
     TripRecord,
+    decode_json,
 )
 
 NodeId = int
@@ -292,7 +293,7 @@ class BehaviorGraph:
                 line = line.strip()
                 if not line:
                     continue
-                obj = json.loads(line)
+                obj = decode_json(line)
                 kind = obj["t"]
                 if kind == "choice_set":
                     graph.register_choice_set(
@@ -338,7 +339,7 @@ def build_from_records(
     records: list[TripRecord],
     config: Optional[GraphBuildConfig] = None,
 ) -> BehaviorGraph:
-    """Construct the behavior graph for a list of validated trip records.
+    """Construct the behavior graph for a list of trip records.
 
     Persons are deduplicated by their (frozen) profile. Each person
     gets one desire node per distinct (trip_purpose, start_time) pair, and
@@ -357,8 +358,7 @@ def build_from_records(
     intention_index: dict[tuple[str, str], NodeId] = {}
     households: dict[str, set[NodeId]] = {}
 
-    for i, record in enumerate(records):
-        record.validate(i)
+    for record in records:
         person_id = person_index.get(record.profile)
         if person_id is None:
             person_id = graph.add_node(

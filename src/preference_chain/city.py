@@ -20,7 +20,7 @@ from typing import IO, Optional
 
 from .errors import DataError, UnknownCategory, UnknownNode
 from .rng import substream
-from .schema import DURATION_BINS, TRIP_PURPOSES
+from .schema import DURATION_BINS, TRIP_PURPOSES, decode_json
 
 # Distances within this many meters tie in ``dijkstra``, and the lower node
 # id then wins the predecessor of a node not yet settled. ``add_edge``
@@ -244,7 +244,7 @@ class CityModel:
     def from_json(cls, fp: IO[str]) -> "CityModel":
         """Read a city snapshot; malformed input raises DataError or UnknownNode."""
         try:
-            obj = json.load(fp)
+            obj = decode_json(fp.read())
             if not isinstance(obj, dict):
                 raise ValueError("the root must be a JSON object")
             city = cls(speeds=dict(obj.get("speeds") or DEFAULT_MODE_SPEEDS))

@@ -72,15 +72,15 @@ from .mobility_sim import (
 )
 from .pipeline import PreferenceChain
 from .retrieval import QueryAgent
-from .schema import BUNDLED_CHOICE_SETS, PROFILE_FIELDS, TRIP_PURPOSES, AgentProfile
+from .schema import BUNDLED_CHOICE_SETS, PROFILE_FIELDS, AgentProfile, decode_json
 
 
 def _require_path(value: Optional[str], flag: str) -> Path:
-    """A path that must be configured and must exist (ConfigError otherwise)."""
+    """A path that must be configured and name a regular file (ConfigError otherwise)."""
     if not value:
         raise ConfigError(f"{flag} is required (flag or config paths section)")
     path = Path(value)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"{flag}: no such file {path}")
     return path
 
@@ -187,30 +187,16 @@ def cmd_build_graph(args, config: RunConfig) -> int:
 def _agent_from_json(path: Path) -> QueryAgent:
     with open(path, "r", encoding="utf-8") as fp:
         try:
-            obj = json.load(fp)
-        except ValueError as exc:  # malformed JSON or undecodable bytes
+            obj = decode_json(fp.read())
+        except ValueError as exc:  # malformed JSON, undecodable bytes or a huge integer
             raise DataError(f"agent {path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise DataError(f"agent {path} must hold a JSON object")
-    profile_obj = obj.get("profile")
-    if not isinstance(profile_obj, dict):
-        raise SchemaViolation(-1, "profile", profile_obj, "missing profile object")
-    for name in PROFILE_FIELDS:
-        if name not in profile_obj:
-            raise SchemaViolation(-1, name, None, "missing profile field")
-    profile = AgentProfile(**{name: profile_obj[name] for name in PROFILE_FIELDS})
-    profile.validate()
-    for name in ("trip_purpose", "start_time"):
-        if name not in obj:
-            raise SchemaViolation(-1, name, None, "missing field")
-    purpose, hour, context = obj["trip_purpose"], obj["start_time"], obj.get("context", "")
-    if purpose not in TRIP_PURPOSES:
-        raise SchemaViolation(-1, "trip_purpose", purpose)
-    if isinstance(hour, bool) or not (isinstance(hour, int) and 0 <= hour <= 23):
-        raise SchemaViolation(-1, "start_time", hour)
-    if not isinstance(context, str):
-        raise SchemaViolation(-1, "context", context)
-    return QueryAgent(profile, purpose, hour, context)
+    fields = obj.get("profile")
+    if not isinstance(fields, dict):
+        raise SchemaViolation(-1, "profile", fields, "missing profile object")
+    profile = AgentProfile(**{name: fields.get(name) for name in PROFILE_FIELDS})
+    return QueryAgent(profile, obj.get("trip_purpose"), obj.get("start_time"), obj.get("context", ""))
 
 
 def cmd_predict(args, config: RunConfig) -> int:

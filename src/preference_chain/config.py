@@ -25,6 +25,7 @@ from .embedding import EmbeddingProvider, HashEmbedder, RemoteEmbedder
 from .errors import ConfigError, check_config
 from .llm_remodel import GenerationParams, IdentityMockLlm, LlmProvider, RemoteLlm
 from .pipeline import PipelineConfig
+from .schema import decode_json
 
 ENV_LLM_URL = "PC_LLM_URL"
 ENV_EMBED_URL = "PC_EMBED_URL"
@@ -166,10 +167,10 @@ def apply_env_overrides(config: RunConfig, environ: Mapping[str, str] = os.envir
 def load_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fp:
-            obj = json.load(fp)
+            obj = decode_json(fp.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, undecodable bytes or a huge integer
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return RunConfig.from_dict(obj)
 

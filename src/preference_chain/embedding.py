@@ -186,12 +186,12 @@ class RemoteEmbedder(_CachedEmbedder):
             raise EmptyText("cannot embed empty text")
         payload = {"model": self.model, "prompt": text}
         values = post_json(self._session, self.url, payload, self.timeout, "embedding")
-        if not isinstance(values, list) or not values:
-            raise ProviderError("embedding response lacks a non-empty 'embedding' array")
+        if not (isinstance(values, list) and values and all(type(v) in (int, float) for v in values)):
+            raise ProviderError("embedding response lacks a non-empty 'embedding' array of numbers")
         try:
             vec = np.asarray(values, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ProviderError(f"embedding array is not numeric: {exc}") from exc
-        if vec.ndim != 1 or not np.isfinite(vec).all():
-            raise ProviderError("embedding array is not a flat array of finite numbers")
+        except OverflowError as exc:  # an integer too large for a float
+            raise ProviderError(f"embedding array is not finite: {exc}") from exc
+        if not np.isfinite(vec).all():
+            raise ProviderError("embedding array is not finite")
         return vec

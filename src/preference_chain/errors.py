@@ -19,12 +19,12 @@ def check_config(checks) -> None:
 
     ``checks`` is a function returning the pairs. It is called here, so a
     comparison against a value of the wrong type (a string in a numeric
-    field) raises ConfigError too.
+    field), or an integer too large for a float, raises ConfigError too.
     """
     try:
         failed = [message for ok, message in checks() if not ok]
-    except TypeError as exc:
-        raise ConfigError(f"config value has the wrong type: {exc}") from exc
+    except (TypeError, OverflowError) as exc:
+        raise ConfigError(f"config value has the wrong type or size: {exc}") from exc
     if failed:
         raise ConfigError(failed[0])
 

@@ -11,13 +11,14 @@ known ground-truth dependence structure.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 from typing import IO, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidSpec, MissingColumn, NotEnoughRecords
+from .errors import DataError, InvalidSpec, MissingColumn, NotEnoughRecords
 from .rng import substream
 from .schema import (
     CSV_COLUMNS,
@@ -29,6 +30,7 @@ from .schema import (
     SUM_TOLERANCE,
     AgentProfile,
     TripRecord,
+    decode_json,
     record_from_row,
 )
 
@@ -41,14 +43,25 @@ SPEC_VERSION = "1"
 
 
 def read_csv(path) -> list[TripRecord]:
-    """Read and validate a trip CSV; schema errors carry the 1-based data row."""
-    with open(path, "r", encoding="utf-8", newline="") as fp:
-        reader = csv.DictReader(fp)
+    """Read a trip CSV; schema errors carry the 1-based data row.
+
+    Bytes that are not UTF-8, and text the csv module cannot parse (such
+    as a field over its size limit), raise DataError naming the file line.
+    """
+    with open(path, "rb") as fp:
+        data = fp.read()
+    try:
+        reader = csv.DictReader(io.StringIO(data.decode("utf-8"), newline=""))
         header = reader.fieldnames or []
         for column in CSV_COLUMNS:
             if column not in header:
                 raise MissingColumn(column)
         return [record_from_row(row, i) for i, row in enumerate(reader, start=1)]
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}, line {line}: not UTF-8: {exc.reason}") from exc
+    except csv.Error as exc:  # the DictReader's own line_num is still the last good row's
+        raise DataError(f"{path}, line {reader.reader.line_num}: {exc}") from exc
 
 
 def write_csv(records: Sequence[TripRecord], path) -> None:
@@ -88,9 +101,9 @@ def _validate_distribution(name: str, table: dict, allowed: Sequence[str]) -> No
         raise InvalidSpec(f"{name}: probabilities sum to {total}, not 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticSpec:
-    """Ground-truth generator description with known conditionals."""
+    """Ground-truth generator description with known conditionals; checked when built."""
 
     population: int
     seed: int
@@ -100,7 +113,7 @@ class SyntheticSpec:
     duration_conditionals: dict[str, dict[str, float]]
     spec_version: str = SPEC_VERSION
 
-    def validate(self) -> "SyntheticSpec":
+    def __post_init__(self):
         if self.spec_version != SPEC_VERSION:
             raise InvalidSpec(f"unsupported spec_version {self.spec_version!r}")
         for name in ("population", "seed"):
@@ -127,7 +140,6 @@ class SyntheticSpec:
                 if bucket not in tables:
                     raise InvalidSpec(f"{label} missing bucket {bucket!r}")
                 _validate_distribution(f"{label}[{bucket}]", tables[bucket], allowed)
-        return self
 
     def to_json(self, fp: IO[str]) -> None:
         json.dump(
@@ -148,8 +160,8 @@ class SyntheticSpec:
     @classmethod
     def from_json(cls, fp: IO[str]) -> "SyntheticSpec":
         try:
-            obj = json.load(fp)
-            spec = cls(
+            obj = decode_json(fp.read())
+            return cls(
                 population=obj["population"],
                 seed=obj["seed"],
                 marginals=obj["marginals"],
@@ -160,7 +172,6 @@ class SyntheticSpec:
             )
         except (KeyError, TypeError, ValueError) as exc:  # also bad JSON and text encoding
             raise InvalidSpec(f"{type(exc).__name__}: {exc}") from exc
-        return spec.validate()
 
 
 def draw_column(rng: np.random.Generator, table: dict[str, float], size: int, allowed) -> np.ndarray:
@@ -182,7 +193,6 @@ def generate_synthetic(
     seed: Optional[int] = None,
 ) -> list[TripRecord]:
     """Seeded, reproducible sampling from the spec's marginals/conditionals."""
-    spec.validate()
     n = spec.population if size is None else size
     rng = substream(spec.seed if seed is None else seed, "synthetic")
     if n == 0:
@@ -332,7 +342,7 @@ def default_synthetic_spec(population: int = 10000, seed: int = 0) -> SyntheticS
         conditioned_on="available_vehicles",
         mode_conditionals=mode_conditionals,
         duration_conditionals=duration_conditionals,
-    ).validate()
+    )
 
 
 def hour_conditioned_spec(population: int = 10050, seed: int = 0) -> SyntheticSpec:
@@ -375,4 +385,4 @@ def hour_conditioned_spec(population: int = 10050, seed: int = 0) -> SyntheticSp
         conditioned_on="start_time",
         mode_conditionals=mode_conditionals,
         duration_conditionals=duration_conditionals,
-    ).validate()
+    )

@@ -68,11 +68,11 @@ class AgentState:
 
 @dataclass(frozen=True)
 class DayPlan:
-    """Ordered (start hour, trip purpose) itinerary for one day."""
+    """Ordered (start hour, trip purpose) itinerary for one day; a bad entry raises ValueError."""
 
     entries: tuple[tuple[int, str], ...]
 
-    def validate(self) -> "DayPlan":
+    def __post_init__(self):
         last = -1
         for hour, purpose in self.entries:
             if not (type(hour) is int and 0 <= hour <= 23):
@@ -82,7 +82,6 @@ class DayPlan:
             if purpose not in TRIP_PURPOSES:
                 raise ValueError(f"unknown plan purpose {purpose!r}")
             last = hour
-        return self
 
 
 # ----------------------------------------------------------------------
@@ -114,7 +113,7 @@ class TemplateScheduleProvider:
             out = 9 + int(rng.integers(0, 5))
             home = out + 2 + int(rng.integers(0, 4))
             entries = ((out, purpose), (home, "home"))
-        return DayPlan(entries).validate()
+        return DayPlan(entries)
 
 
 def schedule_prompt(profile: AgentProfile) -> str:
@@ -141,7 +140,7 @@ def parse_schedule(raw: str) -> DayPlan:
                 if isinstance(hour, float) and hour.is_integer():
                     hour = int(hour)
                 entries.append((hour, item["purpose"]))
-            return DayPlan(tuple(entries)).validate()
+            return DayPlan(tuple(entries))
         except (TypeError, KeyError, ValueError) as exc:
             raise ParseFailure(f"schedule entries invalid: {exc}") from exc
     raise ParseFailure("no JSON array found in schedule response")
@@ -173,7 +172,6 @@ def generate_schedule(profile: AgentProfile, provider: ScheduleProvider, seed: i
 
 def generate_profiles(n: int, spec: SyntheticSpec, seed: int) -> list[AgentProfile]:
     """Profile-only sampling from the spec's marginals."""
-    spec.validate()
     rng = substream(seed, "profiles")
     if n == 0:
         return []

@@ -64,7 +64,7 @@ class PipelineConfig:
                 "pipeline.max_path_edges must be an integer >= 1",
             ),
             (self.depth >= 1 and type(self.depth) is int, "pipeline.depth must be an integer >= 1"),
-            (0 <= self.epsilon < math.inf, "pipeline.epsilon must be finite and >= 0"),
+            (math.isfinite(self.epsilon) and self.epsilon >= 0, "pipeline.epsilon must be finite and >= 0"),
             (self.tau > 0, "pipeline.tau must be > 0"),
             (0.0 <= self.blend <= 1.0, "pipeline.blend must be in [0, 1]"),
             (self.seed >= 0 and type(self.seed) is int, "pipeline.seed must be an integer >= 0"),

@@ -29,8 +29,8 @@ from .behavior_graph import (
     temporal_proximity,
 )
 from .embedding import EmbeddingProvider, _norm, profile_to_text, similarity_weight
-from .errors import DimensionMismatch, EmptyGraph, UnknownNode, ZeroVector
-from .schema import AgentProfile
+from .errors import DimensionMismatch, EmptyGraph, SchemaViolation, UnknownNode, ZeroVector
+from .schema import AgentProfile, check_desire
 
 AGENT_NODE_ID: NodeId = -1
 
@@ -48,6 +48,11 @@ class QueryAgent:
     trip_purpose: str
     start_time: int
     context: str = ""
+
+    def __post_init__(self):
+        check_desire(self.trip_purpose, self.start_time)
+        if not isinstance(self.context, str):
+            raise SchemaViolation(-1, "context", self.context)
 
     @cached_property
     def profile_text(self) -> str:

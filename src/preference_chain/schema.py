@@ -4,11 +4,20 @@ All traveler and trip attributes are categorical. The category lists below
 are the single source of truth for validation, CSV column order, synthetic
 generation, and the two output choice sets (transportation mode and trip
 duration bin).
+
+Every value type checks its own fields when it is built, so a value that
+exists is valid: an out-of-category field raises SchemaViolation from
+``__post_init__``, and no caller re-checks it. Only the two builders,
+``BehaviorGraph`` and ``CityModel``, have a ``validate()``, because their
+rules span many ``add_*`` calls. Every JSON input is read with
+``decode_json``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields as dc_fields
+import json
+import math
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional
 
 from .errors import SchemaViolation
@@ -132,15 +141,22 @@ class AgentProfile:
     available_vehicles: str
     education: str
 
-    def validate(self, row: int = -1) -> "AgentProfile":
-        for f in dc_fields(self):
-            value = getattr(self, f.name)
-            if value not in INPUT_CATEGORIES[f.name]:
-                raise SchemaViolation(row, f.name, value)
-        return self
+    def __post_init__(self):
+        for name in PROFILE_FIELDS:
+            value = getattr(self, name)
+            if value not in INPUT_CATEGORIES[name]:
+                raise SchemaViolation(-1, name, value)
 
     def as_dict(self) -> dict[str, str]:
-        return {f.name: getattr(self, f.name) for f in dc_fields(self)}
+        return {name: getattr(self, name) for name in PROFILE_FIELDS}
+
+
+def check_desire(trip_purpose, start_time) -> None:
+    """The purpose-and-hour rule of trip records and queries: SchemaViolation if broken."""
+    if trip_purpose not in TRIP_PURPOSES:
+        raise SchemaViolation(-1, "trip_purpose", trip_purpose)
+    if not (type(start_time) is int and 0 <= start_time <= 23):
+        raise SchemaViolation(-1, "start_time", start_time)
 
 
 @dataclass(frozen=True)
@@ -154,17 +170,12 @@ class TripRecord:
     duration_minutes: str
     household_id: Optional[str] = None
 
-    def validate(self, row: int = -1) -> "TripRecord":
-        self.profile.validate(row)
-        if self.trip_purpose not in TRIP_PURPOSES:
-            raise SchemaViolation(row, "trip_purpose", self.trip_purpose)
-        if not (type(self.start_time) is int and 0 <= self.start_time <= 23):
-            raise SchemaViolation(row, "start_time", self.start_time)
+    def __post_init__(self):
+        check_desire(self.trip_purpose, self.start_time)
         if self.primary_mode not in PRIMARY_MODES:
-            raise SchemaViolation(row, "primary_mode", self.primary_mode)
+            raise SchemaViolation(-1, "primary_mode", self.primary_mode)
         if self.duration_minutes not in DURATION_BINS:
-            raise SchemaViolation(row, "duration_minutes", self.duration_minutes)
-        return self
+            raise SchemaViolation(-1, "duration_minutes", self.duration_minutes)
 
     def as_row(self) -> dict[str, str]:
         row = self.profile.as_dict()
@@ -178,7 +189,7 @@ class TripRecord:
 
 
 def record_from_row(row: Mapping[str, str], index: int) -> TripRecord:
-    """Build and validate a TripRecord from one CSV row dict."""
+    """The TripRecord of one CSV row dict; a SchemaViolation names row ``index``."""
     values = {}
     for column in CSV_COLUMNS:
         if column not in row or row[column] is None:
@@ -187,16 +198,28 @@ def record_from_row(row: Mapping[str, str], index: int) -> TripRecord:
     start_raw = values["start_time"]
     if start_raw not in START_TIMES:
         raise SchemaViolation(index, "start_time", start_raw)
-    profile = AgentProfile(*(values[f] for f in PROFILE_FIELDS))
     household = row.get(HOUSEHOLD_COLUMN)
     if household is not None:
         household = household.strip() or None
-    record = TripRecord(
-        profile=profile,
-        trip_purpose=values["trip_purpose"],
-        start_time=int(start_raw),
-        primary_mode=values["primary_mode"],
-        duration_minutes=values["duration_minutes"],
-        household_id=household,
-    )
-    return record.validate(index)
+    try:
+        return TripRecord(
+            profile=AgentProfile(*(values[f] for f in PROFILE_FIELDS)),
+            trip_purpose=values["trip_purpose"],
+            start_time=int(start_raw),
+            primary_mode=values["primary_mode"],
+            duration_minutes=values["duration_minutes"],
+            household_id=household,
+        )
+    except SchemaViolation as exc:
+        raise SchemaViolation(index, exc.column, exc.value) from None
+
+
+def _float_sized_int(text: str) -> int:
+    if math.isinf(float(text)):
+        raise ValueError(f"the integer {text[:12]}... of {len(text)} digits does not fit a float")
+    return int(text)
+
+
+def decode_json(text: str):
+    """``json.loads(text)``, except that an integer literal no float can hold raises ValueError."""
+    return json.loads(text, parse_int=_float_sized_int)

@@ -18,7 +18,7 @@ from preference_chain.city import grid_city
 from preference_chain.cli import main
 from preference_chain.embedding import RemoteEmbedder
 from preference_chain.evaluate import build_graph
-from preference_chain.ingest import default_synthetic_spec, read_csv
+from preference_chain.ingest import default_synthetic_spec, read_csv, write_csv_fp
 from tests.conftest import make_record
 from tests.test_embedding import _FakeResponse
 
@@ -755,6 +755,73 @@ def test_bad_input_files_exit_3(tmp_path, trips_csv, capsys, kind, text):
     assert run(argv) == 3
     err = capsys.readouterr().err
     assert "data error" in err and kind in err
+    assert not out.exists()
+
+
+_HUGE = "1" + "0" * 400  # an integer literal no float can hold
+
+
+def _with_huge(text: str) -> bytes:
+    """``text`` with each ``"HUGE"`` string replaced by the bare literal ``_HUGE``, as UTF-8."""
+    return text.replace('"HUGE"', _HUGE).encode("utf-8")
+
+
+def _trip_csv(mode: bytes) -> bytes:
+    """A one-record trip CSV whose primary_mode field holds ``mode``."""
+    buffer = io.StringIO()
+    write_csv_fp([make_record(primary_mode="walking")], buffer)
+    return buffer.getvalue().encode("utf-8").replace(b"walking", mode)
+
+
+def _grid_city_with_one_huge_edge() -> str:
+    buffer = io.StringIO()
+    grid_city(width=3, height=3, pois_per_category=1).to_json(buffer)
+    obj = json.loads(buffer.getvalue())
+    obj["edges"][0]["length"] = "HUGE"
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize(
+    "kind,payload,code",
+    [
+        pytest.param("config", _with_huge('{"pipeline": {"epsilon": "HUGE"}}'), 2,
+                     id="config-huge-epsilon"),
+        pytest.param("config", b'{"pipeline": {"k": 5}}\xff', 2, id="config-not-utf8"),
+        pytest.param("city", _with_huge(_grid_city_with_one_huge_edge()), 3,
+                     id="city-huge-edge-length"),
+        pytest.param("spec", _with_huge(_broken_spec(population="HUGE")), 3,
+                     id="spec-huge-population"),
+        pytest.param(
+            "spec",
+            _with_huge(_broken_spec(lambda s: s["marginals"]["age_group"].update({"65+": "HUGE"}))),
+            3,
+            id="spec-huge-probability",
+        ),
+        pytest.param("reference", _trip_csv(b"walking\xff"), 3, id="reference-not-utf8"),
+        pytest.param("reference", _trip_csv(b"w" * 131_073), 3, id="reference-field-over-csv-limit"),
+        pytest.param("reference", None, 2, id="reference-directory"),
+    ],
+)
+def test_undecodable_huge_or_directory_inputs_exit_with_their_code(
+    tmp_path, trips_csv, capsys, kind, payload, code
+):
+    """Each of these inputs once escaped as a traceback with exit 1."""
+    bad = tmp_path / "bad"
+    if payload is None:
+        bad.mkdir()
+    else:
+        bad.write_bytes(payload)
+    out = tmp_path / "out"
+    argv = {
+        "config": ["predict", "--config", bad, "--agent", write_agent(tmp_path / "agent.json"),
+                   "--reference", trips_csv, "--out", out],
+        "city": ["simulate", "--city", bad, "--reference", trips_csv, "--agents", 1, "--out", out],
+        "spec": ["gen-synth", "--spec", bad, "--out", out],
+        "reference": ["build-graph", "--reference", bad, "--out", out],
+    }[kind]
+    assert run(argv) == code
+    err = capsys.readouterr().err
+    assert ("config error" if code == 2 else "data error") in err
     assert not out.exists()
 
 

@@ -107,7 +107,10 @@ def test_from_dict_rejects_out_of_range_values(section, key, value):
         RunConfig.from_dict({section: {key: value}})
 
 
-@pytest.mark.parametrize("key,value", _PIPELINE_OUT_OF_RANGE + [("k", "five")])
+@pytest.mark.parametrize(
+    "key,value",
+    _PIPELINE_OUT_OF_RANGE + [("k", "five"), pytest.param("epsilon", 10**400, id="epsilon-10**400")],
+)
 def test_pipeline_config_rejects_out_of_range_values(key, value):
     with pytest.raises(ConfigError):
         PipelineConfig(**{key: value})

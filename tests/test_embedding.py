@@ -230,6 +230,10 @@ _BAD_REPLIES = {
     "not-json": _NotJsonResponse(None),
     "not-an-object": _FakeResponse([1.0, 2.0]),
     "no-field": _FakeResponse({"other": 1}),
+    "string-entry": _FakeResponse({"embedding": ["1", 2]}),
+    "bool-entry": _FakeResponse({"embedding": [True, 0.5]}),
+    # a 401-digit integer literal, which no float can hold
+    "huge-integer-entry": _FakeResponse(json.loads('{"embedding": [1' + "0" * 400 + ", 1.0]}")),
 }
 
 

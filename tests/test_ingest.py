@@ -1,10 +1,11 @@
-import copy
+import dataclasses
 import io
 import json
 
 import pytest
 
 from preference_chain.errors import (
+    DataError,
     InvalidSpec,
     MissingColumn,
     NotEnoughRecords,
@@ -94,6 +95,16 @@ def test_bad_start_time_rejected(tmp_path):
     assert err.value.column == "start_time"
 
 
+@pytest.mark.parametrize(
+    "mode", [b"walking\xff", b"w" * 131_073], ids=["not-utf8", "field-over-csv-limit"]
+)
+def test_unreadable_row_names_the_file_and_line(tmp_path, mode):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(_GOLDEN.encode("utf-8").replace(b"walking", mode))
+    with pytest.raises(DataError, match=r"bad\.csv, line 3: "):
+        read_csv(path)
+
+
 def test_household_column_round_trip(tmp_path):
     records = [
         make_record(household_id="h1"),
@@ -126,8 +137,9 @@ def test_generate_deterministic_and_valid():
     c = generate_synthetic(spec, size=200, seed=6)
     assert a == b
     assert a != c
-    for i, record in enumerate(a):
-        record.validate(i)  # raises on any out-of-category value
+    for record in a:
+        # rebuilding runs the schema checks again: any out-of-category value raises
+        dataclasses.replace(record, profile=dataclasses.replace(record.profile))
 
 
 def test_generate_zero_size():
@@ -166,36 +178,30 @@ def test_hour_conditioned_spec_structure_lln():
 
 def test_spec_validation_failures():
     spec = default_synthetic_spec()
+    age = spec.marginals["age_group"]
 
-    broken = copy.deepcopy(spec)
-    del broken.marginals["age_group"]
+    without_age = {k: v for k, v in spec.marginals.items() if k != "age_group"}
     with pytest.raises(InvalidSpec):
-        broken.validate()
+        dataclasses.replace(spec, marginals=without_age)
 
-    broken = copy.deepcopy(spec)
-    broken.marginals["age_group"]["25-34"] += 0.5  # sum != 1
+    over_one = {**spec.marginals, "age_group": {**age, "25-34": age["25-34"] + 0.5}}  # sum != 1
     with pytest.raises(InvalidSpec):
-        broken.validate()
+        dataclasses.replace(spec, marginals=over_one)
 
-    broken = copy.deepcopy(spec)
-    broken.marginals["age_group"]["middle-aged"] = 0.0  # unknown category
+    unknown = {**spec.marginals, "age_group": {**age, "middle-aged": 0.0}}  # unknown category
     with pytest.raises(InvalidSpec):
-        broken.validate()
+        dataclasses.replace(spec, marginals=unknown)
 
-    broken = copy.deepcopy(spec)
-    del broken.mode_conditionals["one"]  # bucket with positive marginal
+    # bucket with positive marginal
+    without_one = {k: v for k, v in spec.mode_conditionals.items() if k != "one"}
     with pytest.raises(InvalidSpec):
-        broken.validate()
+        dataclasses.replace(spec, mode_conditionals=without_one)
 
-    broken = copy.deepcopy(spec)
-    broken.spec_version = "99"
     with pytest.raises(InvalidSpec):
-        broken.validate()
+        dataclasses.replace(spec, spec_version="99")
 
-    broken = copy.deepcopy(spec)
-    broken.seed = -1
     with pytest.raises(InvalidSpec, match="seed"):
-        broken.validate()
+        dataclasses.replace(spec, seed=-1)
 
 
 def test_spec_json_round_trip():

@@ -1,5 +1,6 @@
 """Daily mobility loop: schedules, destination choice, tallies, conservation."""
 
+import dataclasses
 import io
 import math
 
@@ -60,29 +61,29 @@ class ExplodingLlm:
 
 
 def test_day_plan_accepts_increasing_hours():
-    plan = DayPlan(((7, "work"), (12, "eat"), (18, "home"))).validate()
+    plan = DayPlan(((7, "work"), (12, "eat"), (18, "home")))
     assert plan.entries[0] == (7, "work")
 
 
 def test_day_plan_rejects_bad_entries():
     with pytest.raises(ValueError, match="outside"):
-        DayPlan(((24, "work"),)).validate()
+        DayPlan(((24, "work"),))
     with pytest.raises(ValueError, match="outside"):
-        DayPlan(((-1, "work"),)).validate()
+        DayPlan(((-1, "work"),))
     with pytest.raises(ValueError, match="increasing"):
-        DayPlan(((9, "work"), (9, "eat"))).validate()
+        DayPlan(((9, "work"), (9, "eat")))
     with pytest.raises(ValueError, match="increasing"):
-        DayPlan(((9, "work"), (8, "eat"))).validate()
+        DayPlan(((9, "work"), (8, "eat")))
     with pytest.raises(ValueError, match="purpose"):
-        DayPlan(((9, "commute"),)).validate()
+        DayPlan(((9, "commute"),))
     with pytest.raises(ValueError, match="outside"):
-        DayPlan(((9.5, "work"),)).validate()
+        DayPlan(((9.5, "work"),))
     with pytest.raises(ValueError, match="outside"):
-        DayPlan(((True, "work"),)).validate()
+        DayPlan(((True, "work"),))
 
 
 def test_day_plan_empty_is_valid():
-    assert DayPlan(()).validate().entries == ()
+    assert DayPlan(()).entries == ()
 
 
 # ----------------------------------------------------------------------
@@ -243,7 +244,7 @@ def test_generate_profiles_shape_and_validity():
     profiles = generate_profiles(25, default_synthetic_spec(), seed=0)
     assert len(profiles) == 25
     for p in profiles:
-        p.validate()
+        dataclasses.replace(p)  # rebuilding runs the schema checks again
 
 
 def test_generate_profiles_empty_and_deterministic():
@@ -464,7 +465,7 @@ def toy_city():
 def test_hand_traced_commute(profile):
     city = toy_city()
     agent = AgentState(id=0, profile=profile, home=0, node=0)
-    plan = DayPlan(((8, "work"), (17, "home"))).validate()
+    plan = DayPlan(((8, "work"), (17, "home")))
     tally, trips = simulate_agent(agent, plan, city, empty_chain(), seed=0)
 
     # out at 8 and back at 17, each over exactly the three line edges

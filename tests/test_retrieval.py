@@ -20,7 +20,13 @@ from preference_chain.embedding import (
     profile_to_text,
     similarity_weight,
 )
-from preference_chain.errors import DimensionMismatch, EmptyGraph, FrozenGraph, ProviderError
+from preference_chain.errors import (
+    DimensionMismatch,
+    EmptyGraph,
+    FrozenGraph,
+    ProviderError,
+    SchemaViolation,
+)
 from preference_chain.ingest import default_synthetic_spec, generate_synthetic
 from preference_chain.pipeline import PreferenceChain
 from preference_chain.preference import raw_scores
@@ -47,6 +53,16 @@ def _agent(**kwargs) -> QueryAgent:
     defaults = dict(profile=make_profile(), trip_purpose="work", start_time=8)
     defaults.update(kwargs)
     return QueryAgent(**defaults)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("trip_purpose", "flying"), ("start_time", 24), ("start_time", True), ("context", 5)],
+)
+def test_query_agent_checks_itself_when_built(field, value):
+    with pytest.raises(SchemaViolation) as err:
+        _agent(**{field: value})
+    assert err.value.column == field and err.value.value is value
 
 
 def _build(records, both_fields=False):
