@@ -79,7 +79,6 @@ from .mobility_sim import (
     AgentState,
     DayPlan,
     LlmScheduleProvider,
-    MemoryEvent,
     TemplateScheduleProvider,
     TrafficTally,
     TripLog,

@@ -251,29 +251,9 @@ class BehaviorGraph:
             cs = self.choice_sets[name]
             fp.write(_json_line({"t": "choice_set", "name": cs.name, "options": list(cs.options)}))
         for node in self.nodes:
-            fp.write(
-                _json_line(
-                    {
-                        "t": "node",
-                        "id": node.id,
-                        "kind": node.kind.value,
-                        "label": node.label,
-                        "attributes": node.attributes,
-                    }
-                )
-            )
+            fp.write(_json_line({"t": "node", **vars(node)}))
         for edge in self.edges():
-            fp.write(
-                _json_line(
-                    {
-                        "t": "edge",
-                        "source": edge.source,
-                        "target": edge.target,
-                        "kind": edge.kind.value,
-                        "weight": edge.weight,
-                    }
-                )
-            )
+            fp.write(_json_line({"t": "edge", **vars(edge)}))
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fp:

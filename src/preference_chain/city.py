@@ -14,6 +14,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import sys
 from array import array
 from dataclasses import dataclass, field
 from typing import IO, Optional
@@ -155,7 +156,7 @@ class CityModel:
         for node in (u, v):
             if node not in self.positions:
                 raise UnknownNode(f"no street node {node}")
-        if not TIE_TOLERANCE < length < math.inf:  # also rejects NaN
+        if not TIE_TOLERANCE < length <= sys.float_info.max:  # also NaN and huge ints
             raise ValueError(
                 f"edge length must be finite and above {TIE_TOLERANCE} m, got {length!r}"
             )
@@ -164,6 +165,10 @@ class CityModel:
         self._trees = _TreeCache()
 
     def add_poi(self, poi_id: str, category: str, node: int) -> Poi:
+        if not (isinstance(poi_id, str) and poi_id and isinstance(category, str)):
+            raise ValueError(f"POI id must be a non-empty string, category a string: {poi_id!r}")
+        if poi_id in self.pois:
+            raise ValueError(f"repeated POI id {poi_id!r}")
         if node not in self.positions:
             raise UnknownNode(f"POI {poi_id!r} references missing node {node}")
         poi = Poi(poi_id, category, node)
@@ -196,8 +201,8 @@ class CityModel:
         if not self.positions:
             raise ValueError("city has no street nodes")
         for mode, speed in self.speeds.items():
-            if not speed > 0:  # also rejects NaN
-                raise ValueError(f"speed for {mode!r} must be > 0")
+            if isinstance(speed, bool) or not (isinstance(speed, (int, float)) and speed > 0):
+                raise ValueError(f"speed for {mode!r} must be a number > 0, got {speed!r}")
         # connectivity: every node reachable from the smallest id
         start = min(self.positions)
         seen = {start}

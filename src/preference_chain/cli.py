@@ -116,10 +116,16 @@ def _load_records(value: Optional[str], flag: str):
     return records
 
 
-def _write_run(out: Path, config: RunConfig, command: str, extra: dict, files: dict) -> None:
-    """Create ``out``, write each ``files`` name with its writer in order, then the manifest."""
+def _write_run(
+    out: Path, config: RunConfig, command: str, providers: tuple, extra: dict, files: dict
+) -> None:
+    """Create ``out``, write each ``files`` name with its writer in order, then the manifest.
+
+    ``providers`` are the (embedding, LLM) providers the run used.
+    """
     out.mkdir(parents=True, exist_ok=True)
-    files = {**files, "manifest.json": lambda fp: write_json(fp, run_manifest(config, command, extra))}
+    manifest = run_manifest(config, command, *providers, extra)
+    files = {**files, "manifest.json": lambda fp: write_json(fp, manifest)}
     for name, write in files.items():
         with open(out / name, "w", encoding="utf-8") as fp:
             write(fp)
@@ -249,7 +255,7 @@ def cmd_evaluate(args, config: RunConfig) -> int:
         )
 
     extra = {"n_reference": len(reference), "n_validation": len(validation)}
-    _write_run(out, config, "evaluate", extra, {
+    _write_run(out, config, "evaluate", (chain.embed_provider, chain.llm_provider), extra, {
         "report.csv": lambda fp: write_combined_csv(fp, reports),
         "report.json": lambda fp: write_json(fp, {n: r.summary() for n, r in reports.items()}),
     })
@@ -267,17 +273,18 @@ def cmd_sweep(args, config: RunConfig) -> int:
     n_validation = _at_least(args.n_validation, "--n-validation", 1)
     records = _load_records(args.reference or config.paths.reference_csv, "--reference")
     out = _out_dir(args, config)
+    embed, llm = build_embed_provider(config), build_llm_provider(config)
     rows = sweep_reference_sizes(
         records,
         sizes=sizes,
         seeds=seeds,
         n_validation=n_validation,
         config=config.pipeline_config(),
-        embed_provider=build_embed_provider(config),
-        llm_provider=build_llm_provider(config),
+        embed_provider=embed,
+        llm_provider=llm,
     )
     files = {"sweep.csv": lambda fp: write_sweep_csv(fp, rows)}
-    _write_run(out, config, "sweep", {"sizes": sizes, "seeds": seeds}, files)
+    _write_run(out, config, "sweep", (embed, llm), {"sizes": sizes, "seeds": seeds}, files)
     print(f"sweep: {len(rows)} rows -> {out / 'sweep.csv'}")
     return 0
 
@@ -318,7 +325,8 @@ def cmd_simulate(args, config: RunConfig) -> int:
     }
     if reference_tally is not None:
         summary["flow_kld"] = flow_kld(tally, reference_tally)
-    _write_run(out, config, "simulate", {"agents": len(agents)}, {
+    providers = (chain.embed_provider, chain.llm_provider)
+    _write_run(out, config, "simulate", providers, {"agents": len(agents)}, {
         "edge_tally.csv": tally.write_edge_csv,
         "poi_tally.csv": tally.write_poi_csv,
         "summary.json": lambda fp: write_json(fp, summary),

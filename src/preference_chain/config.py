@@ -187,17 +187,21 @@ def build_llm_provider(config: RunConfig) -> LlmProvider:
     return RemoteLlm(config.providers.llm_url, config.providers.llm_model)
 
 
-def run_manifest(config: RunConfig, command: str, extra: Optional[dict] = None) -> dict:
+def run_manifest(
+    config: RunConfig,
+    command: str,
+    embed_provider: EmbeddingProvider,
+    llm_provider: LlmProvider,
+    extra: Optional[dict] = None,
+) -> dict:
+    """The run's record: command, seed, config hash, the ids of the providers it used."""
     from . import __version__
 
     manifest = {
         "command": command,
         "seed": config.pipeline.seed,
         "config_hash": config.config_hash(),
-        "providers": {
-            "embed": build_embed_provider(config).provider_id,
-            "llm": build_llm_provider(config).provider_id,
-        },
+        "providers": {"embed": embed_provider.provider_id, "llm": llm_provider.provider_id},
         "version": __version__,
     }
     if extra:

@@ -13,7 +13,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+from types import MappingProxyType
 from typing import IO, Mapping, Optional, Sequence
 
 import numpy as np
@@ -86,8 +87,8 @@ def write_csv_fp(records: Sequence[TripRecord], fp: IO[str]) -> None:
 # ----------------------------------------------------------------------
 
 
-def _validate_distribution(name: str, table: dict, allowed: Sequence[str]) -> None:
-    if not isinstance(table, dict) or not table:
+def _validate_distribution(name: str, table: Mapping, allowed: Sequence[str]) -> None:
+    if not isinstance(table, Mapping) or not table:
         raise InvalidSpec(f"{name}: not a non-empty object of probabilities")
     unknown = [k for k in table if k not in allowed]
     if unknown:
@@ -101,17 +102,29 @@ def _validate_distribution(name: str, table: dict, allowed: Sequence[str]) -> No
         raise InvalidSpec(f"{name}: probabilities sum to {total}, not 1")
 
 
+def _read_only(value):
+    """``value`` with each nested mapping copied into a read-only view."""
+    if isinstance(value, Mapping):
+        return MappingProxyType({k: _read_only(v) for k, v in value.items()})
+    return value
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Ground-truth generator description with known conditionals; checked when built."""
+    """Ground-truth generator description with known conditionals.
 
+    Checked when built, and then read-only: its tables become read-only
+    views, so an edit raises at once instead of bypassing the check. The
+    JSON file holds one key per field, in declaration order.
+    """
+
+    spec_version: str = field(default=SPEC_VERSION, kw_only=True)  # first key in the file
     population: int
     seed: int
-    marginals: dict[str, dict[str, float]]
+    marginals: Mapping[str, Mapping[str, float]]
     conditioned_on: str
-    mode_conditionals: dict[str, dict[str, float]]
-    duration_conditionals: dict[str, dict[str, float]]
-    spec_version: str = SPEC_VERSION
+    mode_conditionals: Mapping[str, Mapping[str, float]]
+    duration_conditionals: Mapping[str, Mapping[str, float]]
 
     def __post_init__(self):
         if self.spec_version != SPEC_VERSION:
@@ -121,7 +134,7 @@ class SyntheticSpec:
             if type(value) is not int or value < 0:
                 raise InvalidSpec(f"{name} must be an integer >= 0, got {value!r}")
         objects = (self.marginals, self.mode_conditionals, self.duration_conditionals)
-        if not all(isinstance(obj, dict) for obj in objects):
+        if not all(isinstance(obj, Mapping) for obj in objects):
             raise InvalidSpec("marginals and conditionals must be objects")
         for column in INPUT_CATEGORIES:
             if column not in self.marginals:
@@ -140,41 +153,25 @@ class SyntheticSpec:
                 if bucket not in tables:
                     raise InvalidSpec(f"{label} missing bucket {bucket!r}")
                 _validate_distribution(f"{label}[{bucket}]", tables[bucket], allowed)
+        for f in fields(self):
+            object.__setattr__(self, f.name, _read_only(getattr(self, f.name)))
 
     def to_json(self, fp: IO[str]) -> None:
-        json.dump(
-            {
-                "spec_version": self.spec_version,
-                "population": self.population,
-                "seed": self.seed,
-                "marginals": self.marginals,
-                "conditioned_on": self.conditioned_on,
-                "mode_conditionals": self.mode_conditionals,
-                "duration_conditionals": self.duration_conditionals,
-            },
-            fp,
-            indent=2,
-        )
+        obj = {f.name: getattr(self, f.name) for f in fields(self)}
+        json.dump(obj, fp, indent=2, default=dict)
         fp.write("\n")
 
     @classmethod
     def from_json(cls, fp: IO[str]) -> "SyntheticSpec":
+        """Read a spec file; a missing key or a failed check raises InvalidSpec."""
         try:
             obj = decode_json(fp.read())
-            return cls(
-                population=obj["population"],
-                seed=obj["seed"],
-                marginals=obj["marginals"],
-                conditioned_on=obj["conditioned_on"],
-                mode_conditionals=obj["mode_conditionals"],
-                duration_conditionals=obj["duration_conditionals"],
-                spec_version=obj.get("spec_version", "missing"),
-            )
+            return cls(**{f.name: obj[f.name] for f in fields(cls)})
         except (KeyError, TypeError, ValueError) as exc:  # also bad JSON and text encoding
             raise InvalidSpec(f"{type(exc).__name__}: {exc}") from exc
 
 
-def draw_column(rng: np.random.Generator, table: dict[str, float], size: int, allowed) -> np.ndarray:
+def draw_column(rng: np.random.Generator, table: Mapping[str, float], size: int, allowed) -> np.ndarray:
     """``size`` categories drawn from ``table``'s weights, renormalized.
 
     Categories are taken in ``allowed`` (schema) order, which keeps the draw

@@ -4,8 +4,10 @@ Each agent gets a day plan (template- or LLM-generated), and every entry
 runs the same loop: choose mode and duration via the calibrated choice
 pipeline, search POIs reachable in the implied travel-time budget, let the
 LLM pick one (nearest on fallback), route along the shortest path (see
-``city._TreeCache``), and tally edge traversals and POI visits. Agents are
-simulated independently; see ``run_day``.
+``city._TreeCache``), and tally edge traversals and POI visits. An agent's
+trips are its memory: the POI prompt lists the latest ones, and a work or
+school trip reuses the POI of the first earlier trip with that purpose.
+Agents are simulated independently; see ``run_day``.
 """
 
 from __future__ import annotations
@@ -38,16 +40,8 @@ from .schema import (
     ChoiceCategorySet,
 )
 
-# Purposes whose first chosen POI is remembered and reused all day.
+# Purposes whose first chosen POI is reused all day.
 IMPORTANT_PURPOSES = ("work", "school")
-
-
-@dataclass(frozen=True)
-class MemoryEvent:
-    minute: int
-    activity: str
-    node: int
-    mode: Optional[str] = None
 
 
 @dataclass
@@ -57,13 +51,7 @@ class AgentState:
     home: int
     node: int
     minute: int = 0
-    important: dict[str, str] = field(default_factory=dict)  # purpose -> POI id
-    memory: list[MemoryEvent] = field(default_factory=list)
-
-    def remember(self, minute: int, activity: str, node: int, mode: Optional[str] = None) -> None:
-        if self.memory and minute < self.memory[-1].minute:
-            raise ValueError("memory timestamps must be nondecreasing")
-        self.memory.append(MemoryEvent(minute, activity, node, mode))
+    trips: list[TripLog] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -215,9 +203,7 @@ def choose_mode_and_duration(
 
 
 def poi_prompt(candidates: Sequence[str], agent: AgentState) -> str:
-    visited = ", ".join(
-        f"{e.activity}@{e.node}" for e in agent.memory[-5:]
-    ) or "nothing yet"
+    visited = ", ".join(f"{t.purpose}@{t.destination}" for t in agent.trips[-5:]) or "nothing yet"
     return "\n".join(
         [
             "Pick the destination this person would choose.",
@@ -396,15 +382,14 @@ def _resolve_destination(
 ) -> tuple[int, Optional[str]]:
     if purpose == "home":
         return agent.home, None
-    remembered = agent.important.get(purpose)
-    if remembered is not None:
-        return city.pois[remembered].node, remembered
+    if purpose in IMPORTANT_PURPOSES:
+        for trip in agent.trips:
+            if trip.purpose == purpose:
+                return trip.destination, trip.poi_id
     candidates = search_pois(city, agent.node, purpose, mode, duration_bin)
     if not candidates:
         candidates = [nearest_poi(city, agent.node, purpose)]
     poi_id = select_poi(candidates, agent, provider, params)
-    if purpose in IMPORTANT_PURPOSES:
-        agent.important[purpose] = poi_id
     return city.pois[poi_id].node, poi_id
 
 
@@ -416,10 +401,10 @@ def simulate_agent(
     seed: int,
     context: str = "",
 ) -> tuple[TrafficTally, list[TripLog]]:
-    """One agent's whole day; owns the agent's substream."""
+    """One agent's whole day, appended to ``agent.trips``; owns the agent's substream."""
     rng = substream(seed, "agent", agent.id)
     tally = TrafficTally()
-    trips = []
+    first = len(agent.trips)
     for hour, purpose in plan.entries:
         mode, duration = choose_mode_and_duration(agent, purpose, hour, chain, rng, context)
         destination, poi_id = _resolve_destination(
@@ -433,16 +418,15 @@ def simulate_agent(
         arrival = start + int(round(distance / city.speed(mode)))
         agent.node = destination
         agent.minute = arrival
-        agent.remember(arrival, purpose, destination, mode)
         if poi_id is not None:
             tally.record_visit(poi_id, min(23, arrival // 60))
-        trips.append(
+        agent.trips.append(
             TripLog(
                 agent.id, bucket, start, purpose, mode, duration,
                 path[0], destination, len(path) - 1, poi_id,
             )
         )
-    return tally, trips
+    return tally, agent.trips[first:]
 
 
 def run_day(

@@ -33,11 +33,12 @@ def golden_city():
     return grid_city(width=6, height=6, spacing=100.0, pois_per_category=3, seed=GOLDEN_SEED)
 
 
-def golden_run(city=None):
+def golden_run(city=None, llm_provider=None):
     """The fixed 10-agent day: returns (tally, trip logs).
 
     ``city`` defaults to a new ``golden_city()``; pass one to simulate the
-    day again on a city that already holds routing trees.
+    day again on a city that already holds routing trees. ``llm_provider``
+    defaults to the configured one, the identity mock.
     """
     config = RunConfig()
     spec = default_synthetic_spec()
@@ -48,7 +49,7 @@ def golden_run(city=None):
     chain = PreferenceChain(
         graph,
         embed_provider=build_embed_provider(config),
-        llm_provider=build_llm_provider(config),
+        llm_provider=llm_provider or build_llm_provider(config),
         config=config.pipeline_config(),
     )
     city = city if city is not None else golden_city()

@@ -71,7 +71,7 @@ def test_add_edge_requires_known_nodes_and_positive_length():
     with pytest.raises(UnknownNode):
         city.add_edge(0, 1, 50.0)
     city.add_node(1, 1.0, 0.0)
-    for length in (0.0, -1.0, 1e-13, TIE_TOLERANCE, math.nan, math.inf):
+    for length in (0.0, -1.0, 1e-13, TIE_TOLERANCE, math.nan, math.inf, 10**400):
         with pytest.raises(ValueError):
             city.add_edge(0, 1, length)
     assert city.adjacency == {0: [], 1: []}
@@ -85,6 +85,20 @@ def test_add_poi_requires_known_node():
     city.add_node(0, 0.0, 0.0)
     with pytest.raises(UnknownNode):
         city.add_poi("shop-0", "shop", 99)
+
+
+@pytest.mark.parametrize(
+    "poi_id,category",
+    [(7, "shop"), (None, "shop"), ("", "shop"), ("shop-1", None), ("shop-0", "shop")],
+    ids=["int-id", "null-id", "empty-id", "null-category", "repeated-id"],
+)
+def test_add_poi_requires_a_new_string_id_and_a_string_category(poi_id, category):
+    city = CityModel()
+    city.add_node(0, 0.0, 0.0)
+    city.add_poi("shop-0", "shop", 0)
+    with pytest.raises(ValueError):
+        city.add_poi(poi_id, category, 0)
+    assert list(city.pois) == ["shop-0"]
 
 
 def test_speed_lookup_and_unknown_mode():
@@ -116,9 +130,12 @@ def test_validate_rejects_empty_city_and_bad_speed():
     with pytest.raises(ValueError):
         CityModel().validate()
     city = line_city()
-    city.speeds["walking"] = 0.0
-    with pytest.raises(ValueError):
-        city.validate()
+    for speed in (0.0, math.nan, True, "80"):
+        city.speeds["walking"] = speed
+        with pytest.raises(ValueError):
+            city.validate()
+    city.speeds["walking"] = 80
+    city.validate()
 
 
 # ----------------------------------------------------------------------

@@ -716,6 +716,20 @@ def _rename_duration_set(lines) -> None:
             _broken_city(lambda c: c["nodes"].append({"id": 2, "x": 0.0, "y": 9.0})),
             id="city-disconnected",
         ),
+        pytest.param(
+            "city", _broken_city(lambda c: c["pois"][0].update(id=7)), id="city-poi-id-number"
+        ),
+        pytest.param(
+            "city", _broken_city(lambda c: c["pois"][0].update(id=None)), id="city-poi-id-null"
+        ),
+        pytest.param(
+            "city",
+            _broken_city(lambda c: c["pois"].append({"id": "work-0", "category": "work", "node": 0})),
+            id="city-poi-id-repeated",
+        ),
+        pytest.param(
+            "city", _broken_city(lambda c: c.update(speeds={"walking": True})), id="city-speed-bool"
+        ),
         pytest.param("tally", "edge,count\n0-1,3\n", id="tally-missing-column"),
         pytest.param("tally", "edge,hour,count\n0-1,24,3\n", id="tally-hour-24"),
         pytest.param("tally", "edge,hour,count\n0-1,8,3\n1-2,8,-1\n", id="tally-negative-count"),

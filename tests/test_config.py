@@ -284,7 +284,8 @@ def test_build_providers():
 
 def test_run_manifest_contents():
     config = RunConfig()
-    manifest = run_manifest(config, "evaluate", {"n_reference": 50})
+    providers = (build_embed_provider(config), build_llm_provider(config))
+    manifest = run_manifest(config, "evaluate", *providers, {"n_reference": 50})
     assert manifest["command"] == "evaluate"
     assert manifest["seed"] == 0
     assert manifest["config_hash"] == config.config_hash()
@@ -292,3 +293,12 @@ def test_run_manifest_contents():
     assert manifest["providers"]["llm"] == "mock-identity"
     assert manifest["n_reference"] == 50
     assert "version" in manifest
+
+
+def test_run_manifest_reads_the_providers_it_is_given():
+    class Named:
+        def __init__(self, provider_id):
+            self.provider_id = provider_id
+
+    manifest = run_manifest(RunConfig(), "sweep", Named("embed-x"), Named("llm-y"))
+    assert manifest["providers"] == {"embed": "embed-x", "llm": "llm-y"}

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import json
 
@@ -15,6 +16,7 @@ from preference_chain.ingest import (
     SyntheticSpec,
     default_synthetic_spec,
     generate_synthetic,
+    hour_conditioned_spec,
     read_csv,
     split_reference_validation,
     write_csv,
@@ -218,6 +220,40 @@ def test_spec_json_round_trip():
 def test_spec_json_malformed():
     with pytest.raises(InvalidSpec):
         SyntheticSpec.from_json(io.StringIO(json.dumps({"population": 5})))
+
+
+@pytest.mark.parametrize(
+    "factory,digest",
+    [
+        (default_synthetic_spec, "50e9d8f1b9876172cd1c4b1773fc898523e918e3f6bc6e56f2c2a98b81f7ed72"),
+        (hour_conditioned_spec, "5ffcd27bb32fea2fb67a38c0cb3e7408f85a89c4a8d366d01fb5a3764a5a102b"),
+    ],
+    ids=["default", "hour-conditioned"],
+)
+def test_bundled_spec_json_bytes_are_pinned(factory, digest):
+    buffer = io.StringIO()
+    factory().to_json(buffer)
+    assert hashlib.sha256(buffer.getvalue().encode("utf-8")).hexdigest() == digest
+    assert next(iter(json.loads(buffer.getvalue()))) == "spec_version"
+
+
+def test_spec_tables_are_read_only():
+    spec = default_synthetic_spec()
+    with pytest.raises(AttributeError):
+        spec.mode_conditionals.pop("one")
+    with pytest.raises(TypeError):
+        spec.marginals["age_group"]["18-24"] = -5.0
+    with pytest.raises(TypeError):
+        spec.duration_conditionals["one"] = {"0-10": 1.0}
+    assert generate_synthetic(spec, size=100) == generate_synthetic(default_synthetic_spec(), size=100)
+    # a replaced spec is checked and built again from the read-only tables
+    reseeded = dataclasses.replace(spec, seed=3)
+    assert reseeded.marginals == spec.marginals and len(generate_synthetic(reseeded, size=10)) == 10
+    # the caller's tables are copied, so editing them later changes nothing
+    marginals = {name: dict(table) for name, table in spec.marginals.items()}
+    built = dataclasses.replace(spec, marginals=marginals)
+    marginals["age_group"]["18-24"] = -5.0
+    assert built.marginals["age_group"]["18-24"] == spec.marginals["age_group"]["18-24"]
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Daily mobility loop: schedules, destination choice, tallies, conservation."""
 
 import dataclasses
+import hashlib
 import io
 import math
 
@@ -18,6 +19,7 @@ from preference_chain.mobility_sim import (
     LlmScheduleProvider,
     TemplateScheduleProvider,
     TrafficTally,
+    TripLog,
     choose_mode_and_duration,
     flow_kld,
     generate_profiles,
@@ -274,14 +276,21 @@ def test_make_agents_homes_and_ids():
     assert homes_other_seed != [a.home for a in agents]
 
 
-def test_agent_memory_is_monotonic(profile):
-    agent = AgentState(id=0, profile=profile, home=0, node=0)
-    agent.remember(100, "work", 3, "walking")
-    agent.remember(100, "eat", 3)
-    agent.remember(200, "home", 0, "biking")
-    assert [e.activity for e in agent.memory] == ["work", "eat", "home"]
-    with pytest.raises(ValueError):
-        agent.remember(150, "shop", 1)
+def test_agent_trips_are_monotonic():
+    city, agents, plans = _population()
+    chain = reference_chain()
+    for agent, plan in zip(agents, plans):
+        _, trips = simulate_agent(agent, plan, city, chain, seed=4)
+        assert agent.trips == trips and len(trips) == len(plan.entries)
+        starts = [t.start_minute for t in agent.trips]
+        assert starts == sorted(starts)
+    # a second day appends to the agent's trips and returns only its own
+    agent, plan = agents[0], plans[0]
+    first_day = list(agent.trips)
+    _, trips = simulate_agent(agent, plan, city, chain, seed=4)
+    assert agent.trips == first_day + trips and len(trips) == len(plan.entries)
+    starts = [t.start_minute for t in agent.trips]
+    assert starts == sorted(starts)
 
 
 # ----------------------------------------------------------------------
@@ -338,7 +347,7 @@ def test_select_poi_matches_whole_ids(profile):
 
 def test_select_poi_prompt_mentions_memory(profile):
     agent = AgentState(id=0, profile=profile, home=0, node=0)
-    agent.remember(480, "work", 7, "walking")
+    agent.trips.append(TripLog(0, 8, 480, "work", "walking", "0-10", 0, 7, 3, "work-0"))
     llm = ScriptedMockLlm(["shop-a"])
     select_poi(["shop-a"], agent, llm, GenerationParams())
     assert "work@7" in llm.calls[0]
@@ -482,7 +491,7 @@ def test_hand_traced_commute(profile):
     assert (second.hour, second.start_minute) == (17, 1020)
     assert (second.purpose, second.origin, second.destination) == ("home", 3, 0)
     assert second.edge_count == 3 and second.poi_id is None
-    assert agent.node == 0 and agent.important == {"work": "work-0"}
+    assert agent.node == 0 and [t.poi_id for t in agent.trips] == ["work-0", None]
 
 
 def test_home_trip_while_home_moves_nothing(profile):
@@ -580,6 +589,32 @@ def test_run_day_rejects_misaligned_inputs():
     city, agents, plans = _population()
     with pytest.raises(ValueError):
         run_day(agents, plans[:-1], city, reference_chain(), seed=0)
+
+
+class RecordingIdentityLlm(IdentityMockLlm):
+    """The identity mock, keeping every prompt it is sent."""
+
+    def __init__(self):
+        self.prompts = []
+
+    def complete(self, prompt, params):
+        self.prompts.append(prompt)
+        return super().complete(prompt, params)
+
+
+# sha256 of the golden day's POI prompts, joined by newlines: the text a
+# remote LLM receives, including each agent's recent trips.
+_GOLDEN_POI_PROMPTS_SHA256 = "83cc2fd7da00d1773fc232be59c3483c7d97365ad663b37d53a2f807535e5f03"
+
+
+def test_golden_day_poi_prompts_are_pinned():
+    llm = RecordingIdentityLlm()
+    golden_run(llm_provider=llm)
+    prompts = [p for p in llm.prompts if p.startswith("Pick the destination")]
+    assert len(prompts) == 18
+    assert any("Recently visited: work@" in p for p in prompts)
+    digest = hashlib.sha256("\n".join(prompts).encode("utf-8")).hexdigest()
+    assert digest == _GOLDEN_POI_PROMPTS_SHA256
 
 
 def test_golden_day_routes_from_each_source_once(monkeypatch):
