@@ -12,12 +12,7 @@ Run:  python demos/01_build_behavior_graph.py
 import tempfile
 from pathlib import Path
 
-from preference_chain.behavior_graph import (
-    BehaviorGraph,
-    GraphBuildConfig,
-    NodeKind,
-    build_from_records,
-)
+from preference_chain.behavior_graph import BehaviorGraph, NodeKind, build_from_records
 from preference_chain.ingest import default_synthetic_spec, generate_synthetic
 
 records = generate_synthetic(default_synthetic_spec(), size=40, seed=0)
@@ -26,9 +21,7 @@ print(f"  first record: {records[0].profile.age_group}, {records[0].trip_purpose
       f"at {records[0].start_time}:00 -> {records[0].primary_mode}, "
       f"{records[0].duration_minutes} min\n")
 
-graph = build_from_records(
-    records, GraphBuildConfig(intention_fields=("primary_mode", "duration_minutes"))
-)
+graph = build_from_records(records)
 persons = graph.nodes_of_kind(NodeKind.PERSON)
 desires = graph.nodes_of_kind(NodeKind.DESIRE)
 intentions = graph.nodes_of_kind(NodeKind.INTENTION)

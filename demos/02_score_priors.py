@@ -10,7 +10,7 @@ weights. Normalized raw scores are the prior.
 Run:  python demos/02_score_priors.py
 """
 
-from preference_chain.behavior_graph import GraphBuildConfig, build_from_records
+from preference_chain.behavior_graph import build_from_records
 from preference_chain.ingest import default_synthetic_spec, generate_synthetic
 from preference_chain.pipeline import PreferenceChain
 from preference_chain.preference import raw_scores
@@ -18,9 +18,7 @@ from preference_chain.retrieval import QueryAgent
 from preference_chain.schema import AgentProfile
 
 records = generate_synthetic(default_synthetic_spec(), size=60, seed=0)
-graph = build_from_records(
-    records, GraphBuildConfig(intention_fields=("primary_mode", "duration_minutes"))
-)
+graph = build_from_records(records)
 chain = PreferenceChain(graph)  # default knobs: k=5, path cap 4 edges, epsilon=0
 
 agent = QueryAgent(

@@ -17,7 +17,7 @@ Run:  python demos/03_calibrate_with_llm.py
 
 import json
 
-from preference_chain.behavior_graph import GraphBuildConfig, build_from_records
+from preference_chain.behavior_graph import build_from_records
 from preference_chain.ingest import default_synthetic_spec, generate_synthetic
 from preference_chain.llm_remodel import IdentityMockLlm, ScriptedMockLlm, build_prompt
 from preference_chain.pipeline import PreferenceChain
@@ -25,9 +25,7 @@ from preference_chain.retrieval import QueryAgent
 from preference_chain.schema import AgentProfile
 
 records = generate_synthetic(default_synthetic_spec(), size=60, seed=0)
-graph = build_from_records(
-    records, GraphBuildConfig(intention_fields=("primary_mode", "duration_minutes"))
-)
+graph = build_from_records(records)
 mode_set = graph.choice_sets["primary_mode"]
 agent = QueryAgent(
     profile=AgentProfile(

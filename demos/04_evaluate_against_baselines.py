@@ -14,7 +14,7 @@ reference sample: start-time proximity is a strong edge-weight signal.
 Run:  python demos/04_evaluate_against_baselines.py   (~2 s)
 """
 
-from preference_chain.behavior_graph import GraphBuildConfig, build_from_records
+from preference_chain.behavior_graph import build_from_records
 from preference_chain.evaluate import (
     chain_predictions,
     evaluate_predictions,
@@ -29,14 +29,13 @@ from preference_chain.ingest import (
 from preference_chain.pipeline import PreferenceChain
 from preference_chain.schema import BUNDLED_CHOICE_SETS
 
-INTENTIONS = ("primary_mode", "duration_minutes")
-CHOICE_SETS = [BUNDLED_CHOICE_SETS[name] for name in INTENTIONS]
+CHOICE_SETS = list(BUNDLED_CHOICE_SETS.values())
 
 records = generate_synthetic(hour_conditioned_spec(), size=2050, seed=1)
 reference, validation = split_reference_validation(records, 50, 2000, seed=1)
 print(f"{len(reference)} reference trips, {len(validation)} validation trips")
 
-graph = build_from_records(reference, GraphBuildConfig(intention_fields=INTENTIONS))
+graph = build_from_records(reference)
 chain = PreferenceChain(graph)
 
 reports = {

@@ -12,7 +12,7 @@ Run:  python demos/06_city_day_simulation.py
 
 from collections import Counter
 
-from preference_chain.behavior_graph import GraphBuildConfig, build_from_records
+from preference_chain.behavior_graph import build_from_records
 from preference_chain.city import grid_city
 from preference_chain.ingest import default_synthetic_spec, generate_synthetic
 from preference_chain.mobility_sim import (
@@ -33,9 +33,7 @@ print(f"city: {len(city.positions)} intersections, "
 
 spec = default_synthetic_spec()
 records = generate_synthetic(spec, size=60, seed=SEED)
-graph = build_from_records(
-    records, GraphBuildConfig(intention_fields=("primary_mode", "duration_minutes"))
-)
+graph = build_from_records(records)
 chain = PreferenceChain(graph)
 
 profiles = generate_profiles(10, spec, SEED)

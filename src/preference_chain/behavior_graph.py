@@ -24,13 +24,11 @@ from enum import Enum
 from typing import IO, Iterable, Optional
 
 from .embedding import profile_to_text
-from .errors import DataError, FrozenGraph, KindMismatch, UnknownNode, WeightOutOfRange
+from .errors import DataError, FrozenGraph, GraphError, KindMismatch, UnknownNode, WeightOutOfRange
 from .schema import (
     BUNDLED_CHOICE_SETS,
     ChoiceCategorySet,
-    INPUT_CATEGORIES,
     OUTPUT_CATEGORIES,
-    PROFILE_FIELDS,
     START_TIMES,
     TRIP_PURPOSES,
     AgentProfile,
@@ -87,14 +85,15 @@ class Edge:
 RELATIVE_WEIGHT = 1.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class GraphBuildConfig:
     """Knobs for ``build_from_records``.
 
-    intention_fields: which output columns get a choose_to edge per record.
+    intention_fields: which output columns get a choose_to edge per record;
+    by default every column of ``OUTPUT_CATEGORIES``.
     """
 
-    intention_fields: tuple[str, ...] = ("primary_mode",)
+    intention_fields: tuple[str, ...] = tuple(OUTPUT_CATEGORIES)
 
     def __post_init__(self):
         for name in self.intention_fields:
@@ -155,8 +154,8 @@ class BehaviorGraph:
         if not isinstance(kind, EdgeKind):
             raise KindMismatch(f"edge kind {kind!r} is not an EdgeKind")
         pair = (self.node(source).kind, self.node(target).kind)
-        if not (0.0 <= weight <= 1.0):
-            raise WeightOutOfRange(f"weight {weight} outside [0, 1]")
+        if isinstance(weight, bool) or not (isinstance(weight, (int, float)) and 0 <= weight <= 1):
+            raise WeightOutOfRange(f"weight {weight!r} is not a number in [0, 1]")
         if pair not in _ENDPOINT_RULES[kind]:
             raise KindMismatch(
                 f"{kind.value} edge may not connect {pair[0].value} -> {pair[1].value}"
@@ -168,7 +167,7 @@ class BehaviorGraph:
     # ------------------------------------------------------------------
 
     def node(self, node_id: NodeId) -> Node:
-        if not (0 <= node_id < len(self.nodes)):
+        if not (type(node_id) is int and 0 <= node_id < len(self.nodes)):
             raise UnknownNode(f"no node with id {node_id}")
         return self.nodes[node_id]
 
@@ -190,12 +189,12 @@ class BehaviorGraph:
 
         The registered choice sets must be the schema's bundled sets: the
         same names, and the same options in the same order. A Person's
-        attributes must be a schema profile and its label their
-        ``profile_to_text``. A Desire's trip_purpose and start_time must be
-        schema categories and its label their ``desire_text``; an Intention
-        must name a registered choice set and one of its options, and no two
-        Intentions the same option. Raises DataError naming the first choice
-        set or node that breaks a rule.
+        attributes must build an ``AgentProfile`` and its label be that
+        profile's ``profile_to_text``. A Desire's trip_purpose and
+        start_time must be schema categories and its label their
+        ``desire_text``; an Intention must name a registered choice set and
+        one of its options, and no two Intentions the same option. Raises
+        DataError naming the first choice set or node that breaks a rule.
         """
         for name in sorted(self.choice_sets.keys() | BUNDLED_CHOICE_SETS.keys()):
             if self.choice_sets.get(name) != BUNDLED_CHOICE_SETS.get(name):
@@ -206,14 +205,13 @@ class BehaviorGraph:
         seen: dict[tuple[str, str], NodeId] = {}
         for node in self.nodes:
             if node.kind == NodeKind.PERSON:
-                attributes = node.attributes
-                if attributes.keys() != set(PROFILE_FIELDS) or any(
-                    attributes[f] not in INPUT_CATEGORIES[f] for f in PROFILE_FIELDS
-                ):
+                try:
+                    profile = AgentProfile(**node.attributes)
+                except (TypeError, DataError):  # a missing or extra field, a bad value
                     raise DataError(
                         f"graph node {node.id} (Person): attributes are not a schema profile"
-                    )
-                if node.label != profile_to_text(attributes):
+                    ) from None
+                if node.label != profile_to_text(profile):
                     raise DataError(
                         f"graph node {node.id} (Person): label differs from its attributes"
                     )
@@ -263,8 +261,8 @@ class BehaviorGraph:
     def load_jsonl(cls, fp: IO[str]) -> "BehaviorGraph":
         """Read a snapshot and ``validate`` it.
 
-        A malformed line or a failed check raises DataError, an edge that
-        breaks the graph's rules a GraphError.
+        A malformed line, a node or edge that breaks the graph's rules, or a
+        failed check raises DataError.
         """
         graph = cls()
         number = 0
@@ -280,7 +278,7 @@ class BehaviorGraph:
                         ChoiceCategorySet(obj["name"], tuple(obj["options"]))
                     )
                 elif kind == "node":
-                    if obj["id"] != len(graph.nodes):
+                    if type(obj["id"]) is not int or obj["id"] != len(graph.nodes):
                         raise ValueError(f"node id {obj['id']!r}, expected {len(graph.nodes)}")
                     attributes = obj["attributes"]
                     if not (
@@ -296,7 +294,7 @@ class BehaviorGraph:
                     )
                 else:
                     raise ValueError(f"unknown snapshot record type {kind!r}")
-        except (KeyError, TypeError, ValueError) as exc:  # also bad JSON and text encoding
+        except (KeyError, TypeError, ValueError, GraphError) as exc:  # also bad JSON and encoding
             raise DataError(f"graph snapshot line {number}: {type(exc).__name__}: {exc}") from exc
         return graph.validate()
 
@@ -317,7 +315,7 @@ def desire_text(trip_purpose: str, start_time: int) -> str:
 
 def build_from_records(
     records: list[TripRecord],
-    config: Optional[GraphBuildConfig] = None,
+    config: GraphBuildConfig = GraphBuildConfig(),
 ) -> BehaviorGraph:
     """Construct the behavior graph for a list of trip records.
 
@@ -328,7 +326,6 @@ def build_from_records(
     relative_of edges are added pairwise (both directions) between persons
     sharing an explicit household_id.
     """
-    config = config or GraphBuildConfig()
     graph = BehaviorGraph()
     for choice_set in BUNDLED_CHOICE_SETS.values():
         graph.register_choice_set(choice_set)

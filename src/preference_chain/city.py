@@ -21,7 +21,7 @@ from typing import IO, Optional
 
 from .errors import DataError, UnknownCategory, UnknownNode
 from .rng import substream
-from .schema import DURATION_BINS, TRIP_PURPOSES, decode_json
+from .schema import DURATION_BINS, PRIMARY_MODES, TRIP_PURPOSES, decode_json
 
 # Distances within this many meters tie in ``dijkstra``, and the lower node
 # id then wins the predecessor of a node not yet settled. ``add_edge``
@@ -147,6 +147,8 @@ class CityModel:
     )
 
     def add_node(self, node: int, x: float, y: float) -> int:
+        if isinstance(node, bool) or node in self.positions:
+            raise ValueError(f"street node id {node!r} is a boolean or already present")
         self.positions[node] = (float(x), float(y))
         self.adjacency.setdefault(node, [])
         self._trees = _TreeCache()
@@ -200,9 +202,11 @@ class CityModel:
     def validate(self) -> "CityModel":
         if not self.positions:
             raise ValueError("city has no street nodes")
+        if self.speeds.keys() != set(PRIMARY_MODES):
+            raise ValueError(f"speeds must name exactly the modes {list(PRIMARY_MODES)}")
         for mode, speed in self.speeds.items():
-            if isinstance(speed, bool) or not (isinstance(speed, (int, float)) and speed > 0):
-                raise ValueError(f"speed for {mode!r} must be a number > 0, got {speed!r}")
+            if type(speed) not in (int, float) or not 0 < speed <= sys.float_info.max:
+                raise ValueError(f"speed for {mode!r} must be a finite number > 0, got {speed!r}")
         # connectivity: every node reachable from the smallest id
         start = min(self.positions)
         seen = {start}
@@ -252,7 +256,7 @@ class CityModel:
             obj = decode_json(fp.read())
             if not isinstance(obj, dict):
                 raise ValueError("the root must be a JSON object")
-            city = cls(speeds=dict(obj.get("speeds") or DEFAULT_MODE_SPEEDS))
+            city = cls(speeds=dict(obj.get("speeds", DEFAULT_MODE_SPEEDS)))
             for node in obj["nodes"]:
                 city.add_node(node["id"], node["x"], node["y"])
             for edge in obj["edges"]:

@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .behavior_graph import BehaviorGraph
+from .behavior_graph import BehaviorGraph, build_from_records
 from .city import CityModel, grid_city
 from .config import (
     RunConfig,
@@ -43,9 +43,8 @@ from .errors import (
     SchemaViolation,
 )
 from .evaluate import (
-    INTENTION_FIELDS,
+    DEFAULT_SWEEP_SIZES,
     ValidationTruth,
-    build_graph,
     chain_predictions,
     evaluate_predictions,
     marginal_predictions,
@@ -181,7 +180,7 @@ def cmd_gen_synth(args, config: RunConfig) -> int:
 def cmd_build_graph(args, config: RunConfig) -> int:
     out = _out_file(args.out)
     records = _load_records(args.reference or config.paths.reference_csv, "--reference")
-    graph = build_graph(records)
+    graph = build_from_records(records)
     graph.save(out)
     print(
         f"graph: {graph.node_count()} nodes, {graph.edge_count()} edges, "
@@ -212,7 +211,7 @@ def cmd_predict(args, config: RunConfig) -> int:
     if snapshot:
         graph = BehaviorGraph.load(_require_path(snapshot, "--graph"))
     else:
-        graph = build_graph(_load_records(args.reference or config.paths.reference_csv, "--reference"))
+        graph = build_from_records(_load_records(args.reference or config.paths.reference_csv, "--reference"))
     output = {
         name: {
             "prior": result.prior.probabilities,
@@ -235,7 +234,7 @@ def cmd_evaluate(args, config: RunConfig) -> int:
     out = _out_dir(args, config)
     seed = config.pipeline.seed
 
-    chain = _build_chain(build_graph(reference), config)
+    chain = _build_chain(build_from_records(reference), config)
     truth = ValidationTruth(validation)
     reports = {
         "chain": evaluate_predictions(
@@ -243,7 +242,7 @@ def cmd_evaluate(args, config: RunConfig) -> int:
         )
     }
     if args.baselines:
-        choice_sets = [BUNDLED_CHOICE_SETS[name] for name in INTENTION_FIELDS]
+        choice_sets = list(BUNDLED_CHOICE_SETS.values())
         reports["uniform"] = evaluate_predictions(
             validation, uniform_predictions(choice_sets, len(validation)), seed, truth
         )
@@ -298,7 +297,7 @@ def cmd_simulate(args, config: RunConfig) -> int:
     else:
         city = grid_city(seed=config.pipeline.seed)
     reference = _load_records(args.reference or config.paths.reference_csv, "--reference")
-    chain = _build_chain(build_graph(reference), config)
+    chain = _build_chain(build_from_records(reference), config)
     seed = config.pipeline.seed
     reference_tally = None
     if args.reference_tally:
@@ -402,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="evaluate across reference sample sizes", parents=[common])
     p.add_argument("--reference", help="record pool CSV")
-    p.add_argument("--sizes", default="10,20,50,100,200", help="comma-separated sizes")
+    p.add_argument("--sizes", default=",".join(map(str, DEFAULT_SWEEP_SIZES)), help="comma-separated sizes")
     p.add_argument("--seeds", type=int, default=3, help="number of seeds (0..n-1)")
     p.add_argument("--n-validation", type=int, default=500)
     p.add_argument("--out", help="output directory")

@@ -18,13 +18,13 @@ import math
 import re
 import threading
 import zlib
-from typing import Mapping, Protocol, Union
+from typing import Protocol
 
 import numpy as np
 import requests
 
 from .errors import DimensionMismatch, EmptyText, ProviderError, ZeroVector
-from .schema import INPUT_CATEGORIES, AgentProfile
+from .schema import PROFILE_FIELDS, AgentProfile
 
 _TOKEN_RE = re.compile(r"[0-9a-z]+")
 DEFAULT_HASH_DIMENSION = 256
@@ -40,19 +40,9 @@ class EmbeddingProvider(Protocol):
     def embed(self, text: str) -> np.ndarray: ...
 
 
-def profile_to_text(profile: Union[AgentProfile, Mapping[str, str]]) -> str:
-    """Canonical order-stable "key: value; ..." rendering of a profile.
-
-    Accepts either an AgentProfile or any mapping whose keys are schema
-    input columns; keys are always rendered in schema order so equal
-    profiles produce byte-equal texts.
-    """
-    if isinstance(profile, AgentProfile):
-        mapping = profile.as_dict()
-    else:
-        mapping = dict(profile)
-    parts = [f"{key}: {mapping[key]}" for key in INPUT_CATEGORIES if key in mapping]
-    return "; ".join(parts)
+def profile_to_text(profile: AgentProfile) -> str:
+    """Canonical "key: value; ..." rendering of a profile, in schema order."""
+    return "; ".join(f"{name}: {getattr(profile, name)}" for name in PROFILE_FIELDS)
 
 
 def _norm(vec: np.ndarray) -> tuple[np.ndarray, float]:

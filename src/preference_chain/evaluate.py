@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 from typing import IO, Optional, Sequence
 
-from .behavior_graph import BehaviorGraph, GraphBuildConfig, build_from_records
+from .behavior_graph import build_from_records
 from .errors import EmptyReference, NotEnoughRecords, UnknownKey
 from .metrics import EvaluationReport, JointDistribution, joint_from_samples, kld, mae
 from .pipeline import PipelineConfig, PreferenceChain
@@ -29,14 +29,6 @@ from .schema import BUNDLED_CHOICE_SETS, INPUT_CATEGORIES, ChoiceCategorySet, Tr
 PredictionTable = dict[str, list[PreferenceDistribution]]
 
 DEFAULT_SWEEP_SIZES = (10, 20, 50, 100, 200)
-
-# The output columns every command builds its graph with and scores.
-INTENTION_FIELDS = ("primary_mode", "duration_minutes")
-
-
-def build_graph(records: Sequence[TripRecord]) -> BehaviorGraph:
-    """The graph every command queries, with intentions for INTENTION_FIELDS."""
-    return build_from_records(records, GraphBuildConfig(intention_fields=INTENTION_FIELDS))
 
 
 def group_value(record: TripRecord, dimension: str) -> str:
@@ -230,7 +222,7 @@ def sweep_reference_sizes(
         pool = [records[i] for i in perm[n_validation:]]
         truth = ValidationTruth(validation)
         for n in sizes:
-            graph = build_graph(pool[:n])
+            graph = build_from_records(pool[:n])
             chain = PreferenceChain(graph, embed_provider, llm_provider, config)
             predictions = chain_predictions(chain, validation)
             report = evaluate_predictions(validation, predictions, seed, truth)

@@ -136,23 +136,24 @@ class SyntheticSpec:
         objects = (self.marginals, self.mode_conditionals, self.duration_conditionals)
         if not all(isinstance(obj, Mapping) for obj in objects):
             raise InvalidSpec("marginals and conditionals must be objects")
-        for column in INPUT_CATEGORIES:
-            if column not in self.marginals:
-                raise InvalidSpec(f"marginals missing column {column!r}")
-            _validate_distribution(
-                f"marginals[{column}]", self.marginals[column], INPUT_CATEGORIES[column]
-            )
+        if self.marginals.keys() != INPUT_CATEGORIES.keys():
+            raise InvalidSpec(f"marginals must name exactly the columns {list(INPUT_CATEGORIES)}")
+        for column, allowed in INPUT_CATEGORIES.items():
+            _validate_distribution(f"marginals[{column}]", self.marginals[column], allowed)
         if not isinstance(self.conditioned_on, str) or self.conditioned_on not in INPUT_CATEGORIES:
             raise InvalidSpec(f"conditioned_on {self.conditioned_on!r} is not an input column")
+        buckets = INPUT_CATEGORIES[self.conditioned_on]
         support = [k for k, v in self.marginals[self.conditioned_on].items() if v > 0]
-        for bucket in support:
-            for label, tables, allowed in (
-                ("mode_conditionals", self.mode_conditionals, PRIMARY_MODES),
-                ("duration_conditionals", self.duration_conditionals, DURATION_BINS),
-            ):
-                if bucket not in tables:
-                    raise InvalidSpec(f"{label} missing bucket {bucket!r}")
-                _validate_distribution(f"{label}[{bucket}]", tables[bucket], allowed)
+        for label, tables, allowed in (
+            ("mode_conditionals", self.mode_conditionals, PRIMARY_MODES),
+            ("duration_conditionals", self.duration_conditionals, DURATION_BINS),
+        ):
+            missing = [b for b in support if b not in tables]
+            unknown = [b for b in tables if b not in buckets]
+            if missing or unknown:
+                raise InvalidSpec(f"{label}: missing buckets {missing}, unknown buckets {unknown}")
+            for bucket, table in tables.items():
+                _validate_distribution(f"{label}[{bucket}]", table, allowed)
         for f in fields(self):
             object.__setattr__(self, f.name, _read_only(getattr(self, f.name)))
 
@@ -192,8 +193,6 @@ def generate_synthetic(
     """Seeded, reproducible sampling from the spec's marginals/conditionals."""
     n = spec.population if size is None else size
     rng = substream(spec.seed if seed is None else seed, "synthetic")
-    if n == 0:
-        return []
 
     columns: dict[str, np.ndarray] = {}
     for column, allowed in INPUT_CATEGORIES.items():

@@ -190,7 +190,7 @@ def calibrate(
     agent: QueryAgent,
     prior: PreferenceDistribution,
     provider: LlmProvider,
-    params: Optional[GenerationParams] = None,
+    params: GenerationParams = GenerationParams(),
     blend: float = 1.0,
 ) -> CalibrationResult:
     """Run one calibration round; absorbs every failure into the prior.
@@ -199,7 +199,6 @@ def calibrate(
     default 1.0 replaces the prior wholesale. A degenerate prior is still
     sent to the provider (rendered uniform by construction).
     """
-    params = params or GenerationParams()
     prompt = build_prompt(agent, prior)
     raw = ""
     try:

@@ -137,9 +137,9 @@ def parse_schedule(raw: str) -> DayPlan:
 class LlmScheduleProvider:
     """Asks the LLM for a plan; any failure falls back to the template."""
 
-    def __init__(self, llm: LlmProvider, params: Optional[GenerationParams] = None):
+    def __init__(self, llm: LlmProvider, params: GenerationParams = GenerationParams()):
         self.llm = llm
-        self.params = params or GenerationParams()
+        self.params = params
 
     def plan(self, profile: AgentProfile, rng) -> DayPlan:
         try:
@@ -161,8 +161,6 @@ def generate_schedule(profile: AgentProfile, provider: ScheduleProvider, seed: i
 def generate_profiles(n: int, spec: SyntheticSpec, seed: int) -> list[AgentProfile]:
     """Profile-only sampling from the spec's marginals."""
     rng = substream(seed, "profiles")
-    if n == 0:
-        return []
     return profiles_from_columns(
         {
             name: draw_column(rng, spec.marginals[name], n, INPUT_CATEGORIES[name])
@@ -218,12 +216,11 @@ def select_poi(
     candidates: Sequence[str],
     agent: AgentState,
     provider: LlmProvider,
-    params: Optional[GenerationParams] = None,
+    params: GenerationParams = GenerationParams(),
 ) -> str:
     """Provider choice constrained to the candidates; nearest on fallback."""
     if not candidates:
         raise ValueError("candidates must be non-empty")
-    params = params or GenerationParams()
     try:
         raw = provider.complete(poi_prompt(candidates, agent), params)
     except ProviderError:

@@ -172,10 +172,10 @@ class TripRecord:
 
     def __post_init__(self):
         check_desire(self.trip_purpose, self.start_time)
-        if self.primary_mode not in PRIMARY_MODES:
-            raise SchemaViolation(-1, "primary_mode", self.primary_mode)
-        if self.duration_minutes not in DURATION_BINS:
-            raise SchemaViolation(-1, "duration_minutes", self.duration_minutes)
+        for name, allowed in OUTPUT_CATEGORIES.items():
+            value = getattr(self, name)
+            if value not in allowed:
+                raise SchemaViolation(-1, name, value)
 
     def as_row(self) -> dict[str, str]:
         row = self.profile.as_dict()

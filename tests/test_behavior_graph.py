@@ -87,6 +87,22 @@ def test_add_edge_unknown_node():
         g.add_edge(p, p, EdgeKind.CHOOSE_TO, 1.5)
 
 
+def test_node_ids_and_edge_weights_are_numbers_not_booleans():
+    g = BehaviorGraph()
+    p = g.add_node(NodeKind.PERSON, "p")
+    d = g.add_node(NodeKind.DESIRE, "d")
+    for node_id in (False, True, 0.0):
+        with pytest.raises(UnknownNode):
+            g.node(node_id)
+        with pytest.raises(UnknownNode):
+            g.add_edge(node_id, d, EdgeKind.WANT_TO, 0.5)
+    for weight in (True, False, "0.5", None, math.nan, 10**400):
+        with pytest.raises(WeightOutOfRange):
+            g.add_edge(p, d, EdgeKind.WANT_TO, weight)
+    g.add_edge(p, d, EdgeKind.WANT_TO, 1)
+    assert [e.weight for e in g.edges()] == [1]
+
+
 def test_temporal_proximity_bounds_and_symmetry():
     assert temporal_proximity(8, 8) == 1.0
     assert temporal_proximity(0, 12) == pytest.approx(math.exp(-12 / 4.0))
@@ -109,7 +125,7 @@ def test_build_dedups_persons_and_splits_desires():
         make_record(trip_purpose="work", start_time=8),
         make_record(trip_purpose="shop", start_time=17),
     ]
-    g = build_from_records(records)
+    g = build_from_records(records, GraphBuildConfig(intention_fields=("primary_mode",)))
     persons = g.nodes_of_kind(NodeKind.PERSON)
     desires = g.nodes_of_kind(NodeKind.DESIRE)
     choose = [e for e in g.edges() if e.kind == EdgeKind.CHOOSE_TO]

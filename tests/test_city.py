@@ -24,7 +24,7 @@ from preference_chain.city import (
     search_pois,
     shortest_path,
 )
-from preference_chain.errors import UnknownCategory, UnknownNode
+from preference_chain.errors import DataError, UnknownCategory, UnknownNode
 from preference_chain.schema import DURATION_BINS, TRIP_PURPOSES
 
 
@@ -101,6 +101,28 @@ def test_add_poi_requires_a_new_string_id_and_a_string_category(poi_id, category
     assert list(city.pois) == ["shop-0"]
 
 
+def test_add_node_rejects_a_boolean_or_repeated_id():
+    city = CityModel()
+    city.add_node(1, 0.0, 0.0)
+    for node in (1, 1.0, True, False):
+        with pytest.raises(ValueError):
+            city.add_node(node, 9.0, 9.0)
+    assert city.positions == {1: (0.0, 0.0)}
+
+
+def test_the_speed_table_names_exactly_the_modes():
+    """Only a snapshot without "speeds" takes the defaults; an empty table is an error."""
+    buffer = io.StringIO()
+    line_city().to_json(buffer)
+    obj = json.loads(buffer.getvalue())
+    obj.pop("speeds")
+    assert CityModel.from_json(io.StringIO(json.dumps(obj))).speeds == DEFAULT_MODE_SPEEDS
+    for speeds in ({}, {"walking": 80.0}, {**DEFAULT_MODE_SPEEDS, "hovercraft": 900.0}):
+        obj["speeds"] = speeds
+        with pytest.raises(DataError, match="exactly the modes"):
+            CityModel.from_json(io.StringIO(json.dumps(obj)))
+
+
 def test_speed_lookup_and_unknown_mode():
     city = line_city()
     assert city.speed("walking") == 80.0
@@ -130,7 +152,7 @@ def test_validate_rejects_empty_city_and_bad_speed():
     with pytest.raises(ValueError):
         CityModel().validate()
     city = line_city()
-    for speed in (0.0, math.nan, True, "80"):
+    for speed in (0.0, math.nan, True, "80", math.inf):
         city.speeds["walking"] = speed
         with pytest.raises(ValueError):
             city.validate()

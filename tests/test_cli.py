@@ -13,11 +13,10 @@ from pathlib import Path
 import pytest
 
 from preference_chain import config as config_module
-from preference_chain.behavior_graph import BehaviorGraph, NodeKind
-from preference_chain.city import grid_city
+from preference_chain.behavior_graph import BehaviorGraph, NodeKind, build_from_records
+from preference_chain.city import DEFAULT_MODE_SPEEDS, grid_city
 from preference_chain.cli import main
 from preference_chain.embedding import RemoteEmbedder
-from preference_chain.evaluate import build_graph
 from preference_chain.ingest import default_synthetic_spec, read_csv, write_csv_fp
 from tests.conftest import make_record
 from tests.test_embedding import _FakeResponse
@@ -385,7 +384,7 @@ def test_out_file_that_cannot_be_written_exits_2(
         raise AssertionError("work done before --out was checked")
 
     monkeypatch.setattr(cli, "generate_synthetic", no_work)
-    monkeypatch.setattr(cli, "build_graph", no_work)
+    monkeypatch.setattr(cli, "build_from_records", no_work)
     agent = write_agent(tmp_path / "agent.json")
     target = tmp_path / "target"
     target.mkdir()
@@ -407,7 +406,7 @@ def test_simulate_checks_out_before_building_the_graph(tmp_path, trips_csv, caps
     def no_work(*args, **kwargs):
         raise AssertionError("graph built before --out was checked")
 
-    monkeypatch.setattr(cli, "build_graph", no_work)
+    monkeypatch.setattr(cli, "build_from_records", no_work)
     out = tmp_path / "taken"
     out.write_text("keep\n", encoding="utf-8")
     assert run(["simulate", "--reference", trips_csv, "--agents", 1, "--out", out]) == 2
@@ -587,6 +586,15 @@ def _nan_speed_city() -> str:
     return json.dumps(obj)
 
 
+def _grid_city_json(mutate) -> str:
+    """The simulate test's grid city after ``mutate``, as JSON text."""
+    buffer = io.StringIO()
+    grid_city(width=3, height=3, pois_per_category=1).to_json(buffer)
+    obj = json.loads(buffer.getvalue())
+    mutate(obj)
+    return json.dumps(obj)
+
+
 def _grid_city_with_edge_lengths(length: float) -> str:
     """The simulate test's grid city with every edge ``length`` meters long, as JSON."""
     buffer = io.StringIO()
@@ -600,19 +608,19 @@ def _grid_city_with_edge_lengths(length: float) -> str:
 def _broken_graph(mutate) -> str:
     """A snapshot of a two-record graph after ``mutate`` on its lines, as JSONL.
 
-    ``mutate`` gets the choice_set lines and the Person, Desire and
-    Intention node objects by kind; the choice sets are duration_minutes
-    and primary_mode, the intentions private_auto, 10-20 and walking, in
-    that order.
+    ``mutate`` gets the choice_set lines, the Person, Desire and
+    Intention node objects and the edge lines by kind; the choice sets are
+    duration_minutes and primary_mode, the intentions private_auto, 10-20
+    and walking, in that order, and the first edge is Person 0's want_to.
     """
     records = [
         make_record(),
         make_record(trip_purpose="eat", start_time=12, primary_mode="walking"),
     ]
     buffer = io.StringIO()
-    build_graph(records).dump_jsonl(buffer)
+    build_from_records(records).dump_jsonl(buffer)
     objs = [json.loads(line) for line in buffer.getvalue().splitlines()]
-    kinds = ("choice_set", "Person", "Desire", "Intention")
+    kinds = ("choice_set", "Person", "Desire", "Intention", "edge")
     mutate({kind: [o for o in objs if kind in (o["t"], o.get("kind"))] for kind in kinds})
     return "".join(json.dumps(o) + "\n" for o in objs)
 
@@ -703,6 +711,17 @@ def _rename_duration_set(lines) -> None:
             ),
             id="graph-person-attributes-not-its-label",
         ),
+        pytest.param(
+            "graph", _broken_graph(lambda n: n["edge"][0].update(weight=True)), id="graph-weight-bool"
+        ),
+        pytest.param(
+            "graph",
+            _broken_graph(lambda n: n["edge"][0].update(source=False)),
+            id="graph-edge-source-bool",
+        ),
+        pytest.param(
+            "graph", _broken_graph(lambda n: n["Person"][0].update(id=False)), id="graph-node-id-bool"
+        ),
         pytest.param("city", "{oops", id="city-bad-json"),
         pytest.param("city", _nan_speed_city(), id="city-nan-speed"),
         pytest.param("city", _broken_city(lambda c: c.pop("edges")), id="city-missing-key"),
@@ -728,7 +747,29 @@ def _rename_duration_set(lines) -> None:
             id="city-poi-id-repeated",
         ),
         pytest.param(
-            "city", _broken_city(lambda c: c.update(speeds={"walking": True})), id="city-speed-bool"
+            "city",
+            _broken_city(lambda c: c.update(speeds={**DEFAULT_MODE_SPEEDS, "walking": True})),
+            id="city-speed-bool",
+        ),
+        pytest.param(
+            "city",
+            _grid_city_json(lambda c: c.update(speeds={"walking": 80.0})),
+            id="city-speeds-partial",
+        ),
+        pytest.param(
+            "city",
+            _grid_city_json(lambda c: c.update(speeds={m: math.inf for m in c["speeds"]})),
+            id="city-speed-infinite",
+        ),
+        pytest.param(
+            "city",
+            _grid_city_json(lambda c: c["nodes"].append({"id": 4, "x": 999.0, "y": 999.0})),
+            id="city-node-id-repeated",
+        ),
+        pytest.param(
+            "city",
+            _grid_city_json(lambda c: c["nodes"][1].update(id=True)),
+            id="city-node-id-bool",
         ),
         pytest.param("tally", "edge,count\n0-1,3\n", id="tally-missing-column"),
         pytest.param("tally", "edge,hour,count\n0-1,24,3\n", id="tally-hour-24"),
@@ -749,6 +790,16 @@ def _rename_duration_set(lines) -> None:
             "spec",
             _broken_spec(lambda s: s["marginals"].update(age_group=["25-34", "65+"])),
             id="spec-marginal-list",
+        ),
+        pytest.param(
+            "spec",
+            _broken_spec(lambda s: s["marginals"].update(colour={"red": 1.0})),
+            id="spec-unknown-marginal-column",
+        ),
+        pytest.param(
+            "spec",
+            _broken_spec(lambda s: s["mode_conditionals"].update(bogus={"walking": 1.0})),
+            id="spec-unknown-conditional-bucket",
         ),
     ],
 )

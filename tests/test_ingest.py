@@ -206,6 +206,26 @@ def test_spec_validation_failures():
         dataclasses.replace(spec, seed=-1)
 
 
+def test_spec_keeps_no_unread_entries():
+    spec = default_synthetic_spec()
+    with pytest.raises(InvalidSpec, match="exactly the columns"):
+        dataclasses.replace(spec, marginals={**spec.marginals, "colour": "red"})
+    with pytest.raises(InvalidSpec, match="bogus"):
+        dataclasses.replace(spec, mode_conditionals={**spec.mode_conditionals, "bogus": [1, "x"]})
+    with pytest.raises(InvalidSpec):
+        dataclasses.replace(
+            spec,
+            mode_conditionals={**spec.mode_conditionals, "bogus": [1, "x"]},
+            marginals={**spec.marginals, "colour": "red"},
+        )
+    # a table for a bucket outside the support is checked too
+    hourly = hour_conditioned_spec()
+    with pytest.raises(InvalidSpec, match=r"duration_conditionals\[3\]"):
+        dataclasses.replace(
+            hourly, duration_conditionals={**hourly.duration_conditionals, "3": {"0-10": 2.0}}
+        )
+
+
 def test_spec_json_round_trip():
     spec = default_synthetic_spec(population=500, seed=42)
     buf = io.StringIO()

@@ -19,6 +19,7 @@ from preference_chain.rng import substream
 from preference_chain.schema import (
     DURATION_SET,
     INPUT_CATEGORIES,
+    OUTPUT_CATEGORIES,
     PRIMARY_MODE_SET,
     PROFILE_FIELDS,
     TRIP_PURPOSES,
@@ -132,6 +133,18 @@ def test_predict_all_covers_registered_choice_sets():
     assert set(results) == {"primary_mode", "duration_minutes"}
     assert set(results["primary_mode"].posterior.probabilities) == set(PRIMARY_MODE_SET)
     assert set(results["duration_minutes"].posterior.probabilities) == set(DURATION_SET)
+
+
+def test_the_default_build_config_scores_every_output_column():
+    records = generate_synthetic(default_synthetic_spec(), size=40, seed=41)
+    graph = build_from_records(records)
+    intentions = {n.attributes["choice_set"] for n in graph.nodes_of_kind(NodeKind.INTENTION)}
+    assert intentions == set(OUTPUT_CATEGORIES)
+    results = PreferenceChain(graph).predict_all(_agent())
+    expected = _chain().predict_all(_agent())
+    for name in OUTPUT_CATEGORIES:
+        assert not results[name].prior.degenerate
+        assert results[name].posterior.probabilities == expected[name].posterior.probabilities
 
 
 def test_scripted_llm_posterior_replaces_prior():
