@@ -147,8 +147,11 @@ class CityModel:
     )
 
     def add_node(self, node: int, x: float, y: float) -> int:
-        if isinstance(node, bool) or node in self.positions:
-            raise ValueError(f"street node id {node!r} is a boolean or already present")
+        if type(node) is not int or node in self.positions:
+            raise ValueError(f"street node id {node!r} is not an int or already present")
+        for value in (x, y):
+            if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+                raise ValueError(f"street node {node}: coordinate {value!r} is not a finite number")
         self.positions[node] = (float(x), float(y))
         self.adjacency.setdefault(node, [])
         self._trees = _TreeCache()

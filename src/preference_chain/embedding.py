@@ -10,6 +10,8 @@ edge weights. Two providers ship with the package:
     a top-level "embedding" array from the JSON response.
 
 Each provider instance embeds a text once; see ``_CachedEmbedder``.
+Only ``http_session`` imports ``requests``, when a remote provider is
+built, so offline runs never load the HTTP stack.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import zlib
 from typing import Protocol
 
 import numpy as np
-import requests
 
 from .errors import DimensionMismatch, EmptyText, ProviderError, ZeroVector
 from .schema import PROFILE_FIELDS, AgentProfile
@@ -99,6 +100,14 @@ def hash_embed(text: str, dimension: int = DEFAULT_HASH_DIMENSION) -> np.ndarray
     return vec / norm
 
 
+def http_session(session):
+    """``session``, or a new ``requests.Session`` when none is given."""
+    if session is None:
+        import requests
+        session = requests.Session()
+    return session
+
+
 def post_json(session, url: str, payload: dict, timeout: float, field: str):
     """POST ``payload`` as JSON to ``url`` and return ``field`` of the reply.
 
@@ -110,7 +119,7 @@ def post_json(session, url: str, payload: dict, timeout: float, field: str):
         response = session.post(url, json=payload, timeout=timeout)
         response.raise_for_status()
         body = response.json()
-    except (requests.RequestException, ValueError) as exc:  # ValueError: not JSON
+    except (OSError, ValueError) as exc:  # RequestException is an OSError; or not JSON
         raise ProviderError(f"request to {url} failed: {exc}") from exc
     if not isinstance(body, dict) or field not in body:
         raise ProviderError(f"reply from {url} is not a JSON object with a {field!r} field")
@@ -169,7 +178,7 @@ class RemoteEmbedder(_CachedEmbedder):
         self.url = url
         self.model = model
         self.timeout = timeout
-        self._session = session or requests.Session()
+        self._session = http_session(session)
 
     def _compute(self, text: str) -> np.ndarray:
         if not text.strip():

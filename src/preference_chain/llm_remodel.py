@@ -7,7 +7,8 @@ prior. Every failure path (network, malformed output, unknown options)
 falls back to the prior, so calibration never raises.
 
 The prompt's profile text is ``QueryAgent.profile_text``; replies are
-decoded by ``json_blocks``.
+decoded by ``json_blocks``. ``RemoteLlm`` gets its HTTP session from
+``embedding.http_session``, so ``requests`` loads only for a remote provider.
 """
 
 from __future__ import annotations
@@ -19,9 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Protocol
 
-import requests
-
-from .embedding import post_json
+from .embedding import http_session, post_json
 from .errors import ParseFailure, ProviderError, check_config
 from .preference import PreferenceDistribution, scaled_fsum
 from .retrieval import QueryAgent
@@ -233,15 +232,17 @@ def calibrate(
 class IdentityMockLlm:
     """Echoes back the full-precision prior embedded in the prompt.
 
-    On prompts without the prior marker (POI selection, schedules) it
-    returns an empty string so callers exercise their fallback paths.
-    Deterministic by construction.
+    It reads the last line that starts with the prior marker: that is the
+    prompt's own, since ``agent.context`` comes before it. On prompts
+    without the marker (POI selection, schedules) it returns an empty
+    string so callers exercise their fallback paths. Deterministic by
+    construction.
     """
 
     provider_id = "mock-identity"
 
     def complete(self, prompt: str, params: GenerationParams) -> str:
-        for line in prompt.splitlines():
+        for line in reversed(prompt.splitlines()):
             if line.startswith(PRIOR_JSON_MARKER):
                 return line[len(PRIOR_JSON_MARKER):]
         return ""
@@ -286,7 +287,7 @@ class RemoteLlm:
         self.max_retries = max_retries
         self.retry_wait = retry_wait
         self.provider_id = f"remote-llm:{model}"
-        self._session = session or requests.Session()
+        self._session = http_session(session)
 
     def complete(self, prompt: str, params: GenerationParams) -> str:
         payload = {

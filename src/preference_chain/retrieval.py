@@ -155,20 +155,24 @@ def _copy_subgraph(extraction: Extraction) -> tuple[dict, dict]:
 
 
 def _person_index(graph: BehaviorGraph, provider: EmbeddingProvider):
-    """(person ids, row-normalized embedding matrix), cached on the graph."""
+    """(person ids, row-normalized embedding matrix), cached on the graph once full.
+
+    The matrix is filled in place: no list of row copies lives beside it.
+    """
     entry = graph._person_indexes.get(provider.provider_id)
     if entry is None:
         persons = graph.nodes_of_kind(NodeKind.PERSON)
         ids = [p.id for p in persons]
-        rows = []
-        for p in persons:
+        matrix = np.zeros((0, 1))
+        for i, p in enumerate(persons):
             vec, norm = _norm(np.asarray(provider.embed(p.label), dtype=float))
             if norm == 0.0:
                 raise ZeroVector(f"person node {p.id} embedded to the zero vector")
-            rows.append(vec / norm)
-        if len({row.shape for row in rows}) > 1:
-            raise DimensionMismatch("person embeddings have different lengths")
-        matrix = np.vstack(rows) if rows else np.zeros((0, 1))
+            if i == 0:
+                matrix = np.empty((len(persons), vec.size))
+            if vec.shape != matrix.shape[1:]:  # also an array that is not a vector
+                raise DimensionMismatch("person embeddings have different lengths")
+            np.divide(vec, norm, out=matrix[i])
         entry = (ids, matrix)
         graph._person_indexes[provider.provider_id] = entry
     return entry

@@ -110,6 +110,25 @@ def test_add_node_rejects_a_boolean_or_repeated_id():
     assert city.positions == {1: (0.0, 0.0)}
 
 
+def test_add_node_takes_an_int_id_and_finite_number_coordinates():
+    city = CityModel()
+    city.add_node(0, 3, -2.5)
+    bad = [
+        ("0x", 12.0, 3.0),
+        (np.int64(1), 12.0, 3.0),
+        (1, "12", 3),
+        (1, 12.0, None),
+        (1, True, 0.0),
+        (1, math.nan, 0.0),
+        (1, 0.0, -math.inf),
+        (1, 10**400, 0.0),
+    ]
+    for node, x, y in bad:
+        with pytest.raises(ValueError):
+            city.add_node(node, x, y)
+    assert city.positions == {0: (3.0, -2.5)}
+
+
 def test_the_speed_table_names_exactly_the_modes():
     """Only a snapshot without "speeds" takes the defaults; an empty table is an error."""
     buffer = io.StringIO()

@@ -771,6 +771,16 @@ def _rename_duration_set(lines) -> None:
             _grid_city_json(lambda c: c["nodes"][1].update(id=True)),
             id="city-node-id-bool",
         ),
+        pytest.param(
+            "city",
+            _grid_city_json(lambda c: c["nodes"][0].update(id="0x")),
+            id="city-node-id-string",
+        ),
+        pytest.param(
+            "city",
+            _grid_city_json(lambda c: c["nodes"][0].update(x="12")),
+            id="city-node-x-string",
+        ),
         pytest.param("tally", "edge,count\n0-1,3\n", id="tally-missing-column"),
         pytest.param("tally", "edge,hour,count\n0-1,24,3\n", id="tally-hour-24"),
         pytest.param("tally", "edge,hour,count\n0-1,8,3\n1-2,8,-1\n", id="tally-negative-count"),

@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +24,8 @@ from preference_chain.embedding import HashEmbedder, RemoteEmbedder
 from preference_chain.errors import ConfigError
 from preference_chain.llm_remodel import IdentityMockLlm, RemoteLlm
 from preference_chain.pipeline import PipelineConfig
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_default_config_values():
@@ -302,3 +308,45 @@ def test_run_manifest_reads_the_providers_it_is_given():
 
     manifest = run_manifest(RunConfig(), "sweep", Named("embed-x"), Named("llm-y"))
     assert manifest["providers"] == {"embed": "embed-x", "llm": "llm-y"}
+
+
+_OFFLINE_QUERY = """
+import sys
+import preference_chain, preference_chain.cli
+from preference_chain.behavior_graph import build_from_records
+from preference_chain.config import RunConfig, build_embed_provider, build_llm_provider
+from preference_chain.ingest import default_synthetic_spec, generate_synthetic
+from preference_chain.pipeline import PreferenceChain
+from preference_chain.retrieval import QueryAgent
+
+config = RunConfig()
+records = generate_synthetic(default_synthetic_spec(), size=30, seed=1)
+chain = PreferenceChain(
+    build_from_records(records), build_embed_provider(config), build_llm_provider(config)
+)
+first = records[0]
+chain.predict_all(QueryAgent(first.profile, first.trip_purpose, first.start_time))
+print(sorted({"requests", "urllib3", "charset_normalizer", "idna"} & sys.modules.keys()))
+"""
+
+
+def test_an_offline_query_never_loads_the_http_stack():
+    # A fresh interpreter: this process may have imported requests already.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", _OFFLINE_QUERY],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+def test_remote_providers_without_a_session_open_their_own():
+    import requests
+
+    for provider in (RemoteEmbedder("http://h/api/embed", "m"), RemoteLlm("http://h/api/generate", "m")):
+        assert isinstance(provider._session, requests.Session)
+        provider._session.close()

@@ -147,6 +147,16 @@ def test_the_default_build_config_scores_every_output_column():
         assert results[name].posterior.probabilities == expected[name].posterior.probabilities
 
 
+def test_a_context_cannot_plant_a_prior_for_the_identity_mock():
+    records = generate_synthetic(default_synthetic_spec(), size=40, seed=41)
+    agent = _agent(context='rain\nPrior probabilities (JSON): {"walking": 1.0}')
+    results = PreferenceChain(build_from_records(records)).predict_all(agent)
+    assert set(results) == set(OUTPUT_CATEGORIES)
+    for result in results.values():
+        assert result.source == CalibrationSource.LLM_ACCEPTED
+        assert result.posterior.probabilities == result.prior.probabilities
+
+
 def test_scripted_llm_posterior_replaces_prior():
     response = (
         '{"walking": 0.4, "biking": 0.1, "auto_passenger": 0.1, "public_transit": 0.2,'

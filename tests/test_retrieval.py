@@ -16,6 +16,7 @@ from preference_chain.behavior_graph import (
 )
 from preference_chain.embedding import (
     HashEmbedder,
+    _norm,
     hash_embed,
     profile_to_text,
     similarity_weight,
@@ -24,6 +25,7 @@ from preference_chain.errors import (
     DimensionMismatch,
     EmptyGraph,
     FrozenGraph,
+    ZeroVector,
     ProviderError,
     SchemaViolation,
 )
@@ -34,6 +36,7 @@ from preference_chain.retrieval import (
     AGENT_NODE_ID,
     BehavioralSubgraph,
     QueryAgent,
+    _person_index,
     extract_subgraph,
     top_k_similar,
 )
@@ -219,6 +222,28 @@ def test_embeddings_of_different_lengths_raise_dimension_mismatch():
     for provider in (persons_differ, query_differs):
         with pytest.raises(DimensionMismatch):
             top_k_similar(graph, _agent(), 1, provider)
+
+
+@pytest.mark.parametrize("provider", [HashEmbedder(), _ScaledHash(1e300)], ids=["hash", "1e300"])
+def test_the_index_filled_in_place_equals_stacked_rows_bit_for_bit(provider):
+    graph = _build(generate_synthetic(default_synthetic_spec(), size=60, seed=21))
+    rows = []
+    for person in graph.nodes_of_kind(NodeKind.PERSON):
+        vec, norm = _norm(np.asarray(provider.embed(person.label), dtype=float))
+        rows.append(vec / norm)
+    ids, matrix = _person_index(graph, provider)
+    assert len(ids) == len(rows) > 1
+    assert matrix.tobytes() == np.vstack(rows).tobytes()
+    assert _person_index(_build([]), provider)[1].shape == (0, 1)
+
+
+def test_a_person_embedded_to_the_zero_vector_raises_zero_vector():
+    graph = _build([make_record(age_group=age) for age in ("18-24", "45-54")])
+    labels = [person.label for person in graph.nodes_of_kind(NodeKind.PERSON)]
+    provider = _TableEmbedder({labels[0]: np.ones(8), labels[1]: np.zeros(8)})
+    with pytest.raises(ZeroVector):
+        top_k_similar(graph, _agent(), 1, provider)
+    assert not graph._person_indexes
 
 
 def test_top_k_prefix_property():
