@@ -28,7 +28,7 @@ intentions = graph.nodes_of_kind(NodeKind.INTENTION)
 print(f"graph: {graph.node_count()} nodes, {graph.edge_count()} edges")
 print(f"  {len(persons)} persons (deduplicated from {len(records)} trips)")
 print(f"  {len(desires)} desires, {len(intentions)} intentions")
-print(f"  registered choice sets: {sorted(graph.choice_sets)}\n")
+print(f"  choice sets (the schema's): {sorted(graph.choice_sets)}\n")
 
 # Walk one person's outgoing edges: want_to -> desire, then choose_to -> intention.
 person = persons[0]

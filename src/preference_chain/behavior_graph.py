@@ -1,18 +1,18 @@
-"""Weighted directed behavior graph over Agent/Person/Desire/Intention nodes.
+"""Weighted directed behavior graph over Person/Desire/Intention nodes.
 
 The graph stores observed travelers (Person), their trip needs (Desire) and
-the choices they made (Intention), connected by four edge kinds whose
-weights all live in [0, 1]:
+the choices they made (Intention). Edge weights all live in [0, 1]:
 
-    similar_to   Agent  -> Person   profile similarity
-    relative_of  Person -> Person   household/social closeness
-    want_to      Person -> Desire   desire similarity
-                 Agent  -> Desire   (query-time only)
+    relative_of  Person -> Person     household/social closeness
+    want_to      Person -> Desire     desire similarity
     choose_to    Desire -> Intention  temporal proximity of the choice
+    similar_to   Agent  -> Person     profile similarity (query subgraph only)
 
 ``want_to`` and ``choose_to`` weights depend on the querying agent's desire
 and are therefore stored as 1.0 placeholders at build time; they are
-finalized during subgraph extraction (see ``retrieval``).
+finalized during subgraph extraction (see ``retrieval``), whose subgraph
+alone holds the query's Agent node. A graph's choice sets are the schema's
+``BUNDLED_CHOICE_SETS``.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 from typing import IO, Iterable, Optional
 
 from .embedding import profile_to_text
@@ -53,15 +54,11 @@ class EdgeKind(str, Enum):
     CHOOSE_TO = "choose_to"
 
 
-# Allowed (source kind, target kind) pairs per edge kind.
-_ENDPOINT_RULES: dict[EdgeKind, tuple[tuple[NodeKind, NodeKind], ...]] = {
-    EdgeKind.SIMILAR_TO: ((NodeKind.AGENT, NodeKind.PERSON),),
-    EdgeKind.RELATIVE_OF: ((NodeKind.PERSON, NodeKind.PERSON),),
-    EdgeKind.WANT_TO: (
-        (NodeKind.PERSON, NodeKind.DESIRE),
-        (NodeKind.AGENT, NodeKind.DESIRE),
-    ),
-    EdgeKind.CHOOSE_TO: ((NodeKind.DESIRE, NodeKind.INTENTION),),
+# The (source kind, target kind) pair of each edge kind a behavior graph holds.
+_ENDPOINT_RULES: dict[EdgeKind, tuple[NodeKind, NodeKind]] = {
+    EdgeKind.RELATIVE_OF: (NodeKind.PERSON, NodeKind.PERSON),
+    EdgeKind.WANT_TO: (NodeKind.PERSON, NodeKind.DESIRE),
+    EdgeKind.CHOOSE_TO: (NodeKind.DESIRE, NodeKind.INTENTION),
 }
 
 
@@ -119,10 +116,11 @@ class BehaviorGraph:
     and ``add_edge`` raise FrozenGraph, so no cached value can go stale.
     """
 
+    choice_sets = MappingProxyType(BUNDLED_CHOICE_SETS)
+
     def __init__(self):
         self.nodes: list[Node] = []
         self.out_edges: dict[NodeId, list[Edge]] = {}
-        self.choice_sets: dict[str, ChoiceCategorySet] = {}
         # provider id -> retrieval's person index, built by the first search
         self._person_indexes: dict[str, tuple] = {}
         # provider id -> (query desire text, stored desire text) -> retrieval's
@@ -132,9 +130,6 @@ class BehaviorGraph:
     # ------------------------------------------------------------------
     # basic mutation
     # ------------------------------------------------------------------
-
-    def register_choice_set(self, choice_set: ChoiceCategorySet) -> None:
-        self.choice_sets[choice_set.name] = choice_set
 
     def add_node(self, kind: NodeKind, label: str, attributes: Optional[dict] = None) -> NodeId:
         if self._person_indexes or self._desire_weights:
@@ -156,7 +151,7 @@ class BehaviorGraph:
         pair = (self.node(source).kind, self.node(target).kind)
         if isinstance(weight, bool) or not (isinstance(weight, (int, float)) and 0 <= weight <= 1):
             raise WeightOutOfRange(f"weight {weight!r} is not a number in [0, 1]")
-        if pair not in _ENDPOINT_RULES[kind]:
+        if pair != _ENDPOINT_RULES.get(kind):
             raise KindMismatch(
                 f"{kind.value} edge may not connect {pair[0].value} -> {pair[1].value}"
             )
@@ -187,21 +182,13 @@ class BehaviorGraph:
     def validate(self) -> "BehaviorGraph":
         """Check every fact a snapshot stores twice against its other copy.
 
-        The registered choice sets must be the schema's bundled sets: the
-        same names, and the same options in the same order. A Person's
-        attributes must build an ``AgentProfile`` and its label be that
-        profile's ``profile_to_text``. A Desire's trip_purpose and
+        A Person's attributes must build an ``AgentProfile`` and its label
+        be that profile's ``profile_to_text``. A Desire's trip_purpose and
         start_time must be schema categories and its label their
-        ``desire_text``; an Intention must name a registered choice set and
-        one of its options, and no two Intentions the same option. Raises
-        DataError naming the first choice set or node that breaks a rule.
+        ``desire_text``; an Intention must name one of the graph's choice
+        sets and one of its options, and no two Intentions the same option.
+        Raises DataError naming the first node that breaks a rule.
         """
-        for name in sorted(self.choice_sets.keys() | BUNDLED_CHOICE_SETS.keys()):
-            if self.choice_sets.get(name) != BUNDLED_CHOICE_SETS.get(name):
-                raise DataError(
-                    f"graph choice set {name!r} is not the schema's: "
-                    f"expected {sorted(BUNDLED_CHOICE_SETS)} with their schema options"
-                )
         seen: dict[tuple[str, str], NodeId] = {}
         for node in self.nodes:
             if node.kind == NodeKind.PERSON:
@@ -232,7 +219,7 @@ class BehaviorGraph:
                 choice_set = self.choice_sets.get(key[0])
                 if choice_set is None or node.label not in choice_set:
                     raise DataError(
-                        f"graph node {node.id} (Intention): {key} is no registered option"
+                        f"graph node {node.id} (Intention): {key} is no choice set option"
                     )
                 if seen.setdefault(key, node.id) != node.id:
                     raise DataError(
@@ -261,10 +248,14 @@ class BehaviorGraph:
     def load_jsonl(cls, fp: IO[str]) -> "BehaviorGraph":
         """Read a snapshot and ``validate`` it.
 
+        Its choice sets must be the schema's bundled sets (names, options and
+        their order), and it holds only what ``build_from_records`` makes: no
+        Agent node, and want_to and choose_to weights of the 1.0 placeholder.
         A malformed line, a node or edge that breaks the graph's rules, or a
         failed check raises DataError.
         """
         graph = cls()
+        choice_sets: dict[str, ChoiceCategorySet] = {}
         number = 0
         try:
             for number, line in enumerate(fp, start=1):
@@ -274,9 +265,7 @@ class BehaviorGraph:
                 obj = decode_json(line)
                 kind = obj["t"]
                 if kind == "choice_set":
-                    graph.register_choice_set(
-                        ChoiceCategorySet(obj["name"], tuple(obj["options"]))
-                    )
+                    choice_sets[obj["name"]] = ChoiceCategorySet(obj["name"], tuple(obj["options"]))
                 elif kind == "node":
                     if type(obj["id"]) is not int or obj["id"] != len(graph.nodes):
                         raise ValueError(f"node id {obj['id']!r}, expected {len(graph.nodes)}")
@@ -287,15 +276,25 @@ class BehaviorGraph:
                         and all(isinstance(v, str) for v in attributes.values())
                     ):
                         raise ValueError("node label must be a string, attributes strings")
-                    graph.add_node(NodeKind(obj["kind"]), obj["label"], attributes)
+                    node_kind = NodeKind(obj["kind"])
+                    if node_kind == NodeKind.AGENT:
+                        raise ValueError("a stored graph holds no Agent node")
+                    graph.add_node(node_kind, obj["label"], attributes)
                 elif kind == "edge":
-                    graph.add_edge(
-                        obj["source"], obj["target"], EdgeKind(obj["kind"]), obj["weight"]
-                    )
+                    edge_kind = EdgeKind(obj["kind"])
+                    if edge_kind != EdgeKind.RELATIVE_OF and obj["weight"] != 1.0:
+                        raise ValueError(f"a stored {edge_kind.value} weight must be 1.0")
+                    graph.add_edge(obj["source"], obj["target"], edge_kind, obj["weight"])
                 else:
                     raise ValueError(f"unknown snapshot record type {kind!r}")
         except (KeyError, TypeError, ValueError, GraphError) as exc:  # also bad JSON and encoding
             raise DataError(f"graph snapshot line {number}: {type(exc).__name__}: {exc}") from exc
+        for name in sorted(choice_sets.keys() | BUNDLED_CHOICE_SETS.keys()):
+            if choice_sets.get(name) != BUNDLED_CHOICE_SETS.get(name):
+                raise DataError(
+                    f"graph choice set {name!r} is not the schema's: "
+                    f"expected {sorted(BUNDLED_CHOICE_SETS)} with their schema options"
+                )
         return graph.validate()
 
     @classmethod
@@ -327,9 +326,6 @@ def build_from_records(
     sharing an explicit household_id.
     """
     graph = BehaviorGraph()
-    for choice_set in BUNDLED_CHOICE_SETS.values():
-        graph.register_choice_set(choice_set)
-
     person_index: dict[AgentProfile, NodeId] = {}
     desire_index: dict[tuple[NodeId, str, int], NodeId] = {}
     intention_index: dict[tuple[str, str], NodeId] = {}

@@ -159,9 +159,9 @@ class CityModel:
 
     def add_edge(self, u: int, v: int, length: float) -> None:
         for node in (u, v):
-            if node not in self.positions:
-                raise UnknownNode(f"no street node {node}")
-        if not TIE_TOLERANCE < length <= sys.float_info.max:  # also NaN and huge ints
+            if type(node) is not int or node not in self.positions:  # True and 1.0 hash as 1
+                raise UnknownNode(f"no street node {node!r}")
+        if type(length) not in (int, float) or not TIE_TOLERANCE < length <= sys.float_info.max:
             raise ValueError(
                 f"edge length must be finite and above {TIE_TOLERANCE} m, got {length!r}"
             )
@@ -174,8 +174,8 @@ class CityModel:
             raise ValueError(f"POI id must be a non-empty string, category a string: {poi_id!r}")
         if poi_id in self.pois:
             raise ValueError(f"repeated POI id {poi_id!r}")
-        if node not in self.positions:
-            raise UnknownNode(f"POI {poi_id!r} references missing node {node}")
+        if type(node) is not int or node not in self.positions:
+            raise UnknownNode(f"POI {poi_id!r} references missing node {node!r}")
         poi = Poi(poi_id, category, node)
         self.pois[poi_id] = poi
         return poi
@@ -254,7 +254,7 @@ class CityModel:
 
     @classmethod
     def from_json(cls, fp: IO[str]) -> "CityModel":
-        """Read a city snapshot; malformed input raises DataError or UnknownNode."""
+        """Read a city snapshot; malformed input raises DataError."""
         try:
             obj = decode_json(fp.read())
             if not isinstance(obj, dict):
@@ -267,7 +267,7 @@ class CityModel:
             for poi in obj["pois"]:
                 city.add_poi(poi["id"], poi["category"], poi["node"])
             return city.validate()
-        except (KeyError, TypeError, ValueError) as exc:  # also bad JSON and street graphs
+        except (KeyError, TypeError, ValueError, UnknownNode) as exc:  # bad JSON, street graphs
             raise DataError(f"city snapshot: {type(exc).__name__}: {exc}") from exc
 
     def save(self, path) -> None:

@@ -29,6 +29,11 @@ def check_config(checks) -> None:
         raise ConfigError(failed[0])
 
 
+def not_booleans(section: str, obj, names) -> list[tuple[bool, str]]:
+    """One ``check_config`` pair per number field of ``obj`` that must not be true or false."""
+    return [(type(getattr(obj, n)) is not bool, f"{section}.{n} must not be a boolean") for n in names]
+
+
 class DataError(PreferenceChainError):
     """Invalid input data (CSV rows, specs, sample lists)."""
 

@@ -46,7 +46,7 @@ def chain_predictions(
     chain: PreferenceChain,
     records: Sequence[TripRecord],
 ) -> PredictionTable:
-    """Calibrated posterior per (registered choice set, record).
+    """Calibrated posterior per (choice set of the graph, record).
 
     Records sharing (profile, purpose, start time) get the same posterior,
     so queries are memoized on that key; a frozen profile hashes and

@@ -21,7 +21,7 @@ from enum import Enum
 from typing import Optional, Protocol
 
 from .embedding import http_session, post_json
-from .errors import ParseFailure, ProviderError, check_config
+from .errors import ParseFailure, ProviderError, check_config, not_booleans
 from .preference import PreferenceDistribution, scaled_fsum
 from .retrieval import QueryAgent
 from .schema import SUM_TOLERANCE, ChoiceCategorySet
@@ -46,6 +46,7 @@ class GenerationParams:
             (0 <= self.top_p <= 1, "generation.top_p must be in [0, 1]"),
             (self.top_k >= 0 and type(self.top_k) is int, "generation.top_k must be an integer >= 0"),
             (0 < self.repeat_penalty < math.inf, "generation.repeat_penalty must be finite and > 0"),
+            *not_booleans("generation", self, ("temperature", "top_p", "repeat_penalty")),
         ])
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .behavior_graph import BehaviorGraph
 from .embedding import EmbeddingProvider, HashEmbedder
-from .errors import EmptyGraph, check_config
+from .errors import EmptyGraph, check_config, not_booleans
 from .llm_remodel import (
     CalibrationResult,
     CalibrationSource,
@@ -68,6 +68,7 @@ class PipelineConfig:
             (self.tau > 0, "pipeline.tau must be > 0"),
             (0.0 <= self.blend <= 1.0, "pipeline.blend must be in [0, 1]"),
             (self.seed >= 0 and type(self.seed) is int, "pipeline.seed must be an integer >= 0"),
+            *not_booleans("pipeline", self, ("epsilon", "tau", "blend")),
         ])
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator, Mapping, Optional
 
 from .errors import SchemaViolation
@@ -82,14 +82,6 @@ OUTPUT_CATEGORIES: dict[str, tuple[str, ...]] = {
     "duration_minutes": DURATION_BINS,
 }
 
-PROFILE_FIELDS = (
-    "age_group",
-    "income_group",
-    "employment_status",
-    "household_size",
-    "available_vehicles",
-    "education",
-)
 CSV_COLUMNS = tuple(INPUT_CATEGORIES) + tuple(OUTPUT_CATEGORIES)
 HOUSEHOLD_COLUMN = "household_id"  # optional link column for relative_of edges
 
@@ -125,9 +117,9 @@ class ChoiceCategorySet:
         return iter(self.options)
 
 
-PRIMARY_MODE_SET = ChoiceCategorySet("primary_mode", PRIMARY_MODES)
-DURATION_SET = ChoiceCategorySet("duration_minutes", DURATION_BINS)
-BUNDLED_CHOICE_SETS = {s.name: s for s in (PRIMARY_MODE_SET, DURATION_SET)}
+BUNDLED_CHOICE_SETS = {n: ChoiceCategorySet(n, options) for n, options in OUTPUT_CATEGORIES.items()}
+PRIMARY_MODE_SET = BUNDLED_CHOICE_SETS["primary_mode"]
+DURATION_SET = BUNDLED_CHOICE_SETS["duration_minutes"]
 
 
 @dataclass(frozen=True)
@@ -149,6 +141,9 @@ class AgentProfile:
 
     def as_dict(self) -> dict[str, str]:
         return {name: getattr(self, name) for name in PROFILE_FIELDS}
+
+
+PROFILE_FIELDS = tuple(f.name for f in fields(AgentProfile))
 
 
 def check_desire(trip_purpose, start_time) -> None:
@@ -179,10 +174,8 @@ class TripRecord:
 
     def as_row(self) -> dict[str, str]:
         row = self.profile.as_dict()
-        row["trip_purpose"] = self.trip_purpose
-        row["start_time"] = str(self.start_time)
-        row["primary_mode"] = self.primary_mode
-        row["duration_minutes"] = self.duration_minutes
+        for column in CSV_COLUMNS[len(PROFILE_FIELDS):]:  # the trip's own columns
+            row[column] = str(getattr(self, column))
         if self.household_id is not None:
             row[HOUSEHOLD_COLUMN] = self.household_id
         return row

@@ -18,6 +18,7 @@ from preference_chain.ingest import default_synthetic_spec, generate_synthetic
 from preference_chain.schema import (
     AGE_GROUPS,
     AVAILABLE_VEHICLES,
+    BUNDLED_CHOICE_SETS,
     DURATION_BINS,
     DURATION_SET,
     PRIMARY_MODE_SET,
@@ -73,6 +74,18 @@ def test_add_edge_kind_discipline():
         g.add_node("Person", "p3")
     assert (g.node_count(), g.edge_count()) == (3, 0)
     g.dump_jsonl(io.StringIO())
+
+
+def test_agent_edges_belong_to_a_query_subgraph_only():
+    g = BehaviorGraph()
+    agent = g.add_node(NodeKind.AGENT, "agent")
+    p = g.add_node(NodeKind.PERSON, "p")
+    d = g.add_node(NodeKind.DESIRE, "d")
+    with pytest.raises(KindMismatch):
+        g.add_edge(agent, p, EdgeKind.SIMILAR_TO, 0.5)
+    with pytest.raises(KindMismatch):
+        g.add_edge(agent, d, EdgeKind.WANT_TO, 1.0)
+    assert g.edge_count() == 0
 
 
 def test_add_edge_unknown_node():
@@ -281,3 +294,12 @@ def test_built_graphs_validate_and_survive_a_snapshot(tmp_path):
 def test_choice_sets_match_schema():
     assert len(PRIMARY_MODE_SET) == 7
     assert len(DURATION_SET) == 6
+
+
+def test_every_graph_reads_the_schema_choice_sets():
+    g = BehaviorGraph()
+    assert g.choice_sets == BUNDLED_CHOICE_SETS
+    assert list(g.choice_sets) == ["primary_mode", "duration_minutes"]
+    with pytest.raises(TypeError):
+        g.choice_sets["weather"] = PRIMARY_MODE_SET
+    assert "choice_sets" not in vars(g)  # no per-graph copy

@@ -129,6 +129,25 @@ def test_add_node_takes_an_int_id_and_finite_number_coordinates():
     assert city.positions == {0: (3.0, -2.5)}
 
 
+def test_edge_ends_and_poi_nodes_are_int_ids_and_lengths_numbers():
+    """``True`` and ``1.0`` hash as node 1, so only the type tells them apart."""
+    city = CityModel()
+    city.add_node(0, 0.0, 0.0)
+    city.add_node(1, 1.0, 0.0)
+    for u, v in ((0, 1.0), (True, 0), (0, np.int64(1))):
+        with pytest.raises(UnknownNode):
+            city.add_edge(u, v, 50.0)
+    for length in (True, "50", np.float64(50.0)):
+        with pytest.raises(ValueError):
+            city.add_edge(0, 1, length)
+    for node in (True, 1.0, np.int64(1)):
+        with pytest.raises(UnknownNode):
+            city.add_poi("work-0", "work", node)
+    assert (city.adjacency, city.pois) == ({0: [], 1: []}, {})
+    city.add_edge(0, 1, 50)
+    assert city.add_poi("work-0", "work", 1) == Poi("work-0", "work", 1)
+
+
 def test_the_speed_table_names_exactly_the_modes():
     """Only a snapshot without "speeds" takes the defaults; an empty table is an error."""
     buffer = io.StringIO()

@@ -608,10 +608,11 @@ def _grid_city_with_edge_lengths(length: float) -> str:
 def _broken_graph(mutate) -> str:
     """A snapshot of a two-record graph after ``mutate`` on its lines, as JSONL.
 
-    ``mutate`` gets the choice_set lines, the Person, Desire and
-    Intention node objects and the edge lines by kind; the choice sets are
-    duration_minutes and primary_mode, the intentions private_auto, 10-20
-    and walking, in that order, and the first edge is Person 0's want_to.
+    ``mutate`` gets the list of all lines, under "lines", and the
+    choice_set lines, the Person, Desire and Intention node objects and the
+    edge lines by kind; the choice sets are duration_minutes and
+    primary_mode, the intentions private_auto, 10-20 and walking, in that
+    order, and the first edge is Person 0's want_to.
     """
     records = [
         make_record(),
@@ -621,7 +622,8 @@ def _broken_graph(mutate) -> str:
     build_from_records(records).dump_jsonl(buffer)
     objs = [json.loads(line) for line in buffer.getvalue().splitlines()]
     kinds = ("choice_set", "Person", "Desire", "Intention", "edge")
-    mutate({kind: [o for o in objs if kind in (o["t"], o.get("kind"))] for kind in kinds})
+    by_kind = {kind: [o for o in objs if kind in (o["t"], o.get("kind"))] for kind in kinds}
+    mutate({"lines": objs, **by_kind})
     return "".join(json.dumps(o) + "\n" for o in objs)
 
 
@@ -634,6 +636,19 @@ def _broken_spec(mutate=None, **fields) -> str:
     if mutate is not None:
         mutate(obj)
     return json.dumps(obj)
+
+
+def _add_agent(lines) -> None:
+    """Append an Agent node with a similar_to edge to Person 0, as a query's subgraph has."""
+    agent_id = sum(len(lines[kind]) for kind in ("Person", "Desire", "Intention"))
+    lines["lines"] += [
+        {"t": "node", "id": agent_id, "kind": "Agent", "label": "agent", "attributes": {}},
+        {"t": "edge", "source": agent_id, "target": 0, "kind": "similar_to", "weight": 0.5},
+    ]
+
+
+def _first_choose_to(lines) -> dict:
+    return next(edge for edge in lines["edge"] if edge["kind"] == "choose_to")
 
 
 def _rename_duration_set(lines) -> None:
@@ -699,6 +714,22 @@ def _rename_duration_set(lines) -> None:
             _broken_graph(_rename_duration_set),
             id="graph-choice-set-renamed",
         ),
+        pytest.param(
+            "graph",
+            _broken_graph(lambda n: n["lines"].remove(n["choice_set"][0])),
+            id="graph-choice-set-missing",
+        ),
+        pytest.param(
+            "graph",
+            _broken_graph(lambda n: n["edge"][0].update(weight=0.3)),
+            id="graph-want-weight-not-placeholder",
+        ),
+        pytest.param(
+            "graph",
+            _broken_graph(lambda n: _first_choose_to(n).update(weight=0.3)),
+            id="graph-choose-weight-not-placeholder",
+        ),
+        pytest.param("graph", _broken_graph(_add_agent), id="graph-agent-node"),
         pytest.param(
             "graph",
             _broken_graph(lambda n: n["choice_set"][1]["options"].append("teleport")),
@@ -780,6 +811,26 @@ def _rename_duration_set(lines) -> None:
             "city",
             _grid_city_json(lambda c: c["nodes"][0].update(x="12")),
             id="city-node-x-string",
+        ),
+        pytest.param(
+            "city",
+            _grid_city_json(lambda c: c["pois"][0].update(node=True)),
+            id="city-poi-node-bool",
+        ),
+        pytest.param(
+            "city",
+            _grid_city_json(lambda c: c["pois"][0].update(node=1.0)),
+            id="city-poi-node-float",
+        ),
+        pytest.param(
+            "city",
+            _grid_city_json(lambda c: c["edges"][0].update(v=float(c["edges"][0]["v"]))),
+            id="city-edge-end-float",
+        ),
+        pytest.param(
+            "city",
+            _grid_city_json(lambda c: c["edges"][0].update(length=True)),
+            id="city-edge-length-bool",
         ),
         pytest.param("tally", "edge,count\n0-1,3\n", id="tally-missing-column"),
         pytest.param("tally", "edge,hour,count\n0-1,24,3\n", id="tally-hour-24"),
@@ -924,9 +975,10 @@ def test_config_file_errors(tmp_path, capsys):
         {"generation": {"top_k": "lots"}},
         {"generation": {"repeat_penalty": -3}},
         {"paths": {"reference_csv": 5}},
+        {"pipeline": {"blend": True}},
     ],
     ids=["mock-llm-string", "top-p-nan", "temperature-inf", "top-k-string", "repeat-penalty",
-         "path-number"],
+         "path-number", "blend-bool"],
 )
 def test_bad_config_field_exits_2(tmp_path, trips_csv, capsys, section):
     """Each config section checks its own fields: a bad one exits 2 before any prediction."""

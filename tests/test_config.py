@@ -101,6 +101,13 @@ _SECTION_BAD_VALUES = [
     ("providers", "embed_model", ["m"]),
     ("paths", "reference_csv", 5),
     ("paths", "out_dir", {"dir": "x"}),
+    # a boolean in a float field
+    ("pipeline", "epsilon", True),
+    ("pipeline", "tau", True),
+    ("pipeline", "blend", True),
+    ("generation", "temperature", True),
+    ("generation", "top_p", True),
+    ("generation", "repeat_penalty", True),
 ]
 
 

@@ -22,7 +22,7 @@ from preference_chain.ingest import (
     write_csv,
     write_csv_fp,
 )
-from preference_chain.schema import CSV_COLUMNS
+from preference_chain.schema import CSV_COLUMNS, INPUT_CATEGORIES, PROFILE_FIELDS, AgentProfile
 
 from tests.conftest import make_record
 
@@ -301,3 +301,8 @@ def test_split_not_enough_records():
         split_reference_validation(records, 8, 5, seed=0)
     with pytest.raises(ValueError):
         split_reference_validation(records, -1, 5, seed=0)
+
+
+def test_profile_fields_are_the_profile_columns_in_order():
+    assert PROFILE_FIELDS == tuple(f.name for f in dataclasses.fields(AgentProfile))
+    assert PROFILE_FIELDS == tuple(INPUT_CATEGORIES)[:6] == CSV_COLUMNS[:6]

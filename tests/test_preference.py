@@ -291,24 +291,26 @@ def test_a_hand_built_subgraph_edited_through_its_edges_is_scored_anew():
     assert raw_scores(sub, _WALKING) == _per_choice_set_scores(sub, _WALKING, 4)
 
 
+# The choice sets that the intentions of ``_random_behavior_graph`` name.
+RANDOM_GRAPH_CHOICE_SETS = {
+    "mode": ChoiceCategorySet("mode", ("walk", "bike", "drive")),
+    "time": ChoiceCategorySet("time", ("short", "long")),
+}
+
+
 def _random_behavior_graph(rng: random.Random):
     """A graph built through ``add_node``/``add_edge`` with every shape the walk meets.
 
     Households are relative_of chains and cycles; want_to and choose_to
     edges repeat (parallel edges); persons share desires; and some options
     are named by two intentions, created in random order among the others.
+    Its intentions name the options of ``RANDOM_GRAPH_CHOICE_SETS``.
     """
     graph = BehaviorGraph()
-    choice_sets = (
-        ChoiceCategorySet("mode", ("walk", "bike", "drive")),
-        ChoiceCategorySet("time", ("short", "long")),
-    )
-    for choice_set in choice_sets:
-        graph.register_choice_set(choice_set)
     persons = [graph.add_node(NodeKind.PERSON, f"person {i}") for i in range(rng.randint(2, 7))]
     intentions = [
         (choice_set.name, option)
-        for choice_set in choice_sets
+        for choice_set in RANDOM_GRAPH_CHOICE_SETS.values()
         for option in choice_set.options
         for _ in range(rng.choice((1, 1, 2)))
     ]
@@ -355,7 +357,9 @@ def test_graph_walk_equals_the_copy_walk_and_brute_force():
     rng = random.Random(1507)
     provider = HashEmbedder(64)
     seen = dict.fromkeys(
-        ("relative hop", "two relative hops", "parallel choose_to", "shared desire", "twin"), 0
+        ("relative hop", "two relative hops", "parallel choose_to", "shared desire", "twin",
+         "score above 0"),
+        0,
     )
     for trial in range(100):
         graph, persons = _random_behavior_graph(rng)
@@ -365,12 +369,12 @@ def test_graph_walk_equals_the_copy_walk_and_brute_force():
             sub = extract_subgraph(graph, agent, retrieved, provider, depth=depth, tau=3.0)
             scores = {
                 (choice_set.name, max_edges): raw_scores(sub, choice_set, max_edges)
-                for choice_set in graph.choice_sets.values()
+                for choice_set in RANDOM_GRAPH_CHOICE_SETS.values()
                 for max_edges in range(1, 6)
             }
             copy = BehavioralSubgraph(nodes=sub.nodes, out_edges=sub.out_edges)
             for (name, max_edges), got in scores.items():
-                choice_set = graph.choice_sets[name]
+                choice_set = RANDOM_GRAPH_CHOICE_SETS[name]
                 expected = {}
                 for option in choice_set.options:
                     node_id = _scoring_node(copy, choice_set, option)
@@ -383,7 +387,8 @@ def test_graph_walk_equals_the_copy_walk_and_brute_force():
                     assert repr(prior_distribution(sub, choice_set, max_edges, epsilon)) == repr(
                         prior_distribution(copy, choice_set, max_edges, epsilon)
                     ), (trial, depth, max_edges, epsilon)
-            for name in graph.choice_sets:
+                seen["score above 0"] += max(got.values()) > 0.0
+            for name in RANDOM_GRAPH_CHOICE_SETS:
                 seen["relative hop"] += scores[name, 4] != scores[name, 3]
                 seen["two relative hops"] += scores[name, 5] != scores[name, 4]
             edges = [(s, t, k) for s, out in copy.out_edges.items() for t, k, _ in out]

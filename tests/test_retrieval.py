@@ -49,7 +49,7 @@ from preference_chain.schema import (
 )
 
 from tests.conftest import make_profile, make_record
-from tests.test_preference import _random_behavior_graph
+from tests.test_preference import RANDOM_GRAPH_CHOICE_SETS, _random_behavior_graph
 
 
 def _agent(**kwargs) -> QueryAgent:
@@ -395,25 +395,28 @@ def _node_facts(sub):
 
 
 def _one_pass_inputs(rng: random.Random):
-    """(graph, agent, persons, provider): graphs built from records, then
-    the seeded add-call graphs, whose desires are shared by persons and
-    whose options may be named by twin intentions."""
+    """(graph, choice sets, agent, persons, provider): graphs built from
+    records, then the seeded add-call graphs, whose desires are shared by
+    persons and whose options may be named by twin intentions."""
     for _ in range(30):
         graph = _build(_household_records(rng, rng.randrange(8, 40)), both_fields=True)
         provider = HashEmbedder()
         agent = _agent(trip_purpose=rng.choice(TRIP_PURPOSES), start_time=rng.randrange(24))
-        yield graph, agent, top_k_similar(graph, agent, rng.randrange(1, 7), provider), provider
+        persons = top_k_similar(graph, agent, rng.randrange(1, 7), provider)
+        yield graph, graph.choice_sets, agent, persons, provider
     for _ in range(30):
         graph, persons = _random_behavior_graph(rng)
         agent = _agent(trip_purpose=rng.choice(TRIP_PURPOSES[:3]), start_time=rng.randrange(24))
         chosen = rng.sample(persons, rng.randint(1, len(persons)))
-        yield graph, agent, [(p, rng.random()) for p in chosen], HashEmbedder()
+        retrieved = [(p, rng.random()) for p in chosen]
+        yield graph, RANDOM_GRAPH_CHOICE_SETS, agent, retrieved, HashEmbedder()
 
 
 def test_one_pass_subgraph_equals_the_add_call_build():
     rng = random.Random(4242)
-    seen = dict.fromkeys((EdgeKind.RELATIVE_OF, "parallel choose_to", "shared desire", "twin"), 0)
-    for trial, (graph, agent, persons, provider) in enumerate(_one_pass_inputs(rng)):
+    shapes = (EdgeKind.RELATIVE_OF, "parallel choose_to", "shared desire", "twin", "score > 0")
+    seen = dict.fromkeys(shapes, 0)
+    for trial, (graph, choice_sets, agent, persons, provider) in enumerate(_one_pass_inputs(rng)):
         for depth in (1, 2, 3, 4):
             tau = rng.choice((0.5, 2.0, 4.0, 9.0))
             sub = extract_subgraph(graph, agent, persons, provider, depth=depth, tau=tau)
@@ -422,10 +425,13 @@ def test_one_pass_subgraph_equals_the_add_call_build():
             # repr round-trips every float, so equal reprs are equal bits
             assert repr(sub.out_edges) == repr(ref.out_edges), (trial, depth)
             for max_edges in range(1, 6):
-                for choice_set in graph.choice_sets.values():
-                    assert repr(raw_scores(sub, choice_set, max_edges)) == repr(
+                for choice_set in choice_sets.values():
+                    scores = raw_scores(sub, choice_set, max_edges)
+                    assert repr(scores) == repr(
                         raw_scores(ref, choice_set, max_edges)
                     ), (trial, depth, max_edges)
+                    if choice_sets is RANDOM_GRAPH_CHOICE_SETS:
+                        seen["score > 0"] += max(scores.values()) > 0.0
             edges = [(s, t, k) for s, out in sub.out_edges.items() for t, k, _ in out]
             seen[EdgeKind.RELATIVE_OF] += sum(k == EdgeKind.RELATIVE_OF for _, _, k in edges)
             choose = [e for e in edges if e[2] == EdgeKind.CHOOSE_TO]

@@ -10,7 +10,8 @@ them, and a comment line holds nothing but a comment (found with
 
 The ``options`` column counts settable values: parameters with a default
 (of any function, method or lambda) plus dataclass fields with a default
-whose annotation is not ``ClassVar``, found by an ``ast`` walk.
+whose annotation is not ``ClassVar``, found by an ``ast`` walk. A field
+made with ``field(..., init=False)`` is skipped: no caller can set it.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
 
 
 def option_count(tree: ast.AST) -> int:
-    """Defaulted parameters plus defaulted non-``ClassVar`` dataclass fields."""
+    """Defaulted parameters plus defaulted, settable non-``ClassVar`` dataclass fields."""
     options = 0
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
@@ -60,6 +61,7 @@ def option_count(tree: ast.AST) -> int:
                 isinstance(item, ast.AnnAssign)
                 and item.value is not None
                 and "ClassVar" not in ast.unparse(item.annotation)
+                and "init=False" not in ast.unparse(item.value)
                 for item in node.body
             )
     return options
