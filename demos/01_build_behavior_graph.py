@@ -3,8 +3,8 @@
 Every reference trip becomes a person node (deduplicated by profile)
 connected to desire nodes (one per trip purpose the person pursued) and
 intention nodes (one per concrete choice option). Agent-side edges are
-finalized later, at query time, so the stored graph is query-independent
-and can be snapshotted to disk.
+finalized later, at query time, so the graph is query-independent and
+is stored as the trip CSV it was built from.
 
 Run:  python demos/01_build_behavior_graph.py
 """
@@ -12,8 +12,8 @@ Run:  python demos/01_build_behavior_graph.py
 import tempfile
 from pathlib import Path
 
-from preference_chain.behavior_graph import BehaviorGraph, NodeKind, build_from_records
-from preference_chain.ingest import default_synthetic_spec, generate_synthetic
+from preference_chain.behavior_graph import NodeKind, build_from_records
+from preference_chain.ingest import default_synthetic_spec, generate_synthetic, read_csv, write_csv
 
 records = generate_synthetic(default_synthetic_spec(), size=40, seed=0)
 print(f"reference sample: {len(records)} trips")
@@ -41,10 +41,12 @@ for edge in graph.out_edges[person.id]:
             choice = graph.node(nxt.target)
             print(f"      --{nxt.kind.value}/{nxt.weight:.3f}--> {choice.label!r}")
 
-# Snapshots round-trip byte-for-byte, so builds are reproducible artifacts.
+# The build is deterministic, so a graph is stored as its trip CSV:
+# building from the records read back gives the same graph.
 with tempfile.TemporaryDirectory() as tmp:
-    path = Path(tmp) / "graph.jsonl"
-    graph.save(path)
-    reloaded = BehaviorGraph.load(path)
-    print(f"\nsnapshot: {path.stat().st_size} bytes, "
-          f"reloaded {reloaded.node_count()} nodes, {reloaded.edge_count()} edges")
+    path = Path(tmp) / "graph.csv"
+    write_csv(records, path)
+    rebuilt = build_from_records(read_csv(path))
+    same = rebuilt.nodes == graph.nodes and list(rebuilt.edges()) == list(graph.edges())
+    print(f"\ntrip CSV: {path.stat().st_size} bytes, "
+          f"rebuilt {rebuilt.node_count()} nodes, {rebuilt.edge_count()} edges, same graph: {same}")

@@ -17,25 +17,15 @@ alone holds the query's Agent node. A graph's choice sets are the schema's
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
-from typing import IO, Iterable, Optional
+from typing import Iterable, Optional
 
 from .embedding import profile_to_text
-from .errors import DataError, FrozenGraph, GraphError, KindMismatch, UnknownNode, WeightOutOfRange
-from .schema import (
-    BUNDLED_CHOICE_SETS,
-    ChoiceCategorySet,
-    OUTPUT_CATEGORIES,
-    START_TIMES,
-    TRIP_PURPOSES,
-    AgentProfile,
-    TripRecord,
-    decode_json,
-)
+from .errors import FrozenGraph, KindMismatch, UnknownNode, WeightOutOfRange
+from .schema import BUNDLED_CHOICE_SETS, OUTPUT_CATEGORIES, AgentProfile, TripRecord
 
 NodeId = int
 
@@ -178,133 +168,6 @@ class BehaviorGraph:
     def edges(self) -> Iterable[Edge]:
         for node_id in range(len(self.nodes)):
             yield from self.out_edges[node_id]
-
-    def validate(self) -> "BehaviorGraph":
-        """Check every fact a snapshot stores twice against its other copy.
-
-        A Person's attributes must build an ``AgentProfile`` and its label
-        be that profile's ``profile_to_text``. A Desire's trip_purpose and
-        start_time must be schema categories and its label their
-        ``desire_text``; an Intention must name one of the graph's choice
-        sets and one of its options, and no two Intentions the same option.
-        Raises DataError naming the first node that breaks a rule.
-        """
-        seen: dict[tuple[str, str], NodeId] = {}
-        for node in self.nodes:
-            if node.kind == NodeKind.PERSON:
-                try:
-                    profile = AgentProfile(**node.attributes)
-                except (TypeError, DataError):  # a missing or extra field, a bad value
-                    raise DataError(
-                        f"graph node {node.id} (Person): attributes are not a schema profile"
-                    ) from None
-                if node.label != profile_to_text(profile):
-                    raise DataError(
-                        f"graph node {node.id} (Person): label differs from its attributes"
-                    )
-            elif node.kind == NodeKind.DESIRE:
-                purpose = node.attributes.get("trip_purpose")
-                hour = node.attributes.get("start_time")
-                if purpose not in TRIP_PURPOSES or hour not in START_TIMES:
-                    raise DataError(
-                        f"graph node {node.id} (Desire): trip_purpose {purpose!r} or "
-                        f"start_time {hour!r} is not in the schema"
-                    )
-                if node.label != desire_text(purpose, int(hour)):
-                    raise DataError(
-                        f"graph node {node.id} (Desire): label differs from its attributes"
-                    )
-            elif node.kind == NodeKind.INTENTION:
-                key = (node.attributes.get("choice_set"), node.label)
-                choice_set = self.choice_sets.get(key[0])
-                if choice_set is None or node.label not in choice_set:
-                    raise DataError(
-                        f"graph node {node.id} (Intention): {key} is no choice set option"
-                    )
-                if seen.setdefault(key, node.id) != node.id:
-                    raise DataError(
-                        f"graph node {node.id} (Intention): node {seen[key]} also names {key}"
-                    )
-        return self
-
-    # ------------------------------------------------------------------
-    # snapshot I/O (line-oriented JSON, bit-exact round trip)
-    # ------------------------------------------------------------------
-
-    def dump_jsonl(self, fp: IO[str]) -> None:
-        for name in sorted(self.choice_sets):
-            cs = self.choice_sets[name]
-            fp.write(_json_line({"t": "choice_set", "name": cs.name, "options": list(cs.options)}))
-        for node in self.nodes:
-            fp.write(_json_line({"t": "node", **vars(node)}))
-        for edge in self.edges():
-            fp.write(_json_line({"t": "edge", **vars(edge)}))
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fp:
-            self.dump_jsonl(fp)
-
-    @classmethod
-    def load_jsonl(cls, fp: IO[str]) -> "BehaviorGraph":
-        """Read a snapshot and ``validate`` it.
-
-        Its choice sets must be the schema's bundled sets (names, options and
-        their order), and it holds only what ``build_from_records`` makes: no
-        Agent node, and want_to and choose_to weights of the 1.0 placeholder.
-        A malformed line, a node or edge that breaks the graph's rules, or a
-        failed check raises DataError.
-        """
-        graph = cls()
-        choice_sets: dict[str, ChoiceCategorySet] = {}
-        number = 0
-        try:
-            for number, line in enumerate(fp, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                obj = decode_json(line)
-                kind = obj["t"]
-                if kind == "choice_set":
-                    choice_sets[obj["name"]] = ChoiceCategorySet(obj["name"], tuple(obj["options"]))
-                elif kind == "node":
-                    if type(obj["id"]) is not int or obj["id"] != len(graph.nodes):
-                        raise ValueError(f"node id {obj['id']!r}, expected {len(graph.nodes)}")
-                    attributes = obj["attributes"]
-                    if not (
-                        isinstance(obj["label"], str)
-                        and isinstance(attributes, dict)
-                        and all(isinstance(v, str) for v in attributes.values())
-                    ):
-                        raise ValueError("node label must be a string, attributes strings")
-                    node_kind = NodeKind(obj["kind"])
-                    if node_kind == NodeKind.AGENT:
-                        raise ValueError("a stored graph holds no Agent node")
-                    graph.add_node(node_kind, obj["label"], attributes)
-                elif kind == "edge":
-                    edge_kind = EdgeKind(obj["kind"])
-                    if edge_kind != EdgeKind.RELATIVE_OF and obj["weight"] != 1.0:
-                        raise ValueError(f"a stored {edge_kind.value} weight must be 1.0")
-                    graph.add_edge(obj["source"], obj["target"], edge_kind, obj["weight"])
-                else:
-                    raise ValueError(f"unknown snapshot record type {kind!r}")
-        except (KeyError, TypeError, ValueError, GraphError) as exc:  # also bad JSON and encoding
-            raise DataError(f"graph snapshot line {number}: {type(exc).__name__}: {exc}") from exc
-        for name in sorted(choice_sets.keys() | BUNDLED_CHOICE_SETS.keys()):
-            if choice_sets.get(name) != BUNDLED_CHOICE_SETS.get(name):
-                raise DataError(
-                    f"graph choice set {name!r} is not the schema's: "
-                    f"expected {sorted(BUNDLED_CHOICE_SETS)} with their schema options"
-                )
-        return graph.validate()
-
-    @classmethod
-    def load(cls, path) -> "BehaviorGraph":
-        with open(path, "r", encoding="utf-8") as fp:
-            return cls.load_jsonl(fp)
-
-
-def _json_line(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def desire_text(trip_purpose: str, start_time: int) -> str:

@@ -107,11 +107,14 @@ def _out_dir(args, config: RunConfig) -> Path:
 
 
 def _load_records(value: Optional[str], flag: str):
-    """The records of the trip CSV a flag names; EmptyReference when it holds none."""
+    """The records of the trip CSV a flag names; a DataError, EmptyReference when it holds none, names the flag."""
     path = _require_path(value, flag)
-    records = read_csv(path)
+    try:
+        records = read_csv(path)
+    except DataError as exc:
+        raise DataError(f"{flag}: {exc}") from exc
     if not records:
-        raise EmptyReference(f"{path} contains no records")
+        raise EmptyReference(f"{flag}: {path} contains no records")
     return records
 
 
@@ -181,7 +184,7 @@ def cmd_build_graph(args, config: RunConfig) -> int:
     out = _out_file(args.out)
     records = _load_records(args.reference or config.paths.reference_csv, "--reference")
     graph = build_from_records(records)
-    graph.save(out)
+    write_csv(records, out)
     print(
         f"graph: {graph.node_count()} nodes, {graph.edge_count()} edges, "
         f"{len(records)} records -> {args.out}"
@@ -209,9 +212,10 @@ def cmd_predict(args, config: RunConfig) -> int:
     agent = _agent_from_json(_require_path(args.agent, "--agent"))
     snapshot = args.graph or config.paths.graph_file
     if snapshot:
-        graph = BehaviorGraph.load(_require_path(snapshot, "--graph"))
+        records = _load_records(snapshot, "--graph")
     else:
-        graph = build_from_records(_load_records(args.reference or config.paths.reference_csv, "--reference"))
+        records = _load_records(args.reference or config.paths.reference_csv, "--reference")
+    graph = build_from_records(records)
     output = {
         name: {
             "prior": result.prior.probabilities,
@@ -376,14 +380,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output CSV path")
     p.set_defaults(func=cmd_gen_synth)
 
-    p = sub.add_parser("build-graph", help="build and snapshot the behavior graph", parents=[common])
+    p = sub.add_parser("build-graph", help="build the behavior graph and write its trip CSV", parents=[common])
     p.add_argument("--reference", help="reference trip CSV")
-    p.add_argument("--out", help="output snapshot path (.jsonl)")
+    p.add_argument("--out", help="output trip CSV path")
     p.set_defaults(func=cmd_build_graph)
 
     p = sub.add_parser("predict", help="prior + calibrated posterior for one agent", parents=[common])
     p.add_argument("--agent", required=True, help="agent JSON (profile, purpose, hour)")
-    p.add_argument("--graph", help="graph snapshot (else built from --reference)")
+    p.add_argument("--graph", help="trip CSV written by build-graph (else built from --reference)")
     p.add_argument("--reference", help="reference trip CSV")
     p.add_argument("--out", help="also write the JSON result here")
     p.set_defaults(func=cmd_predict)

@@ -24,7 +24,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyText, ProviderError, ZeroVector
+from .errors import DimensionMismatch, EmbeddingError, EmptyText, ProviderError, ZeroVector
 from .schema import PROFILE_FIELDS, AgentProfile
 
 _TOKEN_RE = re.compile(r"[0-9a-z]+")
@@ -46,8 +46,8 @@ def profile_to_text(profile: AgentProfile) -> str:
     return "; ".join(f"{name}: {getattr(profile, name)}" for name in PROFILE_FIELDS)
 
 
-def _norm(vec: np.ndarray) -> tuple[np.ndarray, float]:
-    """``vec`` and its L2 norm, safe from overflow and underflow.
+def _norm(vec) -> tuple[np.ndarray, float]:
+    """``vec`` as a float vector and its L2 norm, safe from overflow and underflow.
 
     A finite nonzero vector whose sum of squares leaves the normal float
     range (entries near 1e300 or 1e-170) is first divided by its largest
@@ -55,22 +55,31 @@ def _norm(vec: np.ndarray) -> tuple[np.ndarray, float]:
     Every other vector comes back as it is, with the plain norm. The norm
     is ``sqrt(np.vdot(vec, vec))``, the BLAS dot ``np.linalg.norm`` takes
     for a 1-D float vector, without its dispatch or ``dot``'s overflow warning.
+    Every embedding is compared through here, so here alone an array that
+    is not a 1-D array of numbers, or holds a NaN or an infinity (its norm
+    is then not finite), raises EmbeddingError.
     """
+    try:
+        vec = np.asarray(vec, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise EmbeddingError(f"embedding is not an array of numbers: {exc}") from None
+    if vec.ndim != 1:
+        raise EmbeddingError(f"embedding has shape {vec.shape}, not one axis")
     norm = math.sqrt(np.vdot(vec, vec))
     if not _MIN_NORM <= norm < math.inf and np.isfinite(vec).all() and vec.any():
         vec = vec / np.abs(vec).max()
         norm = math.sqrt(np.vdot(vec, vec))
+    if not norm < math.inf:  # also NaN
+        raise EmbeddingError("embedding holds a NaN or an infinite entry")
     return vec, norm
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     """Plain cosine in [-1, 1]; rejects mismatched dimensions and zero vectors."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"dimensions {a.shape} vs {b.shape}")
     a, norm_a = _norm(a)
     b, norm_b = _norm(b)
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"dimensions {a.shape} vs {b.shape}")
     if norm_a == 0.0 or norm_b == 0.0:
         raise ZeroVector("cosine similarity undefined for the zero vector")
     return float(np.dot(a, b) / (norm_a * norm_b))

@@ -165,12 +165,12 @@ def _person_index(graph: BehaviorGraph, provider: EmbeddingProvider):
         ids = [p.id for p in persons]
         matrix = np.zeros((0, 1))
         for i, p in enumerate(persons):
-            vec, norm = _norm(np.asarray(provider.embed(p.label), dtype=float))
+            vec, norm = _norm(provider.embed(p.label))
             if norm == 0.0:
                 raise ZeroVector(f"person node {p.id} embedded to the zero vector")
             if i == 0:
                 matrix = np.empty((len(persons), vec.size))
-            if vec.shape != matrix.shape[1:]:  # also an array that is not a vector
+            if vec.shape != matrix.shape[1:]:
                 raise DimensionMismatch("person embeddings have different lengths")
             np.divide(vec, norm, out=matrix[i])
         entry = (ids, matrix)
@@ -197,10 +197,9 @@ def top_k_similar(
     ids, matrix = _person_index(graph, provider)
     if not ids:
         raise EmptyGraph("graph contains no Person nodes")
-    query = np.asarray(provider.embed(agent.profile_text), dtype=float)
+    query, norm = _norm(provider.embed(agent.profile_text))
     if query.shape != matrix.shape[1:]:
         raise DimensionMismatch(f"query embedding {query.shape} vs persons {matrix.shape[1:]}")
-    query, norm = _norm(query)
     if norm == 0.0:
         raise ZeroVector("query profile embedded to the zero vector")
     sims = np.clip(matrix @ (query / norm), 0.0, 1.0)

@@ -7,10 +7,9 @@ duration bin).
 
 Every value type checks its own fields when it is built, so a value that
 exists is valid: an out-of-category field raises SchemaViolation from
-``__post_init__``, and no caller re-checks it. Only the two builders,
-``BehaviorGraph`` and ``CityModel``, have a ``validate()``, because their
-rules span many ``add_*`` calls. Every JSON input is read with
-``decode_json``.
+``__post_init__``, and no caller re-checks it. Only the builder
+``CityModel`` has a ``validate()``, because its rules span many ``add_*``
+calls. Every JSON input is read with ``decode_json``.
 """
 
 from __future__ import annotations

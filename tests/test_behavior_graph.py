@@ -1,4 +1,3 @@
-import io
 import math
 import random
 
@@ -11,14 +10,17 @@ from preference_chain.behavior_graph import (
     GraphBuildConfig,
     NodeKind,
     build_from_records,
+    desire_text,
     temporal_proximity,
 )
+from preference_chain.embedding import profile_to_text
 from preference_chain.errors import KindMismatch, SchemaViolation, UnknownNode, WeightOutOfRange
-from preference_chain.ingest import default_synthetic_spec, generate_synthetic
+from preference_chain.ingest import default_synthetic_spec, generate_synthetic, read_csv, write_csv
 from preference_chain.schema import (
     AGE_GROUPS,
     AVAILABLE_VEHICLES,
     BUNDLED_CHOICE_SETS,
+    AgentProfile,
     DURATION_BINS,
     DURATION_SET,
     PRIMARY_MODE_SET,
@@ -67,13 +69,12 @@ def test_add_edge_kind_discipline():
     d = g.add_node(NodeKind.DESIRE, "d")
     with pytest.raises(KindMismatch):
         g.add_edge(p1, p2, EdgeKind.SIMILAR_TO, 0.5)
-    # equal to a member, but not one: a snapshot could not write its kind
+    # equal to a member, but not one
     with pytest.raises(KindMismatch):
         g.add_edge(p1, d, "want_to", 1.0)
     with pytest.raises(KindMismatch):
         g.add_node("Person", "p3")
     assert (g.node_count(), g.edge_count()) == (3, 0)
-    g.dump_jsonl(io.StringIO())
 
 
 def test_agent_edges_belong_to_a_query_subgraph_only():
@@ -238,28 +239,27 @@ def test_rebuild_is_identical():
     records = generate_synthetic(default_synthetic_spec(), size=30, seed=7)
     g1 = build_from_records(records)
     g2 = build_from_records(records)
-    buf1, buf2 = io.StringIO(), io.StringIO()
-    g1.dump_jsonl(buf1)
-    g2.dump_jsonl(buf2)
-    assert buf1.getvalue() == buf2.getvalue()
+    assert g1.nodes == g2.nodes
+    assert list(g1.edges()) == list(g2.edges())
+
+
+def _rebuilt_from_csv(records, config, path):
+    """The graph built from ``records`` after a ``write_csv``/``read_csv`` round trip."""
+    write_csv(records, path)
+    return build_from_records(read_csv(path), config)
+
+
+def _same_graph(a, b) -> bool:
+    return a.nodes == b.nodes and list(a.edges()) == list(b.edges())
 
 
 def test_snapshot_round_trip_bit_exact(tmp_path):
     records = generate_synthetic(default_synthetic_spec(), size=25, seed=9)
-    g = build_from_records(
-        records, GraphBuildConfig(intention_fields=("primary_mode", "duration_minutes"))
-    )
-    path1 = tmp_path / "graph.jsonl"
-    path2 = tmp_path / "graph2.jsonl"
-    g.save(path1)
-    loaded = BehaviorGraph.load(path1)
-    loaded.save(path2)
-    assert path1.read_bytes() == path2.read_bytes()
-    assert loaded.node_count() == g.node_count()
-    assert loaded.edge_count() == g.edge_count()
-    assert loaded.choice_sets.keys() == g.choice_sets.keys()
+    config = GraphBuildConfig(intention_fields=("primary_mode", "duration_minutes"))
+    g = build_from_records(records, config)
+    loaded = _rebuilt_from_csv(records, config, tmp_path / "graph.csv")
+    assert _same_graph(loaded, g)
     intentions = loaded.nodes_of_kind(NodeKind.INTENTION)
-    assert intentions == g.nodes_of_kind(NodeKind.INTENTION)
     assert any(
         (n.label, n.attributes) == (records[0].primary_mode, {"choice_set": "primary_mode"})
         for n in intentions
@@ -268,7 +268,7 @@ def test_snapshot_round_trip_bit_exact(tmp_path):
 
 def test_built_graphs_validate_and_survive_a_snapshot(tmp_path):
     rng = random.Random(5)
-    path = tmp_path / "graph.jsonl"
+    path = tmp_path / "graph.csv"
     for _ in range(40):
         records = [
             make_record(
@@ -283,12 +283,21 @@ def test_built_graphs_validate_and_survive_a_snapshot(tmp_path):
             for _ in range(rng.randrange(30))
         ]
         for fields in (("primary_mode",), ("primary_mode", "duration_minutes")):
-            g = build_from_records(records, GraphBuildConfig(intention_fields=fields))
-            assert g.validate() is g
-            g.save(path)
-            text = path.read_text(encoding="utf-8")
-            BehaviorGraph.load(path).save(path)
-            assert path.read_text(encoding="utf-8") == text
+            config = GraphBuildConfig(intention_fields=fields)
+            g = build_from_records(records, config)
+            # each node states what its records say: the rules a stored graph once checked
+            options = set()
+            for node in g.nodes:
+                if node.kind == NodeKind.PERSON:
+                    assert node.label == profile_to_text(AgentProfile(**node.attributes))
+                elif node.kind == NodeKind.DESIRE:
+                    purpose, hour = node.attributes["trip_purpose"], node.attributes["start_time"]
+                    assert node.label == desire_text(purpose, int(hour))
+                else:
+                    option = (node.attributes["choice_set"], node.label)
+                    assert option[1] in g.choice_sets[option[0]] and option not in options
+                    options.add(option)
+            assert _same_graph(_rebuilt_from_csv(records, config, path), g)
 
 
 def test_choice_sets_match_schema():

@@ -1,11 +1,13 @@
 """Command-line workflows end to end: happy paths, reruns, exit codes."""
 
+import copy
 import csv
 import hashlib
 import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -13,8 +15,9 @@ from pathlib import Path
 import pytest
 
 from preference_chain import config as config_module
-from preference_chain.behavior_graph import BehaviorGraph, NodeKind, build_from_records
+from preference_chain.behavior_graph import NodeKind
 from preference_chain.city import DEFAULT_MODE_SPEEDS, grid_city
+from preference_chain.config import RunConfig
 from preference_chain.cli import main
 from preference_chain.embedding import RemoteEmbedder
 from preference_chain.ingest import default_synthetic_spec, read_csv, write_csv_fp
@@ -114,13 +117,12 @@ def test_gen_synth_requires_out(capsys):
 
 
 def test_build_graph_snapshot_round_trip(tmp_path, trips_csv, capsys):
-    snapshot = tmp_path / "graph.jsonl"
+    snapshot = tmp_path / "graph.csv"
     assert run(["build-graph", "--reference", trips_csv, "--out", snapshot]) == 0
     out = capsys.readouterr().out
     assert "nodes" in out and "edges" in out
-    graph = BehaviorGraph.load(snapshot)
-    assert sorted(graph.choice_sets) == ["duration_minutes", "primary_mode"]
-    again = tmp_path / "graph2.jsonl"
+    assert snapshot.read_bytes() == _trip_csv_text(read_csv(trips_csv)).encode("utf-8")
+    again = tmp_path / "graph2.csv"
     assert run(["build-graph", "--reference", trips_csv, "--out", again]) == 0
     assert snapshot.read_bytes() == again.read_bytes()
 
@@ -191,15 +193,18 @@ def test_predict_stdout_is_pinned(tmp_path, capsys, pipeline, expected):
     assert capsys.readouterr().out == (data / expected).read_text(encoding="utf-8")
 
 
-def test_predict_from_graph_snapshot(tmp_path, trips_csv):
-    snapshot = tmp_path / "graph.jsonl"
+def test_predict_from_graph_snapshot(tmp_path, trips_csv, capsys):
+    snapshot = tmp_path / "graph.csv"
     assert run(["build-graph", "--reference", trips_csv, "--out", snapshot]) == 0
     agent = write_agent(tmp_path / "agent.json")
     out_direct = tmp_path / "direct.json"
     out_snap = tmp_path / "snap.json"
+    capsys.readouterr()
     assert run(["predict", "--agent", agent, "--reference", trips_csv, "--out", out_direct]) == 0
+    printed = capsys.readouterr().out
     assert run(["predict", "--agent", agent, "--graph", snapshot, "--out", out_snap]) == 0
-    assert json.loads(out_direct.read_text()) == json.loads(out_snap.read_text())
+    assert capsys.readouterr().out == printed
+    assert out_direct.read_bytes() == out_snap.read_bytes()
 
 
 def test_predict_invalid_agents(tmp_path, trips_csv, capsys):
@@ -495,7 +500,7 @@ _CLI_DIGESTS = {
     "evaluate/manifest.json": "4923a4b0ef40f477cb21ff715f53ecb89ce01263df9363105f8275b903a68d2a",
     "evaluate/report.csv": "24ff2641c6dbaa4a86dd73c8b22ef8454c3dbf5d38a4b4fb4503887a020e2ef5",
     "evaluate/report.json": "650095bb63e747df5c44c843c556124215b5d676e059eeaeb45a3a1f5afa8083",
-    "graph.jsonl": "9e6e4bd094caa511040359a78c86860449bc321ca4c61fbb3b5d36fd1b8a3679",
+    "graph.csv": "834e685b173b4683d4d85182e952dd739e348b84e175968b2dc61df2d1fc9d62",
     "predict.json": "7e67a59e170d9cab85a178064282222789c5824ec3c926bf69ce30e54c4b4c37",
     "reference-day/edge_tally.csv": "b52a2963457864cfb10c7f7aa16f9dc8ac99c55c48b619ef4d53c1da488ba4dc",
     "reference-day/manifest.json": "5dba58418e3b9a9bd1f685aeca517113711fc8384e7466ad7cb18518d6a4e356",
@@ -530,7 +535,7 @@ def test_cli_output_bytes_are_pinned(tmp_path, capsys):
         simulate + ["--seed", 1, "--out", out / "reference-day"],
         simulate + ["--reference-tally", out / "reference-day" / "edge_tally.csv",
                     "--out", out / "simulate"],
-        ["build-graph", "--reference", trips, "--out", out / "graph.jsonl"],
+        ["build-graph", "--reference", trips, "--out", out / "graph.csv"],
         ["predict", "--agent", write_agent(tmp_path / "agent.json"), "--reference", trips,
          "--out", out / "predict.json"],
     ]
@@ -570,6 +575,13 @@ _CITY = {
 }
 
 
+def _written_json(write) -> dict:
+    """The JSON document that ``write`` writes to a text stream, decoded."""
+    buffer = io.StringIO()
+    write(buffer)
+    return json.loads(buffer.getvalue())
+
+
 def _broken_city(mutate) -> str:
     """A copy of the valid two-node ``_CITY`` after ``mutate``, as JSON text."""
     obj = json.loads(json.dumps(_CITY))
@@ -579,180 +591,56 @@ def _broken_city(mutate) -> str:
 
 def _nan_speed_city() -> str:
     """The simulate test's grid city with every speed NaN, as JSON text."""
-    buffer = io.StringIO()
-    grid_city(width=3, height=3, pois_per_category=1).to_json(buffer)
-    obj = json.loads(buffer.getvalue())
+    obj = _written_json(grid_city(width=3, height=3, pois_per_category=1).to_json)
     obj["speeds"] = {mode: math.nan for mode in obj["speeds"]}
     return json.dumps(obj)
 
 
 def _grid_city_json(mutate) -> str:
     """The simulate test's grid city after ``mutate``, as JSON text."""
-    buffer = io.StringIO()
-    grid_city(width=3, height=3, pois_per_category=1).to_json(buffer)
-    obj = json.loads(buffer.getvalue())
+    obj = _written_json(grid_city(width=3, height=3, pois_per_category=1).to_json)
     mutate(obj)
     return json.dumps(obj)
 
 
 def _grid_city_with_edge_lengths(length: float) -> str:
     """The simulate test's grid city with every edge ``length`` meters long, as JSON."""
-    buffer = io.StringIO()
-    grid_city(width=3, height=3, pois_per_category=1).to_json(buffer)
-    obj = json.loads(buffer.getvalue())
+    obj = _written_json(grid_city(width=3, height=3, pois_per_category=1).to_json)
     for edge in obj["edges"]:
         edge["length"] = length
     return json.dumps(obj)
 
 
-def _broken_graph(mutate) -> str:
-    """A snapshot of a two-record graph after ``mutate`` on its lines, as JSONL.
-
-    ``mutate`` gets the list of all lines, under "lines", and the
-    choice_set lines, the Person, Desire and Intention node objects and the
-    edge lines by kind; the choice sets are duration_minutes and
-    primary_mode, the intentions private_auto, 10-20 and walking, in that
-    order, and the first edge is Person 0's want_to.
-    """
-    records = [
-        make_record(),
-        make_record(trip_purpose="eat", start_time=12, primary_mode="walking"),
-    ]
+def _trip_csv_text(records) -> str:
+    """``records`` as the text of a trip CSV, as ``write_csv`` writes it."""
     buffer = io.StringIO()
-    build_from_records(records).dump_jsonl(buffer)
-    objs = [json.loads(line) for line in buffer.getvalue().splitlines()]
-    kinds = ("choice_set", "Person", "Desire", "Intention", "edge")
-    by_kind = {kind: [o for o in objs if kind in (o["t"], o.get("kind"))] for kind in kinds}
-    mutate({"lines": objs, **by_kind})
-    return "".join(json.dumps(o) + "\n" for o in objs)
+    write_csv_fp(records, buffer)
+    return buffer.getvalue()
+
+
+def _trip_csv(mode: bytes) -> bytes:
+    """A one-record trip CSV whose primary_mode field holds ``mode``."""
+    text = _trip_csv_text([make_record(primary_mode="walking")])
+    return text.encode("utf-8").replace(b"walking", mode)
 
 
 def _broken_spec(mutate=None, **fields) -> str:
     """The bundled synthetic spec with ``fields`` replaced, then ``mutate``d, as JSON."""
-    buffer = io.StringIO()
-    default_synthetic_spec().to_json(buffer)
-    obj = json.loads(buffer.getvalue())
+    obj = _written_json(default_synthetic_spec().to_json)
     obj.update(fields)
     if mutate is not None:
         mutate(obj)
     return json.dumps(obj)
 
 
-def _add_agent(lines) -> None:
-    """Append an Agent node with a similar_to edge to Person 0, as a query's subgraph has."""
-    agent_id = sum(len(lines[kind]) for kind in ("Person", "Desire", "Intention"))
-    lines["lines"] += [
-        {"t": "node", "id": agent_id, "kind": "Agent", "label": "agent", "attributes": {}},
-        {"t": "edge", "source": agent_id, "target": 0, "kind": "similar_to", "weight": 0.5},
-    ]
-
-
-def _first_choose_to(lines) -> dict:
-    return next(edge for edge in lines["edge"] if edge["kind"] == "choose_to")
-
-
-def _rename_duration_set(lines) -> None:
-    """Rename duration_minutes to weather, in its choice_set line and its intentions."""
-    lines["choice_set"][0]["name"] = "weather"
-    for node in lines["Intention"]:
-        if node["attributes"]["choice_set"] == "duration_minutes":
-            node["attributes"]["choice_set"] = "weather"
-
-
 @pytest.mark.parametrize(
     "kind,text",
     [
-        pytest.param("graph", "{oops\n", id="graph-bad-json"),
-        pytest.param("graph", '{"t": "node", "id": 0, "kind": "Person"}\n', id="graph-missing-key"),
-        pytest.param(
-            "graph",
-            '{"t": "node", "id": 0, "kind": "Robot", "label": "x", "attributes": {}}\n',
-            id="graph-unknown-node-kind",
-        ),
-        pytest.param(
-            "graph",
-            '{"t": "node", "id": 5, "kind": "Person", "label": "x", "attributes": {}}\n',
-            id="graph-ids-start-at-5",
-        ),
-        pytest.param(
-            "graph",
-            _broken_graph(lambda n: n["Desire"][0]["attributes"].update(start_time="9")),
-            id="graph-desire-hour-not-its-label",
-        ),
-        pytest.param(
-            "graph",
-            _broken_graph(lambda n: n["Desire"][0]["attributes"].pop("start_time")),
-            id="graph-desire-without-start-time",
-        ),
-        pytest.param(
-            "graph",
-            _broken_graph(lambda n: n["Intention"][0]["attributes"].pop("choice_set")),
-            id="graph-intention-without-choice-set",
-        ),
-        pytest.param(
-            "graph",
-            _broken_graph(lambda n: n["Intention"][0].update(label="teleport")),
-            id="graph-intention-unknown-option",
-        ),
-        pytest.param(
-            "graph",
-            _broken_graph(lambda n: n["Intention"][0]["attributes"].update(choice_set="weather")),
-            id="graph-intention-unknown-set",
-        ),
-        pytest.param(
-            "graph",
-            _broken_graph(lambda n: n["Intention"][2].update(label="private_auto")),
-            id="graph-two-intentions-one-option",
-        ),
-        pytest.param(
-            "graph",
-            _broken_graph(lambda n: n["Intention"][0]["attributes"].update(choice_set=["x"])),
-            id="graph-attribute-not-a-string",
-        ),
-        pytest.param(
-            "graph",
-            _broken_graph(_rename_duration_set),
-            id="graph-choice-set-renamed",
-        ),
-        pytest.param(
-            "graph",
-            _broken_graph(lambda n: n["lines"].remove(n["choice_set"][0])),
-            id="graph-choice-set-missing",
-        ),
-        pytest.param(
-            "graph",
-            _broken_graph(lambda n: n["edge"][0].update(weight=0.3)),
-            id="graph-want-weight-not-placeholder",
-        ),
-        pytest.param(
-            "graph",
-            _broken_graph(lambda n: _first_choose_to(n).update(weight=0.3)),
-            id="graph-choose-weight-not-placeholder",
-        ),
-        pytest.param("graph", _broken_graph(_add_agent), id="graph-agent-node"),
-        pytest.param(
-            "graph",
-            _broken_graph(lambda n: n["choice_set"][1]["options"].append("teleport")),
-            id="graph-choice-set-extra-option",
-        ),
-        pytest.param(
-            "graph",
-            _broken_graph(
-                lambda n: [p["attributes"].update(age_group="65+") for p in n["Person"]]
-            ),
-            id="graph-person-attributes-not-its-label",
-        ),
-        pytest.param(
-            "graph", _broken_graph(lambda n: n["edge"][0].update(weight=True)), id="graph-weight-bool"
-        ),
-        pytest.param(
-            "graph",
-            _broken_graph(lambda n: n["edge"][0].update(source=False)),
-            id="graph-edge-source-bool",
-        ),
-        pytest.param(
-            "graph", _broken_graph(lambda n: n["Person"][0].update(id=False)), id="graph-node-id-bool"
-        ),
+        pytest.param("graph", "{oops\n", id="graph-not-a-trip-csv"),
+        pytest.param("graph", _trip_csv(b"teleport").decode("utf-8"), id="graph-unknown-mode"),
+        pytest.param("graph", _trip_csv_text([]), id="graph-no-records"),
+        pytest.param("graph", _trip_csv(b"walking\xff"), id="graph-not-utf8"),
+        pytest.param("validation", _trip_csv(b"teleport").decode("utf-8"), id="validation-unknown-mode"),
         pytest.param("city", "{oops", id="city-bad-json"),
         pytest.param("city", _nan_speed_city(), id="city-nan-speed"),
         pytest.param("city", _broken_city(lambda c: c.pop("edges")), id="city-missing-key"),
@@ -866,7 +754,7 @@ def _rename_duration_set(lines) -> None:
 )
 def test_bad_input_files_exit_3(tmp_path, trips_csv, capsys, kind, text):
     bad = tmp_path / "bad"
-    bad.write_text(text, encoding="utf-8")
+    bad.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     city = tmp_path / "city.json"
     grid_city(width=3, height=3, pois_per_category=1).save(city)
     out = tmp_path / "s"
@@ -877,10 +765,13 @@ def test_bad_input_files_exit_3(tmp_path, trips_csv, capsys, kind, text):
         "city": simulate + ["--city", bad],
         "tally": simulate + ["--city", city, "--reference-tally", bad],
         "spec": ["gen-synth", "--spec", bad, "--out", out],
+        "validation": ["evaluate", "--reference", trips_csv, "--validation", bad, "--out", out],
     }[kind]
     assert run(argv) == 3
     err = capsys.readouterr().err
     assert "data error" in err and kind in err
+    if kind in ("graph", "validation"):  # a trip CSV error names the flag of its file
+        assert f"data error: --{kind}: " in err
     assert not out.exists()
 
 
@@ -892,29 +783,18 @@ def _with_huge(text: str) -> bytes:
     return text.replace('"HUGE"', _HUGE).encode("utf-8")
 
 
-def _trip_csv(mode: bytes) -> bytes:
-    """A one-record trip CSV whose primary_mode field holds ``mode``."""
-    buffer = io.StringIO()
-    write_csv_fp([make_record(primary_mode="walking")], buffer)
-    return buffer.getvalue().encode("utf-8").replace(b"walking", mode)
-
-
-def _grid_city_with_one_huge_edge() -> str:
-    buffer = io.StringIO()
-    grid_city(width=3, height=3, pois_per_category=1).to_json(buffer)
-    obj = json.loads(buffer.getvalue())
-    obj["edges"][0]["length"] = "HUGE"
-    return json.dumps(obj)
-
-
 @pytest.mark.parametrize(
     "kind,payload,code",
     [
         pytest.param("config", _with_huge('{"pipeline": {"epsilon": "HUGE"}}'), 2,
                      id="config-huge-epsilon"),
         pytest.param("config", b'{"pipeline": {"k": 5}}\xff', 2, id="config-not-utf8"),
-        pytest.param("city", _with_huge(_grid_city_with_one_huge_edge()), 3,
-                     id="city-huge-edge-length"),
+        pytest.param(
+            "city",
+            _with_huge(_grid_city_json(lambda c: c["edges"][0].update(length="HUGE"))),
+            3,
+            id="city-huge-edge-length",
+        ),
         pytest.param("spec", _with_huge(_broken_spec(population="HUGE")), 3,
                      id="spec-huge-population"),
         pytest.param(
@@ -949,6 +829,85 @@ def test_undecodable_huge_or_directory_inputs_exit_with_their_code(
     err = capsys.readouterr().err
     assert ("config error" if code == 2 else "data error") in err
     assert not out.exists()
+
+
+_FUZZ_VALUES = (True, False, None, "7", 7, 7.5, -1, 0, 1e308, [], {})
+
+
+def _leaves(obj, path=()):
+    """The path of each scalar in ``obj``, within the first three entries of each list."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(obj, list):
+        for index, value in enumerate(obj[:3]):
+            yield from _leaves(value, path + (index,))
+    else:
+        yield path
+
+
+def _json_type(value) -> str:
+    if isinstance(value, bool):
+        return "boolean"
+    return "number" if isinstance(value, (int, float)) else type(value).__name__
+
+
+def _admits(kind, path, old, new) -> bool:
+    """Whether a field's documented rule admits ``new`` in place of its valid ``old``.
+
+    Each field admits its own JSON type; a config URL, model or path is a
+    string or null.
+    """
+    if kind == "config" and (path[0] == "paths" or path[-1].endswith(("_url", "_model"))):
+        return _json_type(new) in ("str", "NoneType")
+    return _json_type(new) == _json_type(old)
+
+
+def test_seeded_fuzz_of_one_leaf_of_each_json_input(tmp_path, trips_csv, capsys):
+    """A valid input document with one leaf replaced, in 500 seeded in-process calls.
+
+    The documents are those the code writes itself, so a new field is
+    fuzzed with no new case. No call may raise (exit 1 with a traceback),
+    and a value of a type its field does not admit exits 2 or 3.
+    """
+    documents = {
+        "spec": _written_json(default_synthetic_spec().to_json),
+        "city": _written_json(grid_city(width=3, height=3, pois_per_category=1).to_json),
+        "config": RunConfig().to_dict(),
+        "agent": json.loads(write_agent(tmp_path / "agent.json").read_text(encoding="utf-8")),
+    }
+    bad = tmp_path / "bad.json"
+    argv = {
+        "spec": ["gen-synth", "--spec", bad, "--size", 5, "--out", tmp_path / "trips-out.csv"],
+        "city": ["simulate", "--city", bad, "--reference", trips_csv, "--agents", 1,
+                 "--out", tmp_path / "day"],
+        "config": ["predict", "--config", bad, "--agent", tmp_path / "agent.json",
+                   "--reference", trips_csv],
+        "agent": ["predict", "--agent", bad, "--reference", trips_csv],
+    }
+    for kind, document in documents.items():
+        bad.write_text(json.dumps(document), encoding="utf-8")
+        assert run(argv[kind]) == 0, kind
+    cases = [
+        (kind, path, value)
+        for kind, document in documents.items()
+        for path in _leaves(document)
+        for value in _FUZZ_VALUES
+    ]
+    for kind, path, value in random.Random(0).sample(cases, 500):
+        document = copy.deepcopy(documents[kind])
+        parent = document
+        for key in path[:-1]:
+            parent = parent[key]
+        old, parent[path[-1]] = parent[path[-1]], value
+        bad.write_text(json.dumps(document), encoding="utf-8")
+        try:
+            code = run(argv[kind])
+        except Exception as exc:
+            pytest.fail(f"{kind} {path} = {value!r} raised {exc!r}")
+        allowed = (0, 2, 3, 4) if _admits(kind, path, old, value) else (2, 3)
+        assert code in allowed, (kind, path, value, code)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -996,7 +955,7 @@ def test_config_paths_section_supplies_reference(tmp_path, trips_csv):
     config.write_text(
         json.dumps({"paths": {"reference_csv": str(trips_csv)}}), encoding="utf-8"
     )
-    out = tmp_path / "graph.jsonl"
+    out = tmp_path / "graph.csv"
     assert run(["build-graph", "--config", config, "--out", out]) == 0
     assert out.exists()
 

@@ -1,10 +1,14 @@
 import json
 import math
 import random
+import warnings
 
+import numpy as np
 import pytest
 
-from preference_chain.errors import ParseFailure, ProviderError
+from preference_chain.behavior_graph import build_from_records
+from preference_chain.embedding import hash_embed
+from preference_chain.errors import EmbeddingError, ParseFailure, ProviderError
 from preference_chain.llm_remodel import (
     PRIOR_JSON_MARKER,
     CalibrationSource,
@@ -17,11 +21,12 @@ from preference_chain.llm_remodel import (
     json_blocks,
     parse_response,
 )
+from preference_chain.pipeline import PreferenceChain
 from preference_chain.preference import PreferenceDistribution, uniform_distribution
 from preference_chain.retrieval import QueryAgent
 from preference_chain.schema import ChoiceCategorySet
 
-from tests.conftest import make_profile
+from tests.conftest import make_profile, make_record
 
 _MODES = ChoiceCategorySet("mode", ("walk", "bike", "drive"))
 
@@ -301,6 +306,45 @@ def test_hostile_reply_never_breaks_calibration(reply, source):
     assert math.fsum(values) == pytest.approx(1.0, abs=1e-9)
     assert result.source == source
     assert result.prior is prior
+
+
+class _GarbledEmbedder:
+    """Hash vectors, garbled for every text, or for person or desire texts only."""
+
+    provider_id = "garbled"
+
+    def __init__(self, garble, texts):
+        self.garble, self.texts = garble, texts
+
+    def embed(self, text):
+        vec = hash_embed(text)
+        kind = "desire" if text.startswith("purpose:") else "person"
+        return self.garble(vec) if self.texts in ("every", kind) else vec
+
+
+def _with_last_entry(value):
+    return lambda vec: np.concatenate([vec[:-1], [value]])
+
+
+@pytest.mark.parametrize(
+    "garble,texts",
+    [
+        (_with_last_entry(math.nan), "every"),
+        (_with_last_entry(math.inf), "every"),
+        (lambda vec: np.stack([vec, vec]), "person"),
+        (lambda vec: np.stack([vec, vec]), "desire"),
+        (lambda vec: ["x"] * len(vec), "every"),
+    ],
+    ids=["nan", "infinity", "2d-person", "2d-desire", "strings"],
+)
+def test_garbled_embedding_raises_embedding_error(garble, texts):
+    """As ``PreferenceChain.predict`` documents: no bare numpy error, no warning."""
+    graph = build_from_records([make_record(), make_record(trip_purpose="shop", start_time=17)])
+    chain = PreferenceChain(graph, embed_provider=_GarbledEmbedder(garble, texts))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EmbeddingError):
+            chain.predict_all(_agent())
 
 
 def _random_hostile_reply(rng: random.Random) -> str:
