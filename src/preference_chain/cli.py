@@ -210,11 +210,7 @@ def _agent_from_json(path: Path) -> QueryAgent:
 def cmd_predict(args, config: RunConfig) -> int:
     out = args.out and _out_file(args.out)
     agent = _agent_from_json(_require_path(args.agent, "--agent"))
-    snapshot = args.graph or config.paths.graph_file
-    if snapshot:
-        records = _load_records(snapshot, "--graph")
-    else:
-        records = _load_records(args.reference or config.paths.reference_csv, "--reference")
+    records = _load_records(args.reference or config.paths.reference_csv, "--reference")
     graph = build_from_records(records)
     output = {
         name: {
@@ -387,8 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="prior + calibrated posterior for one agent", parents=[common])
     p.add_argument("--agent", required=True, help="agent JSON (profile, purpose, hour)")
-    p.add_argument("--graph", help="trip CSV written by build-graph (else built from --reference)")
-    p.add_argument("--reference", help="reference trip CSV")
+    p.add_argument("--reference", help="reference trip CSV, such as build-graph writes")
     p.add_argument("--out", help="also write the JSON result here")
     p.set_defaults(func=cmd_predict)
 

@@ -44,7 +44,6 @@ class PathsConfig:
     reference_csv: Optional[str] = None
     validation_csv: Optional[str] = None
     city_file: Optional[str] = None
-    graph_file: Optional[str] = None
     out_dir: Optional[str] = None
 
     def __post_init__(self):

@@ -35,6 +35,7 @@ from .rng import substream
 from .schema import (
     INPUT_CATEGORIES,
     PROFILE_FIELDS,
+    START_TIMES,
     TRIP_PURPOSES,
     AgentProfile,
     ChoiceCategorySet,
@@ -293,7 +294,8 @@ class TrafficTally:
 
     @classmethod
     def from_csv(cls, edge_fp: Optional[IO[str]] = None, poi_fp: Optional[IO[str]] = None) -> "TrafficTally":
-        """Read tally CSVs; a missing column or a bad value raises DataError."""
+        """Read tally CSVs; a missing column or cell, or a stripped hour or count that is
+        not in ``START_TIMES`` or not ASCII digits, raises DataError."""
         tally = cls()
         for fp, key, record in ((edge_fp, "edge", tally.record_edge), (poi_fp, "poi", tally.record_visit)):
             if fp is None:
@@ -301,11 +303,15 @@ class TrafficTally:
             reader = csv.DictReader(fp)
             try:
                 for row in reader:
-                    count = int(row["count"])
-                    if count < 0:
-                        raise ValueError(f"negative count {count}")
-                    record(row[key], int(row["hour"]), count)
-            except (KeyError, TypeError, ValueError, csv.Error) as exc:  # missing columns too
+                    if None in row.values():
+                        raise ValueError("a cell is missing")
+                    hour, count = row["hour"].strip(), row["count"].strip()
+                    if hour not in START_TIMES:
+                        raise ValueError(f"hour {hour!r} is not one of 0..23")
+                    if not (count.isascii() and count.isdigit()):
+                        raise ValueError(f"count {count!r} is not a string of digits")
+                    record(row[key], int(hour), int(count))
+            except (KeyError, ValueError, csv.Error) as exc:  # missing columns too
                 raise DataError(
                     f"{key} tally line {reader.line_num}: {type(exc).__name__}: {exc}"
                 ) from exc

@@ -20,7 +20,8 @@ from preference_chain.city import DEFAULT_MODE_SPEEDS, grid_city
 from preference_chain.config import RunConfig
 from preference_chain.cli import main
 from preference_chain.embedding import RemoteEmbedder
-from preference_chain.ingest import default_synthetic_spec, read_csv, write_csv_fp
+from preference_chain.ingest import default_synthetic_spec, read_csv, write_csv, write_csv_fp
+from preference_chain.schema import INPUT_CATEGORIES, OUTPUT_CATEGORIES, START_TIMES
 from tests.conftest import make_record
 from tests.test_embedding import _FakeResponse
 
@@ -194,6 +195,7 @@ def test_predict_stdout_is_pinned(tmp_path, capsys, pipeline, expected):
 
 
 def test_predict_from_graph_snapshot(tmp_path, trips_csv, capsys):
+    """build-graph writes a trip CSV that --reference reads: same prediction, same bytes."""
     snapshot = tmp_path / "graph.csv"
     assert run(["build-graph", "--reference", trips_csv, "--out", snapshot]) == 0
     agent = write_agent(tmp_path / "agent.json")
@@ -202,7 +204,7 @@ def test_predict_from_graph_snapshot(tmp_path, trips_csv, capsys):
     capsys.readouterr()
     assert run(["predict", "--agent", agent, "--reference", trips_csv, "--out", out_direct]) == 0
     printed = capsys.readouterr().out
-    assert run(["predict", "--agent", agent, "--graph", snapshot, "--out", out_snap]) == 0
+    assert run(["predict", "--agent", agent, "--reference", snapshot, "--out", out_snap]) == 0
     assert capsys.readouterr().out == printed
     assert out_direct.read_bytes() == out_snap.read_bytes()
 
@@ -636,10 +638,10 @@ def _broken_spec(mutate=None, **fields) -> str:
 @pytest.mark.parametrize(
     "kind,text",
     [
-        pytest.param("graph", "{oops\n", id="graph-not-a-trip-csv"),
-        pytest.param("graph", _trip_csv(b"teleport").decode("utf-8"), id="graph-unknown-mode"),
-        pytest.param("graph", _trip_csv_text([]), id="graph-no-records"),
-        pytest.param("graph", _trip_csv(b"walking\xff"), id="graph-not-utf8"),
+        pytest.param("reference", "{oops\n", id="reference-not-a-trip-csv"),
+        pytest.param("reference", _trip_csv(b"teleport").decode("utf-8"), id="reference-unknown-mode"),
+        pytest.param("reference", _trip_csv_text([]), id="reference-no-records"),
+        pytest.param("reference", _trip_csv(b"walking\xff"), id="reference-not-utf8"),
         pytest.param("validation", _trip_csv(b"teleport").decode("utf-8"), id="validation-unknown-mode"),
         pytest.param("city", "{oops", id="city-bad-json"),
         pytest.param("city", _nan_speed_city(), id="city-nan-speed"),
@@ -724,6 +726,10 @@ def _broken_spec(mutate=None, **fields) -> str:
         pytest.param("tally", "edge,hour,count\n0-1,24,3\n", id="tally-hour-24"),
         pytest.param("tally", "edge,hour,count\n0-1,8,3\n1-2,8,-1\n", id="tally-negative-count"),
         pytest.param("tally", "edge,hour,count\n0-1,99,3\n", id="tally-hour-99"),
+        pytest.param("tally", "edge,hour,count\n0-1,+5,3\n", id="tally-hour-plus"),
+        pytest.param("tally", "edge,hour,count\n0-1,\uff15,3\n", id="tally-hour-fullwidth"),
+        pytest.param("tally", "edge,hour,count\n0-1,8,5_0\n", id="tally-count-underscore"),
+        pytest.param("tally", "edge,hour,count\n0-1,8,+5\n", id="tally-count-plus"),
         pytest.param("tally", "edge,hour,count\n", id="tally-header-only"),
         pytest.param("tally", "edge,hour,count\n0-1,8,0\n", id="tally-zero-total"),
         pytest.param("spec", "{oops", id="spec-bad-json"),
@@ -760,8 +766,8 @@ def test_bad_input_files_exit_3(tmp_path, trips_csv, capsys, kind, text):
     out = tmp_path / "s"
     simulate = ["simulate", "--reference", trips_csv, "--agents", 1, "--out", out]
     argv = {
-        "graph": ["predict", "--agent", write_agent(tmp_path / "agent.json"), "--graph", bad,
-                  "--out", out],
+        "reference": ["predict", "--agent", write_agent(tmp_path / "agent.json"), "--reference",
+                      bad, "--out", out],
         "city": simulate + ["--city", bad],
         "tally": simulate + ["--city", city, "--reference-tally", bad],
         "spec": ["gen-synth", "--spec", bad, "--out", out],
@@ -770,7 +776,7 @@ def test_bad_input_files_exit_3(tmp_path, trips_csv, capsys, kind, text):
     assert run(argv) == 3
     err = capsys.readouterr().err
     assert "data error" in err and kind in err
-    if kind in ("graph", "validation"):  # a trip CSV error names the flag of its file
+    if kind in ("reference", "validation"):  # a trip CSV error names the flag of its file
         assert f"data error: --{kind}: " in err
     assert not out.exists()
 
@@ -910,6 +916,98 @@ def test_seeded_fuzz_of_one_leaf_of_each_json_input(tmp_path, trips_csv, capsys)
     assert "Traceback" not in capsys.readouterr().err
 
 
+_CSV_FUZZ_VALUES = (
+    "", " ", "true", "null", "7", "-1", "7.5", "+5", "5_0", "\uff15", "1e3", "nan",
+    "7" * 200_000, "7,5",
+)
+
+
+def _csv_rows(path) -> list[list[str]]:
+    with open(path, "r", encoding="utf-8", newline="") as fp:
+        return list(csv.reader(fp))
+
+
+def _csv_cell_runs(flag, column, value) -> bool:
+    """Whether a data cell of ``column`` holding ``value`` reads, by the documented rules.
+
+    A trip cell reads when its stripped value is a category of its column;
+    a tally hour is one of START_TIMES and a count ASCII digits, after
+    ``strip()``; a tally edge is any value the csv module reads.
+    """
+    if len(value) > csv.field_size_limit():
+        return False
+    if flag != "--reference-tally":
+        return value.strip() in {**INPUT_CATEGORIES, **OUTPUT_CATEGORIES}[column]
+    if column == "count":
+        return value.strip().isascii() and value.strip().isdigit()
+    return column == "edge" or value.strip() in START_TIMES
+
+
+def test_seeded_fuzz_of_one_cell_of_each_csv_input(tmp_path, trips_csv, capsys):
+    """A valid trip or tally CSV with one cell replaced or dropped, in about 330 in-process calls.
+
+    The files are those the code writes itself. A header cell or a
+    dropped cell exits 3; a data cell exits 0 exactly when its column's
+    rule admits it (``_csv_cell_runs``), else 3 naming the flag. No call
+    may raise (exit 1 with a traceback).
+    """
+    small = tmp_path / "small.csv"
+    write_csv(read_csv(trips_csv)[:5], small)
+    city = tmp_path / "city.json"
+    grid_city(width=3, height=3, pois_per_category=1).save(city)
+    simulate = ["simulate", "--city", city, "--reference", trips_csv, "--agents"]
+    assert run(simulate + [2, "--out", tmp_path / "day"]) == 0
+    bad = tmp_path / "bad.csv"
+    argv = {
+        "--reference": ["predict", "--agent", write_agent(tmp_path / "agent.json"),
+                        "--reference", bad],
+        "--validation": ["evaluate", "--reference", trips_csv, "--validation", bad,
+                         "--out", tmp_path / "eval"],
+        "--reference-tally": simulate + [1, "--reference-tally", bad, "--out", tmp_path / "sim"],
+    }
+    documents = {
+        "--reference": _csv_rows(small),
+        "--validation": _csv_rows(small),
+        "--reference-tally": _csv_rows(tmp_path / "day" / "edge_tally.csv"),
+    }
+
+    def write(rows):
+        with open(bad, "w", encoding="utf-8", newline="") as fp:
+            csv.writer(fp, lineterminator="\n").writerows(rows)
+
+    for flag, rows in documents.items():
+        write(rows)
+        assert run(argv[flag]) == 0, flag
+    cases = [
+        (flag, row, column, value, row > 0 and value is not None
+         and _csv_cell_runs(flag, rows[0][column], value))
+        for flag, rows in documents.items()
+        for row in range(len(rows))
+        for column in range(len(rows[0]))
+        for value in _CSV_FUZZ_VALUES + (None,)  # None drops the cell
+    ]
+    # Few values are admitted outside the tally's edge column, so each of those always runs.
+    always = [c for c in cases if c[-1] and documents[c[0]][0][c[2]] != "edge"]
+    rest = [c for c in cases if c not in always]
+    capsys.readouterr()
+    for flag, row, column, value, runs in always + random.Random(0).sample(rest, 300):
+        rows = copy.deepcopy(documents[flag])
+        if value is None:
+            del rows[row][column]
+        else:
+            rows[row][column] = value
+        write(rows)
+        try:
+            code = run(argv[flag])
+        except Exception as exc:
+            pytest.fail(f"{flag} row {row} column {column} = {value!r:.20} raised {exc!r}")
+        err = capsys.readouterr().err
+        assert code == (0 if runs else 3), (flag, row, column, f"{value!r:.20}", code, err)
+        if flag != "--reference-tally" and not runs:
+            assert f"data error: {flag}: " in err, err
+        assert "Traceback" not in err
+
+
 # ----------------------------------------------------------------------
 # config plumbing and provider failures
 # ----------------------------------------------------------------------
@@ -934,10 +1032,11 @@ def test_config_file_errors(tmp_path, capsys):
         {"generation": {"top_k": "lots"}},
         {"generation": {"repeat_penalty": -3}},
         {"paths": {"reference_csv": 5}},
+        {"paths": {"graph_file": "graph.csv"}},
         {"pipeline": {"blend": True}},
     ],
     ids=["mock-llm-string", "top-p-nan", "temperature-inf", "top-k-string", "repeat-penalty",
-         "path-number", "blend-bool"],
+         "path-number", "graph-file-key", "blend-bool"],
 )
 def test_bad_config_field_exits_2(tmp_path, trips_csv, capsys, section):
     """Each config section checks its own fields: a bad one exits 2 before any prediction."""
@@ -948,6 +1047,8 @@ def test_bad_config_field_exits_2(tmp_path, trips_csv, capsys, section):
     assert run(["predict", "--config", config, "--agent", agent] + reference) == 2
     captured = capsys.readouterr()
     assert "config error" in captured.err and captured.out == ""
+    if "paths" in section:  # the section's own check, not a file it names
+        assert "no such file" not in captured.err
 
 
 def test_config_paths_section_supplies_reference(tmp_path, trips_csv):
@@ -958,6 +1059,52 @@ def test_config_paths_section_supplies_reference(tmp_path, trips_csv):
     out = tmp_path / "graph.csv"
     assert run(["build-graph", "--config", config, "--out", out]) == 0
     assert out.exists()
+
+
+_PATH_FLAGS = [
+    ("build-graph", "--reference", "reference_csv"),
+    ("predict", "--reference", "reference_csv"),
+    ("evaluate", "--reference", "reference_csv"),
+    ("sweep", "--reference", "reference_csv"),
+    ("simulate", "--reference", "reference_csv"),
+    ("evaluate", "--validation", "validation_csv"),
+    ("simulate", "--city", "city_file"),
+    ("evaluate", "--out", "out_dir"),
+    ("sweep", "--out", "out_dir"),
+    ("simulate", "--out", "out_dir"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,flag,key", _PATH_FLAGS, ids=[f"{c}{f[1:]}" for c, f, _ in _PATH_FLAGS]
+)
+def test_a_path_flag_beats_the_config_file(tmp_path, trips_csv, capsys, command, flag, key):
+    """A config ``paths`` value that would fail loses to its flag: same exit 0, same stdout."""
+    city = tmp_path / "city.json"
+    grid_city(width=3, height=3, pois_per_category=1).save(city)
+    out = tmp_path / "out"
+    argv = {
+        "build-graph": ["--reference", trips_csv, "--out", tmp_path / "graph.csv"],
+        "predict": ["--agent", write_agent(tmp_path / "agent.json"), "--reference", trips_csv],
+        "evaluate": ["--reference", trips_csv, "--validation", trips_csv, "--out", out],
+        "sweep": ["--reference", trips_csv, "--sizes", "5,10", "--seeds", 1,
+                  "--n-validation", 10, "--out", out],
+        "simulate": ["--reference", trips_csv, "--city", city, "--agents", 1, "--out", out],
+    }[command]
+    if key == "out_dir":
+        failing = tmp_path / "taken"
+        failing.write_text("keep\n", encoding="utf-8")
+    else:
+        failing = tmp_path / "missing.csv"
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"paths": {key: str(failing)}}), encoding="utf-8")
+    assert run([command] + argv) == 0
+    printed = capsys.readouterr().out
+    assert run([command, "--config", config] + argv) == 0
+    assert capsys.readouterr().out == printed
+    without_flag = argv[:argv.index(flag)] + argv[argv.index(flag) + 2:]
+    assert run([command, "--config", config] + without_flag) == 2  # the config value is read
+    assert str(failing) in capsys.readouterr().err
 
 
 def test_unreachable_embed_provider_exits_4(tmp_path, trips_csv, capsys):

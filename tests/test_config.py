@@ -176,7 +176,7 @@ def test_config_hash_stability_and_sensitivity():
 def test_default_config_hash_is_pinned():
     assert (
         RunConfig().config_hash()
-        == "9816464adc77d5b264923edf8e7982b7e08b5355b3587647d6a7ea4d914ab1c9"
+        == "eb5733eec61465c31a8da40cfa8f9251a9cce5ae60694a8352f1671f9c369be8"
     )
 
 
@@ -201,7 +201,6 @@ def test_non_default_to_dict_is_pinned():
             "reference_csv": "ref.csv",
             "validation_csv": None,
             "city_file": None,
-            "graph_file": None,
             "out_dir": "runs/a",
         },
         "providers": {
@@ -223,7 +222,7 @@ def test_non_default_to_dict_is_pinned():
     }
     assert (
         config.config_hash()
-        == "76e95aafb8fa6088501edcee427ba03d0cea3ad59327e9f18df356c20bc59e92"
+        == "054a6d0d43f1885fb78286f22b6cdb6971c4a66a9564ff2dfc5818e3668af5e6"
     )
 
 
