@@ -1,7 +1,9 @@
 """Weighted directed behavior graph over Person/Desire/Intention nodes.
 
 The graph stores observed travelers (Person), their trip needs (Desire) and
-the choices they made (Intention). Edge weights all live in [0, 1]:
+the choices they made (Intention). A Desire keeps its int hour in
+``start_time`` and an Intention its output column in ``choice_set``; other
+nodes (Person, Agent) hold ``None`` in both. Edge weights all live in [0, 1]:
 
     relative_of  Person -> Person     household/social closeness
     want_to      Person -> Desire     desire similarity
@@ -18,10 +20,10 @@ alone holds the query's Agent node. A graph's choice sets are the schema's
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .embedding import profile_to_text
 from .errors import FrozenGraph, KindMismatch, UnknownNode, WeightOutOfRange
@@ -57,7 +59,8 @@ class Node:
     id: NodeId
     kind: NodeKind
     label: str
-    attributes: dict[str, str] = field(default_factory=dict)
+    choice_set: str | None
+    start_time: int | None
 
 
 @dataclass
@@ -121,7 +124,9 @@ class BehaviorGraph:
     # basic mutation
     # ------------------------------------------------------------------
 
-    def add_node(self, kind: NodeKind, label: str, attributes: Optional[dict] = None) -> NodeId:
+    def add_node(
+        self, kind: NodeKind, label: str, *, choice_set: str | None = None, start_time: int | None = None
+    ) -> NodeId:
         if self._person_indexes or self._desire_weights:
             raise FrozenGraph("a behavior graph cannot gain a node after its first query")
         if not isinstance(kind, NodeKind):
@@ -129,7 +134,7 @@ class BehaviorGraph:
         if not label:
             raise ValueError("node label must be non-empty")
         node_id = len(self.nodes)
-        self.nodes.append(Node(node_id, kind, label, dict(attributes or {})))
+        self.nodes.append(Node(node_id, kind, label, choice_set, start_time))
         self.out_edges[node_id] = []
         return node_id
 
@@ -197,9 +202,7 @@ def build_from_records(
     for record in records:
         person_id = person_index.get(record.profile)
         if person_id is None:
-            person_id = graph.add_node(
-                NodeKind.PERSON, profile_to_text(record.profile), record.profile.as_dict()
-            )
+            person_id = graph.add_node(NodeKind.PERSON, profile_to_text(record.profile))
             person_index[record.profile] = person_id
         if record.household_id is not None:
             households.setdefault(record.household_id, set()).add(person_id)
@@ -210,7 +213,7 @@ def build_from_records(
             desire_id = graph.add_node(
                 NodeKind.DESIRE,
                 desire_text(record.trip_purpose, record.start_time),
-                {"trip_purpose": record.trip_purpose, "start_time": str(record.start_time)},
+                start_time=record.start_time,
             )
             desire_index[desire_key] = desire_id
             graph.add_edge(person_id, desire_id, EdgeKind.WANT_TO, 1.0)
@@ -219,9 +222,7 @@ def build_from_records(
             option = getattr(record, field_name)
             intention_id = intention_index.get((field_name, option))
             if intention_id is None:
-                intention_id = graph.add_node(
-                    NodeKind.INTENTION, option, {"choice_set": field_name}
-                )
+                intention_id = graph.add_node(NodeKind.INTENTION, option, choice_set=field_name)
                 intention_index[(field_name, option)] = intention_id
             graph.add_edge(desire_id, intention_id, EdgeKind.CHOOSE_TO, 1.0)
 

@@ -74,21 +74,20 @@ from .retrieval import QueryAgent
 from .schema import BUNDLED_CHOICE_SETS, PROFILE_FIELDS, AgentProfile, decode_json
 
 
-def _require_path(value: Optional[str], flag: str) -> Path:
-    """A path that must be configured and name a regular file (ConfigError otherwise)."""
+def _given(value: Optional[str], fallback: Optional[str]) -> Optional[str]:
+    return fallback if value is None else value
+
+
+def _path(value: Optional[str], flag: str) -> Path:
+    """A configured path flag: unset (None) or empty, it is a ConfigError."""
     if not value:
-        raise ConfigError(f"{flag} is required (flag or config paths section)")
-    path = Path(value)
-    if not path.is_file():
-        raise ConfigError(f"{flag}: no such file {path}")
-    return path
+        raise ConfigError(f"{flag} is {'required' if value is None else 'empty'}")
+    return Path(value)
 
 
 def _out_file(value: Optional[str]) -> Path:
     """The --out file, checked before any work: not a directory, in one that exists."""
-    if not value:
-        raise ConfigError("--out file is required")
-    path = Path(value)
+    path = _path(value, "--out")
     if path.is_dir():
         raise ConfigError(f"--out {path} is a directory")
     if not path.parent.is_dir():
@@ -98,23 +97,29 @@ def _out_file(value: Optional[str]) -> Path:
 
 def _out_dir(args, config: RunConfig) -> Path:
     """The --out directory, checked but not created: ``_write_run`` creates it."""
-    value = args.out or config.paths.out_dir
-    if not value:
-        raise ConfigError("--out directory is required")
-    if Path(value).exists() and not Path(value).is_dir():
-        raise ConfigError(f"--out {value} exists and is not a directory")
-    return Path(value)
+    path = _path(_given(args.out, config.paths.out_dir), "--out")
+    if path.exists() and not path.is_dir():
+        raise ConfigError(f"--out {path} exists and is not a directory")
+    return path
+
+
+def _read(value: Optional[str], flag: str, parse):
+    """``parse`` of the UTF-8 file a flag names; a DataError it raises names the flag."""
+    path = _path(value, flag)
+    if not path.is_file():
+        raise ConfigError(f"{flag}: no such file {path}")
+    try:
+        with open(path, "r", encoding="utf-8") as fp:
+            return parse(fp)
+    except DataError as exc:
+        raise DataError(f"{flag}: {exc}") from exc
 
 
 def _load_records(value: Optional[str], flag: str):
-    """The records of the trip CSV a flag names; a DataError, EmptyReference when it holds none, names the flag."""
-    path = _require_path(value, flag)
-    try:
-        records = read_csv(path)
-    except DataError as exc:
-        raise DataError(f"{flag}: {exc}") from exc
+    """The records of the trip CSV a flag names; EmptyReference, naming the flag, when it holds none."""
+    records = _read(value, flag, lambda fp: read_csv(fp.name))  # read_csv reads the bytes itself
     if not records:
-        raise EmptyReference(f"{flag}: {path} contains no records")
+        raise EmptyReference(f"{flag}: {value} contains no records")
     return records
 
 
@@ -167,13 +172,11 @@ def _at_least(value: int, flag: str, minimum: int = 0) -> int:
 
 def cmd_gen_synth(args, config: RunConfig) -> int:
     out = _out_file(args.out)
-    if args.spec:
-        with open(_require_path(args.spec, "--spec"), "r", encoding="utf-8") as fp:
-            spec = SyntheticSpec.from_json(fp)
-    else:
-        spec = default_synthetic_spec()
+    spec, seed = default_synthetic_spec(), config.pipeline.seed
+    if args.spec is not None:  # a spec file draws with its own seed unless --seed is given
+        spec = _read(args.spec, "--spec", SyntheticSpec.from_json)
+        seed = spec.seed if args.seed is None else seed
     size = _at_least(args.size, "--size") if args.size is not None else spec.population
-    seed = spec.seed if args.spec and args.seed is None else config.pipeline.seed
     records = generate_synthetic(spec, size=size, seed=seed)
     write_csv(records, out)
     print(f"wrote {len(records)} records to {args.out}")
@@ -182,7 +185,7 @@ def cmd_gen_synth(args, config: RunConfig) -> int:
 
 def cmd_build_graph(args, config: RunConfig) -> int:
     out = _out_file(args.out)
-    records = _load_records(args.reference or config.paths.reference_csv, "--reference")
+    records = _load_records(_given(args.reference, config.paths.reference_csv), "--reference")
     graph = build_from_records(records)
     write_csv(records, out)
     print(
@@ -192,14 +195,13 @@ def cmd_build_graph(args, config: RunConfig) -> int:
     return 0
 
 
-def _agent_from_json(path: Path) -> QueryAgent:
-    with open(path, "r", encoding="utf-8") as fp:
-        try:
-            obj = decode_json(fp.read())
-        except ValueError as exc:  # malformed JSON, undecodable bytes or a huge integer
-            raise DataError(f"agent {path} is not valid JSON: {exc}") from exc
+def _agent_from_json(fp) -> QueryAgent:
+    try:
+        obj = decode_json(fp.read())
+    except ValueError as exc:  # malformed JSON, undecodable bytes or a huge integer
+        raise DataError(f"not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
-        raise DataError(f"agent {path} must hold a JSON object")
+        raise DataError("the agent must be a JSON object")
     fields = obj.get("profile")
     if not isinstance(fields, dict):
         raise SchemaViolation(-1, "profile", fields, "missing profile object")
@@ -208,9 +210,9 @@ def _agent_from_json(path: Path) -> QueryAgent:
 
 
 def cmd_predict(args, config: RunConfig) -> int:
-    out = args.out and _out_file(args.out)
-    agent = _agent_from_json(_require_path(args.agent, "--agent"))
-    records = _load_records(args.reference or config.paths.reference_csv, "--reference")
+    out = None if args.out is None else _out_file(args.out)
+    agent = _read(args.agent, "--agent", _agent_from_json)
+    records = _load_records(_given(args.reference, config.paths.reference_csv), "--reference")
     graph = build_from_records(records)
     output = {
         name: {
@@ -229,8 +231,8 @@ def cmd_predict(args, config: RunConfig) -> int:
 
 
 def cmd_evaluate(args, config: RunConfig) -> int:
-    reference = _load_records(args.reference or config.paths.reference_csv, "--reference")
-    validation = _load_records(args.validation or config.paths.validation_csv, "--validation")
+    reference = _load_records(_given(args.reference, config.paths.reference_csv), "--reference")
+    validation = _load_records(_given(args.validation, config.paths.validation_csv), "--validation")
     out = _out_dir(args, config)
     seed = config.pipeline.seed
 
@@ -270,7 +272,7 @@ def cmd_sweep(args, config: RunConfig) -> int:
     sizes = _parse_int_list(args.sizes, "--sizes")
     seeds = list(range(_at_least(args.seeds, "--seeds"))) or [config.pipeline.seed]
     n_validation = _at_least(args.n_validation, "--n-validation", 1)
-    records = _load_records(args.reference or config.paths.reference_csv, "--reference")
+    records = _load_records(_given(args.reference, config.paths.reference_csv), "--reference")
     out = _out_dir(args, config)
     embed, llm = build_embed_provider(config), build_llm_provider(config)
     rows = sweep_reference_sizes(
@@ -291,20 +293,19 @@ def cmd_sweep(args, config: RunConfig) -> int:
 def cmd_simulate(args, config: RunConfig) -> int:
     n_agents = _at_least(args.agents, "--agents", 1)
     out = _out_dir(args, config)
-    city_path = args.city or config.paths.city_file
-    if city_path:
-        city = CityModel.load(_require_path(city_path, "--city"))
-    else:
+    city_path = _given(args.city, config.paths.city_file)
+    if city_path is None:
         city = grid_city(seed=config.pipeline.seed)
-    reference = _load_records(args.reference or config.paths.reference_csv, "--reference")
+    else:
+        city = _read(city_path, "--city", CityModel.from_json)
+    reference = _load_records(_given(args.reference, config.paths.reference_csv), "--reference")
     chain = _build_chain(build_from_records(reference), config)
     seed = config.pipeline.seed
     reference_tally = None
-    if args.reference_tally:
-        with open(_require_path(args.reference_tally, "--reference-tally"), "r", encoding="utf-8") as fp:
-            reference_tally = TrafficTally.from_csv(edge_fp=fp)
+    if args.reference_tally is not None:
+        reference_tally = _read(args.reference_tally, "--reference-tally", TrafficTally.from_csv)
         if reference_tally.total_edge_traversals() == 0:
-            raise EmptySamples(f"reference tally {args.reference_tally} has zero total")
+            raise EmptySamples(f"--reference-tally: {args.reference_tally} has zero total")
 
     spec = default_synthetic_spec()
     profiles = generate_profiles(n_agents, spec, seed)

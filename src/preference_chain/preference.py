@@ -122,7 +122,7 @@ def _walk_paths(subgraph: BehavioralSubgraph, max_edges: int) -> dict[tuple[str,
     query's subgraph and walk state to the cyclic garbage collector.
     """
     scorer: dict[tuple[str, str], NodeId] = {
-        (node.attributes.get("choice_set"), node.label): node.id
+        (node.choice_set, node.label): node.id
         for node in subgraph.nodes.values()
         if node.kind == NodeKind.INTENTION
     }
@@ -168,7 +168,7 @@ def _walk_graph(extraction: Extraction, max_edges: int) -> dict[tuple[str, str],
     sums = {}
     for node_id in sorted(terms):  # the last intention naming an option wins
         node = graph_nodes[node_id]
-        sums[(node.attributes.get("choice_set"), node.label)] = math.fsum(terms[node_id])
+        sums[(node.choice_set, node.label)] = math.fsum(terms[node_id])
     return sums
 
 

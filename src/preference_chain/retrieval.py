@@ -101,8 +101,8 @@ class BehavioralSubgraph:
 
     Tests build one to score a graph of their own; ``preference.raw_scores``
     walks its ``out_edges`` on every call. An Intention's choice set is its
-    ``attributes["choice_set"]``. All weights are finalized; parallel edges
-    are kept (each contributes its own path).
+    node's ``choice_set``. All weights are finalized; parallel edges are
+    kept (each contributes its own path).
     """
 
     agent_id: ClassVar[NodeId] = AGENT_NODE_ID
@@ -117,8 +117,7 @@ class BehavioralSubgraph:
         choice_set: Optional[str] = None,
     ) -> NodeId:
         if node_id not in self.nodes:
-            attributes = {} if choice_set is None else {"choice_set": choice_set}
-            self.nodes[node_id] = Node(node_id, kind, label, attributes)
+            self.nodes[node_id] = Node(node_id, kind, label, choice_set, None)
             self.out_edges[node_id] = []
         return node_id
 
@@ -136,7 +135,7 @@ def _copy_subgraph(extraction: Extraction) -> tuple[dict, dict]:
     then in the map too.
     """
     graph, depths, depth = extraction.graph, extraction.depths, extraction.depth
-    nodes = {AGENT_NODE_ID: Node(AGENT_NODE_ID, NodeKind.AGENT, extraction.agent_label)}
+    nodes = {AGENT_NODE_ID: Node(AGENT_NODE_ID, NodeKind.AGENT, extraction.agent_label, None, None)}
     out_edges = {AGENT_NODE_ID: [(p, EdgeKind.SIMILAR_TO, w) for p, w in extraction.persons]}
     for node_id in sorted(depths):
         nodes[node_id] = graph.nodes[node_id]
@@ -230,7 +229,7 @@ def extract_subgraph(
     finalizes the weights of its edges that depend on the query desire:
     want_to from the desire-text similarity (through the graph's table),
     choose_to from the temporal proximity of the hours. So an embedder
-    error, or a desire without ``start_time``, raises here.
+    error, or a desire without a start hour, raises here.
     """
     if not persons:
         raise ValueError("persons must be non-empty")
@@ -275,8 +274,7 @@ def extract_subgraph(
                         want[target] = weight
                 elif edge.kind == _CHOOSE_TO and node_id not in choose:
                     # the source is the desire carrying the recorded hour
-                    recorded_hour = int(nodes[node_id].attributes["start_time"])
-                    choose[node_id] = temporal_proximity(agent.start_time, recorded_hour, tau)
+                    choose[node_id] = temporal_proximity(agent.start_time, nodes[node_id].start_time, tau)
         frontier = next_frontier
 
     return Extraction(graph, agent.profile_text, tuple(persons), best, depth, want, choose)

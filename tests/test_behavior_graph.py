@@ -20,7 +20,6 @@ from preference_chain.schema import (
     AGE_GROUPS,
     AVAILABLE_VEHICLES,
     BUNDLED_CHOICE_SETS,
-    AgentProfile,
     DURATION_BINS,
     DURATION_SET,
     PRIMARY_MODE_SET,
@@ -261,7 +260,7 @@ def test_snapshot_round_trip_bit_exact(tmp_path):
     assert _same_graph(loaded, g)
     intentions = loaded.nodes_of_kind(NodeKind.INTENTION)
     assert any(
-        (n.label, n.attributes) == (records[0].primary_mode, {"choice_set": "primary_mode"})
+        (n.label, n.choice_set, n.start_time) == (records[0].primary_mode, "primary_mode", None)
         for n in intentions
     )
 
@@ -286,16 +285,21 @@ def test_built_graphs_validate_and_survive_a_snapshot(tmp_path):
             config = GraphBuildConfig(intention_fields=fields)
             g = build_from_records(records, config)
             # each node states what its records say: the rules a stored graph once checked
+            profiles = list(dict.fromkeys(record.profile for record in records))
+            persons = g.nodes_of_kind(NodeKind.PERSON)
+            assert [p.label for p in persons] == [profile_to_text(p) for p in profiles]
+            desires = {desire_text(r.trip_purpose, r.start_time): r.start_time for r in records}
             options = set()
             for node in g.nodes:
                 if node.kind == NodeKind.PERSON:
-                    assert node.label == profile_to_text(AgentProfile(**node.attributes))
+                    assert (node.choice_set, node.start_time) == (None, None)
                 elif node.kind == NodeKind.DESIRE:
-                    purpose, hour = node.attributes["trip_purpose"], node.attributes["start_time"]
-                    assert node.label == desire_text(purpose, int(hour))
+                    assert type(node.start_time) is int and node.choice_set is None
+                    assert desires[node.label] == node.start_time
                 else:
-                    option = (node.attributes["choice_set"], node.label)
+                    option = (node.choice_set, node.label)
                     assert option[1] in g.choice_sets[option[0]] and option not in options
+                    assert node.start_time is None
                     options.add(option)
             assert _same_graph(_rebuilt_from_csv(records, config, path), g)
 

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -732,6 +733,9 @@ def _broken_spec(mutate=None, **fields) -> str:
         pytest.param("tally", "edge,hour,count\n0-1,8,+5\n", id="tally-count-plus"),
         pytest.param("tally", "edge,hour,count\n", id="tally-header-only"),
         pytest.param("tally", "edge,hour,count\n0-1,8,0\n", id="tally-zero-total"),
+        pytest.param("agent", "{oops", id="agent-bad-json"),
+        pytest.param("agent", "[1, 2]", id="agent-not-an-object"),
+        pytest.param("agent", json.dumps({"profile": {}}), id="agent-empty-profile"),
         pytest.param("spec", "{oops", id="spec-bad-json"),
         pytest.param("spec", _broken_spec(population="10"), id="spec-population-string"),
         pytest.param("spec", _broken_spec(population=5.5), id="spec-population-float"),
@@ -772,12 +776,11 @@ def test_bad_input_files_exit_3(tmp_path, trips_csv, capsys, kind, text):
         "tally": simulate + ["--city", city, "--reference-tally", bad],
         "spec": ["gen-synth", "--spec", bad, "--out", out],
         "validation": ["evaluate", "--reference", trips_csv, "--validation", bad, "--out", out],
+        "agent": ["predict", "--agent", bad, "--reference", trips_csv, "--out", out],
     }[kind]
     assert run(argv) == 3
-    err = capsys.readouterr().err
-    assert "data error" in err and kind in err
-    if kind in ("reference", "validation"):  # a trip CSV error names the flag of its file
-        assert f"data error: --{kind}: " in err
+    flag = "--reference-tally" if kind == "tally" else f"--{kind}"
+    assert f"data error: {flag}: " in capsys.readouterr().err  # each file's error names its flag
     assert not out.exists()
 
 
@@ -1003,7 +1006,7 @@ def test_seeded_fuzz_of_one_cell_of_each_csv_input(tmp_path, trips_csv, capsys):
             pytest.fail(f"{flag} row {row} column {column} = {value!r:.20} raised {exc!r}")
         err = capsys.readouterr().err
         assert code == (0 if runs else 3), (flag, row, column, f"{value!r:.20}", code, err)
-        if flag != "--reference-tally" and not runs:
+        if not runs:
             assert f"data error: {flag}: " in err, err
         assert "Traceback" not in err
 
@@ -1105,6 +1108,60 @@ def test_a_path_flag_beats_the_config_file(tmp_path, trips_csv, capsys, command,
     without_flag = argv[:argv.index(flag)] + argv[argv.index(flag) + 2:]
     assert run([command, "--config", config] + without_flag) == 2  # the config value is read
     assert str(failing) in capsys.readouterr().err
+    # An empty flag is given, not unset: it exits 2 even when the config value would run.
+    config.write_text(json.dumps({"paths": {key: str(argv[argv.index(flag) + 1])}}), encoding="utf-8")
+    assert run([command, "--config", config] + without_flag) == 0
+    capsys.readouterr()
+    empty = argv[:argv.index(flag) + 1] + [""] + argv[argv.index(flag) + 2:]
+    assert run([command, "--config", config] + empty) == 2
+    assert f"config error: {flag} is empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,flag", [("gen-synth", "--spec"), ("gen-synth", "--out"), ("build-graph", "--out"),
+                     ("predict", "--out"), ("simulate", "--reference-tally")],
+)
+def test_an_empty_path_flag_without_a_config_value_exits_2(tmp_path, trips_csv, capsys, command, flag):
+    """A flag with no config key is used only when given, and given empty it exits 2."""
+    argv = {
+        "gen-synth": ["--size", 5, "--out", tmp_path / "trips-out.csv"],
+        "build-graph": ["--reference", trips_csv, "--out", tmp_path / "graph.csv"],
+        "predict": ["--agent", write_agent(tmp_path / "agent.json"), "--reference", trips_csv,
+                    "--out", tmp_path / "prediction.json"],
+        "simulate": ["--reference", trips_csv, "--agents", 1, "--out", tmp_path / "day"],
+    }[command]
+    if flag in argv:
+        argv = argv[:argv.index(flag)] + argv[argv.index(flag) + 2:]
+    assert run([command] + argv + [flag, ""]) == 2
+    assert f"config error: {flag} is empty" in capsys.readouterr().err
+    assert {path.name for path in tmp_path.iterdir()} <= {"trips.csv", "agent.json"}  # no output
+
+
+def test_the_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
+    """Each ``prefchain`` line of the README's CLI quick start exits 0, in order, in one directory.
+
+    A heredoc writes its file; any other shell line fails the test, so
+    the block stays one that this test runs in full.
+    """
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick start (CLI)", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = iter(block.replace("\\\n", " ").splitlines())
+    monkeypatch.chdir(tmp_path)
+    commands = set()
+    for line in lines:
+        words = shlex.split(line, comments=True)
+        if words[:2] == ["cat", ">"] and words[3:] == ["<<EOF"]:  # shlex drops the quotes of 'EOF'
+            body = []
+            for body_line in lines:
+                if body_line == "EOF":
+                    break
+                body.append(body_line + "\n")
+            (tmp_path / words[2]).write_text("".join(body), encoding="utf-8")
+        elif words:
+            assert words[0] == "prefchain", line
+            assert main(words[1:]) == 0, (line, capsys.readouterr().err)
+            commands.add(words[1])
+    assert commands == {"gen-synth", "build-graph", "predict", "evaluate", "sweep", "simulate"}
 
 
 def test_unreachable_embed_provider_exits_4(tmp_path, trips_csv, capsys):

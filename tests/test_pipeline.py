@@ -138,7 +138,7 @@ def test_predict_all_covers_registered_choice_sets():
 def test_the_default_build_config_scores_every_output_column():
     records = generate_synthetic(default_synthetic_spec(), size=40, seed=41)
     graph = build_from_records(records)
-    intentions = {n.attributes["choice_set"] for n in graph.nodes_of_kind(NodeKind.INTENTION)}
+    intentions = {n.choice_set for n in graph.nodes_of_kind(NodeKind.INTENTION)}
     assert intentions == set(OUTPUT_CATEGORIES)
     results = PreferenceChain(graph).predict_all(_agent())
     expected = _chain().predict_all(_agent())
@@ -327,7 +327,7 @@ def test_person_added_after_a_chains_query_is_retrieved_by_its_next_query():
     counts = (graph.node_count(), graph.edge_count())
     profile = make_profile()  # the agent's own profile
     with pytest.raises(FrozenGraph):
-        graph.add_node(NodeKind.PERSON, profile_to_text(profile), profile.as_dict())
+        graph.add_node(NodeKind.PERSON, profile_to_text(profile))
     assert (graph.node_count(), graph.edge_count()) == counts
     assert repr(chain.predict_all(_agent())) == before
 

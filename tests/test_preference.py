@@ -181,7 +181,7 @@ def _per_choice_set_scores(subgraph, choice_set, max_edges):
     node_of = {  # option label -> node id; the last intention naming it wins
         n.label: n.id
         for n in subgraph.nodes.values()
-        if n.kind == NodeKind.INTENTION and n.attributes.get("choice_set") == choice_set.name
+        if n.kind == NodeKind.INTENTION and n.choice_set == choice_set.name
     }
     option_of = {node_id: option for option, node_id in node_of.items() if option in choice_set}
     weights = {option: [] for option in choice_set.options}
@@ -317,14 +317,14 @@ def _random_behavior_graph(rng: random.Random):
     rng.shuffle(intentions)
     desires = []
     for i, (name, option) in enumerate(intentions):
-        graph.add_node(NodeKind.INTENTION, option, {"choice_set": name})
+        graph.add_node(NodeKind.INTENTION, option, choice_set=name)
         if i == 0 or rng.random() < 0.5:
             hour = rng.randrange(24)
             desires.append(
                 graph.add_node(
                     NodeKind.DESIRE,
                     desire_text(rng.choice(TRIP_PURPOSES[:3]), hour),
-                    {"start_time": str(hour)},
+                    start_time=hour,
                 )
             )
     intention_ids = [n.id for n in graph.nodes if n.kind == NodeKind.INTENTION]
@@ -346,9 +346,7 @@ def _scoring_node(subgraph, choice_set, option):
     """The last intention of ``subgraph`` naming the option, or None."""
     found = None
     for node in subgraph.nodes.values():
-        if node.kind == NodeKind.INTENTION and (
-            node.attributes.get("choice_set"), node.label
-        ) == (choice_set.name, option):
+        if node.kind == NodeKind.INTENTION and (node.choice_set, node.label) == (choice_set.name, option):
             found = node.id
     return found
 
@@ -396,11 +394,7 @@ def test_graph_walk_equals_the_copy_walk_and_brute_force():
             seen["parallel choose_to"] += len(choose) - len(set(choose))
             wanted = [t for _, t, k in edges if k == EdgeKind.WANT_TO]
             seen["shared desire"] += len(wanted) - len(set(wanted))
-            keys = [
-                (n.attributes["choice_set"], n.label)
-                for n in copy.nodes.values()
-                if n.kind == NodeKind.INTENTION
-            ]
+            keys = [(n.choice_set, n.label) for n in copy.nodes.values() if n.kind == NodeKind.INTENTION]
             seen["twin"] += len(keys) - len(set(keys))
     assert all(seen.values()), seen  # the graphs exercised every shape
 

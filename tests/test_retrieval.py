@@ -198,7 +198,7 @@ def test_person_added_after_a_query_is_retrieved():
     counts = (graph.node_count(), graph.edge_count())
     profile = make_profile()  # the agent's own profile
     with pytest.raises(FrozenGraph):
-        graph.add_node(NodeKind.PERSON, profile_to_text(profile), profile.as_dict())
+        graph.add_node(NodeKind.PERSON, profile_to_text(profile))
     assert (graph.node_count(), graph.edge_count()) == counts
     assert top_k_similar(graph, _agent(), 2, provider) == before
 
@@ -369,7 +369,7 @@ def _subgraph_by_add_calls(graph, agent, persons, depth, tau):
     sub.add_node(AGENT_NODE_ID, NodeKind.AGENT, profile_to_text(agent.profile))
     for node_id in sorted(best):
         node = graph.nodes[node_id]
-        sub.add_node(node_id, node.kind, node.label, node.attributes.get("choice_set"))
+        sub.add_node(node_id, node.kind, node.label, node.choice_set)
     for person_id, w_sim in persons:
         sub.add_edge(AGENT_NODE_ID, person_id, EdgeKind.SIMILAR_TO, w_sim)
     for node_id in sorted(best):
@@ -382,7 +382,7 @@ def _subgraph_by_add_calls(graph, agent, persons, depth, tau):
                 target = provider.embed(graph.nodes[edge.target].label)
                 weight = similarity_weight(query_vec, target)
             elif edge.kind == EdgeKind.CHOOSE_TO:
-                hour = int(graph.nodes[node_id].attributes["start_time"])
+                hour = graph.nodes[node_id].start_time
                 weight = temporal_proximity(agent.start_time, hour, tau)
             else:
                 continue
@@ -391,7 +391,7 @@ def _subgraph_by_add_calls(graph, agent, persons, depth, tau):
 
 
 def _node_facts(sub):
-    return [(n.id, n.kind, n.label, n.attributes.get("choice_set")) for n in sub.nodes.values()]
+    return [(n.id, n.kind, n.label, n.choice_set) for n in sub.nodes.values()]
 
 
 def _one_pass_inputs(rng: random.Random):
@@ -458,7 +458,8 @@ def test_subgraph_depth_three_reaches_relatives_intentions():
     graph = _build(records)
     agent = _agent()
     p1 = top_k_similar(graph, agent, 1, HashEmbedder())
-    assert graph.node(p1[0][0]).attributes["age_group"] == "25-34"
+    assert records[0].profile.age_group == "25-34"
+    assert graph.node(p1[0][0]).label == profile_to_text(records[0].profile)
 
     sub3 = extract_subgraph(graph, agent, p1, HashEmbedder(), depth=3)
     labels3 = {n.label for n in sub3.nodes.values() if n.kind == NodeKind.INTENTION}
@@ -620,9 +621,8 @@ def _graph_with_persons():
 
 def _graph_without_persons():
     graph = _build([])
-    attributes = {"trip_purpose": "work", "start_time": "8"}
-    graph.add_node(NodeKind.DESIRE, desire_text("work", 8), attributes)
-    graph.add_node(NodeKind.INTENTION, "walking", {"choice_set": "primary_mode"})
+    graph.add_node(NodeKind.DESIRE, desire_text("work", 8), start_time=8)
+    graph.add_node(NodeKind.INTENTION, "walking", choice_set="primary_mode")
     return graph
 
 
@@ -653,7 +653,7 @@ def _edit(graph):
     desire = graph.nodes_of_kind(NodeKind.DESIRE)[0].id
     intention = graph.nodes_of_kind(NodeKind.INTENTION)[0].id
     return [
-        lambda: graph.add_node(NodeKind.INTENTION, "bicycle", {"choice_set": "primary_mode"}),
+        lambda: graph.add_node(NodeKind.INTENTION, "bicycle", choice_set="primary_mode"),
         lambda: graph.add_edge(desire, intention, EdgeKind.CHOOSE_TO, 1.0),
     ]
 

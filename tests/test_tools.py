@@ -22,9 +22,14 @@ class Knobs:
     size: int = 3
     members: frozenset = field(init=False, repr=False, default=frozenset())
     # a comment
+
+
+def scaled(size, *, scale=2.0, name):
+    """One keyword-only parameter with a default and one without."""
+    return size * scale
 '''
 
 
 def test_count_skips_class_vars_and_init_false_fields():
-    # 14 lines: 7 of code, 2 of docstrings, 1 comment and 1 settable value
-    assert src_size.count(_SOURCE) == (14, 7, 2, 1, 1)
+    # 19 lines: 9 of code, 3 of docstrings, 1 comment and 2 settable values
+    assert src_size.count(_SOURCE) == (19, 9, 3, 1, 2)
