@@ -2,9 +2,11 @@
 
 Every reference trip becomes a person node (deduplicated by profile)
 connected to desire nodes (one per trip purpose the person pursued) and
-intention nodes (one per concrete choice option). Agent-side edges are
-finalized later, at query time, so the graph is query-independent and
-is stored as the trip CSV it was built from.
+intention nodes (one per concrete choice option). Each node keeps its
+out-edges as typed adjacency lists (``graph.desires``, ``graph.relatives``,
+``graph.intentions``); ``graph.edges()`` builds edge records on read.
+Agent-side edges are finalized later, at query time, so the graph is
+query-independent and is stored as the trip CSV it was built from.
 
 Run:  python demos/01_build_behavior_graph.py
 """
@@ -30,16 +32,19 @@ print(f"  {len(persons)} persons (deduplicated from {len(records)} trips)")
 print(f"  {len(desires)} desires, {len(intentions)} intentions")
 print(f"  choice sets (the schema's): {sorted(graph.choice_sets)}\n")
 
-# Walk one person's outgoing edges: want_to -> desire, then choose_to -> intention.
+# Walk one person's typed adjacency lists: its desires (want_to), each
+# desire's intentions (choose_to) and its relatives (relative_of). The graph
+# stores no edge objects, and only relative_of edges keep a weight: the
+# want_to and choose_to weights depend on the query and are finalized then.
 person = persons[0]
 print(f"person {person.id} ({person.label!r}):")
-for edge in graph.out_edges[person.id]:
-    target = graph.node(edge.target)
-    print(f"  --{edge.kind.value}/{edge.weight:.3f}--> {target.kind.value} {target.label!r}")
-    if target.kind == NodeKind.DESIRE:
-        for nxt in graph.out_edges[target.id][:3]:
-            choice = graph.node(nxt.target)
-            print(f"      --{nxt.kind.value}/{nxt.weight:.3f}--> {choice.label!r}")
+for desire_id in graph.desires[person.id]:
+    print(f"  --want_to--> Desire {graph.node(desire_id).label!r}")
+    for intention_id in graph.intentions[desire_id][:3]:
+        choice = graph.node(intention_id)
+        print(f"      --choose_to--> {choice.choice_set} {choice.label!r}")
+for relative_id, weight in graph.relatives[person.id]:
+    print(f"  --relative_of/{weight:.3f}--> Person {relative_id}")
 
 # The build is deterministic, so a graph is stored as its trip CSV:
 # building from the records read back gives the same graph.

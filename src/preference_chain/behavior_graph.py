@@ -10,11 +10,14 @@ nodes (Person, Agent) hold ``None`` in both. Edge weights all live in [0, 1]:
     choose_to    Desire -> Intention  temporal proximity of the choice
     similar_to   Agent  -> Person     profile similarity (query subgraph only)
 
-``want_to`` and ``choose_to`` weights depend on the querying agent's desire
-and are therefore stored as 1.0 placeholders at build time; they are
-finalized during subgraph extraction (see ``retrieval``), whose subgraph
-alone holds the query's Agent node. A graph's choice sets are the schema's
-``BUNDLED_CHOICE_SETS``.
+The graph stores no edge objects. Each node keeps three typed adjacency
+lists, indexed by node id and filled by ``add_edge``: its desires
+(want_to targets), its relatives (``(target, weight)`` pairs) and its
+intentions (choose_to targets). ``want_to`` and ``choose_to`` weights depend on the querying
+agent's desire, so they are not stored: ``edges()`` reports them as 1.0
+placeholders, and subgraph extraction (see ``retrieval``) finalizes them;
+its subgraph alone holds the query's Agent node. Only relative_of weights
+are stored. A graph's choice sets are the schema's ``BUNDLED_CHOICE_SETS``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
-from typing import Iterable
+from typing import Iterator, Sequence
 
 from .embedding import profile_to_text
 from .errors import FrozenGraph, KindMismatch, UnknownNode, WeightOutOfRange
@@ -54,7 +57,7 @@ _ENDPOINT_RULES: dict[EdgeKind, tuple[NodeKind, NodeKind]] = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
     id: NodeId
     kind: NodeKind
@@ -63,8 +66,10 @@ class Node:
     start_time: int | None
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Edge:
+    """One edge as ``BehaviorGraph.edges()`` reports it; no graph stores one."""
+
     source: NodeId
     target: NodeId
     kind: EdgeKind
@@ -73,6 +78,9 @@ class Edge:
 
 # Weight of the relative_of edges between members of one household.
 RELATIVE_WEIGHT = 1.0
+
+# Default decay (hours) of ``temporal_proximity``, the pipeline's ``tau``.
+DEFAULT_TAU = 4.0
 
 
 @dataclass(frozen=True)
@@ -91,7 +99,7 @@ class GraphBuildConfig:
                 raise ValueError(f"unknown intention field {name!r}")
 
 
-def temporal_proximity(hour_a: int, hour_b: int, tau: float = 4.0) -> float:
+def temporal_proximity(hour_a: int, hour_b: int, tau: float = DEFAULT_TAU) -> float:
     """Choice-edge weight exp(-delta/tau) from the circular hour distance.
 
     delta is the distance on a 24-hour clock, so it lies in [0, 12] and the
@@ -113,7 +121,12 @@ class BehaviorGraph:
 
     def __init__(self):
         self.nodes: list[Node] = []
-        self.out_edges: dict[NodeId, list[Edge]] = {}
+        # [node id] -> its want_to targets, relative_of (target, weight) pairs
+        # and choose_to targets, each in the order added; a shared () until
+        # the node's first edge of that kind
+        self.desires: list[Sequence[NodeId]] = []
+        self.relatives: list[Sequence[tuple[NodeId, float]]] = []
+        self.intentions: list[Sequence[NodeId]] = []
         # provider id -> retrieval's person index, built by the first search
         self._person_indexes: dict[str, tuple] = {}
         # provider id -> (query desire text, stored desire text) -> retrieval's
@@ -135,7 +148,8 @@ class BehaviorGraph:
             raise ValueError("node label must be non-empty")
         node_id = len(self.nodes)
         self.nodes.append(Node(node_id, kind, label, choice_set, start_time))
-        self.out_edges[node_id] = []
+        for lists in (self.desires, self.relatives, self.intentions):
+            lists.append(())
         return node_id
 
     def add_edge(self, source: NodeId, target: NodeId, kind: EdgeKind, weight: float) -> None:
@@ -150,7 +164,12 @@ class BehaviorGraph:
             raise KindMismatch(
                 f"{kind.value} edge may not connect {pair[0].value} -> {pair[1].value}"
             )
-        self.out_edges[source].append(Edge(source, target, kind, weight))
+        if kind is EdgeKind.WANT_TO:
+            _append(self.desires, source, target)
+        elif kind is EdgeKind.RELATIVE_OF:
+            _append(self.relatives, source, (target, weight))
+        else:
+            _append(self.intentions, source, target)
 
     # ------------------------------------------------------------------
     # queries
@@ -165,14 +184,31 @@ class BehaviorGraph:
         return len(self.nodes)
 
     def edge_count(self) -> int:
-        return sum(len(edges) for edges in self.out_edges.values())
+        return sum(len(targets) for lists in (self.desires, self.relatives, self.intentions)
+                   for targets in lists)
 
     def nodes_of_kind(self, kind: NodeKind) -> list[Node]:
         return [n for n in self.nodes if n.kind == kind]
 
-    def edges(self) -> Iterable[Edge]:
-        for node_id in range(len(self.nodes)):
-            yield from self.out_edges[node_id]
+    def edges(self) -> Iterator[Edge]:
+        """Every edge, built on read: by source id, then want_to, relative_of
+        and choose_to, each kind in the order added. want_to and choose_to
+        edges carry the 1.0 placeholder weight."""
+        for source in range(len(self.nodes)):
+            for target in self.desires[source]:
+                yield Edge(source, target, EdgeKind.WANT_TO, 1.0)
+            for target, weight in self.relatives[source]:
+                yield Edge(source, target, EdgeKind.RELATIVE_OF, weight)
+            for target in self.intentions[source]:
+                yield Edge(source, target, EdgeKind.CHOOSE_TO, 1.0)
+
+
+def _append(lists: list, node_id: NodeId, item) -> None:
+    """Append ``item`` to a node's adjacency list, in place of its shared ()."""
+    if lists[node_id]:
+        lists[node_id].append(item)
+    else:
+        lists[node_id] = [item]
 
 
 def desire_text(trip_purpose: str, start_time: int) -> str:

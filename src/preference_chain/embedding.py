@@ -9,7 +9,10 @@ edge weights. Two providers ship with the package:
   * RemoteEmbedder — HTTP provider posting {"model", "prompt"} and reading
     a top-level "embedding" array from the JSON response.
 
-Each provider instance embeds a text once; see ``_CachedEmbedder``.
+``embed`` caches each text's vector per provider instance; ``compute``
+embeds a text without caching it. A graph's person index calls
+``compute`` (see ``retrieval._person_index``), so a person vector lives
+once, in the index, and is computed once per graph it appears in.
 Only ``http_session`` imports ``requests``, when a remote provider is
 built, so offline runs never load the HTTP stack.
 """
@@ -136,7 +139,8 @@ def post_json(session, url: str, payload: dict, timeout: float, field: str):
 
 
 class _CachedEmbedder:
-    """Embeds each text once per instance; subclasses supply ``_compute``."""
+    """``embed`` caches each text's vector per instance; subclasses supply
+    ``compute``, which embeds a text without touching the cache."""
 
     def __init__(self, provider_id: str):
         self.provider_id = provider_id
@@ -148,7 +152,7 @@ class _CachedEmbedder:
             cached = self._cache.get(text)
         if cached is not None:
             return cached
-        vec = self._compute(text)
+        vec = self.compute(text)
         with self._lock:
             self._cache[text] = vec
         return vec
@@ -161,7 +165,7 @@ class HashEmbedder(_CachedEmbedder):
         super().__init__(f"hash-{dimension}")
         self.dimension = dimension
 
-    def _compute(self, text: str) -> np.ndarray:
+    def compute(self, text: str) -> np.ndarray:
         return hash_embed(text, self.dimension)
 
 
@@ -189,7 +193,7 @@ class RemoteEmbedder(_CachedEmbedder):
         self.timeout = timeout
         self._session = http_session(session)
 
-    def _compute(self, text: str) -> np.ndarray:
+    def compute(self, text: str) -> np.ndarray:
         if not text.strip():
             raise EmptyText("cannot embed empty text")
         payload = {"model": self.model, "prompt": text}

@@ -70,12 +70,16 @@ def joint_from_samples(
     return JointDistribution(tuple(groups), choices, counts / counts.sum())
 
 
+# Default smoothing of ``kld``, also that of ``mobility_sim.flow_kld`` and ``poi_kld``.
+DEFAULT_KLD_EPSILON = 1e-9
+
+
 def _smooth(cells: np.ndarray, epsilon: float) -> np.ndarray:
     smoothed = cells + epsilon
     return smoothed / smoothed.sum()
 
 
-def kld(p: JointDistribution, q: JointDistribution, epsilon: float = 1e-9) -> float:
+def kld(p: JointDistribution, q: JointDistribution, epsilon: float = DEFAULT_KLD_EPSILON) -> float:
     """Kullback-Leibler divergence sum_ij P(i,j) ln(P(i,j)/Q(i,j)).
 
     Both joints are epsilon-smoothed first; cells where the smoothed P is

@@ -28,7 +28,7 @@ from .embedding import profile_to_text
 from .errors import DataError, EmptySamples, ParseFailure, ProviderError
 from .ingest import SyntheticSpec, draw_column, profiles_from_columns
 from .llm_remodel import GenerationParams, LlmProvider, json_blocks
-from .metrics import JointDistribution, kld
+from .metrics import DEFAULT_KLD_EPSILON, JointDistribution, kld
 from .pipeline import PreferenceChain
 from .retrieval import QueryAgent
 from .rng import substream
@@ -341,14 +341,14 @@ def _tally_kld(
     return kld(joint(true_counts), joint(sim_counts), epsilon)
 
 
-def flow_kld(sim: TrafficTally, reference: TrafficTally, epsilon: float = 1e-9) -> float:
+def flow_kld(sim: TrafficTally, reference: TrafficTally, epsilon: float = DEFAULT_KLD_EPSILON) -> float:
     """KLD of the hour-summed edge-flow distribution, reference as truth."""
     return _tally_kld(
         _hour_summed(reference.edge_counts), _hour_summed(sim.edge_counts), "edge", epsilon
     )
 
 
-def poi_kld(sim: TrafficTally, reference: TrafficTally, epsilon: float = 1e-9) -> float:
+def poi_kld(sim: TrafficTally, reference: TrafficTally, epsilon: float = DEFAULT_KLD_EPSILON) -> float:
     """KLD of the hour-summed POI-visit distribution, reference as truth."""
     return _tally_kld(
         _hour_summed(reference.poi_counts), _hour_summed(sim.poi_counts), "poi", epsilon

@@ -16,7 +16,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .behavior_graph import BehaviorGraph
+from .behavior_graph import DEFAULT_TAU, BehaviorGraph
 from .embedding import EmbeddingProvider, HashEmbedder
 from .errors import EmptyGraph, check_config, not_booleans
 from .llm_remodel import (
@@ -33,7 +33,7 @@ from .preference import (
     prior_distribution,
     uniform_distribution,
 )
-from .retrieval import Extraction, QueryAgent, extract_subgraph, top_k_similar
+from .retrieval import DEFAULT_DEPTH, Extraction, QueryAgent, extract_subgraph, top_k_similar
 from .schema import ChoiceCategorySet
 
 
@@ -48,9 +48,9 @@ class PipelineConfig:
 
     k: int = 5                      # similar persons retrieved
     max_path_edges: int = DEFAULT_MAX_PATH_EDGES
-    depth: int = 3                  # forward search depth from person nodes
+    depth: int = DEFAULT_DEPTH      # forward search depth from person nodes
     epsilon: float = 0.0            # additive smoothing on raw scores
-    tau: float = 4.0                # temporal-proximity decay (hours)
+    tau: float = DEFAULT_TAU        # temporal-proximity decay (hours)
     blend: float = 1.0              # posterior = blend*llm + (1-blend)*prior
     seed: int = 0
     generation: GenerationParams = field(default_factory=GenerationParams)

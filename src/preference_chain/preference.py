@@ -21,13 +21,11 @@ from itertools import accumulate
 
 import numpy as np
 
-from .behavior_graph import EdgeKind, NodeId, NodeKind
+from .behavior_graph import NodeId, NodeKind
 from .retrieval import BehavioralSubgraph, Extraction
 from .schema import SUM_TOLERANCE, ChoiceCategorySet
 
 DEFAULT_MAX_PATH_EDGES = 4
-
-_WANT_TO = EdgeKind.WANT_TO  # bound once, as in ``retrieval``
 
 
 @dataclass
@@ -136,38 +134,39 @@ def _walk_paths(subgraph: BehavioralSubgraph, max_edges: int) -> dict[tuple[str,
 def _walk_graph(extraction: Extraction, max_edges: int) -> dict[tuple[str, str], float]:
     """``_walk_paths`` of an extracted subgraph, read from the behavior graph.
 
-    ``BehaviorGraph.add_edge`` lets a Person have only relative_of and
-    want_to edges, a Desire only choose_to edges and an Intention none. So
-    every path runs agent, persons, one desire, one intention: the walk
-    goes on only through relatives, and adds one term per choose_to edge of
-    a desire. The scoring intentions are the choose_to targets of the
-    desires inside the depth budget. Products are taken in path order, so
-    the sums equal ``_walk_paths`` on the copy bit for bit.
+    ``BehaviorGraph.add_edge`` lets a Person have only relatives and
+    desires, a Desire only intentions and an Intention nothing. So every
+    path runs agent, persons, one desire, one intention: the walk goes on
+    only through a person's relatives, and adds one term per intention of
+    a desire. The scoring intentions are those of the desires inside the
+    depth budget. Products are taken in path order, so the sums equal
+    ``_walk_paths`` on the copy bit for bit.
     """
-    graph_edges, depths, depth = extraction.graph.out_edges, extraction.depths, extraction.depth
+    graph, depths, depth = extraction.graph, extraction.depths, extraction.depth
+    desires, relatives, intentions = graph.desires, graph.relatives, graph.intentions
     want, choose = extraction.want, extraction.choose
     terms: dict[NodeId, list[float]] = {
-        edge.target: [] for desire in choose for edge in graph_edges[desire]
+        intention: [] for desire in choose for intention in intentions[desire]
     }
     # (person, path weight, edges left after it, persons on the path)
     stack = [(p, w, max_edges - 1, (p,)) for p, w in extraction.persons] if max_edges >= 3 else []
     while stack:
         person, weight, edges_left, on_path = stack.pop()
-        for edge in graph_edges[person]:
-            target = edge.target
-            if edge.kind == _WANT_TO:
-                choose_weight = choose.get(target)  # None past the depth budget
-                if choose_weight is not None:
-                    path_weight = weight * want[target] * choose_weight
-                    for chosen in graph_edges[target]:
-                        terms[chosen.target].append(path_weight)
-            # a relative's intentions are three edges on
-            elif edges_left > 2 and target not in on_path and depths[target] < depth:
-                stack.append((target, weight * edge.weight, edges_left - 1, on_path + (target,)))
-    graph_nodes = extraction.graph.nodes
+        for desire in desires[person]:
+            choose_weight = choose.get(desire)  # None past the depth budget
+            if choose_weight is not None:
+                path_weight = weight * want[desire] * choose_weight
+                for intention in intentions[desire]:
+                    terms[intention].append(path_weight)
+        if edges_left > 2:  # a relative's intentions are three edges on
+            for relative, relative_weight in relatives[person]:
+                if relative not in on_path and depths[relative] < depth:
+                    stack.append(
+                        (relative, weight * relative_weight, edges_left - 1, on_path + (relative,))
+                    )
     sums = {}
     for node_id in sorted(terms):  # the last intention naming an option wins
-        node = graph_nodes[node_id]
+        node = graph.nodes[node_id]
         sums[(node.choice_set, node.label)] = math.fsum(terms[node_id])
     return sums
 

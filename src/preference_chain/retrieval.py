@@ -2,13 +2,16 @@
 
 A query runs in two stages: vector similarity search picks the top-k most
 similar Person nodes (``top_k_similar``), then a breadth-first search
-(default depth 3 edges) walks forward from all of them at once collecting
+(``DEFAULT_DEPTH`` edges unless told otherwise) walks forward over the
+graph's typed adjacency lists from all of them at once collecting
 desires and intentions (``extract_subgraph``). The search returns an
 ``Extraction``, the query's read-only record; a ``BehavioralSubgraph`` is
 a plain graph that tests build by hand.
 
 Each cache is described by its owner: ``QueryAgent``, ``BehaviorGraph``,
-``Extraction`` and ``pipeline.PreferenceChain``.
+``Extraction`` and ``pipeline.PreferenceChain``. The person vectors live
+once, in the graph's person index (``_person_index``), not in the
+provider's cache.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from typing import ClassVar, Optional
 import numpy as np
 
 from .behavior_graph import (
+    DEFAULT_TAU,
     BehaviorGraph,
     EdgeKind,
     Node,
@@ -34,10 +38,8 @@ from .schema import AgentProfile, check_desire
 
 AGENT_NODE_ID: NodeId = -1
 
-# Bound once: looking a member up on its Enum class costs several times
-# more than comparing two members.
-_PERSON = NodeKind.PERSON
-_RELATIVE_OF, _WANT_TO, _CHOOSE_TO = EdgeKind.RELATIVE_OF, EdgeKind.WANT_TO, EdgeKind.CHOOSE_TO
+# Default forward search depth of ``extract_subgraph``, the pipeline's ``depth``.
+DEFAULT_DEPTH = 3
 
 
 @dataclass(frozen=True)
@@ -71,7 +73,7 @@ class Extraction:
     froze (``preference._walk_graph``), and keeps the path sums of each
     path length limit in ``path_sums``. ``nodes`` and ``out_edges``, the
     subgraph as a copy, are built on their first read; only the benchmark
-    tracer, demos and tests read them. ``node_count()`` builds no copy.
+    tracer and tests read them. ``node_count()`` builds no copy.
     """
 
     agent_id: ClassVar[NodeId] = AGENT_NODE_ID
@@ -131,10 +133,12 @@ def _copy_subgraph(extraction: Extraction) -> tuple[dict, dict]:
     """The nodes and out_edges of an extracted subgraph.
 
     Every node the search reached, in id order after the agent, with its
-    edges if it sits strictly inside the depth budget; every edge target is
-    then in the map too.
+    edges if it sits strictly inside the depth budget: its want_to,
+    relative_of and choose_to edges, in the order ``BehaviorGraph.edges``
+    gives them. Every edge target is then in the map too.
     """
     graph, depths, depth = extraction.graph, extraction.depths, extraction.depth
+    want, choose = extraction.want, extraction.choose
     nodes = {AGENT_NODE_ID: Node(AGENT_NODE_ID, NodeKind.AGENT, extraction.agent_label, None, None)}
     out_edges = {AGENT_NODE_ID: [(p, EdgeKind.SIMILAR_TO, w) for p, w in extraction.persons]}
     for node_id in sorted(depths):
@@ -142,29 +146,34 @@ def _copy_subgraph(extraction: Extraction) -> tuple[dict, dict]:
         edges = out_edges[node_id] = []
         if depths[node_id] == depth:
             continue
-        for edge in graph.out_edges[node_id]:
-            if edge.kind == _RELATIVE_OF:
-                weight = edge.weight
-            elif edge.kind == _WANT_TO:
-                weight = extraction.want[edge.target]
-            else:
-                weight = extraction.choose[node_id]
-            edges.append((edge.target, edge.kind, weight))
+        edges.extend((t, EdgeKind.WANT_TO, want[t]) for t in graph.desires[node_id])
+        edges.extend((t, EdgeKind.RELATIVE_OF, w) for t, w in graph.relatives[node_id])
+        edges.extend((t, EdgeKind.CHOOSE_TO, choose[node_id]) for t in graph.intentions[node_id])
     return nodes, out_edges
 
 
 def _person_index(graph: BehaviorGraph, provider: EmbeddingProvider):
-    """(person ids, row-normalized embedding matrix), cached on the graph once full.
+    """(person ids, row-normalized embedding matrix, label -> its first row),
+    cached on the graph once full.
 
-    The matrix is filled in place: no list of row copies lives beside it.
+    The index owns the person vectors. It embeds each distinct label once,
+    with the provider's ``compute`` when it has one, which leaves nothing in
+    the provider's cache, and otherwise with ``embed``. The matrix is filled
+    in place: no list of row copies lives beside it.
     """
     entry = graph._person_indexes.get(provider.provider_id)
     if entry is None:
         persons = graph.nodes_of_kind(NodeKind.PERSON)
+        compute = getattr(provider, "compute", provider.embed)
         ids = [p.id for p in persons]
+        rows: dict[str, int] = {}
         matrix = np.zeros((0, 1))
         for i, p in enumerate(persons):
-            vec, norm = _norm(provider.embed(p.label))
+            row = rows.setdefault(p.label, i)
+            if row != i:  # a label seen before: the same vector
+                matrix[i] = matrix[row]
+                continue
+            vec, norm = _norm(compute(p.label))
             if norm == 0.0:
                 raise ZeroVector(f"person node {p.id} embedded to the zero vector")
             if i == 0:
@@ -172,7 +181,7 @@ def _person_index(graph: BehaviorGraph, provider: EmbeddingProvider):
             if vec.shape != matrix.shape[1:]:
                 raise DimensionMismatch("person embeddings have different lengths")
             np.divide(vec, norm, out=matrix[i])
-        entry = (ids, matrix)
+        entry = (ids, matrix, rows)
         graph._person_indexes[provider.provider_id] = entry
     return entry
 
@@ -190,18 +199,27 @@ def top_k_similar(
     or above it are sorted. Every member of the top k is among them, ties
     at the threshold included, so the result is exactly that of sorting
     every person.
+
+    A profile text that is a person's label is not embedded again: its
+    query vector is a copy of that person's row, the same normalized vector
+    the embedding would give.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    ids, matrix = _person_index(graph, provider)
+    ids, matrix, rows = _person_index(graph, provider)
     if not ids:
         raise EmptyGraph("graph contains no Person nodes")
-    query, norm = _norm(provider.embed(agent.profile_text))
-    if query.shape != matrix.shape[1:]:
-        raise DimensionMismatch(f"query embedding {query.shape} vs persons {matrix.shape[1:]}")
-    if norm == 0.0:
-        raise ZeroVector("query profile embedded to the zero vector")
-    sims = np.clip(matrix @ (query / norm), 0.0, 1.0)
+    row = rows.get(agent.profile_text)
+    if row is not None:
+        query = matrix[row].copy()
+    else:
+        vec, norm = _norm(provider.embed(agent.profile_text))
+        if vec.shape != matrix.shape[1:]:
+            raise DimensionMismatch(f"query embedding {vec.shape} vs persons {matrix.shape[1:]}")
+        if norm == 0.0:
+            raise ZeroVector("query profile embedded to the zero vector")
+        query = vec / norm
+    sims = np.clip(matrix @ query, 0.0, 1.0)
     cut = max(len(ids) - k, 0)
     candidates = np.flatnonzero(sims >= np.partition(sims, cut)[cut]).tolist()
     ranked = sorted(
@@ -216,8 +234,8 @@ def extract_subgraph(
     agent: QueryAgent,
     persons: list[tuple[NodeId, float]],
     provider: EmbeddingProvider,
-    depth: int = 3,
-    tau: float = 4.0,
+    depth: int = DEFAULT_DEPTH,
+    tau: float = DEFAULT_TAU,
 ) -> Extraction:
     """Breadth-first forward search from the selected persons.
 
@@ -236,9 +254,9 @@ def extract_subgraph(
     if depth < 1:
         raise ValueError("depth must be >= 1")
     for person_id, _ in persons:
-        if graph.node(person_id).kind != _PERSON:
+        if graph.node(person_id).kind != NodeKind.PERSON:
             raise UnknownNode(f"node {person_id} is not a Person")
-    out_edges, nodes = graph.out_edges, graph.nodes
+    desires, relatives, intentions, nodes = graph.desires, graph.relatives, graph.intentions, graph.nodes
     # Embedded even when every want_to weight is in the table, so that an
     # embedder failing on the query desire fails every query alike.
     query_desire = agent.desire_text()
@@ -246,35 +264,46 @@ def extract_subgraph(
     want_weights = graph._desire_weights.setdefault(provider.provider_id, {})
 
     # Minimal edge distance from the nearest selected person, by a
-    # breadth-first search from all of them at once; each node inside the
-    # depth budget is expanded once, and the weights of its want_to and
-    # choose_to edges are finalized then. Every edge out of a Person or
-    # Desire may be followed (see ``preference._walk_graph``).
+    # breadth-first search from all of them at once. ``add_edge`` lets a
+    # Person reach only desires and persons and a Desire only intentions,
+    # which reach nothing, so the search keeps one frontier of persons and
+    # one of desires. Each node inside the depth budget is expanded once,
+    # and the weights of its want_to and choose_to edges are finalized then.
+    # Every edge out of a Person or Desire may be followed (see
+    # ``preference._walk_graph``).
     best: dict[NodeId, int] = {person_id: 0 for person_id, _ in persons}
     want: dict[NodeId, float] = {}
     choose: dict[NodeId, float] = {}
-    frontier = list(best)
+    person_frontier: list[NodeId] = list(best)
+    desire_frontier: list[NodeId] = []
     for d in range(1, depth + 1):
-        if not frontier:  # nothing left to visit
+        if not (person_frontier or desire_frontier):  # nothing left to visit
             break
-        next_frontier = []
-        for node_id in frontier:
-            for edge in out_edges[node_id]:
-                target = edge.target
+        for desire in desire_frontier:
+            chosen = intentions[desire]
+            if chosen:
+                # the desire carries the recorded hour
+                choose[desire] = temporal_proximity(agent.start_time, nodes[desire].start_time, tau)
+                for target in chosen:
+                    if target not in best:
+                        best[target] = d
+        next_persons, desire_frontier = [], []
+        for person in person_frontier:
+            for target in desires[person]:
                 if target not in best:
                     best[target] = d
-                    next_frontier.append(target)
-                if edge.kind == _WANT_TO:
-                    if target not in want:
-                        key = (query_desire, nodes[target].label)
-                        weight = want_weights.get(key)
-                        if weight is None:
-                            weight = similarity_weight(query_desire_vec, provider.embed(key[1]))
-                            want_weights[key] = weight
-                        want[target] = weight
-                elif edge.kind == _CHOOSE_TO and node_id not in choose:
-                    # the source is the desire carrying the recorded hour
-                    choose[node_id] = temporal_proximity(agent.start_time, nodes[node_id].start_time, tau)
-        frontier = next_frontier
+                    desire_frontier.append(target)
+                if target not in want:
+                    key = (query_desire, nodes[target].label)
+                    weight = want_weights.get(key)
+                    if weight is None:
+                        weight = similarity_weight(query_desire_vec, provider.embed(key[1]))
+                        want_weights[key] = weight
+                    want[target] = weight
+            for target, _ in relatives[person]:
+                if target not in best:
+                    best[target] = d
+                    next_persons.append(target)
+        person_frontier = next_persons
 
     return Extraction(graph, agent.profile_text, tuple(persons), best, depth, want, choose)

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 
@@ -6,6 +7,7 @@ import pytest
 
 from preference_chain.behavior_graph import (
     BehaviorGraph,
+    Edge,
     EdgeKind,
     GraphBuildConfig,
     NodeKind,
@@ -114,6 +116,45 @@ def test_node_ids_and_edge_weights_are_numbers_not_booleans():
             g.add_edge(p, d, EdgeKind.WANT_TO, weight)
     g.add_edge(p, d, EdgeKind.WANT_TO, 1)
     assert [e.weight for e in g.edges()] == [1]
+
+
+def test_edges_are_read_from_typed_lists_in_source_then_kind_order():
+    g = BehaviorGraph()
+    p, q = g.add_node(NodeKind.PERSON, "p"), g.add_node(NodeKind.PERSON, "q")
+    d = g.add_node(NodeKind.DESIRE, "d", start_time=8)
+    i = g.add_node(NodeKind.INTENTION, "walking", choice_set="primary_mode")
+    g.add_edge(d, i, EdgeKind.CHOOSE_TO, 0.25)
+    g.add_edge(p, q, EdgeKind.RELATIVE_OF, 0.5)
+    g.add_edge(p, d, EdgeKind.WANT_TO, 0.75)
+    g.add_edge(p, d, EdgeKind.WANT_TO, 1.0)  # parallel edges are kept
+    assert g.desires == [[d, d], (), (), ()]
+    assert g.relatives == [[(q, 0.5)], (), (), ()]
+    assert g.intentions == [(), (), [i], ()]
+    # want_to and choose_to weights are query-time values: edges() reports placeholders
+    assert list(g.edges()) == [
+        Edge(p, d, EdgeKind.WANT_TO, 1.0),
+        Edge(p, d, EdgeKind.WANT_TO, 1.0),
+        Edge(p, q, EdgeKind.RELATIVE_OF, 0.5),
+        Edge(d, i, EdgeKind.CHOOSE_TO, 1.0),
+    ]
+    assert g.edge_count() == 4
+
+
+def _live_edges() -> int:
+    gc.collect()
+    return sum(isinstance(obj, Edge) for obj in gc.get_objects())
+
+
+def test_a_built_graph_holds_no_edge_objects_and_slotted_nodes():
+    records = generate_synthetic(default_synthetic_spec(), size=60, seed=4)
+    records[1] = make_record(profile=records[1].profile, household_id="h")
+    records[2] = make_record(profile=records[2].profile, household_id="h")
+    before = _live_edges()
+    g = build_from_records(records)
+    assert _live_edges() == before
+    assert g.edge_count() == len(list(g.edges())) > len(records)
+    assert {e.kind for e in g.edges()} == {EdgeKind.WANT_TO, EdgeKind.RELATIVE_OF, EdgeKind.CHOOSE_TO}
+    assert not any(hasattr(node, "__dict__") for node in g.nodes)
 
 
 def test_temporal_proximity_bounds_and_symmetry():

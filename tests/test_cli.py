@@ -11,12 +11,13 @@ import random
 import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from preference_chain import config as config_module
-from preference_chain.behavior_graph import NodeKind
+from preference_chain.behavior_graph import EdgeKind, NodeKind, build_from_records
 from preference_chain.city import DEFAULT_MODE_SPEEDS, grid_city
 from preference_chain.config import RunConfig
 from preference_chain.cli import main
@@ -173,6 +174,12 @@ def test_predict_identity_mock_echoes_prior(tmp_path, trips_csv, capsys):
         assert sum(entry["prior"].values()) == pytest.approx(1.0, abs=1e-9)
 
 
+# The reference of each pinned stdout that is not ``predict_reference.csv``.
+# Its households give the graph relative_of edges, which no other pinned
+# output has (see ``test_the_household_fixture_scores_relatives``).
+_PINNED_REFERENCES = {"predict_stdout_households.json": "predict_reference_households.csv"}
+
+
 @pytest.mark.parametrize(
     "pipeline,expected",
     [
@@ -181,18 +188,37 @@ def test_predict_identity_mock_echoes_prior(tmp_path, trips_csv, capsys):
             {"k": 2, "max_path_edges": 3, "depth": 2, "epsilon": 0.01, "tau": 2.0, "blend": 0.5},
             "predict_stdout_knobs.json",
         ),
+        (None, "predict_stdout_households.json"),
     ],
 )
 def test_predict_stdout_is_pinned(tmp_path, capsys, pipeline, expected):
     data = Path(__file__).parent / "data"
     agent = write_agent(tmp_path / "agent.json", context="light rain")
-    argv = ["predict", "--agent", agent, "--reference", data / "predict_reference.csv"]
+    reference = _PINNED_REFERENCES.get(expected, "predict_reference.csv")
+    argv = ["predict", "--agent", agent, "--reference", data / reference]
     if pipeline is not None:
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"pipeline": pipeline}), encoding="utf-8")
         argv = ["--config", config] + argv
     assert run(argv) == 0
     assert capsys.readouterr().out == (data / expected).read_text(encoding="utf-8")
+
+
+def test_the_household_fixture_scores_relatives():
+    """The household fixture is ``predict_reference.csv`` plus a seeded
+    ``household_id``; its relative_of edges change the pinned prediction."""
+    data = Path(__file__).parent / "data"
+    plain = read_csv(data / "predict_reference.csv")
+    households = read_csv(data / "predict_reference_households.csv")
+    assert [replace(r, household_id=None) for r in households] == plain
+    rng = random.Random(0)
+    assert [r.household_id for r in households] == [f"h{rng.randrange(len(plain) // 3)}" for _ in plain]
+    graph = build_from_records(households)
+    assert any(e.kind == EdgeKind.RELATIVE_OF for e in graph.edges())
+    pinned = {name: (data / name).read_text(encoding="utf-8") for name in (
+        "predict_stdout.json", "predict_stdout_households.json"
+    )}
+    assert pinned["predict_stdout.json"] != pinned["predict_stdout_households.json"]
 
 
 def test_predict_from_graph_snapshot(tmp_path, trips_csv, capsys):
@@ -1162,6 +1188,15 @@ def test_the_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
             assert main(words[1:]) == 0, (line, capsys.readouterr().err)
             commands.add(words[1])
     assert commands == {"gen-synth", "build-graph", "predict", "evaluate", "sweep", "simulate"}
+
+
+def test_the_readme_library_quick_start_runs(capsys):
+    """The README's library quick start runs as written, importing from the package top."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick start (library)", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert "from preference_chain import (" in block
+    exec(compile(block, "README.md", "exec"), {"__name__": "readme_quick_start"})
+    assert capsys.readouterr().out.rstrip().endswith("llm_accepted")
 
 
 def test_unreachable_embed_provider_exits_4(tmp_path, trips_csv, capsys):

@@ -171,9 +171,9 @@ def test_person_index_is_built_once_per_graph_and_freed_with_it():
     class CountingEmbedder(HashEmbedder):
         calls = 0
 
-        def embed(self, text):
+        def compute(self, text):  # every embedding not read from the cache
             self.calls += 1
-            return super().embed(text)
+            return super().compute(text)
 
     records = generate_synthetic(default_synthetic_spec(), size=30, seed=24)
     graph = _build(records)
@@ -182,13 +182,47 @@ def test_person_index_is_built_once_per_graph_and_freed_with_it():
     top_k_similar(graph, _agent(), 3, provider)
     assert provider.calls == n_persons + 1
     top_k_similar(graph, _agent(start_time=9), 3, provider)
-    assert provider.calls == n_persons + 2  # only the query is embedded again
+    assert provider.calls == n_persons + 1  # the query's vector comes from the cache
     top_k_similar(_build(records), _agent(), 3, provider)
-    assert provider.calls == 2 * n_persons + 3  # a new graph builds its own index
+    assert provider.calls == 2 * n_persons + 1  # a new graph builds its own index
     graph_ref = weakref.ref(graph)
     del graph
     gc.collect()
     assert graph_ref() is None
+
+
+def test_the_provider_cache_keeps_no_person_vector():
+    records = generate_synthetic(default_synthetic_spec(), size=60, seed=25)
+    graph = _build(records)
+    labels = {person.label for person in graph.nodes_of_kind(NodeKind.PERSON)}
+    provider = HashEmbedder()
+    member = QueryAgent(records[0].profile, "work", 8)  # its profile text is a label
+    for agent in (_agent(), member):
+        extract_subgraph(graph, agent, top_k_similar(graph, agent, 5, provider), provider)
+    assert member.profile_text in labels and _agent().profile_text not in labels
+    assert _agent().profile_text in provider._cache
+    assert not labels & provider._cache.keys()
+
+
+def test_a_query_equal_to_a_label_reads_the_row_the_embedding_would_give():
+    # ``spaced`` is the same graph with a space after each person label: the
+    # same tokens, so the same hash vectors, but no label equals a profile
+    # text, so each of its queries embeds the text.
+    records = generate_synthetic(default_synthetic_spec(), size=300, seed=26)
+    graph = _build(records)
+    spaced = BehaviorGraph()
+    for node in graph.nodes:
+        label = node.label + " " if node.kind == NodeKind.PERSON else node.label
+        spaced.add_node(node.kind, label, choice_set=node.choice_set, start_time=node.start_time)
+    provider, spaced_provider = HashEmbedder(), HashEmbedder()
+    profiles = list(dict.fromkeys(record.profile for record in records))
+    assert len(profiles) == len(graph.nodes_of_kind(NodeKind.PERSON)) > 100
+    for profile in profiles:
+        agent = QueryAgent(profile, "work", 8)
+        got = top_k_similar(graph, agent, 5, provider)
+        # repr round-trips every float, so equal reprs are equal bits
+        assert repr(got) == repr(top_k_similar(spaced, agent, 5, spaced_provider))
+    assert not provider._cache and len(spaced_provider._cache) == len(profiles)
 
 
 def test_person_added_after_a_query_is_retrieved():
@@ -231,7 +265,7 @@ def test_the_index_filled_in_place_equals_stacked_rows_bit_for_bit(provider):
     for person in graph.nodes_of_kind(NodeKind.PERSON):
         vec, norm = _norm(np.asarray(provider.embed(person.label), dtype=float))
         rows.append(vec / norm)
-    ids, matrix = _person_index(graph, provider)
+    ids, matrix, _ = _person_index(graph, provider)
     assert len(ids) == len(rows) > 1
     assert matrix.tobytes() == np.vstack(rows).tobytes()
     assert _person_index(_build([]), provider)[1].shape == (0, 1)
@@ -301,15 +335,24 @@ def test_top_k_larger_than_population_returns_all():
 # ----------------------------------------------------------------------
 
 
+def _out_edges(graph):
+    """Source id -> its edges, in ``graph.edges()`` order."""
+    out_edges = {}
+    for edge in graph.edges():
+        out_edges.setdefault(edge.source, []).append(edge)
+    return out_edges
+
+
 def _reachable_oracle(graph, seeds, depth):
     """Independent BFS: minimal edge distance <= depth over traversable kinds."""
     traversable = {EdgeKind.RELATIVE_OF, EdgeKind.WANT_TO, EdgeKind.CHOOSE_TO}
+    out_edges = _out_edges(graph)
     dist = {s: 0 for s in seeds}
     frontier = list(seeds)
     for d in range(depth):
         nxt = []
         for node_id in frontier:
-            for edge in graph.out_edges[node_id]:
+            for edge in out_edges.get(node_id, ()):
                 if edge.kind in traversable and edge.target not in dist:
                     dist[edge.target] = d + 1
                     nxt.append(edge.target)
@@ -372,10 +415,11 @@ def _subgraph_by_add_calls(graph, agent, persons, depth, tau):
         sub.add_node(node_id, node.kind, node.label, node.choice_set)
     for person_id, w_sim in persons:
         sub.add_edge(AGENT_NODE_ID, person_id, EdgeKind.SIMILAR_TO, w_sim)
+    out_edges = _out_edges(graph)
     for node_id in sorted(best):
         if best[node_id] > depth - 1:
             continue
-        for edge in graph.out_edges[node_id]:
+        for edge in out_edges.get(node_id, ()):
             if edge.kind == EdgeKind.RELATIVE_OF:
                 weight = edge.weight
             elif edge.kind == EdgeKind.WANT_TO:
