@@ -13,11 +13,12 @@ nodes (Person, Agent) hold ``None`` in both. Edge weights all live in [0, 1]:
 The graph stores no edge objects. Each node keeps three typed adjacency
 lists, indexed by node id and filled by ``add_edge``: its desires
 (want_to targets), its relatives (``(target, weight)`` pairs) and its
-intentions (choose_to targets). ``want_to`` and ``choose_to`` weights depend on the querying
-agent's desire, so they are not stored: ``edges()`` reports them as 1.0
-placeholders, and subgraph extraction (see ``retrieval``) finalizes them;
-its subgraph alone holds the query's Agent node. Only relative_of weights
-are stored. A graph's choice sets are the schema's ``BUNDLED_CHOICE_SETS``.
+intentions (choose_to targets). ``want_to`` and ``choose_to`` weights
+depend on the querying agent's desire, so they are not stored: ``edges()``
+reports them as 1.0 placeholders, and subgraph extraction (see
+``retrieval``) finalizes them; its subgraph alone holds the query's Agent
+node. Only relative_of weights are stored. A graph's choice sets are the
+schema's ``BUNDLED_CHOICE_SETS``.
 """
 
 from __future__ import annotations
@@ -153,6 +154,12 @@ class BehaviorGraph:
         return node_id
 
     def add_edge(self, source: NodeId, target: NodeId, kind: EdgeKind, weight: float) -> None:
+        """Add an edge after checking its kind, endpoints and weight.
+
+        Only a relative_of edge keeps its weight. A want_to or choose_to
+        weight is checked and then dropped, because a query finalizes those
+        weights; ``edges()`` reports them as 1.0.
+        """
         if self._person_indexes or self._desire_weights:
             raise FrozenGraph("a behavior graph cannot gain an edge after its first query")
         if not isinstance(kind, EdgeKind):

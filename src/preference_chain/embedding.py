@@ -9,9 +9,10 @@ edge weights. Two providers ship with the package:
   * RemoteEmbedder — HTTP provider posting {"model", "prompt"} and reading
     a top-level "embedding" array from the JSON response.
 
-``embed`` caches each text's vector per provider instance; ``compute``
-embeds a text without caching it. A graph's person index calls
-``compute`` (see ``retrieval._person_index``), so a person vector lives
+``embed`` caches each text's vector per provider instance, so a remote
+provider asks for a text once. ``HashEmbedder.compute`` embeds a text
+without caching it: a graph's person index calls it when the provider has
+it (see ``retrieval._person_index``), so an offline person vector lives
 once, in the index, and is computed once per graph it appears in.
 Only ``http_session`` imports ``requests``, when a remote provider is
 built, so offline runs never load the HTTP stack.
@@ -140,7 +141,7 @@ def post_json(session, url: str, payload: dict, timeout: float, field: str):
 
 class _CachedEmbedder:
     """``embed`` caches each text's vector per instance; subclasses supply
-    ``compute``, which embeds a text without touching the cache."""
+    ``_compute``, which embeds a text without touching the cache."""
 
     def __init__(self, provider_id: str):
         self.provider_id = provider_id
@@ -152,7 +153,7 @@ class _CachedEmbedder:
             cached = self._cache.get(text)
         if cached is not None:
             return cached
-        vec = self.compute(text)
+        vec = self._compute(text)
         with self._lock:
             self._cache[text] = vec
         return vec
@@ -166,7 +167,12 @@ class HashEmbedder(_CachedEmbedder):
         self.dimension = dimension
 
     def compute(self, text: str) -> np.ndarray:
+        """``hash_embed`` of ``text``, left out of the cache: it costs
+        microseconds to compute again."""
         return hash_embed(text, self.dimension)
+
+    def _compute(self, text: str) -> np.ndarray:
+        return self.compute(text)
 
 
 class RemoteEmbedder(_CachedEmbedder):
@@ -175,7 +181,8 @@ class RemoteEmbedder(_CachedEmbedder):
     POSTs {"model": ..., "prompt": text} to ``url`` and expects a JSON
     response with a top-level field "embedding" holding a non-empty array
     of finite numbers. A failed request or any other reply raises
-    ProviderError.
+    ProviderError. It has no public ``compute``, so a person index embeds
+    through the cache and each text costs one request per instance.
     """
 
     def __init__(
@@ -193,7 +200,7 @@ class RemoteEmbedder(_CachedEmbedder):
         self.timeout = timeout
         self._session = http_session(session)
 
-    def compute(self, text: str) -> np.ndarray:
+    def _compute(self, text: str) -> np.ndarray:
         if not text.strip():
             raise EmptyText("cannot embed empty text")
         payload = {"model": self.model, "prompt": text}

@@ -9,9 +9,9 @@ desires and intentions (``extract_subgraph``). The search returns an
 a plain graph that tests build by hand.
 
 Each cache is described by its owner: ``QueryAgent``, ``BehaviorGraph``,
-``Extraction`` and ``pipeline.PreferenceChain``. The person vectors live
-once, in the graph's person index (``_person_index``), not in the
-provider's cache.
+``Extraction`` and ``pipeline.PreferenceChain``. With a provider that has
+``compute``, such as ``HashEmbedder``, the person vectors live once, in
+the graph's person index (``_person_index``), not in the provider's cache.
 """
 
 from __future__ import annotations
@@ -156,10 +156,11 @@ def _person_index(graph: BehaviorGraph, provider: EmbeddingProvider):
     """(person ids, row-normalized embedding matrix, label -> its first row),
     cached on the graph once full.
 
-    The index owns the person vectors. It embeds each distinct label once,
-    with the provider's ``compute`` when it has one, which leaves nothing in
-    the provider's cache, and otherwise with ``embed``. The matrix is filled
-    in place: no list of row copies lives beside it.
+    The index owns the person vectors. It embeds each label with the
+    provider's ``compute`` when it has one, which leaves nothing in the
+    provider's cache, and otherwise with ``embed``, whose cache a remote
+    provider needs to ask for each text once. The matrix is filled in
+    place: no list of row copies lives beside it.
     """
     entry = graph._person_indexes.get(provider.provider_id)
     if entry is None:
@@ -169,10 +170,7 @@ def _person_index(graph: BehaviorGraph, provider: EmbeddingProvider):
         rows: dict[str, int] = {}
         matrix = np.zeros((0, 1))
         for i, p in enumerate(persons):
-            row = rows.setdefault(p.label, i)
-            if row != i:  # a label seen before: the same vector
-                matrix[i] = matrix[row]
-                continue
+            rows.setdefault(p.label, i)
             vec, norm = _norm(compute(p.label))
             if norm == 0.0:
                 raise ZeroVector(f"person node {p.id} embedded to the zero vector")

@@ -114,8 +114,10 @@ def test_node_ids_and_edge_weights_are_numbers_not_booleans():
     for weight in (True, False, "0.5", None, math.nan, 10**400):
         with pytest.raises(WeightOutOfRange):
             g.add_edge(p, d, EdgeKind.WANT_TO, weight)
-    g.add_edge(p, d, EdgeKind.WANT_TO, 1)
+    q = g.add_node(NodeKind.PERSON, "q")
+    g.add_edge(p, q, EdgeKind.RELATIVE_OF, 1)
     assert [e.weight for e in g.edges()] == [1]
+    assert type(next(g.edges()).weight) is int
 
 
 def test_edges_are_read_from_typed_lists_in_source_then_kind_order():

@@ -16,6 +16,7 @@ from preference_chain.behavior_graph import (
 )
 from preference_chain.embedding import (
     HashEmbedder,
+    RemoteEmbedder,
     _norm,
     hash_embed,
     profile_to_text,
@@ -202,6 +203,32 @@ def test_the_provider_cache_keeps_no_person_vector():
     assert member.profile_text in labels and _agent().profile_text not in labels
     assert _agent().profile_text in provider._cache
     assert not labels & provider._cache.keys()
+
+
+class _HashReplySession:
+    """Answers each embedding request with the hash vector of its prompt."""
+
+    def __init__(self):
+        self.prompts = []
+
+    def post(self, url, json=None, timeout=None):
+        self.prompts.append(json["prompt"])
+        reply = {"embedding": hash_embed(json["prompt"]).tolist()}
+        return type("Reply", (), {"raise_for_status": lambda _: None, "json": lambda _: reply})()
+
+
+def test_a_remote_provider_asks_for_each_text_once_across_graphs():
+    # As in a sweep: nested reference sets, one graph each, one provider.
+    records = generate_synthetic(default_synthetic_spec(), size=80, seed=27)
+    session = _HashReplySession()
+    provider = RemoteEmbedder("http://embed.invalid", "m", session=session)
+    agents = [_agent(), QueryAgent(records[0].profile, "work", 8)]
+    for n in (20, 40, 80):
+        graph = _build(records[:n])
+        for agent in agents:
+            extract_subgraph(graph, agent, top_k_similar(graph, agent, 5, provider), provider)
+    assert len(session.prompts) == len(set(session.prompts))
+    assert {p.label for p in graph.nodes_of_kind(NodeKind.PERSON)} <= set(session.prompts)
 
 
 def test_a_query_equal_to_a_label_reads_the_row_the_embedding_would_give():
