@@ -10,10 +10,11 @@ edge weights. Two providers ship with the package:
     a top-level "embedding" array from the JSON response.
 
 ``embed`` caches each text's vector per provider instance, so a remote
-provider asks for a text once. ``HashEmbedder.compute`` embeds a text
-without caching it: a graph's person index calls it when the provider has
-it (see ``retrieval._person_index``), so an offline person vector lives
-once, in the index, and is computed once per graph it appears in.
+provider asks for a text once. ``HashEmbedder.embed_batch`` embeds many
+texts at once, as one matrix, without caching them: a graph's person index
+calls it when the provider has it (see ``retrieval._person_index``), so an
+offline person vector lives once, in the index, and is computed once per
+graph it appears in.
 Only ``http_session`` imports ``requests``, when a remote provider is
 built, so offline runs never load the HTTP stack.
 """
@@ -24,6 +25,7 @@ import math
 import re
 import threading
 import zlib
+from array import array
 from typing import Protocol
 
 import numpy as np
@@ -78,10 +80,8 @@ def _norm(vec) -> tuple[np.ndarray, float]:
     return vec, norm
 
 
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Plain cosine in [-1, 1]; rejects mismatched dimensions and zero vectors."""
-    a, norm_a = _norm(a)
-    b, norm_b = _norm(b)
+def _cosine(a: np.ndarray, norm_a: float, b: np.ndarray, norm_b: float) -> float:
+    """Cosine of two ``_norm`` results."""
     if a.shape != b.shape:
         raise DimensionMismatch(f"dimensions {a.shape} vs {b.shape}")
     if norm_a == 0.0 or norm_b == 0.0:
@@ -89,9 +89,21 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b) / (norm_a * norm_b))
 
 
+def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
+    """Plain cosine in [-1, 1]; rejects mismatched dimensions and zero vectors."""
+    return _cosine(*_norm(a), *_norm(b))
+
+
 def similarity_weight(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine clamped to [0, 1] so it can serve as an edge weight."""
     return max(0.0, cosine_similarity(a, b))
+
+
+def _buckets(text: str, dimension: int) -> list[int]:
+    """The bucket of each token of a lowercased text (see ``hash_embed``)."""
+    if dimension < 8:
+        raise ValueError("hash_embed dimension must be >= 8")
+    return [zlib.crc32(token.encode("utf-8")) % dimension for token in _TOKEN_RE.findall(text)]
 
 
 def hash_embed(text: str, dimension: int = DEFAULT_HASH_DIMENSION) -> np.ndarray:
@@ -101,14 +113,12 @@ def hash_embed(text: str, dimension: int = DEFAULT_HASH_DIMENSION) -> np.ndarray
     bucket crc32(token) % dimension. crc32 is stable across processes and
     platforms, unlike the builtin hash().
     """
-    if dimension < 8:
-        raise ValueError("hash_embed dimension must be >= 8")
-    tokens = _TOKEN_RE.findall(text.lower())
-    if not tokens:
+    buckets = _buckets(text.lower(), dimension)
+    if not buckets:
         raise EmptyText("cannot embed text with no alphanumeric tokens")
-    vec = np.zeros(dimension, dtype=float)
-    for token in tokens:
-        vec[zlib.crc32(token.encode("utf-8")) % dimension] += 1.0
+    vec = np.zeros(dimension)
+    for bucket in buckets:
+        vec[bucket] += 1.0
     vec, norm = _norm(vec)
     return vec / norm
 
@@ -166,13 +176,33 @@ class HashEmbedder(_CachedEmbedder):
         super().__init__(f"hash-{dimension}")
         self.dimension = dimension
 
-    def compute(self, text: str) -> np.ndarray:
-        """``hash_embed`` of ``text``, left out of the cache: it costs
-        microseconds to compute again."""
-        return hash_embed(text, self.dimension)
+    def embed_batch(self, texts: list[str]) -> np.ndarray:
+        """The ``hash_embed`` vector of each of ``texts``, as the rows of one
+        matrix, left out of the cache: it costs microseconds to compute again.
+
+        Each distinct "; "-separated piece of the lowercased texts is hashed
+        once; "; " holds no token character, so the pieces' tokens are the
+        text's. The counts are small integers, so each row's sum of squares
+        is exact and the row is divided by the norm ``hash_embed`` divides it by.
+        """
+        pieces: dict[str, array] = {}
+        buckets, lengths = array("q"), array("q")
+        for text in texts:
+            start = len(buckets)
+            for piece in text.lower().split("; "):
+                if piece not in pieces:
+                    pieces[piece] = array("q", _buckets(piece, self.dimension))
+                buckets += pieces[piece]
+            if len(buckets) == start:
+                raise EmptyText("cannot embed text with no alphanumeric tokens")
+            lengths.append(len(buckets) - start)
+        rows = np.zeros((len(texts), self.dimension))
+        np.add.at(rows, (np.repeat(np.arange(len(texts)), lengths), buckets), 1.0)
+        rows /= np.sqrt(np.einsum("ij,ij->i", rows, rows))[:, None]
+        return rows
 
     def _compute(self, text: str) -> np.ndarray:
-        return self.compute(text)
+        return hash_embed(text, self.dimension)
 
 
 class RemoteEmbedder(_CachedEmbedder):
@@ -181,7 +211,7 @@ class RemoteEmbedder(_CachedEmbedder):
     POSTs {"model": ..., "prompt": text} to ``url`` and expects a JSON
     response with a top-level field "embedding" holding a non-empty array
     of finite numbers. A failed request or any other reply raises
-    ProviderError. It has no public ``compute``, so a person index embeds
+    ProviderError. It has no ``embed_batch``, so a person index embeds
     through the cache and each text costs one request per instance.
     """
 

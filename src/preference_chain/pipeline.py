@@ -29,6 +29,7 @@ from .llm_remodel import (
 )
 from .preference import (
     DEFAULT_MAX_PATH_EDGES,
+    DEFAULT_PRIOR_EPSILON,
     PreferenceDistribution,
     prior_distribution,
     uniform_distribution,
@@ -49,7 +50,7 @@ class PipelineConfig:
     k: int = 5                      # similar persons retrieved
     max_path_edges: int = DEFAULT_MAX_PATH_EDGES
     depth: int = DEFAULT_DEPTH      # forward search depth from person nodes
-    epsilon: float = 0.0            # additive smoothing on raw scores
+    epsilon: float = DEFAULT_PRIOR_EPSILON  # additive smoothing on raw scores
     tau: float = DEFAULT_TAU        # temporal-proximity decay (hours)
     blend: float = 1.0              # posterior = blend*llm + (1-blend)*prior
     seed: int = 0

@@ -26,6 +26,8 @@ from .retrieval import BehavioralSubgraph, Extraction
 from .schema import SUM_TOLERANCE, ChoiceCategorySet
 
 DEFAULT_MAX_PATH_EDGES = 4
+# Default additive smoothing of ``prior_distribution``, the pipeline's ``epsilon``.
+DEFAULT_PRIOR_EPSILON = 0.0
 
 
 @dataclass
@@ -195,7 +197,7 @@ def prior_distribution(
     subgraph: BehavioralSubgraph | Extraction,
     choice_set: ChoiceCategorySet,
     max_edges: int = DEFAULT_MAX_PATH_EDGES,
-    epsilon: float = 0.0,
+    epsilon: float = DEFAULT_PRIOR_EPSILON,
 ) -> PreferenceDistribution:
     """Normalized preference prior over every option of ``choice_set``.
 

@@ -10,7 +10,7 @@ a plain graph that tests build by hand.
 
 Each cache is described by its owner: ``QueryAgent``, ``BehaviorGraph``,
 ``Extraction`` and ``pipeline.PreferenceChain``. With a provider that has
-``compute``, such as ``HashEmbedder``, the person vectors live once, in
+``embed_batch``, such as ``HashEmbedder``, the person vectors live once, in
 the graph's person index (``_person_index``), not in the provider's cache.
 """
 
@@ -32,7 +32,7 @@ from .behavior_graph import (
     desire_text,
     temporal_proximity,
 )
-from .embedding import EmbeddingProvider, _norm, profile_to_text, similarity_weight
+from .embedding import EmbeddingProvider, _cosine, _norm, profile_to_text
 from .errors import DimensionMismatch, EmptyGraph, SchemaViolation, UnknownNode, ZeroVector
 from .schema import AgentProfile, check_desire
 
@@ -156,30 +156,31 @@ def _person_index(graph: BehaviorGraph, provider: EmbeddingProvider):
     """(person ids, row-normalized embedding matrix, label -> its first row),
     cached on the graph once full.
 
-    The index owns the person vectors. It embeds each label with the
-    provider's ``compute`` when it has one, which leaves nothing in the
-    provider's cache, and otherwise with ``embed``, whose cache a remote
-    provider needs to ask for each text once. The matrix is filled in
-    place: no list of row copies lives beside it.
+    The index owns the person vectors. It embeds every label in one call
+    to the provider's ``embed_batch`` when it has one, which leaves nothing
+    in the provider's cache, and otherwise each label with ``embed``, whose
+    cache a remote provider needs to ask for each text once. Each row is
+    then normalized in place: no list of row copies lives beside the matrix.
     """
     entry = graph._person_indexes.get(provider.provider_id)
     if entry is None:
         persons = graph.nodes_of_kind(NodeKind.PERSON)
-        compute = getattr(provider, "compute", provider.embed)
-        ids = [p.id for p in persons]
+        labels = [p.label for p in persons]
+        batch = getattr(provider, "embed_batch", None)
+        vectors = batch(labels) if batch else map(provider.embed, labels)
         rows: dict[str, int] = {}
         matrix = np.zeros((0, 1))
-        for i, p in enumerate(persons):
+        for i, (p, vec) in enumerate(zip(persons, vectors)):
             rows.setdefault(p.label, i)
-            vec, norm = _norm(compute(p.label))
+            vec, norm = _norm(vec)
             if norm == 0.0:
                 raise ZeroVector(f"person node {p.id} embedded to the zero vector")
-            if i == 0:
-                matrix = np.empty((len(persons), vec.size))
+            if i == 0:  # a batch matrix becomes the index, normalized in place
+                matrix = vectors if batch else np.empty((len(persons), vec.size))
             if vec.shape != matrix.shape[1:]:
                 raise DimensionMismatch("person embeddings have different lengths")
             np.divide(vec, norm, out=matrix[i])
-        entry = (ids, matrix, rows)
+        entry = ([p.id for p in persons], matrix, rows)
         graph._person_indexes[provider.provider_id] = entry
     return entry
 
@@ -259,6 +260,7 @@ def extract_subgraph(
     # embedder failing on the query desire fails every query alike.
     query_desire = agent.desire_text()
     query_desire_vec = provider.embed(query_desire)
+    query_norm = None  # _norm(query_desire_vec), taken at the first weight computed
     want_weights = graph._desire_weights.setdefault(provider.provider_id, {})
 
     # Minimal edge distance from the nearest selected person, by a
@@ -295,8 +297,10 @@ def extract_subgraph(
                     key = (query_desire, nodes[target].label)
                     weight = want_weights.get(key)
                     if weight is None:
-                        weight = similarity_weight(query_desire_vec, provider.embed(key[1]))
-                        want_weights[key] = weight
+                        stored = provider.embed(key[1])
+                        if query_norm is None:
+                            query_norm = _norm(query_desire_vec)
+                        weight = want_weights[key] = max(0.0, _cosine(*query_norm, *_norm(stored)))
                     want[target] = weight
             for target, _ in relatives[person]:
                 if target not in best:

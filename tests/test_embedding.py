@@ -1,5 +1,7 @@
 import json
 import math
+import random
+import re
 import zlib
 
 import numpy as np
@@ -125,6 +127,46 @@ def test_hash_embedder_caches_and_reuses():
     v2 = provider.embed("shared text")
     assert v1 is v2
     assert provider.provider_id == "hash-64"
+
+
+def _reference_hash_embed(text, dimension):
+    """The documented bucket rule, one token at a time, then ``_norm``."""
+    vec = np.zeros(dimension)
+    for token in re.findall(r"[0-9a-z]+", text.lower()):
+        vec[zlib.crc32(token.encode("utf-8")) % dimension] += 1.0
+    vec, norm = _norm(vec)
+    return vec / norm
+
+
+# "; " next to tokens, empty pieces, upper case, and the Kelvin sign and
+# capital I with dot, which lowercase to ASCII letters (the latter plus a
+# combining dot)
+_TEXT_PARTS = ["; ", ";", " ", ";;", "Walk", "walk", "K", "\u212a", "\u0130", "\u00e4", "25-34", "$50k", "x;y", "9"]
+
+
+def test_each_batch_row_is_the_bytes_of_hash_embed():
+    rng = random.Random(32)
+    for _ in range(300):
+        # a piece repeated in one text and across texts, and an empty piece
+        texts = ["walk; Walk; bike", "; ; x; ; walk", "\u212am; km; k"]
+        while len(texts) < rng.randint(3, 9):
+            text = "".join(rng.choices(_TEXT_PARTS + [chr(rng.randint(32, 0x2FF))], k=rng.randint(1, 12)))
+            if re.search(r"[0-9a-z]", text.lower()):
+                texts.append(text)
+        dimension = rng.choice([8, 13, 256])
+        rows = HashEmbedder(dimension).embed_batch(texts)
+        assert rows.shape == (len(texts), dimension)
+        for text, row in zip(texts, rows):
+            expected = _reference_hash_embed(text, dimension).tobytes()
+            assert row.tobytes() == hash_embed(text, dimension).tobytes() == expected
+
+
+def test_a_batch_rejects_a_text_with_no_tokens_and_a_small_dimension():
+    with pytest.raises(EmptyText):
+        HashEmbedder().embed_batch(["walk", "; !!! ; ---"])
+    with pytest.raises(ValueError):
+        HashEmbedder(dimension=7).embed_batch(["walk"])
+    assert HashEmbedder().embed_batch([]).shape == (0, 256)
 
 
 def test_profile_to_text_schema_order():

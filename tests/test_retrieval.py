@@ -25,12 +25,13 @@ from preference_chain.embedding import (
 from preference_chain.errors import (
     DimensionMismatch,
     EmptyGraph,
+    EmptyText,
     FrozenGraph,
     ZeroVector,
     ProviderError,
     SchemaViolation,
 )
-from preference_chain.ingest import default_synthetic_spec, generate_synthetic
+from preference_chain.ingest import default_synthetic_spec, generate_synthetic, read_csv
 from preference_chain.pipeline import PreferenceChain
 from preference_chain.preference import raw_scores
 from preference_chain.retrieval import (
@@ -50,6 +51,7 @@ from preference_chain.schema import (
 )
 
 from tests.conftest import make_profile, make_record
+from tests.golden import DATA_DIR
 from tests.test_preference import RANDOM_GRAPH_CHOICE_SETS, _random_behavior_graph
 
 
@@ -170,26 +172,60 @@ def test_extreme_vector_scales_keep_retrieval_and_priors(scale):
 
 def test_person_index_is_built_once_per_graph_and_freed_with_it():
     class CountingEmbedder(HashEmbedder):
-        calls = 0
+        batches = rows = computed = 0
 
-        def compute(self, text):  # every embedding not read from the cache
-            self.calls += 1
-            return super().compute(text)
+        def embed_batch(self, texts):  # every person index
+            self.batches += 1
+            self.rows += len(texts)
+            return super().embed_batch(texts)
+
+        def _compute(self, text):  # every embedding not read from the cache
+            self.computed += 1
+            return super()._compute(text)
 
     records = generate_synthetic(default_synthetic_spec(), size=30, seed=24)
     graph = _build(records)
     n_persons = len(graph.nodes_of_kind(NodeKind.PERSON))
     provider = CountingEmbedder()
+    counts = lambda: (provider.batches, provider.rows, provider.computed)
     top_k_similar(graph, _agent(), 3, provider)
-    assert provider.calls == n_persons + 1
+    assert counts() == (1, n_persons, 1)
     top_k_similar(graph, _agent(start_time=9), 3, provider)
-    assert provider.calls == n_persons + 1  # the query's vector comes from the cache
+    assert counts() == (1, n_persons, 1)  # the query's vector comes from the cache
     top_k_similar(_build(records), _agent(), 3, provider)
-    assert provider.calls == 2 * n_persons + 1  # a new graph builds its own index
+    assert counts() == (2, 2 * n_persons, 1)  # a new graph builds its own index
     graph_ref = weakref.ref(graph)
     del graph
     gc.collect()
     assert graph_ref() is None
+
+
+@pytest.mark.parametrize(
+    "source", [f"{size}-seed{seed}" for seed in (0, 7) for size in (200, 1000, 5000)] + ["households"]
+)
+def test_the_batch_index_equals_the_per_label_index_bit_for_bit(source):
+    if source == "households":
+        records = read_csv(DATA_DIR / "predict_reference_households.csv")
+    else:
+        size, seed = source.split("-seed")
+        records = generate_synthetic(default_synthetic_spec(), size=int(size), seed=int(seed))
+    graph = build_from_records(records)
+    per_label = []  # the reference: one label at a time, normalized twice
+    for person in graph.nodes_of_kind(NodeKind.PERSON):
+        vec, norm = _norm(hash_embed(person.label))
+        per_label.append(vec / norm)
+    _, matrix, _ = _person_index(graph, HashEmbedder())
+    assert len(matrix) > 1
+    assert matrix.tobytes() == np.vstack(per_label).tobytes()
+
+
+def test_a_person_label_with_no_tokens_raises_empty_text_and_leaves_the_graph_unfrozen():
+    graph = BehaviorGraph()
+    graph.add_node(NodeKind.PERSON, profile_to_text(make_profile()))
+    graph.add_node(NodeKind.PERSON, "; !!! ; ---")
+    with pytest.raises(EmptyText):
+        top_k_similar(graph, _agent(), 1, HashEmbedder())
+    assert not graph._person_indexes
 
 
 def test_the_provider_cache_keeps_no_person_vector():
