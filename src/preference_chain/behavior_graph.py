@@ -164,7 +164,11 @@ class BehaviorGraph:
             raise FrozenGraph("a behavior graph cannot gain an edge after its first query")
         if not isinstance(kind, EdgeKind):
             raise KindMismatch(f"edge kind {kind!r} is not an EdgeKind")
-        pair = (self.node(source).kind, self.node(target).kind)
+        nodes = self.nodes
+        for node_id in (source, target):  # the checks of ``node``, inlined
+            if not (type(node_id) is int and 0 <= node_id < len(nodes)):
+                raise UnknownNode(f"no node with id {node_id}")
+        pair = (nodes[source].kind, nodes[target].kind)
         if isinstance(weight, bool) or not (isinstance(weight, (int, float)) and 0 <= weight <= 1):
             raise WeightOutOfRange(f"weight {weight!r} is not a number in [0, 1]")
         if pair != _ENDPOINT_RULES.get(kind):
@@ -172,11 +176,15 @@ class BehaviorGraph:
                 f"{kind.value} edge may not connect {pair[0].value} -> {pair[1].value}"
             )
         if kind is EdgeKind.WANT_TO:
-            _append(self.desires, source, target)
+            lists, item = self.desires, target
         elif kind is EdgeKind.RELATIVE_OF:
-            _append(self.relatives, source, (target, weight))
+            lists, item = self.relatives, (target, weight)
         else:
-            _append(self.intentions, source, target)
+            lists, item = self.intentions, target
+        if lists[source]:
+            lists[source].append(item)
+        else:  # the node's first edge of this kind replaces its shared ()
+            lists[source] = [item]
 
     # ------------------------------------------------------------------
     # queries
@@ -210,14 +218,6 @@ class BehaviorGraph:
                 yield Edge(source, target, EdgeKind.CHOOSE_TO, 1.0)
 
 
-def _append(lists: list, node_id: NodeId, item) -> None:
-    """Append ``item`` to a node's adjacency list, in place of its shared ()."""
-    if lists[node_id]:
-        lists[node_id].append(item)
-    else:
-        lists[node_id] = [item]
-
-
 def desire_text(trip_purpose: str, start_time: int) -> str:
     """Canonical text rendering of a desire, shared by build and query."""
     return f"purpose: {trip_purpose}; start_time: {start_time}"
@@ -237,43 +237,42 @@ def build_from_records(
     sharing an explicit household_id.
     """
     graph = BehaviorGraph()
+    add_node, add_edge = graph.add_node, graph.add_edge
+    person, desire, intention = NodeKind.PERSON, NodeKind.DESIRE, NodeKind.INTENTION
+    want_to, choose_to = EdgeKind.WANT_TO, EdgeKind.CHOOSE_TO
     person_index: dict[AgentProfile, NodeId] = {}
     desire_index: dict[tuple[NodeId, str, int], NodeId] = {}
     intention_index: dict[tuple[str, str], NodeId] = {}
     households: dict[str, set[NodeId]] = {}
 
     for record in records:
-        person_id = person_index.get(record.profile)
+        profile, purpose, hour = record.profile, record.trip_purpose, record.start_time
+        person_id = person_index.get(profile)
         if person_id is None:
-            person_id = graph.add_node(NodeKind.PERSON, profile_to_text(record.profile))
-            person_index[record.profile] = person_id
+            person_id = person_index[profile] = add_node(person, profile_to_text(profile))
         if record.household_id is not None:
             households.setdefault(record.household_id, set()).add(person_id)
 
-        desire_key = (person_id, record.trip_purpose, record.start_time)
+        desire_key = (person_id, purpose, hour)
         desire_id = desire_index.get(desire_key)
         if desire_id is None:
-            desire_id = graph.add_node(
-                NodeKind.DESIRE,
-                desire_text(record.trip_purpose, record.start_time),
-                start_time=record.start_time,
-            )
+            desire_id = add_node(desire, desire_text(purpose, hour), start_time=hour)
             desire_index[desire_key] = desire_id
-            graph.add_edge(person_id, desire_id, EdgeKind.WANT_TO, 1.0)
+            add_edge(person_id, desire_id, want_to, 1.0)
 
         for field_name in config.intention_fields:
             option = getattr(record, field_name)
             intention_id = intention_index.get((field_name, option))
             if intention_id is None:
-                intention_id = graph.add_node(NodeKind.INTENTION, option, choice_set=field_name)
+                intention_id = add_node(intention, option, choice_set=field_name)
                 intention_index[(field_name, option)] = intention_id
-            graph.add_edge(desire_id, intention_id, EdgeKind.CHOOSE_TO, 1.0)
+            add_edge(desire_id, intention_id, choose_to, 1.0)
 
     for members in households.values():
         ordered = sorted(members)
         for a in ordered:
             for b in ordered:
                 if a != b:
-                    graph.add_edge(a, b, EdgeKind.RELATIVE_OF, RELATIVE_WEIGHT)
+                    add_edge(a, b, EdgeKind.RELATIVE_OF, RELATIVE_WEIGHT)
 
     return graph

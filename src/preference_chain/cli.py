@@ -104,12 +104,15 @@ def _out_dir(args, config: RunConfig) -> Path:
 
 
 def _read(value: Optional[str], flag: str, parse):
-    """``parse`` of the UTF-8 file a flag names; a DataError it raises names the flag."""
+    """``parse`` of the UTF-8 file a flag names, read past any byte order mark.
+
+    A DataError that ``parse`` raises names the flag.
+    """
     path = _path(value, flag)
     if not path.is_file():
         raise ConfigError(f"{flag}: no such file {path}")
     try:
-        with open(path, "r", encoding="utf-8") as fp:
+        with open(path, "r", encoding="utf-8-sig") as fp:
             return parse(fp)
     except DataError as exc:
         raise DataError(f"{flag}: {exc}") from exc

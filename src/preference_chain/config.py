@@ -165,7 +165,7 @@ def apply_env_overrides(config: RunConfig, environ: Mapping[str, str] = os.envir
 
 def load_config(path) -> RunConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fp:
+        with open(path, "r", encoding="utf-8-sig") as fp:
             obj = decode_json(fp.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc

@@ -2,6 +2,15 @@
 
 The CSV layout follows the categorical schema, columns in canonical order;
 write_csv(read_csv(path)) reproduces a canonical file byte for byte.
+``read_csv`` decodes the whole file as UTF-8, skipping a leading byte
+order mark, and reads its rows with ``csv.reader`` by the rules of
+``csv.DictReader``: the first row is the header, even when blank; blank
+rows are skipped and not counted; a short row's missing cell is a
+"missing value"; extra cells are ignored; a repeated column name reads
+its last cell. It strips each distinct cell once and builds (and so
+checks) each distinct profile once, so the records of one file share
+their strings and profiles; every record is built by the checked
+``TripRecord`` constructor.
 Synthetic populations draw every input attribute from per-column
 marginals, then draw mode and duration from conditional tables keyed by
 one designated input attribute ("conditioned_on"), giving datasets with a
@@ -13,13 +22,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 from dataclasses import dataclass, field, fields
 from types import MappingProxyType
 from typing import IO, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import DataError, InvalidSpec, MissingColumn, NotEnoughRecords
+from .errors import DataError, InvalidSpec, MissingColumn, NotEnoughRecords, SchemaViolation
 from .rng import substream
 from .schema import (
     CSV_COLUMNS,
@@ -28,11 +38,11 @@ from .schema import (
     INPUT_CATEGORIES,
     PRIMARY_MODES,
     PROFILE_FIELDS,
+    START_TIMES,
     SUM_TOLERANCE,
     AgentProfile,
     TripRecord,
     decode_json,
-    record_from_row,
 )
 
 SPEC_VERSION = "1"
@@ -43,8 +53,19 @@ SPEC_VERSION = "1"
 # ----------------------------------------------------------------------
 
 
+class _Stripped(dict):
+    """Raw CSV cell -> the cell stripped, each distinct cell stripped once."""
+
+    def __missing__(self, raw: str) -> str:
+        self[raw] = cell = raw.strip()
+        return cell
+
+
+_HOURS = {text: hour for hour, text in enumerate(START_TIMES)}
+
+
 def read_csv(path) -> list[TripRecord]:
-    """Read a trip CSV; schema errors carry the 1-based data row.
+    """Read a trip CSV by the module docstring's rules; schema errors carry the 1-based data row.
 
     Bytes that are not UTF-8, and text the csv module cannot parse (such
     as a field over its size limit), raise DataError naming the file line.
@@ -52,17 +73,41 @@ def read_csv(path) -> list[TripRecord]:
     with open(path, "rb") as fp:
         data = fp.read()
     try:
-        reader = csv.DictReader(io.StringIO(data.decode("utf-8"), newline=""))
-        header = reader.fieldnames or []
+        rows = csv.reader(io.StringIO(data.decode("utf-8-sig"), newline=""))
+        where = {name: i for i, name in enumerate(next(rows, []))}  # a repeated name: its last
         for column in CSV_COLUMNS:
-            if column not in header:
+            if column not in where:
                 raise MissingColumn(column)
-        return [record_from_row(row, i) for i, row in enumerate(reader, start=1)]
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        positions = [where[column] for column in CSV_COLUMNS]
+        household_at = where.get(HOUSEHOLD_COLUMN)
+        cells_of, stripped = operator.itemgetter(*positions), _Stripped()
+        split = len(PROFILE_FIELDS)
+        profiles: dict[tuple[str, ...], AgentProfile] = {}
+        records = []
+        for index, row in enumerate(filter(None, rows), start=1):
+            try:
+                cells = tuple(map(stripped.__getitem__, cells_of(row)))
+            except IndexError:
+                column = next(c for c, i in zip(CSV_COLUMNS, positions) if i >= len(row))
+                raise SchemaViolation(index, column, None, "missing value") from None
+            key, (purpose, start, mode, duration) = cells[:split], cells[split:]
+            hour = _HOURS.get(start)
+            if hour is None:
+                raise SchemaViolation(index, "start_time", start)
+            household = None
+            if household_at is not None and household_at < len(row):
+                household = stripped[row[household_at]] or None
+            try:
+                profile = profiles.get(key) or profiles.setdefault(key, AgentProfile(*key))
+                records.append(TripRecord(profile, purpose, hour, mode, duration, household))
+            except SchemaViolation as exc:
+                raise SchemaViolation(index, exc.column, exc.value) from None
+        return records
+    except UnicodeDecodeError as exc:  # exc.object is the data after any byte order mark
+        line = exc.object.count(b"\n", 0, exc.start) + 1
         raise DataError(f"{path}, line {line}: not UTF-8: {exc.reason}") from exc
-    except csv.Error as exc:  # the DictReader's own line_num is still the last good row's
-        raise DataError(f"{path}, line {reader.reader.line_num}: {exc}") from exc
+    except csv.Error as exc:
+        raise DataError(f"{path}, line {rows.line_num}: {exc}") from exc
 
 
 def write_csv(records: Sequence[TripRecord], path) -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Optional
 
 from .errors import SchemaViolation
 
@@ -170,6 +170,11 @@ class TripRecord:
             value = getattr(self, name)
             if value not in allowed:
                 raise SchemaViolation(-1, name, value)
+        household = self.household_id  # None, or an id that a trip CSV can carry
+        if household is not None and not (
+            isinstance(household, str) and household and household == household.strip()
+        ):
+            raise SchemaViolation(-1, HOUSEHOLD_COLUMN, household)
 
     def as_row(self) -> dict[str, str]:
         row = self.profile.as_dict()
@@ -178,32 +183,6 @@ class TripRecord:
         if self.household_id is not None:
             row[HOUSEHOLD_COLUMN] = self.household_id
         return row
-
-
-def record_from_row(row: Mapping[str, str], index: int) -> TripRecord:
-    """The TripRecord of one CSV row dict; a SchemaViolation names row ``index``."""
-    values = {}
-    for column in CSV_COLUMNS:
-        if column not in row or row[column] is None:
-            raise SchemaViolation(index, column, None, "missing value")
-        values[column] = row[column].strip()
-    start_raw = values["start_time"]
-    if start_raw not in START_TIMES:
-        raise SchemaViolation(index, "start_time", start_raw)
-    household = row.get(HOUSEHOLD_COLUMN)
-    if household is not None:
-        household = household.strip() or None
-    try:
-        return TripRecord(
-            profile=AgentProfile(*(values[f] for f in PROFILE_FIELDS)),
-            trip_purpose=values["trip_purpose"],
-            start_time=int(start_raw),
-            primary_mode=values["primary_mode"],
-            duration_minutes=values["duration_minutes"],
-            household_id=household,
-        )
-    except SchemaViolation as exc:
-        raise SchemaViolation(index, exc.column, exc.value) from None
 
 
 def _float_sized_int(text: str) -> int:

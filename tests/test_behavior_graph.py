@@ -30,6 +30,7 @@ from preference_chain.schema import (
 )
 
 from tests.conftest import make_record
+from tests.golden import DATA_DIR
 
 
 def test_add_node_assigns_monotonic_ids():
@@ -275,6 +276,50 @@ def test_build_weights_in_range_over_random_record_sets():
                 assert (src, dst) == (NodeKind.PERSON, NodeKind.DESIRE)
             elif e.kind == EdgeKind.CHOOSE_TO:
                 assert (src, dst) == (NodeKind.DESIRE, NodeKind.INTENTION)
+
+
+def _plain_build(records, fields):
+    """``build_from_records`` written with plain ``add_node``/``add_edge`` calls: the oracle."""
+    graph = BehaviorGraph()
+    persons, desires, intentions, households = {}, {}, {}, {}
+    for record in records:
+        if record.profile not in persons:
+            persons[record.profile] = graph.add_node(NodeKind.PERSON, profile_to_text(record.profile))
+        person = persons[record.profile]
+        if record.household_id is not None:
+            households.setdefault(record.household_id, set()).add(person)
+        key = (person, record.trip_purpose, record.start_time)
+        if key not in desires:
+            desires[key] = graph.add_node(
+                NodeKind.DESIRE, desire_text(*key[1:]), start_time=record.start_time
+            )
+            graph.add_edge(person, desires[key], EdgeKind.WANT_TO, 1.0)
+        for name in fields:
+            option = (name, getattr(record, name))
+            if option not in intentions:
+                intentions[option] = graph.add_node(NodeKind.INTENTION, option[1], choice_set=name)
+            graph.add_edge(desires[key], intentions[option], EdgeKind.CHOOSE_TO, 1.0)
+    for members in households.values():
+        for a in sorted(members):
+            for b in sorted(members):
+                if a != b:
+                    graph.add_edge(a, b, EdgeKind.RELATIVE_OF, 1.0)
+    return graph
+
+
+@pytest.mark.parametrize("source", [200, 1000, 5000, "predict_reference_households.csv"])
+def test_build_equals_a_plain_add_node_add_edge_build(tmp_path, source):
+    """On ``gen-synth`` sets and the household fixture, read back from their CSV files."""
+    path = DATA_DIR / source if isinstance(source, str) else tmp_path / "trips.csv"
+    if isinstance(source, int):
+        write_csv(generate_synthetic(default_synthetic_spec(), size=source, seed=0), path)
+    records = read_csv(path)
+    for fields in (("primary_mode",), ("primary_mode", "duration_minutes")):
+        built = build_from_records(records, GraphBuildConfig(intention_fields=fields))
+        plain = _plain_build(records, fields)
+        assert built.nodes == plain.nodes
+        assert list(built.edges()) == list(plain.edges())
+        assert built.edge_count() == plain.edge_count()
 
 
 def test_rebuild_is_identical():

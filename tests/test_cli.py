@@ -9,6 +9,7 @@ import math
 import os
 import random
 import shlex
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -808,6 +809,48 @@ def test_bad_input_files_exit_3(tmp_path, trips_csv, capsys, kind, text):
     flag = "--reference-tally" if kind == "tally" else f"--{kind}"
     assert f"data error: {flag}: " in capsys.readouterr().err  # each file's error names its flag
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag",
+    ["--reference", "--validation", "--agent", "--spec", "--city", "--reference-tally", "--config"],
+)
+def test_an_input_file_may_start_with_a_utf8_byte_order_mark(tmp_path, trips_csv, capsys, flag):
+    """Spreadsheets save UTF-8 with a byte order mark; each input reads as if it had none."""
+    city = tmp_path / "city.json"
+    grid_city(width=3, height=3, pois_per_category=1).save(city)
+    simulate = ["simulate", "--reference", trips_csv, "--agents", 2, "--out", tmp_path / "out"]
+    assert run(simulate + ["--city", city]) == 0
+    capsys.readouterr()
+    inputs = {
+        "--reference": trips_csv.read_bytes(),
+        "--validation": trips_csv.read_bytes(),
+        "--agent": write_agent(tmp_path / "agent.json").read_bytes(),
+        "--spec": _broken_spec(population=30).encode("utf-8"),
+        "--city": city.read_bytes(),
+        "--reference-tally": (tmp_path / "out" / "edge_tally.csv").read_bytes(),
+        "--config": b'{"pipeline": {"k": 5}}',
+    }
+    target, out = tmp_path / "input", tmp_path / "out"
+    argv = {
+        "--reference": ["predict", "--agent", tmp_path / "agent.json", "--reference", target],
+        "--validation": ["evaluate", "--reference", trips_csv, "--validation", target, "--out", out],
+        "--agent": ["predict", "--agent", target, "--reference", trips_csv],
+        "--spec": ["gen-synth", "--spec", target, "--out", out / "trips.csv"],
+        "--city": simulate + ["--city", target],
+        "--reference-tally": simulate + ["--city", city, "--reference-tally", target],
+        "--config": ["predict", "--config", target, "--agent", tmp_path / "agent.json",
+                     "--reference", trips_csv],
+    }[flag]
+
+    def outputs(data: bytes):
+        target.write_bytes(data)
+        shutil.rmtree(out, ignore_errors=True)
+        out.mkdir()
+        assert run(argv) == 0
+        return capsys.readouterr().out, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    assert outputs(b"\xef\xbb\xbf" + inputs[flag]) == outputs(inputs[flag])
 
 
 _HUGE = "1" + "0" * 400  # an integer literal no float can hold

@@ -1,7 +1,9 @@
+import csv
 import dataclasses
 import hashlib
 import io
 import json
+import random
 
 import pytest
 
@@ -22,7 +24,16 @@ from preference_chain.ingest import (
     write_csv,
     write_csv_fp,
 )
-from preference_chain.schema import CSV_COLUMNS, INPUT_CATEGORIES, PROFILE_FIELDS, AgentProfile
+from preference_chain.schema import (
+    CSV_COLUMNS,
+    HOUSEHOLD_COLUMN,
+    INPUT_CATEGORIES,
+    OUTPUT_CATEGORIES,
+    PROFILE_FIELDS,
+    START_TIMES,
+    AgentProfile,
+    TripRecord,
+)
 
 from tests.conftest import make_record
 
@@ -125,6 +136,164 @@ def test_household_column_omitted_when_unused():
     buf = io.StringIO()
     write_csv_fp([make_record()], buf)
     assert "household_id" not in buf.getvalue().splitlines()[0]
+
+
+@pytest.mark.parametrize("household", ["", " ", " h1 ", "h1\n", 7, b"h1"])
+def test_a_household_id_no_trip_csv_can_carry_is_rejected(household):
+    """An empty or padded id would not survive ``write_csv`` then ``read_csv``."""
+    with pytest.raises(SchemaViolation) as err:
+        make_record(household_id=household)
+    assert (err.value.row, err.value.column, err.value.value) == (-1, "household_id", household)
+
+
+def test_every_accepted_household_id_survives_a_round_trip(tmp_path):
+    records = [make_record(household_id=h) for h in ("h1", "h 1", "h\n1", "h1", None)]
+    path = tmp_path / "hh.csv"
+    write_csv(records, path)
+    assert read_csv(path) == records
+
+
+def test_a_utf8_byte_order_mark_is_skipped_and_not_counted(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + _GOLDEN.encode("utf-8"))
+    plain = tmp_path / "plain.csv"
+    plain.write_text(_GOLDEN)
+    assert read_csv(path) == read_csv(plain)
+    path.write_bytes(b"\xef\xbb\xbf" + _GOLDEN.encode("utf-8").replace(b"walking", b"walking\xff"))
+    with pytest.raises(DataError, match=r"bom\.csv, line 3: not UTF-8"):
+        read_csv(path)
+
+
+def test_equal_profiles_read_from_one_file_are_one_object(tmp_path):
+    first = _GOLDEN.splitlines()[1]
+    padded = " , ".join(first.split(",")).replace("work , 8", "shop , 9")  # same profile, padded
+    path = tmp_path / "trips.csv"
+    path.write_text(_GOLDEN + padded + "\n")
+    records = read_csv(path)
+    assert records[3].profile is records[0].profile
+    assert (records[3].trip_purpose, records[3].start_time) == ("shop", 9)
+    assert len({id(r.profile) for r in records}) == 3
+
+
+# ----------------------------------------------------------------------
+# read_csv against its csv.DictReader reference
+# ----------------------------------------------------------------------
+
+
+def _record_from_row(row, index):
+    """The TripRecord of one ``csv.DictReader`` row, as ``read_csv`` once built it."""
+    values = {}
+    for column in CSV_COLUMNS:
+        if column not in row or row[column] is None:
+            raise SchemaViolation(index, column, None, "missing value")
+        values[column] = row[column].strip()
+    start_raw = values["start_time"]
+    if start_raw not in START_TIMES:
+        raise SchemaViolation(index, "start_time", start_raw)
+    household = row.get(HOUSEHOLD_COLUMN)
+    if household is not None:
+        household = household.strip() or None
+    try:
+        return TripRecord(
+            profile=AgentProfile(*(values[f] for f in PROFILE_FIELDS)),
+            trip_purpose=values["trip_purpose"],
+            start_time=int(start_raw),
+            primary_mode=values["primary_mode"],
+            duration_minutes=values["duration_minutes"],
+            household_id=household,
+        )
+    except SchemaViolation as exc:
+        raise SchemaViolation(index, exc.column, exc.value) from None
+
+
+def _dictreader_read_csv(path):
+    """``read_csv`` as written with ``csv.DictReader``: the reference of the oracle test."""
+    with open(path, "rb") as fp:
+        data = fp.read()
+    try:
+        reader = csv.DictReader(io.StringIO(data.decode("utf-8"), newline=""))
+        header = reader.fieldnames or []
+        for column in CSV_COLUMNS:
+            if column not in header:
+                raise MissingColumn(column)
+        return [_record_from_row(row, i) for i, row in enumerate(reader, start=1)]
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}, line {line}: not UTF-8: {exc.reason}") from exc
+    except csv.Error as exc:
+        raise DataError(f"{path}, line {reader.reader.line_num}: {exc}") from exc
+
+
+_ORACLE_CATEGORIES = {**INPUT_CATEGORIES, **OUTPUT_CATEGORIES}
+_ORACLE_BAD_CELLS = ("", " ", "teleport", "24", "+5", "wo\nrk", "8.0")
+
+
+def _oracle_cell(rng, name) -> str:
+    if name in _ORACLE_CATEGORIES:
+        return rng.choice(_ORACLE_CATEGORIES[name][:3])  # few profiles, so they repeat
+    if name == HOUSEHOLD_COLUMN:
+        return rng.choice(("h1", "h2", "", " h1 ", "h\n2"))
+    return rng.choice(("note", "a,b", "x\ny", ""))
+
+
+def _oracle_trip_csv(rng) -> bytes:
+    """A small trip CSV, broken at random in the ways ``read_csv`` has rules for."""
+    header = list(CSV_COLUMNS) + [HOUSEHOLD_COLUMN] * (rng.random() < 0.4)
+    if rng.random() < 0.3:
+        rng.shuffle(header)
+    if rng.random() < 0.2:  # a repeated name: its last cell is read
+        header.insert(rng.randrange(len(header) + 1), rng.choice(header))
+    if rng.random() < 0.1:
+        header.remove(rng.choice(CSV_COLUMNS))
+    if rng.random() < 0.15:
+        header.insert(rng.randrange(len(header) + 1), rng.choice(("note", "")))
+    rows = [[] if rng.random() < 0.05 else header]  # [] is a blank header line
+    for _ in range(rng.randrange(7)):
+        if rng.random() < 0.15:
+            rows.append([])  # a blank line
+        row = [_oracle_cell(rng, name) for name in header]
+        if rng.random() < 0.3:
+            i = rng.randrange(len(row))
+            row[i] = rng.choice((" ", "\t", "  ")) + row[i] + rng.choice(("", " "))
+        if rng.random() < 0.06:
+            row[rng.randrange(len(row))] = rng.choice(_ORACLE_BAD_CELLS)
+        if rng.random() < 0.1:
+            row = row[: rng.randrange(len(row))]  # short, perhaps to one empty cell
+        if rng.random() < 0.1:
+            row += ["extra"] * rng.randrange(1, 3)
+        if rng.random() < 0.02:
+            row[rng.randrange(len(row))] = "w" * (csv.field_size_limit() + 1)
+        rows.append(row)
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    data = buffer.getvalue().encode("utf-8")
+    if rng.random() < 0.05:
+        i = rng.randrange(len(data) + 1)
+        data = data[:i] + b"\xff" + data[i:]
+    return data
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except DataError as exc:
+        return type(exc), str(exc)
+
+
+def test_read_csv_matches_its_dictreader_reference_on_seeded_files(tmp_path):
+    """400 seeded files: the same records, or the same exception type and message."""
+    rng = random.Random(33)
+    path = tmp_path / "trips.csv"
+    seen = set()
+    for case in range(400):
+        path.write_bytes(_oracle_trip_csv(rng))
+        expected = _outcome(_dictreader_read_csv, path)
+        assert _outcome(read_csv, path) == expected, (case, path.read_bytes())
+        seen.add(expected[0] if isinstance(expected, tuple) else len(expected) > 0)
+        if isinstance(expected, tuple) and expected[0] is DataError:
+            seen.add(expected[1].split(": ")[1][:10])
+    # every path of the reader was taken: records, none, each error
+    assert {True, False, MissingColumn, SchemaViolation, "not UTF-8", "field larg"} <= seen
 
 
 # ----------------------------------------------------------------------
