@@ -276,7 +276,7 @@ class CityModel:
 
     @classmethod
     def load(cls, path) -> "CityModel":
-        with open(path, "r", encoding="utf-8") as fp:
+        with open(path, "r", encoding="utf-8-sig") as fp:  # past any byte order mark
             return cls.from_json(fp)
 
 

@@ -196,9 +196,9 @@ def write_combined_csv(fp: IO[str], reports: dict[str, EvaluationReport]) -> Non
 
 def sweep_reference_sizes(
     records: Sequence[TripRecord],
-    sizes: Sequence[int] = DEFAULT_SWEEP_SIZES,
-    seeds: Sequence[int] = (0, 1, 2),
-    n_validation: int = 500,
+    sizes: Sequence[int],
+    seeds: Sequence[int],
+    n_validation: int,
     config: Optional[PipelineConfig] = None,
     embed_provider=None,
     llm_provider=None,

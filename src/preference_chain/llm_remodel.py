@@ -28,6 +28,9 @@ from .schema import SUM_TOLERANCE, ChoiceCategorySet
 
 PRIOR_JSON_MARKER = "Prior probabilities (JSON): "
 
+# Default weight of the reply in ``calibrate``, the pipeline's ``blend``.
+DEFAULT_BLEND = 1.0
+
 _DECODER = json.JSONDecoder()
 
 
@@ -191,12 +194,12 @@ def calibrate(
     prior: PreferenceDistribution,
     provider: LlmProvider,
     params: GenerationParams = GenerationParams(),
-    blend: float = 1.0,
+    blend: float = DEFAULT_BLEND,
 ) -> CalibrationResult:
     """Run one calibration round; absorbs every failure into the prior.
 
     ``blend`` mixes posterior = blend * llm + (1 - blend) * prior; the
-    default 1.0 replaces the prior wholesale. A degenerate prior is still
+    default, 1.0, replaces the prior wholesale. A degenerate prior is still
     sent to the provider (rendered uniform by construction).
     """
     prompt = build_prompt(agent, prior)

@@ -1,9 +1,11 @@
 """Agent-based daily mobility simulation on a synthetic city.
 
-Each agent gets a day plan (template- or LLM-generated), and every entry
-runs the same loop: choose mode and duration via the calibrated choice
-pipeline, search POIs reachable in the implied travel-time budget, let the
-LLM pick one (nearest on fallback), route along the shortest path (see
+Each agent gets a day plan: desires (start hour, trip purpose) checked
+like a trip record's, from ``template_plan`` or from the LLM with the
+template as fallback (``LlmScheduleProvider``). Every entry runs the same
+loop: choose mode and duration via the calibrated choice pipeline, search
+POIs reachable in the implied travel-time budget, let the LLM pick one
+(nearest on fallback), route along the shortest path (see
 ``city._TreeCache``), and tally edge traversals and POI visits. An agent's
 trips are its memory: the POI prompt lists the latest ones, and a work or
 school trip reuses the POI of the first earlier trip with that purpose.
@@ -15,7 +17,7 @@ from __future__ import annotations
 import csv
 import re
 from dataclasses import dataclass, field
-from typing import IO, Optional, Protocol, Sequence
+from typing import IO, Optional, Sequence
 
 from .city import (
     CityModel,
@@ -25,7 +27,7 @@ from .city import (
     shortest_path,
 )
 from .embedding import profile_to_text
-from .errors import DataError, EmptySamples, ParseFailure, ProviderError
+from .errors import DataError, EmptySamples, ParseFailure, ProviderError, SchemaViolation
 from .ingest import SyntheticSpec, draw_column, profiles_from_columns
 from .llm_remodel import GenerationParams, LlmProvider, json_blocks
 from .metrics import DEFAULT_KLD_EPSILON, JointDistribution, kld
@@ -39,6 +41,7 @@ from .schema import (
     TRIP_PURPOSES,
     AgentProfile,
     ChoiceCategorySet,
+    check_desire,
 )
 
 # Purposes whose first chosen POI is reused all day.
@@ -57,19 +60,17 @@ class AgentState:
 
 @dataclass(frozen=True)
 class DayPlan:
-    """Ordered (start hour, trip purpose) itinerary for one day; a bad entry raises ValueError."""
+    """Ordered (start hour, trip purpose) desires for one day, each checked by
+    ``check_desire``; hours strictly increase. A bad entry raises SchemaViolation."""
 
     entries: tuple[tuple[int, str], ...]
 
     def __post_init__(self):
         last = -1
         for hour, purpose in self.entries:
-            if not (type(hour) is int and 0 <= hour <= 23):
-                raise ValueError(f"plan hour {hour!r} outside 0..23")
+            check_desire(purpose, hour)
             if hour <= last:
-                raise ValueError("plan hours must be strictly increasing")
-            if purpose not in TRIP_PURPOSES:
-                raise ValueError(f"unknown plan purpose {purpose!r}")
+                raise SchemaViolation(-1, "start_time", hour, "plan hours must strictly increase")
             last = hour
 
 
@@ -78,31 +79,25 @@ class DayPlan:
 # ----------------------------------------------------------------------
 
 
-class ScheduleProvider(Protocol):
-    def plan(self, profile: AgentProfile, rng) -> DayPlan: ...
-
-
-class TemplateScheduleProvider:
-    """Deterministic-in-rng skeleton plans keyed on employment status."""
-
-    def plan(self, profile: AgentProfile, rng) -> DayPlan:
-        status = profile.employment_status
-        if status == "employed":
-            work = 7 + int(rng.integers(0, 3))
-            eat = 11 + int(rng.integers(0, 3))
-            home = 16 + int(rng.integers(0, 4))
-            entries = ((work, "work"), (eat, "eat"), (eat + 1, "work"), (home, "home"))
-        elif status == "under_16":
-            school = 7 + int(rng.integers(0, 2))
-            home = 14 + int(rng.integers(0, 3))
-            entries = ((school, "school"), (home, "home"))
-        else:
-            purposes = ("shop", "social", "maintenance", "recreation")
-            purpose = purposes[int(rng.integers(0, len(purposes)))]
-            out = 9 + int(rng.integers(0, 5))
-            home = out + 2 + int(rng.integers(0, 4))
-            entries = ((out, purpose), (home, "home"))
-        return DayPlan(entries)
+def template_plan(profile: AgentProfile, rng) -> DayPlan:
+    """Deterministic-in-rng skeleton plan keyed on employment status."""
+    status = profile.employment_status
+    if status == "employed":
+        work = 7 + int(rng.integers(0, 3))
+        eat = 11 + int(rng.integers(0, 3))
+        home = 16 + int(rng.integers(0, 4))
+        entries = ((work, "work"), (eat, "eat"), (eat + 1, "work"), (home, "home"))
+    elif status == "under_16":
+        school = 7 + int(rng.integers(0, 2))
+        home = 14 + int(rng.integers(0, 3))
+        entries = ((school, "school"), (home, "home"))
+    else:
+        purposes = ("shop", "social", "maintenance", "recreation")
+        purpose = purposes[int(rng.integers(0, len(purposes)))]
+        out = 9 + int(rng.integers(0, 5))
+        home = out + 2 + int(rng.integers(0, 4))
+        entries = ((out, purpose), (home, "home"))
+    return DayPlan(entries)
 
 
 def schedule_prompt(profile: AgentProfile) -> str:
@@ -130,7 +125,7 @@ def parse_schedule(raw: str) -> DayPlan:
                     hour = int(hour)
                 entries.append((hour, item["purpose"]))
             return DayPlan(tuple(entries))
-        except (TypeError, KeyError, ValueError) as exc:
+        except (TypeError, KeyError, SchemaViolation) as exc:
             raise ParseFailure(f"schedule entries invalid: {exc}") from exc
     raise ParseFailure("no JSON array found in schedule response")
 
@@ -147,10 +142,10 @@ class LlmScheduleProvider:
             raw = self.llm.complete(schedule_prompt(profile), self.params)
             return parse_schedule(raw)
         except (ProviderError, ParseFailure):
-            return TemplateScheduleProvider().plan(profile, rng)
+            return template_plan(profile, rng)
 
 
-def generate_schedule(profile: AgentProfile, provider: ScheduleProvider, seed: int) -> DayPlan:
+def generate_schedule(profile: AgentProfile, provider: LlmScheduleProvider, seed: int) -> DayPlan:
     return provider.plan(profile, substream(seed, "schedule"))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .behavior_graph import DEFAULT_TAU, BehaviorGraph
 from .embedding import EmbeddingProvider, HashEmbedder
 from .errors import EmptyGraph, check_config, not_booleans
 from .llm_remodel import (
+    DEFAULT_BLEND,
     CalibrationResult,
     CalibrationSource,
     GenerationParams,
@@ -52,7 +53,7 @@ class PipelineConfig:
     depth: int = DEFAULT_DEPTH      # forward search depth from person nodes
     epsilon: float = DEFAULT_PRIOR_EPSILON  # additive smoothing on raw scores
     tau: float = DEFAULT_TAU        # temporal-proximity decay (hours)
-    blend: float = 1.0              # posterior = blend*llm + (1-blend)*prior
+    blend: float = DEFAULT_BLEND    # posterior = blend*llm + (1-blend)*prior
     seed: int = 0
     generation: GenerationParams = field(default_factory=GenerationParams)
 
@@ -74,10 +75,6 @@ class PipelineConfig:
 
 
 _TOP_K = np.dtype([("id", np.int64), ("sim", np.float64)])  # GC-untracked; tolist is exact
-
-# Default of the ``subgraph`` arguments below: retrieve one for the query.
-# An explicit None is what ``subgraph()`` returns for a graph without persons.
-_RETRIEVE: Any = object()
 
 
 class PreferenceChain:
@@ -101,9 +98,12 @@ class PreferenceChain:
             try:
                 persons = top_k_similar(self.graph, agent, self.config.k, self.embed_provider)
             except EmptyGraph:
-                return None
-            found = self._similar[agent.profile_text] = np.array(persons, _TOP_K)
-        persons = found.tolist()
+                persons = []
+            self._similar[agent.profile_text] = np.array(persons, _TOP_K)
+        else:
+            persons = found.tolist()
+        if not persons:
+            return None
         return extract_subgraph(
             self.graph,
             agent,
@@ -117,10 +117,10 @@ class PreferenceChain:
         self,
         agent: QueryAgent,
         choice_set: ChoiceCategorySet,
-        subgraph: Optional[Extraction] = _RETRIEVE,
+        subgraph: Optional[Extraction] = None,
     ) -> PreferenceDistribution:
-        """The graph prior; degenerate uniform when ``subgraph`` is None."""
-        if subgraph is _RETRIEVE:
+        """The prior of ``subgraph``, retrieved when None; degenerate uniform without persons."""
+        if subgraph is None:
             subgraph = self.subgraph(agent)
         if subgraph is None:
             return uniform_distribution(choice_set, degenerate=True)
@@ -132,7 +132,7 @@ class PreferenceChain:
         self,
         agent: QueryAgent,
         choice_set: ChoiceCategorySet,
-        subgraph: Optional[Extraction] = _RETRIEVE,
+        subgraph: Optional[Extraction] = None,
     ) -> CalibrationResult:
         """Prior followed by LLM calibration, conditioned on ``agent.context``.
 

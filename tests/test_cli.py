@@ -19,7 +19,7 @@ import pytest
 
 from preference_chain import config as config_module
 from preference_chain.behavior_graph import EdgeKind, NodeKind, build_from_records
-from preference_chain.city import DEFAULT_MODE_SPEEDS, grid_city
+from preference_chain.city import DEFAULT_MODE_SPEEDS, CityModel, grid_city
 from preference_chain.config import RunConfig
 from preference_chain.cli import main
 from preference_chain.embedding import RemoteEmbedder
@@ -851,6 +851,26 @@ def test_an_input_file_may_start_with_a_utf8_byte_order_mark(tmp_path, trips_csv
         return capsys.readouterr().out, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
     assert outputs(b"\xef\xbb\xbf" + inputs[flag]) == outputs(inputs[flag])
+
+
+def test_a_city_file_with_a_byte_order_mark_loads_as_simulate_reads_it(tmp_path, trips_csv, monkeypatch):
+    from preference_chain import cli
+
+    path = tmp_path / "city.json"
+    grid_city(width=3, height=3, pois_per_category=1).save(path)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    read = []
+    make_agents = cli.make_agents
+    monkeypatch.setattr(cli, "make_agents", lambda p, city, s: read.append(city) or make_agents(p, city, s))
+    assert run(["simulate", "--city", path, "--reference", trips_csv, "--agents", 1,
+                "--out", tmp_path / "out"]) == 0
+
+    def text(city):
+        fp = io.StringIO()
+        city.to_json(fp)
+        return fp.getvalue()
+
+    assert text(CityModel.load(path)) == text(read[0])
 
 
 _HUGE = "1" + "0" * 400  # an integer literal no float can hold

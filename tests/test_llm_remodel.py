@@ -536,8 +536,9 @@ def test_remote_llm_non_object_body_falls_back_to_prior(body):
 
 
 def test_remote_llm_rejects_missing_text_field():
-    session = _FlakySession(0, {"bad": 1})
-    llm = RemoteLlm("http://x", model="m", session=session, max_retries=0, retry_wait=0)
-    with pytest.raises(ProviderError):
-        llm.complete("p", GenerationParams())
+    for body, message in (({"bad": 1}, "'response' field"), ({"response": 5}, "lacks a text field")):
+        session = _FlakySession(0, body)
+        llm = RemoteLlm("http://x", model="m", session=session, max_retries=0, retry_wait=0)
+        with pytest.raises(ProviderError, match=message):
+            llm.complete("p", GenerationParams())
 

@@ -10,14 +10,13 @@ import pytest
 from preference_chain import city as city_module
 from preference_chain.behavior_graph import GraphBuildConfig, build_from_records
 from preference_chain.city import CityModel, grid_city, shortest_path
-from preference_chain.errors import EmptySamples, ParseFailure, ProviderError
+from preference_chain.errors import EmptySamples, ParseFailure, ProviderError, SchemaViolation
 from preference_chain.ingest import default_synthetic_spec, generate_synthetic
 from preference_chain.llm_remodel import GenerationParams, IdentityMockLlm, ScriptedMockLlm
 from preference_chain.mobility_sim import (
     AgentState,
     DayPlan,
     LlmScheduleProvider,
-    TemplateScheduleProvider,
     TrafficTally,
     TripLog,
     choose_mode_and_duration,
@@ -30,6 +29,7 @@ from preference_chain.mobility_sim import (
     run_day,
     select_poi,
     simulate_agent,
+    template_plan,
 )
 from preference_chain.pipeline import PreferenceChain
 from preference_chain.rng import substream
@@ -68,19 +68,19 @@ def test_day_plan_accepts_increasing_hours():
 
 
 def test_day_plan_rejects_bad_entries():
-    with pytest.raises(ValueError, match="outside"):
+    with pytest.raises(SchemaViolation, match="start_time"):
         DayPlan(((24, "work"),))
-    with pytest.raises(ValueError, match="outside"):
+    with pytest.raises(SchemaViolation, match="start_time"):
         DayPlan(((-1, "work"),))
-    with pytest.raises(ValueError, match="increasing"):
+    with pytest.raises(SchemaViolation, match="increase"):
         DayPlan(((9, "work"), (9, "eat")))
-    with pytest.raises(ValueError, match="increasing"):
+    with pytest.raises(SchemaViolation, match="increase"):
         DayPlan(((9, "work"), (8, "eat")))
-    with pytest.raises(ValueError, match="purpose"):
+    with pytest.raises(SchemaViolation, match="trip_purpose"):
         DayPlan(((9, "commute"),))
-    with pytest.raises(ValueError, match="outside"):
+    with pytest.raises(SchemaViolation, match="start_time"):
         DayPlan(((9.5, "work"),))
-    with pytest.raises(ValueError, match="outside"):
+    with pytest.raises(SchemaViolation, match="start_time"):
         DayPlan(((True, "work"),))
 
 
@@ -93,9 +93,14 @@ def test_day_plan_empty_is_valid():
 # ----------------------------------------------------------------------
 
 
+def _template(profile, seed):
+    """The template plan ``generate_schedule`` falls back to for ``seed``."""
+    return template_plan(profile, substream(seed, "schedule"))
+
+
 def test_template_plan_employed_shape(profile):
     for seed in range(50):
-        plan = TemplateScheduleProvider().plan(profile, substream(seed, "schedule"))
+        plan = template_plan(profile, substream(seed, "schedule"))
         purposes = [p for _, p in plan.entries]
         hours = [h for h, _ in plan.entries]
         assert purposes == ["work", "eat", "work", "home"]
@@ -109,7 +114,7 @@ def test_template_plan_under_16():
     from tests.conftest import make_profile
 
     child = make_profile(age_group="Under 18", employment_status="under_16")
-    plan = TemplateScheduleProvider().plan(child, substream(0, "schedule"))
+    plan = template_plan(child, substream(0, "schedule"))
     purposes = [p for _, p in plan.entries]
     hours = [h for h, _ in plan.entries]
     assert purposes == ["school", "home"]
@@ -123,7 +128,7 @@ def test_template_plan_non_worker_outing():
     retiree = make_profile(age_group="65+", employment_status="not_in_labor_force")
     seen = set()
     for seed in range(30):
-        plan = TemplateScheduleProvider().plan(retiree, substream(seed, "schedule"))
+        plan = template_plan(retiree, substream(seed, "schedule"))
         (out_hour, out_purpose), (home_hour, home_purpose) = plan.entries
         assert out_purpose in ("shop", "social", "maintenance", "recreation")
         assert home_purpose == "home"
@@ -134,8 +139,8 @@ def test_template_plan_non_worker_outing():
 
 
 def test_template_plan_deterministic(profile):
-    a = TemplateScheduleProvider().plan(profile, substream(7, "schedule"))
-    b = TemplateScheduleProvider().plan(profile, substream(7, "schedule"))
+    a = template_plan(profile, substream(7, "schedule"))
+    b = template_plan(profile, substream(7, "schedule"))
     assert a == b
 
 
@@ -190,9 +195,11 @@ def test_llm_schedule_uses_valid_response(profile):
 
 
 def test_llm_schedule_falls_back_on_garbage(profile):
-    scripted = LlmScheduleProvider(ScriptedMockLlm(["not a schedule"]))
-    template = TemplateScheduleProvider()
-    assert generate_schedule(profile, scripted, 3) == generate_schedule(profile, template, 3)
+    # no schedule at all, then entries that are not desires
+    for raw in ("not a schedule", '[{"hour": 24, "purpose": "work"}]',
+                '[{"hour": true, "purpose": "work"}]', '[{"hour": 9, "purpose": "commute"}]'):
+        scripted = LlmScheduleProvider(ScriptedMockLlm([raw]))
+        assert generate_schedule(profile, scripted, 3) == _template(profile, 3)
 
 
 _NESTED_ARRAY = "[" * 1000 + "1" + "]" * 1000
@@ -208,30 +215,27 @@ def test_parse_schedule_skips_blocks_nested_too_deep_to_decode():
 
 
 def test_llm_schedule_falls_back_on_deeply_nested_replies(profile):
-    template = TemplateScheduleProvider()
     for raw in (_NESTED_ARRAY, _NESTED_OBJECT):
         scripted = LlmScheduleProvider(ScriptedMockLlm([raw]))
-        assert generate_schedule(profile, scripted, 3) == generate_schedule(profile, template, 3)
+        assert generate_schedule(profile, scripted, 3) == _template(profile, 3)
 
 
 def test_llm_schedule_falls_back_on_provider_error(profile):
     exploding = LlmScheduleProvider(ExplodingLlm())
-    template = TemplateScheduleProvider()
-    assert generate_schedule(profile, exploding, 5) == generate_schedule(profile, template, 5)
+    assert generate_schedule(profile, exploding, 5) == _template(profile, 5)
 
 
 def test_identity_mock_degrades_to_template(profile):
     # the identity mock answers "" to schedule prompts, so plans are template plans
     identity = LlmScheduleProvider(IdentityMockLlm())
-    template = TemplateScheduleProvider()
-    assert generate_schedule(profile, identity, 11) == generate_schedule(profile, template, 11)
+    assert generate_schedule(profile, identity, 11) == _template(profile, 11)
 
 
 def test_generate_schedule_deterministic_and_seed_sensitive():
     from tests.conftest import make_profile
 
     retiree = make_profile(employment_status="not_in_labor_force")
-    provider = TemplateScheduleProvider()
+    provider = LlmScheduleProvider(IdentityMockLlm())
     assert generate_schedule(retiree, provider, 2) == generate_schedule(retiree, provider, 2)
     plans = {generate_schedule(retiree, provider, seed).entries for seed in range(10)}
     assert len(plans) > 1
@@ -520,6 +524,16 @@ def test_important_destination_is_remembered(profile):
     assert len(llm.calls) == 5
 
 
+def test_a_destination_out_of_range_falls_back_to_the_nearest_poi(profile):
+    city = toy_city()
+    city.add_node(4, 1e7, 0.0)
+    city.add_edge(3, 4, 1e7)  # farther than any mode goes in its longest duration bin
+    city.add_poi("shop-far", "shop", 4)
+    agent = AgentState(id=0, profile=profile, home=0, node=0)
+    _, trips = simulate_agent(agent, DayPlan(((8, "shop"),)), city, empty_chain(), seed=0)
+    assert (trips[0].poi_id, trips[0].destination) == ("shop-far", 4)
+
+
 def test_late_arrival_pushes_next_start(profile):
     # walking 300 m at 80 m/min -> arrive 08:04; a 1-km city makes later
     # trips start at the scheduled hour anyway, so force an overlap instead
@@ -542,8 +556,7 @@ def _population(n_agents=6, seed=4):
     city = grid_city(width=5, height=5, pois_per_category=2, seed=9)
     profiles = generate_profiles(n_agents, default_synthetic_spec(), seed=1)
     agents = make_agents(profiles, city, seed=seed)
-    template = TemplateScheduleProvider()
-    plans = [generate_schedule(a.profile, template, seed + a.id) for a in agents]
+    plans = [_template(a.profile, seed + a.id) for a in agents]
     return city, agents, plans
 
 

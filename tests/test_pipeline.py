@@ -73,6 +73,18 @@ def test_empty_graph_degenerates_to_uniform():
     assert result.posterior.probabilities == prior.probabilities
 
 
+def test_a_prior_without_a_subgraph_retrieves_one():
+    agent = _agent()
+    chain = _chain()
+    retrieved = chain.prior(agent, PRIMARY_MODE_SET, None)
+    assert not retrieved.degenerate
+    assert retrieved == chain.prior(agent, PRIMARY_MODE_SET)
+    assert retrieved == chain.prior(agent, PRIMARY_MODE_SET, chain.subgraph(agent))
+    empty = PreferenceChain(build_from_records([]))
+    uniform = uniform_distribution(PRIMARY_MODE_SET, True)
+    assert empty.prior(agent, PRIMARY_MODE_SET, None) == empty.prior(agent, PRIMARY_MODE_SET) == uniform
+
+
 def test_predict_all_without_persons_retrieves_once(monkeypatch):
     calls = []
 

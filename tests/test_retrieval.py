@@ -30,6 +30,7 @@ from preference_chain.errors import (
     ZeroVector,
     ProviderError,
     SchemaViolation,
+    UnknownNode,
 )
 from preference_chain.ingest import default_synthetic_spec, generate_synthetic, read_csv
 from preference_chain.pipeline import PreferenceChain
@@ -341,6 +342,22 @@ def test_a_person_embedded_to_the_zero_vector_raises_zero_vector():
     with pytest.raises(ZeroVector):
         top_k_similar(graph, _agent(), 1, provider)
     assert not graph._person_indexes
+
+
+def test_a_query_embedded_to_the_zero_vector_raises_zero_vector():
+    graph = _build([make_record(age_group="18-24")])
+    (person,) = graph.nodes_of_kind(NodeKind.PERSON)
+    agent = _agent(profile=make_profile(age_group="45-54"))
+    provider = _TableEmbedder({person.label: np.ones(8), agent.profile_text: np.zeros(8)})
+    with pytest.raises(ZeroVector, match="query profile"):
+        top_k_similar(graph, agent, 1, provider)
+
+
+def test_extraction_starts_only_from_person_nodes():
+    graph = _build([make_record()])
+    (desire,) = graph.nodes_of_kind(NodeKind.DESIRE)
+    with pytest.raises(UnknownNode, match="not a Person"):
+        extract_subgraph(graph, _agent(), [(desire.id, 1.0)], HashEmbedder())
 
 
 def test_top_k_prefix_property():

@@ -1,5 +1,6 @@
 """The source-size counter in ``tools/src_size.py``."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -33,3 +34,7 @@ def scaled(size, *, scale=2.0, name):
 def test_count_skips_class_vars_and_init_false_fields():
     # 19 lines: 9 of code, 3 of docstrings, 1 comment and 2 settable values
     assert src_size.count(_SOURCE) == (19, 9, 3, 1, 2)
+
+
+def test_options_lists_each_settable_value_by_line_and_name():
+    assert src_size.options(ast.parse(_SOURCE)) == [(12, "Knobs.size"), (17, "scaled.scale")]

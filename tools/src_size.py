@@ -12,6 +12,8 @@ The ``options`` column counts settable values: parameters with a default
 (of any function, method or lambda) plus dataclass fields with a default
 whose annotation is not ``ClassVar``, found by an ``ast`` walk. A field
 made with ``field(..., init=False)`` is skipped: no caller can set it.
+Under the table, each settable value is listed as ``file:line owner.name``,
+so two listings can be compared line by line.
 """
 
 from __future__ import annotations
@@ -49,22 +51,27 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return False
 
 
-def option_count(tree: ast.AST) -> int:
-    """Defaulted parameters plus defaulted, settable non-``ClassVar`` dataclass fields."""
-    options = 0
+def options(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, owner.name) of each defaulted parameter and each defaulted,
+    settable non-``ClassVar`` dataclass field, in line order."""
+    found = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            options += len(node.args.defaults)
-            options += sum(default is not None for default in node.args.kw_defaults)
+            owner, args = getattr(node, "name", "<lambda>"), node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [arg for arg, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            found.extend((arg.lineno, f"{owner}.{arg.arg}") for arg in defaulted)
         elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
-            options += sum(
-                isinstance(item, ast.AnnAssign)
+            found.extend(
+                (item.lineno, f"{node.name}.{item.target.id}")
+                for item in node.body
+                if isinstance(item, ast.AnnAssign)
                 and item.value is not None
                 and "ClassVar" not in ast.unparse(item.annotation)
                 and "init=False" not in ast.unparse(item.value)
-                for item in node.body
             )
-    return options
+    return sorted(found)
 
 
 def count(text: str) -> tuple[int, int, int, int, int]:
@@ -78,15 +85,20 @@ def count(text: str) -> tuple[int, int, int, int, int]:
             comments.add(token.start[0])
         elif token.type not in _LAYOUT and token.start[0] not in docs:
             code.update(range(token.start[0], token.end[0] + 1))
-    return len(text.splitlines()), len(code), len(docs), len(comments - code), option_count(tree)
+    return len(text.splitlines()), len(code), len(docs), len(comments - code), len(options(tree))
 
 
 def main() -> None:
-    rows = [(path.name, count(path.read_text(encoding="utf-8"))) for path in sorted(SRC.glob("*.py"))]
+    texts = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    rows = [(name, count(text)) for name, text in texts.items()]
     rows.append(("total", tuple(map(sum, zip(*(counts for _, counts in rows))))))
     print(f"{'file':<20} {'total':>6} {'code':>6} {'doc':>6} {'comment':>8} {'options':>8}")
-    for name, (total, code, docs, comments, options) in rows:
-        print(f"{name:<20} {total:>6} {code:>6} {docs:>6} {comments:>8} {options:>8}")
+    for name, (total, code, docs, comments, option_count) in rows:
+        print(f"{name:<20} {total:>6} {code:>6} {docs:>6} {comments:>8} {option_count:>8}")
+    print()
+    for name, text in texts.items():
+        for line, option in options(ast.parse(text)):
+            print(f"{name}:{line} {option}")
 
 
 if __name__ == "__main__":
