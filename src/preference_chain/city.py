@@ -12,7 +12,6 @@ read their shortest-path trees through a ``_TreeCache`` on the city.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 import sys
 from array import array
@@ -21,7 +20,7 @@ from typing import IO, Optional
 
 from .errors import DataError, UnknownCategory, UnknownNode
 from .rng import substream
-from .schema import DURATION_BINS, PRIMARY_MODES, TRIP_PURPOSES, decode_json
+from .schema import DURATION_BINS, PRIMARY_MODES, TRIP_PURPOSES, decode_json, write_json
 
 # Distances within this many meters tie in ``dijkstra``, and the lower node
 # id then wins the predecessor of a node not yet settled. ``add_edge``
@@ -249,8 +248,7 @@ class CityModel:
             ],
             "speeds": {m: self.speeds[m] for m in sorted(self.speeds)},
         }
-        json.dump(obj, fp, indent=2, sort_keys=True)
-        fp.write("\n")
+        write_json(fp, obj)
 
     @classmethod
     def from_json(cls, fp: IO[str]) -> "CityModel":
@@ -338,6 +336,13 @@ def shortest_path(city: CityModel, source: int, target: int) -> tuple[float, lis
     return distance, tree.path(target)
 
 
+def _pois_by_distance(city: CityModel, from_node: int, category: str) -> list[tuple[float, str]]:
+    """(shortest-path distance, POI id) of each reachable POI of the category, nearest first."""
+    candidates = city.pois_of_category(category)
+    tree = city._trees.tree(city, from_node)
+    return sorted((d, p.id) for p in candidates if (d := tree.distance(p.node)) is not None)
+
+
 def search_pois(
     city: CityModel,
     from_node: int,
@@ -350,25 +355,17 @@ def search_pois(
     Sorted by shortest-path distance ascending, ties by POI id. Empty when
     nothing is in range; the caller falls back to the nearest POI.
     """
-    candidates = city.pois_of_category(category)
     radius = city.speed(mode) * duration_upper_minutes(duration_bin)
-    tree = city._trees.tree(city, from_node)
-    in_range = [
-        (d, p.id)
-        for p in candidates
-        if (d := tree.distance(p.node)) is not None and d <= radius
-    ]
-    in_range.sort()
-    return [poi_id for _, poi_id in in_range]
+    return [poi_id for d, poi_id in _pois_by_distance(city, from_node, category) if d <= radius]
 
 
 def nearest_poi(city: CityModel, from_node: int, category: str) -> str:
-    """Closest POI of the category regardless of range; ties by POI id."""
-    candidates = city.pois_of_category(category)
-    tree = city._trees.tree(city, from_node)
-    return min(
-        (d, p.id) for p in candidates if (d := tree.distance(p.node)) is not None
-    )[1]
+    """Closest POI of the category regardless of range; ties by POI id. UnknownNode,
+    naming both, when none is reachable (streets that ``validate()`` rejects)."""
+    by_distance = _pois_by_distance(city, from_node, category)
+    if not by_distance:
+        raise UnknownNode(f"no POI of category {category!r} reachable from node {from_node}")
+    return by_distance[0][1]
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,6 @@ embeddings that cannot be compared).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import Optional
@@ -30,7 +29,6 @@ from .config import (
     build_llm_provider,
     load_config,
     run_manifest,
-    write_json,
 )
 from .errors import (
     ConfigError,
@@ -71,7 +69,7 @@ from .mobility_sim import (
 )
 from .pipeline import PreferenceChain
 from .retrieval import QueryAgent
-from .schema import BUNDLED_CHOICE_SETS, PROFILE_FIELDS, AgentProfile, decode_json
+from .schema import BUNDLED_CHOICE_SETS, PROFILE_FIELDS, AgentProfile, decode_json, write_json
 
 
 def _given(value: Optional[str], fallback: Optional[str]) -> Optional[str]:
@@ -226,10 +224,10 @@ def cmd_predict(args, config: RunConfig) -> int:
         }
         for name, result in _build_chain(graph, config).predict_all(agent).items()
     }
-    text = json.dumps(output, indent=2, sort_keys=True)
     if out:
-        out.write_text(text + "\n", encoding="utf-8")
-    print(text)
+        with open(out, "w", encoding="utf-8") as fp:
+            write_json(fp, output)
+    write_json(sys.stdout, output)
     return 0
 
 

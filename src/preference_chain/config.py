@@ -7,8 +7,8 @@ Each section checks its own fields when it is built, through
 booleans, provider URLs and models are strings or null, and the
 "pipeline" and "generation" ranges are checked by ``PipelineConfig`` and
 ``GenerationParams``. Mock providers are the default — remote ones need
-explicit URLs, which the environment variables PC_LLM_URL / PC_EMBED_URL
-can inject (setting one also turns the corresponding mock flag off). The
+explicit URLs and non-empty model names; PC_LLM_URL / PC_EMBED_URL can
+inject the URLs (setting one also turns the corresponding mock flag off). The
 canonical-JSON sha256 of a config is recorded in every output manifest.
 """
 
@@ -19,7 +19,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import IO, Mapping, Optional
+from typing import Mapping, Optional
 
 from .embedding import EmbeddingProvider, HashEmbedder, RemoteEmbedder
 from .errors import ConfigError, check_config
@@ -68,6 +68,7 @@ class ProvidersConfig:
             (self.mock_llm or self.llm_url, "providers.llm_url required when mock_llm is false"),
             (self.mock_llm or self.llm_model, "providers.llm_model required when mock_llm is false"),
             (self.mock_embed or self.embed_url, "providers.embed_url required when mock_embed is false"),
+            (self.mock_embed or self.embed_model, "providers.embed_model required when mock_embed is false"),
         ])
 
 
@@ -138,29 +139,28 @@ class RunConfig:
         mock_llm: Optional[bool] = None,
         mock_embed: Optional[bool] = None,
     ) -> "RunConfig":
-        pipeline = self.pipeline
+        config = self
         if seed is not None:
-            pipeline = dataclasses.replace(pipeline, seed=seed)
-        providers = self.providers
-        if mock_llm is not None:
-            providers = dataclasses.replace(providers, mock_llm=mock_llm)
-        if mock_embed is not None:
-            providers = dataclasses.replace(providers, mock_embed=mock_embed)
-        return dataclasses.replace(self, providers=providers, pipeline=pipeline)
+            config = dataclasses.replace(self, pipeline=dataclasses.replace(self.pipeline, seed=seed))
+        flags = {"mock_llm": mock_llm, "mock_embed": mock_embed}
+        return _with_providers(config, {name: flag for name, flag in flags.items() if flag is not None})
+
+
+def _with_providers(config: RunConfig, changes: dict) -> RunConfig:
+    """``config`` with the ``changes`` provider fields; ``config`` itself when there are none."""
+    if not changes:
+        return config
+    return dataclasses.replace(config, providers=dataclasses.replace(config.providers, **changes))
 
 
 def apply_env_overrides(config: RunConfig, environ: Mapping[str, str] = os.environ) -> RunConfig:
     """PC_LLM_URL / PC_EMBED_URL switch the matching provider to remote."""
-    providers = config.providers
-    llm_url = environ.get(ENV_LLM_URL)
-    if llm_url:
-        providers = dataclasses.replace(providers, llm_url=llm_url, mock_llm=False)
-    embed_url = environ.get(ENV_EMBED_URL)
-    if embed_url:
-        providers = dataclasses.replace(providers, embed_url=embed_url, mock_embed=False)
-    if providers is config.providers:
-        return config
-    return dataclasses.replace(config, providers=providers)
+    changes = {}
+    if environ.get(ENV_LLM_URL):
+        changes.update(llm_url=environ[ENV_LLM_URL], mock_llm=False)
+    if environ.get(ENV_EMBED_URL):
+        changes.update(embed_url=environ[ENV_EMBED_URL], mock_embed=False)
+    return _with_providers(config, changes)
 
 
 def load_config(path) -> RunConfig:
@@ -206,8 +206,3 @@ def run_manifest(
     if extra:
         manifest.update(extra)
     return manifest
-
-
-def write_json(fp: IO[str], obj: dict) -> None:
-    json.dump(obj, fp, indent=2, sort_keys=True)
-    fp.write("\n")

@@ -34,11 +34,11 @@ from .rng import substream
 from .schema import (
     CSV_COLUMNS,
     DURATION_BINS,
+    HOURS,
     HOUSEHOLD_COLUMN,
     INPUT_CATEGORIES,
     PRIMARY_MODES,
     PROFILE_FIELDS,
-    START_TIMES,
     SUM_TOLERANCE,
     AgentProfile,
     TripRecord,
@@ -59,9 +59,6 @@ class _Stripped(dict):
     def __missing__(self, raw: str) -> str:
         self[raw] = cell = raw.strip()
         return cell
-
-
-_HOURS = {text: hour for hour, text in enumerate(START_TIMES)}
 
 
 def read_csv(path) -> list[TripRecord]:
@@ -91,7 +88,7 @@ def read_csv(path) -> list[TripRecord]:
                 column = next(c for c, i in zip(CSV_COLUMNS, positions) if i >= len(row))
                 raise SchemaViolation(index, column, None, "missing value") from None
             key, (purpose, start, mode, duration) = cells[:split], cells[split:]
-            hour = _HOURS.get(start)
+            hour = HOURS.get(start)
             if hour is None:
                 raise SchemaViolation(index, "start_time", start)
             household = None
@@ -230,6 +227,13 @@ def draw_column(rng: np.random.Generator, table: Mapping[str, float], size: int,
     return np.array(cats, dtype=object)[idx]
 
 
+def draw_columns(
+    rng: np.random.Generator, spec: SyntheticSpec, names: Sequence[str], size: int
+) -> dict[str, np.ndarray]:
+    """``draw_column`` of each named input column's marginal in ``spec``, in ``names`` order."""
+    return {name: draw_column(rng, spec.marginals[name], size, INPUT_CATEGORIES[name]) for name in names}
+
+
 def generate_synthetic(
     spec: SyntheticSpec,
     size: Optional[int] = None,
@@ -238,10 +242,7 @@ def generate_synthetic(
     """Seeded, reproducible sampling from the spec's marginals/conditionals."""
     n = spec.population if size is None else size
     rng = substream(spec.seed if seed is None else seed, "synthetic")
-
-    columns: dict[str, np.ndarray] = {}
-    for column, allowed in INPUT_CATEGORIES.items():
-        columns[column] = draw_column(rng, spec.marginals[column], n, allowed)
+    columns = draw_columns(rng, spec, tuple(INPUT_CATEGORIES), n)
 
     buckets = columns[spec.conditioned_on]
     modes = np.empty(n, dtype=object)

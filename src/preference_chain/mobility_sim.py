@@ -28,20 +28,20 @@ from .city import (
 )
 from .embedding import profile_to_text
 from .errors import DataError, EmptySamples, ParseFailure, ProviderError, SchemaViolation
-from .ingest import SyntheticSpec, draw_column, profiles_from_columns
+from .ingest import SyntheticSpec, draw_columns, profiles_from_columns
 from .llm_remodel import GenerationParams, LlmProvider, json_blocks
 from .metrics import DEFAULT_KLD_EPSILON, JointDistribution, kld
 from .pipeline import PreferenceChain
 from .retrieval import QueryAgent
 from .rng import substream
 from .schema import (
-    INPUT_CATEGORIES,
+    HOURS,
     PROFILE_FIELDS,
-    START_TIMES,
     TRIP_PURPOSES,
     AgentProfile,
     ChoiceCategorySet,
     check_desire,
+    check_hour,
 )
 
 # Purposes whose first chosen POI is reused all day.
@@ -156,13 +156,7 @@ def generate_schedule(profile: AgentProfile, provider: LlmScheduleProvider, seed
 
 def generate_profiles(n: int, spec: SyntheticSpec, seed: int) -> list[AgentProfile]:
     """Profile-only sampling from the spec's marginals."""
-    rng = substream(seed, "profiles")
-    return profiles_from_columns(
-        {
-            name: draw_column(rng, spec.marginals[name], n, INPUT_CATEGORIES[name])
-            for name in PROFILE_FIELDS
-        }
-    )
+    return profiles_from_columns(draw_columns(substream(seed, "profiles"), spec, PROFILE_FIELDS, n))
 
 
 def make_agents(profiles: Sequence[AgentProfile], city: CityModel, seed: int) -> list[AgentState]:
@@ -237,8 +231,7 @@ def select_poi(
 
 
 def _count(counts: dict[tuple[str, int], int], key: str, hour: int, count: int) -> None:
-    if not (0 <= hour <= 23):
-        raise ValueError(f"hour {hour} outside 0..23")
+    check_hour("hour", hour)
     counts[key, hour] = counts.get((key, hour), 0) + count
 
 
@@ -251,7 +244,11 @@ def _write_counts(fp: IO[str], column: str, counts: dict[tuple[str, int], int]) 
 
 @dataclass
 class TrafficTally:
-    """Per-hour traversal counts by street edge and visit counts by POI."""
+    """Per-hour traversal counts by street edge and visit counts by POI.
+
+    An hour that ``schema.check_hour`` refuses (24, ``True``, ``2.5``, ``"8"``)
+    raises SchemaViolation, so ``from_csv`` reads back what the writers write.
+    """
 
     edge_counts: dict[tuple[str, int], int] = field(default_factory=dict)
     poi_counts: dict[tuple[str, int], int] = field(default_factory=dict)
@@ -290,7 +287,7 @@ class TrafficTally:
     @classmethod
     def from_csv(cls, edge_fp: Optional[IO[str]] = None, poi_fp: Optional[IO[str]] = None) -> "TrafficTally":
         """Read tally CSVs; a missing column or cell, or a stripped hour or count that is
-        not in ``START_TIMES`` or not ASCII digits, raises DataError."""
+        not a key of ``HOURS`` or not ASCII digits, raises DataError."""
         tally = cls()
         for fp, key, record in ((edge_fp, "edge", tally.record_edge), (poi_fp, "poi", tally.record_visit)):
             if fp is None:
@@ -301,12 +298,10 @@ class TrafficTally:
                     if None in row.values():
                         raise ValueError("a cell is missing")
                     hour, count = row["hour"].strip(), row["count"].strip()
-                    if hour not in START_TIMES:
-                        raise ValueError(f"hour {hour!r} is not one of 0..23")
                     if not (count.isascii() and count.isdigit()):
                         raise ValueError(f"count {count!r} is not a string of digits")
-                    record(row[key], int(hour), int(count))
-            except (KeyError, ValueError, csv.Error) as exc:  # missing columns too
+                    record(row[key], HOURS.get(hour, hour), int(count))  # text fails check_hour
+            except (KeyError, ValueError, SchemaViolation, csv.Error) as exc:  # missing columns too
                 raise DataError(
                     f"{key} tally line {reader.line_num}: {type(exc).__name__}: {exc}"
                 ) from exc

@@ -7,11 +7,15 @@ duration bin).
 
 Every value type checks its own fields when it is built, so a value that
 exists is valid: an out-of-category field raises SchemaViolation from
-``__post_init__``, and no caller re-checks it. A desire (trip purpose and
-start hour) has one rule, ``check_desire``, which trip records, queries
-and day-plan entries share. Only the builder ``CityModel`` has a
+``__post_init__``, and no caller re-checks it. An hour has one rule,
+``check_hour``: an ``int`` 0..23, not a bool. Trip records, queries,
+day-plan entries and traffic tallies share it, and ``HOURS`` is the one
+map from hour text to that int. A desire (trip purpose and start hour)
+has one rule, ``check_desire``. Only the builder ``CityModel`` has a
 ``validate()``, because its rules span many ``add_*`` calls. Every JSON
-input is read with ``decode_json``.
+input is read with ``decode_json``, and every JSON output file is written
+by ``write_json`` (sorted keys, two-space indent, one final newline);
+only a ``SyntheticSpec`` keeps its keys in declaration order.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
-from typing import Iterator, Optional
+from typing import IO, Iterator, Optional
 
 from .errors import SchemaViolation
 
@@ -56,6 +60,7 @@ TRIP_PURPOSES = (
     "other_activity_type",
 )
 START_TIMES = tuple(str(h) for h in range(24))
+HOURS = {text: hour for hour, text in enumerate(START_TIMES)}  # hour text -> int
 PRIMARY_MODES = (
     "walking",
     "biking",
@@ -147,12 +152,17 @@ class AgentProfile:
 PROFILE_FIELDS = tuple(f.name for f in fields(AgentProfile))
 
 
+def check_hour(column: str, hour) -> None:
+    """The hour rule: SchemaViolation naming ``column`` unless ``hour`` is an int 0..23."""
+    if not (type(hour) is int and 0 <= hour <= 23):
+        raise SchemaViolation(-1, column, hour)
+
+
 def check_desire(trip_purpose, start_time) -> None:
     """The purpose-and-hour rule of trip records and queries: SchemaViolation if broken."""
     if trip_purpose not in TRIP_PURPOSES:
         raise SchemaViolation(-1, "trip_purpose", trip_purpose)
-    if not (type(start_time) is int and 0 <= start_time <= 23):
-        raise SchemaViolation(-1, "start_time", start_time)
+    check_hour("start_time", start_time)
 
 
 @dataclass(frozen=True)
@@ -196,3 +206,9 @@ def _float_sized_int(text: str) -> int:
 def decode_json(text: str):
     """``json.loads(text)``, except that an integer literal no float can hold raises ValueError."""
     return json.loads(text, parse_int=_float_sized_int)
+
+
+def write_json(fp: IO[str], obj: dict) -> None:
+    """Write ``obj`` with sorted keys and a two-space indent, then a newline."""
+    json.dump(obj, fp, indent=2, sort_keys=True)
+    fp.write("\n")

@@ -488,6 +488,14 @@ def test_nearest_poi_ignores_budget():
     assert nearest_poi(city, 0, "work") == "work-0"
 
 
+def test_nearest_poi_with_no_reachable_poi_raises_unknown_node():
+    city = line_city()
+    city.add_node(5, 900.0, 0.0)  # an island: the city no longer validates
+    with pytest.raises(UnknownNode, match=r"no POI of category 'shop' reachable from node 5"):
+        nearest_poi(city, 5, "shop")
+    assert search_pois(city, 5, "shop", "walking", "0-10") == []
+
+
 # ----------------------------------------------------------------------
 # routing cache: cached trees against a fresh city for every call
 # ----------------------------------------------------------------------
@@ -507,7 +515,7 @@ def _outcome(query, city, *args):
     """("returned", result) or ("raised", type, message) for one query."""
     try:
         return "returned", query(city, *args)
-    except (UnknownNode, ValueError) as exc:  # ValueError: nearest_poi finds no POI
+    except UnknownNode as exc:  # an unknown node, an unreachable target or no reachable POI
         return "raised", type(exc), str(exc)
 
 

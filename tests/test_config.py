@@ -143,6 +143,11 @@ def test_remote_providers_require_urls():
         RunConfig.from_dict(
             {"providers": {"mock_llm": False, "llm_url": "http://h/api", "llm_model": ""}}
         )
+    for model in ("", None):  # a remote embedder needs a model name, like a remote LLM
+        with pytest.raises(ConfigError, match="embed_model"):
+            RunConfig.from_dict(
+                {"providers": {"mock_embed": False, "embed_url": "http://h/api", "embed_model": model}}
+            )
     config = RunConfig.from_dict(
         {"providers": {"mock_llm": False, "llm_url": "http://localhost:11434/api/generate"}}
     )

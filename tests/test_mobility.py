@@ -375,11 +375,29 @@ def test_tally_record_and_totals():
 
 
 def test_tally_rejects_out_of_range_hours():
+    """Every hour that ``schema.check_hour`` refuses, the int-like ones too."""
     tally = TrafficTally()
-    with pytest.raises(ValueError):
-        tally.record_edge("0-1", 24)
-    with pytest.raises(ValueError):
-        tally.record_visit("shop-0", -1)
+    for hour in (24, -1, True, 2.5, "8"):
+        with pytest.raises(SchemaViolation, match="'hour'"):
+            tally.record_edge("0-1", hour)
+        with pytest.raises(SchemaViolation, match="'hour'"):
+            tally.record_visit("shop-0", hour)
+    assert tally.edge_counts == {} and tally.poi_counts == {}
+
+
+def test_tally_of_every_hour_reads_back_equal():
+    tally = TrafficTally()
+    for hour in range(24):
+        tally.record_edge("0-1", hour, count=hour + 1)
+        tally.record_visit("shop-0", hour)
+    edge_buf, poi_buf = io.StringIO(), io.StringIO()
+    tally.write_edge_csv(edge_buf)
+    tally.write_poi_csv(poi_buf)
+    loaded = TrafficTally.from_csv(
+        edge_fp=io.StringIO(edge_buf.getvalue()), poi_fp=io.StringIO(poi_buf.getvalue())
+    )
+    assert loaded == tally
+    assert len(loaded.edge_counts) == len(loaded.poi_counts) == 24
 
 
 def test_tally_merge_is_commutative_and_leaves_inputs_alone():
