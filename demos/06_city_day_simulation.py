@@ -26,7 +26,7 @@ from preference_chain.pipeline import PreferenceChain
 
 SEED = 0
 
-city = grid_city(width=6, height=6, spacing=100.0, pois_per_category=3, seed=SEED)
+city = grid_city(width=6, height=6, pois_per_category=3, seed=SEED)
 print(f"city: {len(city.positions)} intersections, "
       f"{sum(len(v) for v in city.adjacency.values()) // 2} streets, "
       f"{len(city.pois)} destinations\n")

@@ -169,6 +169,7 @@ class BehaviorGraph:
             if not (type(node_id) is int and 0 <= node_id < len(nodes)):
                 raise UnknownNode(f"no node with id {node_id}")
         pair = (nodes[source].kind, nodes[target].kind)
+        # schema.is_number's rule, inlined: this check runs once per edge of a graph build
         if isinstance(weight, bool) or not (isinstance(weight, (int, float)) and 0 <= weight <= 1):
             raise WeightOutOfRange(f"weight {weight!r} is not a number in [0, 1]")
         if pair != _ENDPOINT_RULES.get(kind):

@@ -20,7 +20,7 @@ from typing import IO, Optional
 
 from .errors import DataError, UnknownCategory, UnknownNode
 from .rng import substream
-from .schema import DURATION_BINS, PRIMARY_MODES, TRIP_PURPOSES, decode_json, write_json
+from .schema import DURATION_BINS, PRIMARY_MODES, TRIP_PURPOSES, decode_json, is_number, write_json
 
 # Distances within this many meters tie in ``dijkstra``, and the lower node
 # id then wins the predecessor of a node not yet settled. ``add_edge``
@@ -37,6 +37,8 @@ DEFAULT_MODE_SPEEDS: dict[str, float] = {
     "on_demand_auto": 500.0,
     "other_travel_mode": 80.0,
 }
+
+GRID_SPACING = 100.0  # meters between neighbouring nodes of a ``grid_city``
 
 
 def duration_upper_minutes(duration_bin: str) -> int:
@@ -145,22 +147,21 @@ class CityModel:
         default_factory=_TreeCache, init=False, repr=False, compare=False
     )
 
-    def add_node(self, node: int, x: float, y: float) -> int:
+    def add_node(self, node: int, x: float, y: float) -> None:
         if type(node) is not int or node in self.positions:
             raise ValueError(f"street node id {node!r} is not an int or already present")
         for value in (x, y):
-            if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+            if not is_number(value) or not abs(value) <= sys.float_info.max:
                 raise ValueError(f"street node {node}: coordinate {value!r} is not a finite number")
         self.positions[node] = (float(x), float(y))
         self.adjacency.setdefault(node, [])
         self._trees = _TreeCache()
-        return node
 
     def add_edge(self, u: int, v: int, length: float) -> None:
         for node in (u, v):
             if type(node) is not int or node not in self.positions:  # True and 1.0 hash as 1
                 raise UnknownNode(f"no street node {node!r}")
-        if type(length) not in (int, float) or not TIE_TOLERANCE < length <= sys.float_info.max:
+        if not is_number(length) or not TIE_TOLERANCE < length <= sys.float_info.max:
             raise ValueError(
                 f"edge length must be finite and above {TIE_TOLERANCE} m, got {length!r}"
             )
@@ -207,7 +208,7 @@ class CityModel:
         if self.speeds.keys() != set(PRIMARY_MODES):
             raise ValueError(f"speeds must name exactly the modes {list(PRIMARY_MODES)}")
         for mode, speed in self.speeds.items():
-            if type(speed) not in (int, float) or not 0 < speed <= sys.float_info.max:
+            if not is_number(speed) or not 0 < speed <= sys.float_info.max:
                 raise ValueError(f"speed for {mode!r} must be a finite number > 0, got {speed!r}")
         # connectivity: every node reachable from the smallest id
         start = min(self.positions)
@@ -376,11 +377,10 @@ def nearest_poi(city: CityModel, from_node: int, category: str) -> str:
 def grid_city(
     width: int = 20,
     height: int = 20,
-    spacing: float = 100.0,
     pois_per_category: int = 8,
     seed: int = 0,
 ) -> CityModel:
-    """Rectangular street grid with seeded random POI placement.
+    """Rectangular street grid of ``GRID_SPACING`` m blocks with seeded random POI placement.
 
     Node ids are row-major; every purpose category other than "home" gets
     ``pois_per_category`` POIs at random street nodes ("home" locations
@@ -391,14 +391,14 @@ def grid_city(
     city = CityModel()
     for r in range(height):
         for c in range(width):
-            city.add_node(r * width + c, c * spacing, r * spacing)
+            city.add_node(r * width + c, c * GRID_SPACING, r * GRID_SPACING)
     for r in range(height):
         for c in range(width):
             node = r * width + c
             if c + 1 < width:
-                city.add_edge(node, node + 1, spacing)
+                city.add_edge(node, node + 1, GRID_SPACING)
             if r + 1 < height:
-                city.add_edge(node, node + width, spacing)
+                city.add_edge(node, node + width, GRID_SPACING)
     rng = substream(seed, "city-pois")
     n_nodes = width * height
     for category in (c for c in TRIP_PURPOSES if c != "home"):

@@ -153,13 +153,13 @@ def _with_providers(config: RunConfig, changes: dict) -> RunConfig:
     return dataclasses.replace(config, providers=dataclasses.replace(config.providers, **changes))
 
 
-def apply_env_overrides(config: RunConfig, environ: Mapping[str, str] = os.environ) -> RunConfig:
-    """PC_LLM_URL / PC_EMBED_URL switch the matching provider to remote."""
+def apply_env_overrides(config: RunConfig) -> RunConfig:
+    """PC_LLM_URL / PC_EMBED_URL in ``os.environ`` switch the matching provider to remote."""
     changes = {}
-    if environ.get(ENV_LLM_URL):
-        changes.update(llm_url=environ[ENV_LLM_URL], mock_llm=False)
-    if environ.get(ENV_EMBED_URL):
-        changes.update(embed_url=environ[ENV_EMBED_URL], mock_embed=False)
+    if os.environ.get(ENV_LLM_URL):
+        changes.update(llm_url=os.environ[ENV_LLM_URL], mock_llm=False)
+    if os.environ.get(ENV_EMBED_URL):
+        changes.update(embed_url=os.environ[ENV_EMBED_URL], mock_embed=False)
     return _with_providers(config, changes)
 
 
@@ -191,7 +191,7 @@ def run_manifest(
     command: str,
     embed_provider: EmbeddingProvider,
     llm_provider: LlmProvider,
-    extra: Optional[dict] = None,
+    extra: dict,
 ) -> dict:
     """The run's record: command, seed, config hash, the ids of the providers it used."""
     from . import __version__
@@ -203,6 +203,5 @@ def run_manifest(
         "providers": {"embed": embed_provider.provider_id, "llm": llm_provider.provider_id},
         "version": __version__,
     }
-    if extra:
-        manifest.update(extra)
+    manifest.update(extra)
     return manifest

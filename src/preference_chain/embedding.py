@@ -4,8 +4,8 @@ Profile and desire texts are embedded via a pluggable provider; clamped
 cosine similarity between the vectors supplies the similar_to and want_to
 edge weights. Two providers ship with the package:
 
-  * HashEmbedder — deterministic offline token-hash bag of words; the
-    default and the mock used throughout the tests.
+  * HashEmbedder — deterministic offline token-hash bag of words in 256
+    buckets (``HASH_DIMENSION``); the default and the tests' mock.
   * RemoteEmbedder — HTTP provider posting {"model", "prompt"} and reading
     a top-level "embedding" array from the JSON response.
 
@@ -34,7 +34,7 @@ from .errors import DimensionMismatch, EmbeddingError, EmptyText, ProviderError,
 from .schema import PROFILE_FIELDS, AgentProfile
 
 _TOKEN_RE = re.compile(r"[0-9a-z]+")
-DEFAULT_HASH_DIMENSION = 256
+HASH_DIMENSION = 256  # buckets of every hash vector
 
 # Smallest L2 norm whose square is a normal float: below it the sum of
 # squares has lost precision or underflowed to zero.
@@ -99,24 +99,22 @@ def similarity_weight(a: np.ndarray, b: np.ndarray) -> float:
     return max(0.0, cosine_similarity(a, b))
 
 
-def _buckets(text: str, dimension: int) -> list[int]:
+def _buckets(text: str) -> list[int]:
     """The bucket of each token of a lowercased text (see ``hash_embed``)."""
-    if dimension < 8:
-        raise ValueError("hash_embed dimension must be >= 8")
-    return [zlib.crc32(token.encode("utf-8")) % dimension for token in _TOKEN_RE.findall(text)]
+    return [zlib.crc32(token.encode("utf-8")) % HASH_DIMENSION for token in _TOKEN_RE.findall(text)]
 
 
-def hash_embed(text: str, dimension: int = DEFAULT_HASH_DIMENSION) -> np.ndarray:
+def hash_embed(text: str) -> np.ndarray:
     """Deterministic token-hash bag-of-words vector, L2-normalized.
 
     Tokens are lowercased runs of [0-9a-z]; each token increments the
-    bucket crc32(token) % dimension. crc32 is stable across processes and
-    platforms, unlike the builtin hash().
+    bucket crc32(token) % HASH_DIMENSION. crc32 is stable across processes
+    and platforms, unlike the builtin hash().
     """
-    buckets = _buckets(text.lower(), dimension)
+    buckets = _buckets(text.lower())
     if not buckets:
         raise EmptyText("cannot embed text with no alphanumeric tokens")
-    vec = np.zeros(dimension)
+    vec = np.zeros(HASH_DIMENSION)
     for bucket in buckets:
         vec[bucket] += 1.0
     vec, norm = _norm(vec)
@@ -153,8 +151,7 @@ class _CachedEmbedder:
     """``embed`` caches each text's vector per instance; subclasses supply
     ``_compute``, which embeds a text without touching the cache."""
 
-    def __init__(self, provider_id: str):
-        self.provider_id = provider_id
+    def __init__(self):
         self._cache: dict[str, np.ndarray] = {}
         self._lock = threading.Lock()
 
@@ -172,9 +169,7 @@ class _CachedEmbedder:
 class HashEmbedder(_CachedEmbedder):
     """Offline provider around hash_embed."""
 
-    def __init__(self, dimension: int = DEFAULT_HASH_DIMENSION):
-        super().__init__(f"hash-{dimension}")
-        self.dimension = dimension
+    provider_id = f"hash-{HASH_DIMENSION}"
 
     def embed_batch(self, texts: list[str]) -> np.ndarray:
         """The ``hash_embed`` vector of each of ``texts``, as the rows of one
@@ -191,18 +186,18 @@ class HashEmbedder(_CachedEmbedder):
             start = len(buckets)
             for piece in text.lower().split("; "):
                 if piece not in pieces:
-                    pieces[piece] = array("q", _buckets(piece, self.dimension))
+                    pieces[piece] = array("q", _buckets(piece))
                 buckets += pieces[piece]
             if len(buckets) == start:
                 raise EmptyText("cannot embed text with no alphanumeric tokens")
             lengths.append(len(buckets) - start)
-        rows = np.zeros((len(texts), self.dimension))
+        rows = np.zeros((len(texts), HASH_DIMENSION))
         np.add.at(rows, (np.repeat(np.arange(len(texts)), lengths), buckets), 1.0)
         rows /= np.sqrt(np.einsum("ij,ij->i", rows, rows))[:, None]
         return rows
 
     def _compute(self, text: str) -> np.ndarray:
-        return hash_embed(text, self.dimension)
+        return hash_embed(text)
 
 
 class RemoteEmbedder(_CachedEmbedder):
@@ -222,9 +217,10 @@ class RemoteEmbedder(_CachedEmbedder):
         timeout: float = 30.0,
         session=None,
     ):
+        super().__init__()
         # Cached person indexes are keyed by provider id, so the id names the
         # endpoint as well as the model.
-        super().__init__(f"remote-embed:{model}@{url}")
+        self.provider_id = f"remote-embed:{model}@{url}"
         self.url = url
         self.model = model
         self.timeout = timeout

@@ -43,7 +43,8 @@ class SchemaViolation(DataError):
         self.row = row
         self.column = column
         self.value = value
-        msg = f"row {row}, column {column!r}: invalid value {value!r}"
+        msg = f"row {row}, " if row >= 0 else ""  # row -1: the value came from no file row
+        msg += f"column {column!r}: invalid value {value!r}"
         if reason:
             msg += f" ({reason})"
         super().__init__(msg)

@@ -25,7 +25,7 @@ import json
 import operator
 from dataclasses import dataclass, field, fields
 from types import MappingProxyType
-from typing import IO, Mapping, Optional, Sequence
+from typing import IO, Mapping, Sequence
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .schema import (
     AgentProfile,
     TripRecord,
     decode_json,
+    is_number,
 )
 
 SPEC_VERSION = "1"
@@ -135,9 +136,7 @@ def _validate_distribution(name: str, table: Mapping, allowed: Sequence[str]) ->
     unknown = [k for k in table if k not in allowed]
     if unknown:
         raise InvalidSpec(f"{name}: unknown categories {unknown}")
-    if not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) and v >= 0 for v in table.values()
-    ):
+    if not all(is_number(v) and v >= 0 for v in table.values()):
         raise InvalidSpec(f"{name}: a probability is negative or not a number")
     total = sum(table.values())
     if abs(total - 1.0) > SUM_TOLERANCE:
@@ -234,19 +233,14 @@ def draw_columns(
     return {name: draw_column(rng, spec.marginals[name], size, INPUT_CATEGORIES[name]) for name in names}
 
 
-def generate_synthetic(
-    spec: SyntheticSpec,
-    size: Optional[int] = None,
-    seed: Optional[int] = None,
-) -> list[TripRecord]:
-    """Seeded, reproducible sampling from the spec's marginals/conditionals."""
-    n = spec.population if size is None else size
-    rng = substream(spec.seed if seed is None else seed, "synthetic")
-    columns = draw_columns(rng, spec, tuple(INPUT_CATEGORIES), n)
+def generate_synthetic(spec: SyntheticSpec, size: int, seed: int) -> list[TripRecord]:
+    """``size`` records drawn from the spec's marginals/conditionals, reproducible from ``seed``."""
+    rng = substream(seed, "synthetic")
+    columns = draw_columns(rng, spec, tuple(INPUT_CATEGORIES), size)
 
     buckets = columns[spec.conditioned_on]
-    modes = np.empty(n, dtype=object)
-    durations = np.empty(n, dtype=object)
+    modes = np.empty(size, dtype=object)
+    durations = np.empty(size, dtype=object)
     for bucket in INPUT_CATEGORIES[spec.conditioned_on]:
         mask = buckets == bucket
         count = int(mask.sum())
@@ -298,7 +292,7 @@ def split_reference_validation(
 # ----------------------------------------------------------------------
 
 
-def default_synthetic_spec(population: int = 10000, seed: int = 0) -> SyntheticSpec:
+def default_synthetic_spec() -> SyntheticSpec:
     """Desk-scale stand-in for a real trip dataset.
 
     Mode and duration depend strongly on vehicle availability (for example
@@ -378,8 +372,8 @@ def default_synthetic_spec(population: int = 10000, seed: int = 0) -> SyntheticS
         "unknown_num_vehicles": {"0-10": 0.18, "10-20": 0.26, "20-30": 0.24, "30-40": 0.16, "40-50": 0.10, "50-60": 0.06},
     }
     return SyntheticSpec(
-        population=population,
-        seed=seed,
+        population=10000,
+        seed=0,
         marginals=marginals,
         conditioned_on="available_vehicles",
         mode_conditionals=mode_conditionals,
@@ -387,7 +381,7 @@ def default_synthetic_spec(population: int = 10000, seed: int = 0) -> SyntheticS
     )
 
 
-def hour_conditioned_spec(population: int = 10050, seed: int = 0) -> SyntheticSpec:
+def hour_conditioned_spec() -> SyntheticSpec:
     """Population whose choices depend strongly on trip start hour.
 
     Mode and duration are conditioned on start_time with well-separated
@@ -421,8 +415,8 @@ def hour_conditioned_spec(population: int = 10050, seed: int = 0) -> SyntheticSp
         "21": {"10-20": 0.6, "0-10": 0.4},
     }
     return SyntheticSpec(
-        population=population,
-        seed=seed,
+        population=10050,
+        seed=0,
         marginals=marginals,
         conditioned_on="start_time",
         mode_conditionals=mode_conditionals,

@@ -255,11 +255,12 @@ class IdentityMockLlm:
 class ScriptedMockLlm:
     """Returns canned responses in order, repeating the last one."""
 
-    def __init__(self, responses: list[str], provider_id: str = "mock-scripted"):
+    provider_id = "mock-scripted"
+
+    def __init__(self, responses: list[str]):
         if not responses:
             raise ValueError("need at least one response")
         self.responses = responses
-        self.provider_id = provider_id
         self.calls: list[str] = []
 
     def complete(self, prompt: str, params: GenerationParams) -> str:

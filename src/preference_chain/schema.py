@@ -152,6 +152,11 @@ class AgentProfile:
 PROFILE_FIELDS = tuple(f.name for f in fields(AgentProfile))
 
 
+def is_number(value) -> bool:
+    """The rule of city and spec numbers: an int or a float (numpy's ``float64`` too), not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def check_hour(column: str, hour) -> None:
     """The hour rule: SchemaViolation naming ``column`` unless ``hour`` is an int 0..23."""
     if not (type(hour) is int and 0 <= hour <= 23):

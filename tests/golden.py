@@ -30,7 +30,7 @@ GOLDEN_REFERENCE_SIZE = 60
 
 
 def golden_city():
-    return grid_city(width=6, height=6, spacing=100.0, pois_per_category=3, seed=GOLDEN_SEED)
+    return grid_city(width=6, height=6, pois_per_category=3, seed=GOLDEN_SEED)
 
 
 def golden_run(city=None, llm_provider=None):

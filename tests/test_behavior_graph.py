@@ -191,6 +191,11 @@ def test_build_dedups_persons_and_splits_desires():
     assert len(choose) == 2
 
 
+def test_build_config_rejects_an_unknown_intention_field():
+    with pytest.raises(ValueError, match="unknown intention field 'weather'"):
+        GraphBuildConfig(intention_fields=("weather",))
+
+
 def test_build_rejects_a_boolean_start_time():
     with pytest.raises(SchemaViolation, match="start_time"):
         build_from_records([make_record(start_time=True)])

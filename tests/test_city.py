@@ -4,6 +4,7 @@ import heapq
 import io
 import json
 import math
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -129,6 +130,25 @@ def test_add_node_takes_an_int_id_and_finite_number_coordinates():
     assert city.positions == {0: (3.0, -2.5)}
 
 
+def test_a_numpy_float_is_a_number_and_a_bool_or_a_string_is_not():
+    """Coordinates, lengths and speeds follow ``schema.is_number``, as spec probabilities do."""
+    city = CityModel()
+    city.add_node(0, 0.0, 0.0)
+    city.add_node(1, np.float64(1.0), np.float64(0.0))
+    city.add_edge(0, 1, np.float64(100.0))
+    city.speeds["walking"] = np.float64(80.0)
+    assert city.validate() is city
+    assert city.positions[1] == (1.0, 0.0) and city.adjacency[0] == [(1, 100.0)]
+    for bad in (True, "12"):
+        with pytest.raises(ValueError, match=re.escape(f"street node 2: coordinate {bad!r} is not a finite number")):
+            city.add_node(2, bad, 0.0)
+        with pytest.raises(ValueError, match=re.escape(f"edge length must be finite and above 1e-12 m, got {bad!r}")):
+            city.add_edge(0, 1, bad)
+        city.speeds["walking"] = bad
+        with pytest.raises(ValueError, match=re.escape(f"speed for 'walking' must be a finite number > 0, got {bad!r}")):
+            city.validate()
+
+
 def test_edge_ends_and_poi_nodes_are_int_ids_and_lengths_numbers():
     """``True`` and ``1.0`` hash as node 1, so only the type tells them apart."""
     city = CityModel()
@@ -137,7 +157,7 @@ def test_edge_ends_and_poi_nodes_are_int_ids_and_lengths_numbers():
     for u, v in ((0, 1.0), (True, 0), (0, np.int64(1))):
         with pytest.raises(UnknownNode):
             city.add_edge(u, v, 50.0)
-    for length in (True, "50", np.float64(50.0)):
+    for length in (True, "50"):
         with pytest.raises(ValueError):
             city.add_edge(0, 1, length)
     for node in (True, 1.0, np.int64(1)):
@@ -343,7 +363,7 @@ def _rounded_random_city(rng):
 
 def _tied_grid_city(rng):
     width, height = (int(x) for x in rng.integers(2, 7, size=2))
-    return grid_city(width=width, height=height, spacing=100.0, pois_per_category=1)
+    return grid_city(width=width, height=height, pois_per_category=1)
 
 
 @pytest.mark.parametrize(
@@ -427,7 +447,7 @@ def test_shortest_path_edges_exist_and_sum_to_distance():
 
 
 def test_dijkstra_deterministic_on_tied_grid():
-    city = grid_city(width=3, height=3, spacing=100.0, pois_per_category=1, seed=0)
+    city = grid_city(width=3, height=3, pois_per_category=1, seed=0)
     first = shortest_path(city, 0, 8)
     for _ in range(3):
         assert shortest_path(city, 0, 8) == first
@@ -520,7 +540,7 @@ def _outcome(query, city, *args):
 
 
 def _tied_grid(rng):
-    return grid_city(width=6, height=5, spacing=100.0, pois_per_category=2, seed=11)
+    return grid_city(width=6, height=5, pois_per_category=2, seed=11)
 
 
 def _random_lengths(rng):
@@ -616,12 +636,13 @@ def test_cached_routing_equals_a_fresh_city(build, monkeypatch):
 
 
 def test_grid_city_shape():
-    city = grid_city(width=4, height=3, spacing=50.0, pois_per_category=2, seed=1)
+    city = grid_city(width=4, height=3, pois_per_category=2, seed=1)
     assert city.node_count() == 12
     # edges: horizontal 3 per row x 3 rows + vertical 4 per column x 2 = 9 + 8
     assert len(city.edge_ids()) == 17
     assert city.positions[0] == (0.0, 0.0)
-    assert city.positions[5] == (50.0, 50.0)  # row 1, col 1
+    assert city.positions[5] == (100.0, 100.0)  # row 1, col 1: 100 m blocks
+    assert {length for edges in city.adjacency.values() for _, length in edges} == {100.0}
 
 
 def test_grid_city_pois_cover_all_nonhome_purposes():

@@ -152,7 +152,9 @@ def test_build_graph_broken_reference(tmp_path, trips_csv, capsys):
     broken = tmp_path / "broken.csv"
     broken.write_text("\n".join([lines[0], ",".join(row)]) + "\n", encoding="utf-8")
     assert run(["build-graph", "--reference", broken, "--out", tmp_path / "g"]) == 3
-    assert "data error" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "data error: --reference: row 1, column 'primary_mode': invalid value 'teleport'\n"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -222,6 +224,25 @@ def test_the_household_fixture_scores_relatives():
     assert pinned["predict_stdout.json"] != pinned["predict_stdout_households.json"]
 
 
+def test_a_huge_depth_stops_where_the_search_runs_out(tmp_path):
+    """Without households nothing lies past depth 2, so depth 10**9 prints the
+    pinned depth-3 prediction. The search stops once both frontiers are empty;
+    10**9 empty rounds would outlast the timeout."""
+    data = Path(__file__).parent / "data"
+    agent = write_agent(tmp_path / "agent.json", context="light rain")
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"pipeline": {"depth": 10**9}}), encoding="utf-8")
+    env = {k: v for k, v in os.environ.items() if k not in ("PC_LLM_URL", "PC_EMBED_URL")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    argv = ["--config", config, "predict", "--agent", agent, "--reference", data / "predict_reference.csv"]
+    done = subprocess.run(
+        [sys.executable, "-m", "preference_chain", *map(str, argv)],
+        env=env, capture_output=True, encoding="utf-8", timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (data / "predict_stdout.json").read_text(encoding="utf-8")
+
+
 def test_predict_from_graph_snapshot(tmp_path, trips_csv, capsys):
     """build-graph writes a trip CSV that --reference reads: same prediction, same bytes."""
     snapshot = tmp_path / "graph.csv"
@@ -251,7 +272,10 @@ def test_predict_invalid_agents(tmp_path, trips_csv, capsys):
     assert run(["predict", "--agent", bool_hour, "--reference", trips_csv]) == 3
 
     bad_purpose = write_agent(tmp_path / "a5.json", trip_purpose="flying")
+    capsys.readouterr()
     assert run(["predict", "--agent", bad_purpose, "--reference", trips_csv]) == 3
+    # an agent file has no data rows, so its error names none
+    assert capsys.readouterr().err == "data error: --agent: column 'trip_purpose': invalid value 'flying'\n"
 
     bad_context = write_agent(tmp_path / "a6.json", context=5)
     assert run(["predict", "--agent", bad_context, "--reference", trips_csv]) == 3

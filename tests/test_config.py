@@ -250,18 +250,24 @@ def test_with_overrides():
     assert remote.with_overrides(mock_llm=True).providers.mock_llm is True
 
 
-def test_apply_env_overrides():
+def test_apply_env_overrides(monkeypatch):
     config = RunConfig()
-    assert apply_env_overrides(config, {}) is config
-    with_llm = apply_env_overrides(config, {ENV_LLM_URL: "http://h:1/api/generate"})
+    monkeypatch.delenv(ENV_LLM_URL, raising=False)
+    monkeypatch.setenv(ENV_EMBED_URL, "")  # an empty URL is unset
+    assert apply_env_overrides(config) is config
+    monkeypatch.setenv(ENV_LLM_URL, "http://h:1/api/generate")
+    with_llm = apply_env_overrides(config)
     assert with_llm.providers.mock_llm is False
     assert with_llm.providers.llm_url == "http://h:1/api/generate"
-    with_embed = apply_env_overrides(config, {ENV_EMBED_URL: "http://h:2/api/embed"})
+    assert with_llm.providers.mock_embed is True
+    monkeypatch.delenv(ENV_LLM_URL)
+    monkeypatch.setenv(ENV_EMBED_URL, "http://h:2/api/embed")
+    with_embed = apply_env_overrides(config)
     assert with_embed.providers.mock_embed is False
     assert with_embed.providers.embed_url == "http://h:2/api/embed"
-    both = apply_env_overrides(
-        config, {ENV_LLM_URL: "http://a/x", ENV_EMBED_URL: "http://b/y"}
-    )
+    assert with_embed.providers.mock_llm is True
+    monkeypatch.setenv(ENV_LLM_URL, "http://a/x")
+    both = apply_env_overrides(config)
     assert not both.providers.mock_llm and not both.providers.mock_embed
 
 
@@ -306,7 +312,7 @@ def test_run_manifest_contents():
     assert manifest["command"] == "evaluate"
     assert manifest["seed"] == 0
     assert manifest["config_hash"] == config.config_hash()
-    assert manifest["providers"]["embed"].startswith("hash-")
+    assert manifest["providers"]["embed"] == HashEmbedder().provider_id == "hash-256"
     assert manifest["providers"]["llm"] == "mock-identity"
     assert manifest["n_reference"] == 50
     assert "version" in manifest
@@ -317,7 +323,7 @@ def test_run_manifest_reads_the_providers_it_is_given():
         def __init__(self, provider_id):
             self.provider_id = provider_id
 
-    manifest = run_manifest(RunConfig(), "sweep", Named("embed-x"), Named("llm-y"))
+    manifest = run_manifest(RunConfig(), "sweep", Named("embed-x"), Named("llm-y"), {})
     assert manifest["providers"] == {"embed": "embed-x", "llm": "llm-y"}
 
 

@@ -85,13 +85,12 @@ def test_similarity_weight_clamps_negative():
 
 def test_hash_embed_bucket_oracle():
     # expected vector built directly from the documented bucket rule
-    dim = 32
     text = "walk Walk bike"
-    expected = np.zeros(dim)
-    expected[zlib.crc32(b"walk") % dim] += 2.0
-    expected[zlib.crc32(b"bike") % dim] += 1.0
+    expected = np.zeros(256)
+    expected[zlib.crc32(b"walk") % 256] += 2.0
+    expected[zlib.crc32(b"bike") % 256] += 1.0
     expected /= np.linalg.norm(expected)
-    np.testing.assert_allclose(hash_embed(text, dim), expected, atol=1e-15)
+    np.testing.assert_allclose(hash_embed(text), expected, atol=1e-15)
 
 
 def test_hash_embed_unit_norm_and_determinism():
@@ -117,23 +116,21 @@ def test_hash_embed_case_and_punctuation_insensitive():
 def test_hash_embed_rejects_bad_input():
     with pytest.raises(EmptyText):
         hash_embed("!!! ---")
-    with pytest.raises(ValueError):
-        hash_embed("walk", dimension=4)
 
 
 def test_hash_embedder_caches_and_reuses():
-    provider = HashEmbedder(dimension=64)
+    provider = HashEmbedder()
     v1 = provider.embed("shared text")
     v2 = provider.embed("shared text")
     assert v1 is v2
-    assert provider.provider_id == "hash-64"
+    assert provider.provider_id == "hash-256"
 
 
-def _reference_hash_embed(text, dimension):
+def _reference_hash_embed(text):
     """The documented bucket rule, one token at a time, then ``_norm``."""
-    vec = np.zeros(dimension)
+    vec = np.zeros(256)
     for token in re.findall(r"[0-9a-z]+", text.lower()):
-        vec[zlib.crc32(token.encode("utf-8")) % dimension] += 1.0
+        vec[zlib.crc32(token.encode("utf-8")) % 256] += 1.0
     vec, norm = _norm(vec)
     return vec / norm
 
@@ -146,6 +143,7 @@ _TEXT_PARTS = ["; ", ";", " ", ";;", "Walk", "walk", "K", "\u212a", "\u0130", "\
 
 def test_each_batch_row_is_the_bytes_of_hash_embed():
     rng = random.Random(32)
+    collisions = 0  # texts in which two distinct tokens share a bucket
     for _ in range(300):
         # a piece repeated in one text and across texts, and an empty piece
         texts = ["walk; Walk; bike", "; ; x; ; walk", "\u212am; km; k"]
@@ -153,19 +151,19 @@ def test_each_batch_row_is_the_bytes_of_hash_embed():
             text = "".join(rng.choices(_TEXT_PARTS + [chr(rng.randint(32, 0x2FF))], k=rng.randint(1, 12)))
             if re.search(r"[0-9a-z]", text.lower()):
                 texts.append(text)
-        dimension = rng.choice([8, 13, 256])
-        rows = HashEmbedder(dimension).embed_batch(texts)
-        assert rows.shape == (len(texts), dimension)
+        rows = HashEmbedder().embed_batch(texts)
+        assert rows.shape == (len(texts), 256)
         for text, row in zip(texts, rows):
-            expected = _reference_hash_embed(text, dimension).tobytes()
-            assert row.tobytes() == hash_embed(text, dimension).tobytes() == expected
+            expected = _reference_hash_embed(text).tobytes()
+            assert row.tobytes() == hash_embed(text).tobytes() == expected
+            tokens = set(re.findall(r"[0-9a-z]+", text.lower()))
+            collisions += len({zlib.crc32(t.encode("utf-8")) % 256 for t in tokens}) < len(tokens)
+    assert collisions > 0
 
 
-def test_a_batch_rejects_a_text_with_no_tokens_and_a_small_dimension():
+def test_a_batch_rejects_a_text_with_no_tokens():
     with pytest.raises(EmptyText):
         HashEmbedder().embed_batch(["walk", "; !!! ; ---"])
-    with pytest.raises(ValueError):
-        HashEmbedder(dimension=7).embed_batch(["walk"])
     assert HashEmbedder().embed_batch([]).shape == (0, 256)
 
 
@@ -297,6 +295,14 @@ def test_remote_embedder_no_fallback_raises():
     provider = RemoteEmbedder("http://x/embed", "m", session=_FailingSession())
     with pytest.raises(ProviderError):
         provider.embed("hello")
+
+
+def test_remote_embedder_rejects_blank_text_without_a_request():
+    session = _FakeSession({"embedding": [1.0, 2.0]})
+    provider = RemoteEmbedder("http://x/embed", "m", session=session)
+    with pytest.raises(EmptyText):
+        provider.embed("   ")
+    assert session.calls == 0
 
 
 def test_remote_embedder_id_names_model_and_url():

@@ -10,7 +10,7 @@ import pytest
 from preference_chain import city as city_module
 from preference_chain.behavior_graph import GraphBuildConfig, build_from_records
 from preference_chain.city import CityModel, grid_city, shortest_path
-from preference_chain.errors import EmptySamples, ParseFailure, ProviderError, SchemaViolation
+from preference_chain.errors import DataError, EmptySamples, ParseFailure, ProviderError, SchemaViolation
 from preference_chain.ingest import default_synthetic_spec, generate_synthetic
 from preference_chain.llm_remodel import GenerationParams, IdentityMockLlm, ScriptedMockLlm
 from preference_chain.mobility_sim import (
@@ -438,6 +438,14 @@ def test_tally_csv_format_and_round_trip():
     )
     assert loaded.edge_counts == tally.edge_counts
     assert loaded.poi_counts == tally.poi_counts
+
+
+def test_a_bad_tally_hour_names_its_line_and_no_row():
+    edges = io.StringIO("edge,hour,count\n0-1,8,1\n0-1,24,1\n")
+    with pytest.raises(DataError) as err:
+        TrafficTally.from_csv(edge_fp=edges)
+    assert str(err.value) == "edge tally line 3: SchemaViolation: column 'hour': invalid value '24'"
+    assert err.value.__cause__.row == -1  # from no trip-CSV row
 
 
 def test_flow_kld_identical_tallies_is_zero():

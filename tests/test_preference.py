@@ -241,30 +241,37 @@ def test_cached_weights_and_scores_equal_a_fresh_graph():
     assert table == filled  # the second round read every want_to weight from the table
 
 
+class _OtherHash(HashEmbedder):
+    """The hash vectors under a second provider id."""
+
+    provider_id = "hash-other"
+
+
 def test_desire_weights_are_kept_per_provider():
     records = generate_synthetic(default_synthetic_spec(), size=60, seed=5)
     graph = build_from_records(records, _BOTH_FIELDS)
     agent = _random_agent(random.Random(2))
-    wide, narrow = HashEmbedder(256), HashEmbedder(64)
-    persons = top_k_similar(graph, agent, 5, wide)
-    extract_subgraph(graph, agent, persons, wide)
+    first, second = HashEmbedder(), _OtherHash()
+    persons = top_k_similar(graph, agent, 5, first)
+    extract_subgraph(graph, agent, persons, first)
     tables = graph._desire_weights
-    # Mark the wide provider's entries: the narrow one must not read them.
+    # Mark the first provider's entries: the second one must not read them.
     tables["hash-256"] = dict.fromkeys(tables["hash-256"], 0.125)
-    narrow_sub = extract_subgraph(graph, agent, persons, narrow)
+    second_sub = extract_subgraph(graph, agent, persons, second)
     fresh = build_from_records(records, _BOTH_FIELDS)
-    assert repr(narrow_sub.out_edges) == repr(
-        extract_subgraph(fresh, agent, persons, HashEmbedder(64)).out_edges
+    assert repr(second_sub.out_edges) == repr(
+        extract_subgraph(fresh, agent, persons, _OtherHash()).out_edges
     )
-    assert set(tables) == {"hash-256", "hash-64"}
-    assert tables["hash-256"].keys() == tables["hash-64"].keys()
+    assert set(tables) == {"hash-256", "hash-other"}
+    assert tables["hash-256"].keys() == tables["hash-other"].keys()
+    assert set(tables["hash-other"].values()) != {0.125}
     want_to = [
         w
-        for edges in extract_subgraph(graph, agent, persons, wide).out_edges.values()
+        for edges in extract_subgraph(graph, agent, persons, first).out_edges.values()
         for _, kind, w in edges
         if kind == EdgeKind.WANT_TO
     ]
-    assert want_to and set(want_to) == {0.125}  # the wide provider reads its own entries
+    assert want_to and set(want_to) == {0.125}  # the first provider reads its own entries
 
 
 def test_subgraph_edits_drop_the_walk():
@@ -353,7 +360,7 @@ def _scoring_node(subgraph, choice_set, option):
 
 def test_graph_walk_equals_the_copy_walk_and_brute_force():
     rng = random.Random(1507)
-    provider = HashEmbedder(64)
+    provider = HashEmbedder()
     seen = dict.fromkeys(
         ("relative hop", "two relative hops", "parallel choose_to", "shared desire", "twin",
          "score above 0"),
@@ -437,6 +444,11 @@ def test_prior_epsilon_smooths_missing_options():
     assert dist.probabilities["a"] == pytest.approx(0.7 / 1.1)
     with pytest.raises(ValueError):
         prior_distribution(sub, _MODES, epsilon=-0.1)
+    # -1e-12 leaves both scores of (a, b) positive: only the epsilon check refuses it
+    two = ChoiceCategorySet("mode", ("a", "b"))
+    assert min(raw_scores(sub, two).values()) > 1e-12
+    with pytest.raises(ValueError, match="epsilon"):
+        prior_distribution(sub, two, epsilon=-1e-12)
 
 
 def test_prior_with_an_epsilon_near_the_float_limit_is_finite_and_normalized():

@@ -676,6 +676,15 @@ def test_subgraph_keeps_parallel_choose_edges():
     assert len(set(choose)) == 1
 
 
+def test_a_hand_built_subgraph_edge_needs_both_ends():
+    sub = BehavioralSubgraph()
+    sub.add_node(AGENT_NODE_ID, NodeKind.AGENT, "agent")
+    sub.add_node(0, NodeKind.PERSON, "p")
+    with pytest.raises(UnknownNode, match="-1->7"):
+        sub.add_edge(AGENT_NODE_ID, 7, EdgeKind.SIMILAR_TO, 0.5)
+    assert sub.out_edges == {AGENT_NODE_ID: [], 0: []}
+
+
 def test_subgraph_agent_node_and_args():
     records = [make_record()]
     graph = _build(records)
