@@ -2,11 +2,10 @@
 
 A small undirected street network with meter-valued edge lengths, a table
 of POIs (each attached to a street node and tagged with one trip-purpose
-category), and a per-mode speed table. Routing is plain Dijkstra with
-deterministic tie-breaking (``dijkstra``), and POI search returns every POI
-of a category reachable within the time budget implied by a (mode,
-duration bin) pair. ``search_pois``, ``nearest_poi`` and ``shortest_path``
-read their shortest-path trees through a ``_TreeCache`` on the city.
+category), and a per-mode speed table. ``dijkstra`` gives deterministic
+shortest-path trees; ``search_pois``, ``nearest_poi`` and ``shortest_path``
+read them through a ``_TreeCache`` on the city. POI search returns every POI
+of a category reachable within the time budget of a (mode, duration bin) pair.
 """
 
 from __future__ import annotations
@@ -105,7 +104,7 @@ class _TreeCache:
     """
 
     def __init__(self):
-        self.graph = None  # (index, nodes, adjacency by index), set in one assignment
+        self.graph = None  # (index, nodes, adjacency by index, step), set in one assignment
         self.kept: dict[int, ShortestPathTree] = {}
         self.last: Optional[ShortestPathTree] = None
 
@@ -115,7 +114,10 @@ class _TreeCache:
             nodes = sorted(city.positions)
             index = {node: i for i, node in enumerate(nodes)}
             adjacency = [[(index[v], length) for v, length in city.adjacency[u]] for u in nodes]
-            graph = self.graph = (index, nodes, adjacency)
+            lengths = {length for edges in adjacency for _, length in edges}
+            step = min(lengths, default=None)  # the one length, if the level search is exact
+            exact = len(lengths) == 1 and step % 1 == 0 and step * len(nodes) < 2**53
+            graph = self.graph = (index, nodes, adjacency, step if exact else None)
         return graph
 
     def tree(self, city: "CityModel", source: int) -> ShortestPathTree:
@@ -285,25 +287,37 @@ class CityModel:
 
 
 def dijkstra(city: CityModel, source: int) -> ShortestPathTree:
-    """The shortest-path tree from one source node.
+    """The shortest-path tree from one source node, by one of two searches.
 
-    Heap entries are (distance, index), and the index sorts node ids, so
-    equal-distance pops resolve by node id, making predecessor trees
-    deterministic. A settled node is final: its neighbours never relax it
-    again, not even when an edge adds nothing to a far distance
-    (1e6 + 1e-11 == 1e6), so every predecessor was settled before its node,
-    the tree is acyclic and the source has no predecessor. The search keeps
-    Python lists, which the interpreter indexes faster than arrays, and the
-    tree gets them as arrays.
+    The heap search pops (distance, index) entries, and the index sorts
+    node ids, so equal-distance pops resolve by node id. A settled node is
+    final: no neighbour relaxes it again, not even when an edge adds nothing
+    to a far distance (1e6 + 1e-11 == 1e6), so every predecessor was settled
+    before its node, the tree is acyclic and the source has no predecessor.
+
+    When every edge has one integer length L and L x node count < 2**53,
+    sums are exact and levels differ by at least 1 m, so the heap search
+    makes each node's parent its lowest-index neighbour one level closer.
+    The level search builds that tree without a heap: it expands each level
+    in ascending index order and keeps each node's first discoverer. Both
+    fill Python lists, which the interpreter indexes faster than arrays, and
+    the tree gets them as arrays.
     """
     if source not in city.positions:
         raise UnknownNode(f"no street node {source}")
-    index, nodes, adjacency = city._trees.street_graph(city)
+    index, nodes, adjacency, step = city._trees.street_graph(city)
+    if step is None:
+        dist, prev = _heap_search(adjacency, index[source])
+    else:
+        dist, prev = _level_search(adjacency, index[source], step)
+    return ShortestPathTree(source, index, nodes, array("d", dist), array("i", prev))
+
+
+def _heap_search(adjacency: list, s: int) -> tuple[list[float], list[int]]:
     pop, push, tie = heapq.heappop, heapq.heappush, TIE_TOLERANCE
-    dist = [math.inf] * len(nodes)
-    prev = [-1] * len(nodes)
-    done = [False] * len(nodes)
-    s = index[source]
+    dist = [math.inf] * len(adjacency)
+    prev = [-1] * len(adjacency)
+    done = [False] * len(adjacency)
     dist[s] = 0.0
     heap = [(0.0, s)]
     while heap:
@@ -321,15 +335,33 @@ def dijkstra(city: CityModel, source: int) -> ShortestPathTree:
                 dist[v] = nd
                 prev[v] = u
                 push(heap, (nd, v))
-    return ShortestPathTree(source, index, nodes, array("d", dist), array("i", prev))
+    return dist, prev
+
+
+def _level_search(adjacency: list, s: int, step: float) -> tuple[list[float], list[int]]:
+    inf = math.inf
+    dist = [inf] * len(adjacency)
+    prev = [-1] * len(adjacency)
+    dist[s] = d = 0.0
+    level = [s]
+    while level:
+        d += step
+        found = []
+        for u in level:
+            for v, _ in adjacency[u]:
+                if dist[v] == inf:
+                    dist[v] = d
+                    prev[v] = u
+                    found.append(v)
+        found.sort()
+        level = found
+    return dist, prev
 
 
 def shortest_path(city: CityModel, source: int, target: int) -> tuple[float, list[int]]:
     """(distance, node sequence source..target); identical endpoints give [source]."""
     if target not in city.positions:
         raise UnknownNode(f"no street node {target}")
-    if source == target:
-        return 0.0, [source]
     tree = city._trees.tree(city, source)
     distance = tree.distance(target)
     if distance is None:

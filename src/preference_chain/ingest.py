@@ -136,8 +136,8 @@ def _validate_distribution(name: str, table: Mapping, allowed: Sequence[str]) ->
     unknown = [k for k in table if k not in allowed]
     if unknown:
         raise InvalidSpec(f"{name}: unknown categories {unknown}")
-    if not all(is_number(v) and v >= 0 for v in table.values()):
-        raise InvalidSpec(f"{name}: a probability is negative or not a number")
+    if not all(is_number(v) and 0 <= v <= 1 + SUM_TOLERANCE for v in table.values()):
+        raise InvalidSpec(f"{name}: a probability is negative, above 1 or not a number")
     total = sum(table.values())
     if abs(total - 1.0) > SUM_TOLERANCE:
         raise InvalidSpec(f"{name}: probabilities sum to {total}, not 1")

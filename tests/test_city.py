@@ -6,6 +6,7 @@ import json
 import math
 import re
 import sys
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -207,7 +208,7 @@ def test_validate_rejects_disconnected_graph():
 
 
 def test_validate_rejects_empty_city_and_bad_speed():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^city has no street nodes$"):
         CityModel().validate()
     city = line_city()
     for speed in (0.0, math.nan, True, "80", math.inf):
@@ -246,7 +247,7 @@ def test_routing_unknown_nodes():
     city = line_city()
     with pytest.raises(UnknownNode):
         dijkstra(city, 99)
-    with pytest.raises(UnknownNode):
+    with pytest.raises(UnknownNode, match="^no street node 99$"):
         shortest_path(city, 0, 99)
 
 
@@ -361,17 +362,40 @@ def _rounded_random_city(rng):
     return _tied_random_city(rng, lengths=(0.1, 0.2, 0.3))
 
 
+def _uniform_random_city(rng):
+    """The random city with every length 7 m, which the level search routes."""
+    return _tied_random_city(rng, lengths=(7.0, 7.0, 7.0))
+
+
 def _tied_grid_city(rng):
     width, height = (int(x) for x in rng.integers(2, 7, size=2))
     return grid_city(width=width, height=height, pois_per_category=1)
 
 
+def _searches(monkeypatch):
+    """The names of the searches ``dijkstra`` runs from now on, in call order."""
+    ran = []
+    for name in ("_heap_search", "_level_search"):
+        def recorded(*args, search=getattr(city_module, name), name=name):
+            ran.append(name)
+            return search(*args)
+
+        monkeypatch.setattr(city_module, name, recorded)
+    return ran
+
+
 @pytest.mark.parametrize(
-    "build",
-    [_tied_random_city, _tied_grid_city, _rounded_random_city],
-    ids=["random", "grid", "rounded"],
+    "build,search",
+    [
+        (_tied_random_city, "_heap_search"),
+        (_tied_grid_city, "_level_search"),
+        (_rounded_random_city, "_heap_search"),
+        (_uniform_random_city, "_level_search"),
+    ],
+    ids=["random", "grid", "rounded", "uniform"],
 )
-def test_tree_equals_the_dict_reference_exactly(build):
+def test_tree_equals_the_dict_reference_exactly(build, search, monkeypatch):
+    ran = _searches(monkeypatch)
     rng = np.random.default_rng(31)
     unreachable = 0
     for _ in range(25):
@@ -389,6 +413,72 @@ def test_tree_equals_the_dict_reference_exactly(build):
                     assert tree.path(node) == path[::-1]
     # only the random cities have an island
     assert (unreachable > 0) == (build is not _tied_grid_city)
+    assert set(ran) == {search}
+
+
+def _tree_bytes(dist, prev):
+    return array("d", dist).tobytes(), array("i", prev).tobytes()
+
+
+def test_level_search_trees_equal_the_heap_search_byte_for_byte(monkeypatch):
+    """Uniform integer lengths on random cities (islands, loops, parallel edges) and a grid."""
+    ran = _searches(monkeypatch)
+    rng = np.random.default_rng(37)
+    cities = [_tied_random_city(rng, lengths=(length,) * 3) for length in (1.0, 3.0, 100.0) * 12]
+    cities.append(grid_city(width=13, height=7, pois_per_category=1))
+    for city in cities:
+        index, nodes, adjacency, _ = city._trees.street_graph(city)
+        for source in nodes:
+            tree = dijkstra(city, source)
+            heap = city_module._heap_search(adjacency, index[source])
+            assert _tree_bytes(tree.dist, tree.prev) == _tree_bytes(*heap), source
+    assert ran.count("_level_search") == sum(c.node_count() for c in cities)
+    assert ran.count("_heap_search") == ran.count("_level_search")  # the direct calls only
+
+
+def _two_lengths(rng):
+    city = _tied_random_city(rng, lengths=(5.0, 5.0, 5.0))
+    u, v = sorted(city.positions)[:2]
+    city.add_edge(u, v, 6.0)
+    return city
+
+
+def _huge_uniform(rng):
+    """Four nodes in a ring of 2**52 m edges: a 2-edge path is 2**53, past exact sums."""
+    city = CityModel()
+    for node in range(4):
+        city.add_node(node, float(node), 0.0)
+    for node in range(4):
+        city.add_edge(node, (node + 1) % 4, 2.0**52)
+    return city
+
+
+def _no_edges(rng):
+    city = CityModel()
+    for node in (4, -2, 9):
+        city.add_node(node, float(node), 0.0)
+    return city
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda rng: _tied_random_city(rng, lengths=(0.1, 0.1, 0.1)),
+        _huge_uniform,
+        _two_lengths,
+        _no_edges,
+    ],
+    ids=["non-integer-uniform", "too-long-uniform", "mixed", "no-edges"],
+)
+def test_cities_without_one_exact_integer_length_take_the_heap_search(build, monkeypatch):
+    ran = _searches(monkeypatch)
+    city = build(np.random.default_rng(41))
+    for source in city.positions:
+        dist, prev = _reference_dijkstra(city, source)
+        tree = dijkstra(city, source)
+        assert {n: tree.distance(n) for n in dist} == dist
+        assert {n: tree.path(n)[-2] for n in prev} == prev
+    assert ran == ["_heap_search"] * city.node_count()
 
 
 def test_edge_below_the_float_spacing_leaves_the_tree_acyclic():
@@ -408,6 +498,7 @@ def test_edge_below_the_float_spacing_leaves_the_tree_acyclic():
         assert i < 0, f"predecessor cycle through {tree.nodes[start]}: {list(tree.prev)}"
     assert list(tree.prev) == [1, 2, -1]
     assert shortest_path(city, 5, 1) == (1e6, [5, 3, 1])
+    assert city._trees.street_graph(city)[3] is None  # two lengths: the heap search
 
 
 def test_trees_are_arrays_also_when_kept(monkeypatch):
@@ -426,6 +517,10 @@ def test_trees_are_arrays_also_when_kept(monkeypatch):
     search_pois(city, 2, "shop", "walking", "0-10")  # fills the one other slot
     search_pois(city, 3, "shop", "walking", "0-10")  # the kept tree, no new run
     assert [tree.source for tree in trees] == [2, 3, 2]
+    grid = grid_city(width=3, height=3, pois_per_category=1)  # routed level by level
+    search_pois(grid, grid.pois["work-0"].node, "shop", "walking", "0-10")
+    assert trees[-1].source == grid.pois["work-0"].node
+    assert grid._trees.kept == {trees[-1].source: trees[-1]}
     for tree in trees:
         assert (tree.dist.typecode, tree.prev.typecode) == ("d", "i")
 
@@ -713,13 +808,20 @@ def test_city_json_keeps_parallel_edges_and_loops():
     city.add_edge(0, 1, 10.0)  # a second, shorter 0-1 street
     city.add_edge(1, 0, 5.0)
     city.add_edge(2, 2, 7.0)
+    city.add_node(-1, -100.0, 0.0)  # added last, its edge sorts first: "-1-4" < "0-1"
+    city.add_edge(4, -1, 20.0)
     buffer = io.StringIO()
     city.to_json(buffer)
     edges = json.loads(buffer.getvalue())["edges"]
-    assert [(e["u"], e["v"], e["length"]) for e in edges[:3]] == [
+    assert [(e["u"], e["v"], e["length"]) for e in edges] == [
+        (-1, 4, 20.0),
         (0, 1, 100.0),
         (0, 1, 10.0),
         (0, 1, 5.0),
+        (1, 2, 200.0),
+        (2, 2, 7.0),
+        (2, 3, 100.0),
+        (3, 4, 300.0),
     ]
     assert sum(e["u"] == e["v"] == 2 for e in edges) == 1
     reloaded = CityModel.from_json(io.StringIO(buffer.getvalue()))

@@ -696,6 +696,7 @@ def _broken_spec(mutate=None, **fields) -> str:
         pytest.param("reference", _trip_csv(b"walking\xff"), id="reference-not-utf8"),
         pytest.param("validation", _trip_csv(b"teleport").decode("utf-8"), id="validation-unknown-mode"),
         pytest.param("city", "{oops", id="city-bad-json"),
+        pytest.param("city", "[1, 2]", id="city-root-a-list"),
         pytest.param("city", _nan_speed_city(), id="city-nan-speed"),
         pytest.param("city", _broken_city(lambda c: c.pop("edges")), id="city-missing-key"),
         pytest.param(

@@ -395,6 +395,23 @@ def test_spec_keeps_no_unread_entries():
         )
 
 
+def test_a_probability_too_large_for_a_float_is_an_invalid_spec():
+    """The per-value check keeps an int no float can hold from the table's sum."""
+    spec = default_synthetic_spec()
+
+    def huge(table):
+        first = next(iter(table))
+        return {k: 10**400 if k == first else 0 for k in table}
+
+    marginals = {**spec.marginals, "age_group": huge(spec.marginals["age_group"])}
+    with pytest.raises(InvalidSpec, match=r"marginals\[age_group\]: .* above 1 "):
+        dataclasses.replace(spec, marginals=marginals)
+    bucket = next(iter(spec.mode_conditionals))
+    conditionals = {**spec.mode_conditionals, bucket: huge(spec.mode_conditionals[bucket])}
+    with pytest.raises(InvalidSpec, match=rf"mode_conditionals\[{bucket}\]: .* above 1 "):
+        dataclasses.replace(spec, mode_conditionals=conditionals)
+
+
 def test_spec_json_round_trip():
     spec = dataclasses.replace(default_synthetic_spec(), population=500, seed=42)
     buf = io.StringIO()

@@ -1,4 +1,4 @@
-"""The source-size counter in ``tools/src_size.py``."""
+"""The source-size counter and the mutation probe in ``tools/``."""
 
 import ast
 import importlib.util
@@ -6,10 +6,17 @@ from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parents[1] / "tools" / "src_size.py"
-_SPEC = importlib.util.spec_from_file_location("src_size", _PATH)
-src_size = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(src_size)
+
+def _tool(name):
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+src_size = _tool("src_size")
+mutants = _tool("mutants")
 
 _SOURCE = '''"""A module."""
 
@@ -64,3 +71,40 @@ def test_against_reports_deltas_and_one_sided_values_without_line_numbers(tmp_pa
     ]
     with pytest.raises(SystemExit):  # a directory with no .py files is a wrong path
         src_size.main(["--against", str(tmp_path)])
+
+
+_MODULE = '''def clamp(x, low, high):
+    """x limited to [low, high]."""
+    if x < low:
+        return low
+    return min(x, high)
+
+
+def double(x):
+    x = float(x)
+    return 2 * x
+'''
+
+_MODULE_TESTS = """from mod import clamp, double
+
+
+def test_clamp():
+    assert clamp(-1, 0, 5) == 0
+    assert clamp(9, 0, 5) == 5
+
+
+def test_double():
+    assert double(3) == 6
+"""
+
+
+def test_the_probe_prints_the_one_statement_no_test_notices(tmp_path, monkeypatch, capsys):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "mod.py").write_text(_MODULE)
+    (tmp_path / "test_mod.py").write_text(_MODULE_TESTS)
+    monkeypatch.chdir(tmp_path)
+    mutants.main(["src/mod.py", "--tests", "test_mod.py"])
+    out, err = capsys.readouterr()
+    assert out == "src/mod.py:9 x = float(x)\n"  # 6.0 == 6, so no test sees the cast go
+    assert err == "5 mutants: 4 killed, 1 survived, 0 not valid Python\n"
+    assert (tmp_path / "src" / "mod.py").read_text() == _MODULE
