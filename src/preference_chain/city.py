@@ -4,8 +4,9 @@ A small undirected street network with meter-valued edge lengths, a table
 of POIs (each attached to a street node and tagged with one trip-purpose
 category), and a per-mode speed table. ``dijkstra`` gives deterministic
 shortest-path trees; ``search_pois``, ``nearest_poi`` and ``shortest_path``
-read them through a ``_TreeCache`` on the city. POI search returns every POI
-of a category reachable within the time budget of a (mode, duration bin) pair.
+read them through a ``_TreeCache`` on the city. With one exact edge length,
+POI distances come from the POIs' trees, and a route from a node with no
+kept tree stops at its target.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def edge_id(u: int, v: int) -> str:
 
 
 class ShortestPathTree:
-    """One ``dijkstra`` result as two arrays over the city's node index.
+    """One search result as two sequences over the city's node index.
 
     ``dist[i]`` and ``prev[i]`` belong to node ``nodes[i]``: the distance
     from the source, inf where unreachable, and the predecessor's index,
@@ -98,9 +99,9 @@ class _TreeCache:
 
     The index lists node ids in sorted order; the graph is built on the
     first routing call. Trees rooted at POI nodes, where most trips start,
-    stay until the cache is dropped; the latest tree from any other node
-    stays in one slot, so the POI search and the route of one trip share a
-    ``dijkstra`` run.
+    stay until the cache is dropped. On a heap-search city the latest tree
+    from any other node stays in one slot, so the POI search and the route
+    of one trip share a ``dijkstra`` run.
     """
 
     def __init__(self):
@@ -299,9 +300,11 @@ def dijkstra(city: CityModel, source: int) -> ShortestPathTree:
     sums are exact and levels differ by at least 1 m, so the heap search
     makes each node's parent its lowest-index neighbour one level closer.
     The level search builds that tree without a heap: it expands each level
-    in ascending index order and keeps each node's first discoverer. Both
-    fill Python lists, which the interpreter indexes faster than arrays, and
-    the tree gets them as arrays.
+    in ascending index order and keeps each node's first discoverer. Given a
+    target, it stops once the target is labelled, as ``shortest_path`` asks;
+    every node of its route was labelled earlier, so the route is the full
+    tree's. Both fill Python lists, which the interpreter indexes faster than
+    arrays; ``dijkstra``'s trees, which may be kept, get them as arrays.
     """
     if source not in city.positions:
         raise UnknownNode(f"no street node {source}")
@@ -309,7 +312,7 @@ def dijkstra(city: CityModel, source: int) -> ShortestPathTree:
     if step is None:
         dist, prev = _heap_search(adjacency, index[source])
     else:
-        dist, prev = _level_search(adjacency, index[source], step)
+        dist, prev = _level_search(adjacency, index[source], step, -1)  # the full tree
     return ShortestPathTree(source, index, nodes, array("d", dist), array("i", prev))
 
 
@@ -338,12 +341,14 @@ def _heap_search(adjacency: list, s: int) -> tuple[list[float], list[int]]:
     return dist, prev
 
 
-def _level_search(adjacency: list, s: int, step: float) -> tuple[list[float], list[int]]:
+def _level_search(
+    adjacency: list, s: int, step: float, target: int
+) -> tuple[list[float], list[int]]:
     inf = math.inf
     dist = [inf] * len(adjacency)
     prev = [-1] * len(adjacency)
     dist[s] = d = 0.0
-    level = [s]
+    level = [] if s == target else [s]
     while level:
         d += step
         found = []
@@ -352,6 +357,8 @@ def _level_search(adjacency: list, s: int, step: float) -> tuple[list[float], li
                 if dist[v] == inf:
                     dist[v] = d
                     prev[v] = u
+                    if v == target:
+                        return dist, prev
                     found.append(v)
         found.sort()
         level = found
@@ -362,7 +369,13 @@ def shortest_path(city: CityModel, source: int, target: int) -> tuple[float, lis
     """(distance, node sequence source..target); identical endpoints give [source]."""
     if target not in city.positions:
         raise UnknownNode(f"no street node {target}")
-    tree = city._trees.tree(city, source)
+    trees = city._trees
+    index, nodes, adjacency, step = trees.street_graph(city)
+    if step is None or source in trees.kept or source not in index:
+        tree = trees.tree(city, source)
+    else:  # a level search that stops at the target and is not cached
+        dist, prev = _level_search(adjacency, index[source], step, index[target])
+        tree = ShortestPathTree(source, index, nodes, dist, prev)
     distance = tree.distance(target)
     if distance is None:
         raise UnknownNode(f"node {target} unreachable from {source}")
@@ -372,8 +385,15 @@ def shortest_path(city: CityModel, source: int, target: int) -> tuple[float, lis
 def _pois_by_distance(city: CityModel, from_node: int, category: str) -> list[tuple[float, str]]:
     """(shortest-path distance, POI id) of each reachable POI of the category, nearest first."""
     candidates = city.pois_of_category(category)
-    tree = city._trees.tree(city, from_node)
-    return sorted((d, p.id) for p in candidates if (d := tree.distance(p.node)) is not None)
+    trees = city._trees
+    if trees.street_graph(city)[3] is None:
+        tree = trees.tree(city, from_node)
+        found = [(tree.distance(p.node), p.id) for p in candidates]
+    elif from_node not in city.positions:
+        raise UnknownNode(f"no street node {from_node}")
+    else:  # from the POIs' kept trees: edges run both ways and sums are exact
+        found = [(trees.tree(city, p.node).distance(from_node), p.id) for p in candidates]
+    return sorted(pair for pair in found if pair[0] is not None)
 
 
 def search_pois(

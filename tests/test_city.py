@@ -373,11 +373,12 @@ def _tied_grid_city(rng):
 
 
 def _searches(monkeypatch):
-    """The names of the searches ``dijkstra`` runs from now on, in call order."""
+    """The names of the searches run from now on, in call order; a level
+    search given a target (``shortest_path``'s) is "_level_search to a target"."""
     ran = []
     for name in ("_heap_search", "_level_search"):
         def recorded(*args, search=getattr(city_module, name), name=name):
-            ran.append(name)
+            ran.append(name if args[3:] in [(), (-1,)] else f"{name} to a target")
             return search(*args)
 
         monkeypatch.setattr(city_module, name, recorded)
@@ -519,8 +520,10 @@ def test_trees_are_arrays_also_when_kept(monkeypatch):
     assert [tree.source for tree in trees] == [2, 3, 2]
     grid = grid_city(width=3, height=3, pois_per_category=1)  # routed level by level
     search_pois(grid, grid.pois["work-0"].node, "shop", "walking", "0-10")
-    assert trees[-1].source == grid.pois["work-0"].node
-    assert grid._trees.kept == {trees[-1].source: trees[-1]}
+    shop = grid.pois["shop-0"].node  # the search reads the shop's tree, not work-0's
+    assert shop != grid.pois["work-0"].node
+    assert [tree.source for tree in trees[3:]] == [shop]
+    assert grid._trees.kept == {shop: trees[-1]}
     for tree in trees:
         assert (tree.dist.typecode, tree.prev.typecode) == ("d", "i")
 
@@ -723,6 +726,116 @@ def test_cached_routing_equals_a_fresh_city(build, monkeypatch):
     assert f"no street node {unknown}" in errors
     assert any("unreachable" in message for message in errors)
     assert runs["cached"] < runs["fresh"]
+
+
+# ----------------------------------------------------------------------
+# one exact step: POI distances from the POIs' trees, routes that stop
+# at their target, each against the source's own full tree
+# ----------------------------------------------------------------------
+
+
+def _uniform_cities_with_pois():
+    """The level-search oracle's 36 seeded cities, with two POI categories, and a grid.
+
+    A POI may share its node with another or sit on the random cities' island.
+    """
+    rng = np.random.default_rng(37)
+    cities = [_tied_random_city(rng, lengths=(length,) * 3) for length in (1.0, 3.0, 100.0) * 12]
+    for city in cities:
+        for i, node in enumerate(rng.choice(sorted(city.positions), size=6)):
+            category = ("shop", "work")[i % 2]
+            city.add_poi(f"{category}-{i}", category, int(node))
+    cities.append(grid_city(width=13, height=7, pois_per_category=3))
+    return cities
+
+
+def test_uniform_poi_search_equals_reading_the_source_tree(monkeypatch):
+    ran = _searches(monkeypatch)
+    cities = _uniform_cities_with_pois()
+    unreachable = 0
+    for city in cities:
+        step = city._trees.street_graph(city)[3]
+        city.speeds["walking"] = step  # a radius of 10, 20, ... steps by duration bin
+        for source in sorted(city.positions):
+            tree = dijkstra(city, source)
+            for category in sorted({p.category for p in city.pois.values()}):
+                pois = city.pois_of_category(category)
+                found = [(tree.distance(p.node), p.id) for p in pois]
+                expected = sorted(pair for pair in found if pair[0] is not None)  # exact floats
+                unreachable += len(found) - len(expected)
+                assert city_module._pois_by_distance(city, source, category) == expected
+                for duration in DURATION_BINS:
+                    radius = step * duration_upper_minutes(duration)
+                    in_range = [poi_id for d, poi_id in expected if d <= radius]
+                    assert search_pois(city, source, category, "walking", duration) == in_range
+                message = f"no POI of category {category!r} reachable from node {source}"
+                nearest = ("returned", expected[0][1]) if expected else ("raised", UnknownNode, message)
+                assert _outcome(nearest_poi, city, source, category) == nearest
+        assert city._trees.last is None  # no tree from a non-POI node is cached
+    assert unreachable > 0
+    # besides the source trees, one full tree per POI node and per city
+    poi_nodes = sum(len({p.node for p in city.pois.values()}) for city in cities)
+    assert ran == ["_level_search"] * len(ran)
+    assert len(ran) == sum(city.node_count() for city in cities) + poi_nodes
+
+
+def _expected_route(trees, source, target):
+    """``_outcome(shortest_path, ...)`` as read from the source's full tree."""
+    for node in (target, source):
+        if node not in trees:
+            return "raised", UnknownNode, f"no street node {node}"
+    distance = trees[source].distance(target)
+    if distance is None:
+        return "raised", UnknownNode, f"node {target} unreachable from {source}"
+    return "returned", (distance, trees[source].path(target))
+
+
+def test_uniform_routes_equal_the_full_tree(monkeypatch):
+    """Every (source, target) pair, an unknown node on either end and source == target."""
+    ran = _searches(monkeypatch)
+    for city in _uniform_cities_with_pois():
+        nodes = sorted(city.positions)
+        trees = {source: dijkstra(city, source) for source in nodes}  # dijkstra caches nothing
+        ends = nodes + [max(nodes) + 1]
+        poi_nodes = {p.node for p in city.pois.values()}
+        for keep in (False, True):
+            if keep:  # the POI search keeps the POI trees, and routes from POI nodes read them
+                for category in {p.category for p in city.pois.values()}:
+                    city_module._pois_by_distance(city, max(poi_nodes), category)
+            ran.clear()
+            for source in ends:
+                for target in ends:
+                    expected = _expected_route(trees, source, target)
+                    assert _outcome(shortest_path, city, source, target) == expected
+            sources = len(nodes) - len(poi_nodes) * keep  # those that stop at each target
+            assert ran == ["_level_search to a target"] * sources * len(nodes)
+        assert set(city._trees.kept) == poi_nodes and city._trees.last is None
+
+
+def test_the_level_search_stops_once_the_target_is_labelled():
+    """It labels every node closer than the target, none farther, each as the full tree does."""
+    grid = grid_city(width=13, height=7, pois_per_category=1)
+    _, nodes, adjacency, step = grid._trees.street_graph(grid)
+    for s in range(len(nodes)):
+        full_dist, full_prev = city_module._level_search(adjacency, s, step, -1)
+        for t in range(len(nodes)):
+            dist, prev = city_module._level_search(adjacency, s, step, t)
+            for i, d in enumerate(dist):
+                if d < math.inf:
+                    assert (d, prev[i]) == (full_dist[i], full_prev[i]) and d <= dist[t]
+                else:
+                    assert full_dist[i] >= dist[t]
+
+
+def test_mixed_length_poi_search_reads_the_source_tree(monkeypatch):
+    ran = _searches(monkeypatch)
+    city = line_city()  # lengths 100, 200 and 300 m: the heap search
+    assert search_pois(city, 2, "shop", "walking", "0-10") == ["shop-a", "shop-b"]
+    assert ran == ["_heap_search"] and city._trees.last.source == 2 and not city._trees.kept
+    assert shortest_path(city, 2, 4) == (400.0, [2, 3, 4])  # the same tree: no new search
+    assert ran == ["_heap_search"]
+    assert shortest_path(city, 1, 4) == (600.0, [1, 2, 3, 4])
+    assert ran == ["_heap_search"] * 2 and city._trees.last.source == 1
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import io
+import json
 import math
 
 import pytest
@@ -657,7 +658,7 @@ def test_golden_day_poi_prompts_are_pinned():
 
 
 def test_golden_day_routes_from_each_source_once(monkeypatch):
-    """Each trip shares one dijkstra run; a POI-rooted tree is computed once per city."""
+    """Full trees are rooted at POI nodes only, each computed once per city."""
     runs = []
     dijkstra = city_module.dijkstra
 
@@ -670,14 +671,39 @@ def test_golden_day_routes_from_each_source_once(monkeypatch):
     poi_nodes = {poi.node for poi in city.pois.values()}
     for day in range(2):
         runs.clear()
-        tally, trips = golden_run(city)
+        tally, _ = golden_run(city)
         edge_buffer, poi_buffer = io.StringIO(), io.StringIO()
         tally.write_edge_csv(edge_buffer)
         tally.write_poi_csv(poi_buffer)
         assert edge_buffer.getvalue().encode() == EDGE_TALLY_PATH.read_bytes()
         assert poi_buffer.getvalue().encode() == POI_TALLY_PATH.read_bytes()
-        from_pois = {t.origin for t in trips if t.origin in poi_nodes}
-        from_others = [t for t in trips if t.origin not in poi_nodes]
-        assert 0 < len(runs) <= len(from_pois) + len(from_others)
-        # every POI-rooted tree is computed once per city, not once per trip
-        assert sum(source in poi_nodes for source in runs) <= (len(from_pois) if day == 0 else 0)
+        # day 0 reads the trees of 12 of the 17 POI nodes and routes from
+        # other nodes without one; day 1 finds every tree it reads kept
+        assert set(runs) <= poi_nodes
+        assert len(runs) == len(set(runs)) == (12 if day == 0 else 0)
+
+
+# sha256 of the edge and POI tallies of the golden day on the golden city
+# with edge 2-3, its busiest, made 1 m longer: a mixed-length city, which the
+# heap search routes and whose POI search reads the origin's own tree.
+_MIXED_LENGTH_DAY_SHA256 = (
+    "e7c67567504a37d768cf23b30b450f7efa1be0f3440d4ac3b4acce4ecc49e82a",
+    "7ef7c2805b0df74d13855e63be6e060a2c7771f31c4c763011f8b7bc8b4e83b8",
+)
+
+
+def test_golden_day_on_a_mixed_length_city_is_pinned():
+    buffer = io.StringIO()
+    golden_city().to_json(buffer)
+    snapshot = json.loads(buffer.getvalue())
+    (edge,) = [e for e in snapshot["edges"] if (e["u"], e["v"]) == (2, 3)]
+    edge["length"] += 1.0
+    city = CityModel.from_json(io.StringIO(json.dumps(snapshot)))
+    tally, _ = golden_run(city)
+    digests = []
+    for write in (tally.write_edge_csv, tally.write_poi_csv):
+        buffer = io.StringIO()
+        write(buffer)
+        digests.append(hashlib.sha256(buffer.getvalue().encode()).hexdigest())
+    assert tuple(digests) == _MIXED_LENGTH_DAY_SHA256
+    assert city._trees.street_graph(city)[3] is None  # two lengths: the heap search
