@@ -101,24 +101,28 @@ def _out_dir(args, config: RunConfig) -> Path:
     return path
 
 
-def _read(value: Optional[str], flag: str, parse):
-    """``parse`` of the UTF-8 file a flag names, read past any byte order mark.
-
-    A DataError that ``parse`` raises names the flag.
-    """
+def _read(value: Optional[str], flag: str, load):
+    """``load`` of the path of the file a flag names; a DataError it raises names the flag."""
     path = _path(value, flag)
     if not path.is_file():
         raise ConfigError(f"{flag}: no such file {path}")
     try:
-        with open(path, "r", encoding="utf-8-sig") as fp:
-            return parse(fp)
+        return load(path)
     except DataError as exc:
         raise DataError(f"{flag}: {exc}") from exc
 
 
+def _text(parse):
+    """A ``_read`` loader that gives ``parse`` the UTF-8 file, read past any byte order mark."""
+    def load(path: Path):
+        with open(path, "r", encoding="utf-8-sig") as fp:
+            return parse(fp)
+    return load
+
+
 def _load_records(value: Optional[str], flag: str):
     """The records of the trip CSV a flag names; EmptyReference, naming the flag, when it holds none."""
-    records = _read(value, flag, lambda fp: read_csv(fp.name))  # read_csv reads the bytes itself
+    records = _read(value, flag, read_csv)
     if not records:
         raise EmptyReference(f"{flag}: {value} contains no records")
     return records
@@ -175,7 +179,7 @@ def cmd_gen_synth(args, config: RunConfig) -> int:
     out = _out_file(args.out)
     spec, seed = default_synthetic_spec(), config.pipeline.seed
     if args.spec is not None:  # a spec file draws with its own seed unless --seed is given
-        spec = _read(args.spec, "--spec", SyntheticSpec.from_json)
+        spec = _read(args.spec, "--spec", _text(SyntheticSpec.from_json))
         seed = spec.seed if args.seed is None else seed
     size = _at_least(args.size, "--size") if args.size is not None else spec.population
     records = generate_synthetic(spec, size=size, seed=seed)
@@ -212,7 +216,7 @@ def _agent_from_json(fp) -> QueryAgent:
 
 def cmd_predict(args, config: RunConfig) -> int:
     out = None if args.out is None else _out_file(args.out)
-    agent = _read(args.agent, "--agent", _agent_from_json)
+    agent = _read(args.agent, "--agent", _text(_agent_from_json))
     records = _load_records(_given(args.reference, config.paths.reference_csv), "--reference")
     graph = build_from_records(records)
     output = {
@@ -298,13 +302,13 @@ def cmd_simulate(args, config: RunConfig) -> int:
     if city_path is None:
         city = grid_city(seed=config.pipeline.seed)
     else:
-        city = _read(city_path, "--city", CityModel.from_json)
+        city = _read(city_path, "--city", CityModel.load)
     reference = _load_records(_given(args.reference, config.paths.reference_csv), "--reference")
     chain = _build_chain(build_from_records(reference), config)
     seed = config.pipeline.seed
     reference_tally = None
     if args.reference_tally is not None:
-        reference_tally = _read(args.reference_tally, "--reference-tally", TrafficTally.from_csv)
+        reference_tally = _read(args.reference_tally, "--reference-tally", _text(TrafficTally.from_csv))
         if reference_tally.total_edge_traversals() == 0:
             raise EmptySamples(f"--reference-tally: {args.reference_tally} has zero total")
 

@@ -82,10 +82,7 @@ def _section(cls, obj, name: str, **fixed):
     unknown = sorted(set(obj) - allowed)
     if unknown:
         raise ConfigError(f"unknown keys in section {name!r}: {unknown}")
-    try:
-        return cls(**obj, **fixed)
-    except TypeError as exc:
-        raise ConfigError(f"section {name!r}: {exc}") from exc
+    return cls(**obj, **fixed)
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,7 @@ edge weights. Two providers ship with the package:
 
 ``embed`` caches each text's vector per provider instance, so a remote
 provider asks for a text once. ``HashEmbedder.embed_batch`` embeds many
-texts at once, as one matrix, without caching them: a graph's person index
-calls it when the provider has it (see ``retrieval._person_index``), so an
-offline person vector lives once, in the index, and is computed once per
-graph it appears in.
+texts at once, as one matrix, without caching them.
 Only ``http_session`` imports ``requests``, when a remote provider is
 built, so offline runs never load the HTTP stack.
 """

@@ -13,7 +13,6 @@ validation set; see ``ValidationTruth``.
 
 from __future__ import annotations
 
-import csv
 from typing import IO, Optional, Sequence
 
 from .behavior_graph import build_from_records
@@ -23,7 +22,7 @@ from .pipeline import PipelineConfig, PreferenceChain
 from .preference import PreferenceDistribution, uniform_distribution
 from .retrieval import QueryAgent
 from .rng import substream
-from .schema import BUNDLED_CHOICE_SETS, INPUT_CATEGORIES, ChoiceCategorySet, TripRecord
+from .schema import BUNDLED_CHOICE_SETS, INPUT_CATEGORIES, ChoiceCategorySet, TripRecord, write_csv_rows
 
 # choice set name -> one distribution per record, aligned with the record list
 PredictionTable = dict[str, list[PreferenceDistribution]]
@@ -178,15 +177,15 @@ def evaluate_predictions(
 
 def write_combined_csv(fp: IO[str], reports: dict[str, EvaluationReport]) -> None:
     """Several named reports in one CSV (predictor, dimension, metric, value)."""
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(["predictor", "dimension", "metric", "value"])
+    rows = []
     for predictor in sorted(reports):
         report = reports[predictor]
         for dimension, kld_value, mae_value in report.entries:
-            writer.writerow([predictor, dimension, "kld", repr(kld_value)])
-            writer.writerow([predictor, dimension, "mae", repr(mae_value)])
-        writer.writerow([predictor, "mean", "kld", repr(report.mean_kld)])
-        writer.writerow([predictor, "mean", "mae", repr(report.mean_mae)])
+            rows.append([predictor, dimension, "kld", repr(kld_value)])
+            rows.append([predictor, dimension, "mae", repr(mae_value)])
+        rows.append([predictor, "mean", "kld", repr(report.mean_kld)])
+        rows.append([predictor, "mean", "mae", repr(report.mean_mae)])
+    write_csv_rows(fp, ["predictor", "dimension", "metric", "value"], rows)
 
 
 # ----------------------------------------------------------------------
@@ -232,7 +231,5 @@ def sweep_reference_sizes(
 
 
 def write_sweep_csv(fp: IO[str], rows: Sequence[tuple[int, int, str, float]]) -> None:
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(["n", "seed", "metric", "value"])
-    for n, seed, metric, value in rows:
-        writer.writerow([n, seed, metric, repr(value)])
+    cells = [[n, seed, metric, repr(value)] for n, seed, metric, value in rows]
+    write_csv_rows(fp, ["n", "seed", "metric", "value"], cells)

@@ -44,6 +44,7 @@ from .schema import (
     TripRecord,
     decode_json,
     is_number,
+    write_csv_rows,
 )
 
 SPEC_VERSION = "1"
@@ -116,13 +117,8 @@ def write_csv(records: Sequence[TripRecord], path) -> None:
 def write_csv_fp(records: Sequence[TripRecord], fp: IO[str]) -> None:
     with_household = any(r.household_id is not None for r in records)
     columns = list(CSV_COLUMNS) + ([HOUSEHOLD_COLUMN] if with_household else [])
-    writer = csv.DictWriter(fp, fieldnames=columns, lineterminator="\n")
-    writer.writeheader()
-    for record in records:
-        row = record.as_row()
-        if with_household:
-            row.setdefault(HOUSEHOLD_COLUMN, "")
-        writer.writerow(row)
+    rows = (record.as_row() for record in records)
+    write_csv_rows(fp, columns, ([row.get(column, "") for column in columns] for row in rows))
 
 
 # ----------------------------------------------------------------------

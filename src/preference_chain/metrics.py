@@ -106,7 +106,7 @@ def mae(p: JointDistribution, q: JointDistribution) -> float:
 class EvaluationReport:
     """Per-dimension KLD/MAE rows plus their means across dimensions."""
 
-    entries: list[tuple[str, float, float]] = field(default_factory=list)
+    entries: list[tuple[str, float, float]] = field(default_factory=list, init=False)
 
     def add(self, dimension: str, kld_value: float, mae_value: float) -> None:
         self.entries.append((dimension, kld_value, mae_value))

@@ -42,6 +42,7 @@ from .schema import (
     ChoiceCategorySet,
     check_desire,
     check_hour,
+    write_csv_rows,
 )
 
 # Purposes whose first chosen POI is reused all day.
@@ -54,8 +55,8 @@ class AgentState:
     profile: AgentProfile
     home: int
     node: int
-    minute: int = 0
-    trips: list[TripLog] = field(default_factory=list)
+    minute: int = field(default=0, init=False)
+    trips: list[TripLog] = field(default_factory=list, init=False)
 
 
 @dataclass(frozen=True)
@@ -181,7 +182,7 @@ def choose_mode_and_duration(
     hour: int,
     chain: PreferenceChain,
     rng,
-    context: str = "",
+    context: str,
 ) -> tuple[str, str]:
     """Sample mode then duration from the calibrated posteriors."""
     results = chain.predict_all(QueryAgent(agent.profile, purpose, hour, context))
@@ -206,7 +207,7 @@ def select_poi(
     candidates: Sequence[str],
     agent: AgentState,
     provider: LlmProvider,
-    params: GenerationParams = GenerationParams(),
+    params: GenerationParams,
 ) -> str:
     """Provider choice constrained to the candidates; nearest on fallback."""
     if not candidates:
@@ -236,10 +237,8 @@ def _count(counts: dict[tuple[str, int], int], key: str, hour: int, count: int) 
 
 
 def _write_counts(fp: IO[str], column: str, counts: dict[tuple[str, int], int]) -> None:
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow([column, "hour", "count"])
-    for key, hour in sorted(counts):
-        writer.writerow([key, hour, counts[key, hour]])
+    rows = ([key, hour, counts[key, hour]] for key, hour in sorted(counts))
+    write_csv_rows(fp, [column, "hour", "count"], rows)
 
 
 @dataclass
@@ -392,7 +391,7 @@ def simulate_agent(
     city: CityModel,
     chain: PreferenceChain,
     seed: int,
-    context: str = "",
+    context: str,
 ) -> tuple[TrafficTally, list[TripLog]]:
     """One agent's whole day, appended to ``agent.trips``; owns the agent's substream."""
     rng = substream(seed, "agent", agent.id)

@@ -3,9 +3,7 @@
 One PreferenceChain instance owns a behavior graph, which its first query
 freezes, the two providers, and the numeric knobs. Queries may run
 concurrently. The chain holds all a profile's top-k persons depend on, so it
-memoises them; each new chain starts cold. Each query's subgraph is its
-own ``retrieval.Extraction``, which keeps its path sums for the choice sets
-it is scored on.
+memoises them; each new chain starts cold.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from .errors import EmptyGraph, check_config, not_booleans
 from .llm_remodel import (
     DEFAULT_BLEND,
     CalibrationResult,
-    CalibrationSource,
     GenerationParams,
     IdentityMockLlm,
     LlmProvider,
@@ -159,11 +156,3 @@ class PreferenceChain:
             name: self.predict(agent, choice_set, subgraph)
             for name, choice_set in sorted(self.graph.choice_sets.items())
         }
-
-
-__all__ = [
-    "PipelineConfig",
-    "PreferenceChain",
-    "CalibrationResult",
-    "CalibrationSource",
-]

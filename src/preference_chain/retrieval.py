@@ -9,9 +9,8 @@ desires and intentions (``extract_subgraph``). The search returns an
 a plain graph that tests build by hand.
 
 Each cache is described by its owner: ``QueryAgent``, ``BehaviorGraph``,
-``Extraction`` and ``pipeline.PreferenceChain``. With a provider that has
-``embed_batch``, such as ``HashEmbedder``, the person vectors live once, in
-the graph's person index (``_person_index``), not in the provider's cache.
+``Extraction``, ``pipeline.PreferenceChain`` and the person index
+(``_person_index``).
 """
 
 from __future__ import annotations

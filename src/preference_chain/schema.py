@@ -13,17 +13,18 @@ day-plan entries and traffic tallies share it, and ``HOURS`` is the one
 map from hour text to that int. A desire (trip purpose and start hour)
 has one rule, ``check_desire``. Only the builder ``CityModel`` has a
 ``validate()``, because its rules span many ``add_*`` calls. Every JSON
-input is read with ``decode_json``, and every JSON output file is written
-by ``write_json`` (sorted keys, two-space indent, one final newline);
-only a ``SyntheticSpec`` keeps its keys in declaration order.
+input is read with ``decode_json``. Every JSON output file is written by
+``write_json`` (sorted keys, two-space indent, one final newline; only a
+``SyntheticSpec`` keeps declaration order), every CSV by ``write_csv_rows``.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from dataclasses import dataclass, field, fields
-from typing import IO, Iterator, Optional
+from typing import IO, Iterable, Iterator, Optional, Sequence
 
 from .errors import SchemaViolation
 
@@ -217,3 +218,10 @@ def write_json(fp: IO[str], obj: dict) -> None:
     """Write ``obj`` with sorted keys and a two-space indent, then a newline."""
     json.dump(obj, fp, indent=2, sort_keys=True)
     fp.write("\n")
+
+
+def write_csv_rows(fp: IO[str], header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write ``header`` and then each row as CSV lines, each ending in one newline."""
+    writer = csv.writer(fp, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)

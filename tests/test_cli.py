@@ -277,6 +277,13 @@ def test_predict_invalid_agents(tmp_path, trips_csv, capsys):
     # an agent file has no data rows, so its error names none
     assert capsys.readouterr().err == "data error: --agent: column 'trip_purpose': invalid value 'flying'\n"
 
+    no_profile = tmp_path / "a9.json"
+    no_profile.write_text(json.dumps({"trip_purpose": "work", "start_time": 8}), encoding="utf-8")
+    assert run(["predict", "--agent", no_profile, "--reference", trips_csv]) == 3
+    assert capsys.readouterr().err == (
+        "data error: --agent: column 'profile': invalid value None (missing profile object)\n"
+    )
+
     bad_context = write_agent(tmp_path / "a6.json", context=5)
     assert run(["predict", "--agent", bad_context, "--reference", trips_csv]) == 3
 
@@ -357,6 +364,25 @@ def test_evaluate_writes_reports(tmp_path, trips_csv, capsys):
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["command"] == "evaluate"
     assert manifest["n_reference"] == 60 and manifest["n_validation"] == 30
+
+
+def test_evaluate_opens_each_trip_csv_once(tmp_path, trips_csv, monkeypatch):
+    import builtins
+
+    validation = tmp_path / "val.csv"
+    assert run(["gen-synth", "--size", 20, "--seed", 3, "--out", validation]) == 0
+    opened = []
+    real_open = builtins.open
+
+    def counted_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counted_open)
+    argv = ["evaluate", "--reference", trips_csv, "--validation", validation, "--out", tmp_path / "e"]
+    assert run(argv) == 0
+    assert opened.count(str(trips_csv)) == 1
+    assert opened.count(str(validation)) == 1
 
 
 def test_evaluate_rerun_is_byte_identical(tmp_path, trips_csv):
@@ -789,6 +815,7 @@ def _broken_spec(mutate=None, **fields) -> str:
         pytest.param("agent", "[1, 2]", id="agent-not-an-object"),
         pytest.param("agent", json.dumps({"profile": {}}), id="agent-empty-profile"),
         pytest.param("spec", "{oops", id="spec-bad-json"),
+        pytest.param("spec", _broken_spec(marginals=[1, 2]), id="spec-marginals-a-list"),
         pytest.param("spec", _broken_spec(population="10"), id="spec-population-string"),
         pytest.param("spec", _broken_spec(population=5.5), id="spec-population-float"),
         pytest.param("spec", _broken_spec(population=True), id="spec-population-bool"),

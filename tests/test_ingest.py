@@ -32,6 +32,7 @@ from preference_chain.schema import (
     PROFILE_FIELDS,
     START_TIMES,
     AgentProfile,
+    ChoiceCategorySet,
     TripRecord,
 )
 
@@ -345,6 +346,12 @@ def test_hour_conditioned_spec_structure_lln():
     noon = [r for r in records if r.start_time == 12]
     share = sum(r.duration_minutes == "0-10" for r in noon) / len(noon)
     assert share == pytest.approx(0.70, abs=0.02)
+
+
+@pytest.mark.parametrize("options", [(), ("walk", "bike", "walk")], ids=["empty", "repeated"])
+def test_a_choice_set_needs_distinct_options(options):
+    with pytest.raises(ValueError, match="choice set 'mode' has"):
+        ChoiceCategorySet("mode", options)
 
 
 def test_spec_validation_failures():

@@ -240,6 +240,11 @@ def test_scripted_mock_overrides_prior():
     assert PRIOR_JSON_MARKER in provider.calls[0]
 
 
+def test_a_scripted_mock_needs_a_response():
+    with pytest.raises(ValueError, match="need at least one response"):
+        ScriptedMockLlm([])
+
+
 def test_garbage_response_falls_back_to_prior():
     prior = _prior()
     result = calibrate(_agent(), prior, ScriptedMockLlm(["word salad"]))

@@ -38,6 +38,7 @@ from preference_chain.schema import DURATION_BINS, PRIMARY_MODES
 from tests.golden import EDGE_TALLY_PATH, POI_TALLY_PATH, golden_city, golden_run
 
 INTENTIONS = ("primary_mode", "duration_minutes")
+PARAMS = GenerationParams()
 
 
 def empty_chain(llm=None):
@@ -183,6 +184,8 @@ def test_parse_schedule_failures():
         '[{"hour": 25, "purpose": "work"}]',
         '[{"hour": true, "purpose": "work"}]',
         '[{"hour": 9, "purpose": "commute"}]',
+        # the first non-empty array decides, even when a later one is valid
+        '[] [{"hour": 25, "purpose": "work"}] [{"hour": 10, "purpose": "eat"}]',
     ):
         with pytest.raises(ParseFailure):
             parse_schedule(raw)
@@ -285,14 +288,14 @@ def test_agent_trips_are_monotonic():
     city, agents, plans = _population()
     chain = reference_chain()
     for agent, plan in zip(agents, plans):
-        _, trips = simulate_agent(agent, plan, city, chain, seed=4)
+        _, trips = simulate_agent(agent, plan, city, chain, seed=4, context="")
         assert agent.trips == trips and len(trips) == len(plan.entries)
         starts = [t.start_minute for t in agent.trips]
         assert starts == sorted(starts)
     # a second day appends to the agent's trips and returns only its own
     agent, plan = agents[0], plans[0]
     first_day = list(agent.trips)
-    _, trips = simulate_agent(agent, plan, city, chain, seed=4)
+    _, trips = simulate_agent(agent, plan, city, chain, seed=4, context="")
     assert agent.trips == first_day + trips and len(trips) == len(plan.entries)
     starts = [t.start_minute for t in agent.trips]
     assert starts == sorted(starts)
@@ -312,7 +315,7 @@ def test_choose_mode_and_duration_sampling_frequencies(profile):
     rng = substream(0, "choice-test")
     modes, durations = [], []
     for _ in range(100):
-        mode, duration = choose_mode_and_duration(agent, "work", 8, chain, rng)
+        mode, duration = choose_mode_and_duration(agent, "work", 8, chain, rng, "")
         modes.append(mode)
         durations.append(duration)
     share = modes.count("walking") / len(modes)
@@ -325,29 +328,29 @@ def test_choose_mode_identity_mock_uses_uniform(profile):
     chain = empty_chain()
     agent = AgentState(id=0, profile=profile, home=0, node=0)
     rng = substream(1, "choice-test")
-    modes = {choose_mode_and_duration(agent, "work", 8, chain, rng)[0] for _ in range(300)}
+    modes = {choose_mode_and_duration(agent, "work", 8, chain, rng, "")[0] for _ in range(300)}
     assert modes == set(PRIMARY_MODES)
 
 
 def test_select_poi_rules(profile):
     agent = AgentState(id=0, profile=profile, home=0, node=0)
     candidates = ["shop-near", "shop-far"]
-    assert select_poi(candidates, agent, ScriptedMockLlm(["shop-far"])) == "shop-far"
-    assert select_poi(candidates, agent, ScriptedMockLlm(["garbage"])) == "shop-near"
-    assert select_poi(candidates, agent, ScriptedMockLlm(["go to shop-far or shop-near"])) == "shop-far"
-    assert select_poi(candidates, agent, ExplodingLlm()) == "shop-near"
-    assert select_poi(candidates, agent, IdentityMockLlm()) == "shop-near"
+    assert select_poi(candidates, agent, ScriptedMockLlm(["shop-far"]), PARAMS) == "shop-far"
+    assert select_poi(candidates, agent, ScriptedMockLlm(["garbage"]), PARAMS) == "shop-near"
+    assert select_poi(candidates, agent, ScriptedMockLlm(["go to shop-far or shop-near"]), PARAMS) == "shop-far"
+    assert select_poi(candidates, agent, ExplodingLlm(), PARAMS) == "shop-near"
+    assert select_poi(candidates, agent, IdentityMockLlm(), PARAMS) == "shop-near"
     with pytest.raises(ValueError):
-        select_poi([], agent, IdentityMockLlm())
+        select_poi([], agent, IdentityMockLlm(), PARAMS)
 
 
 def test_select_poi_matches_whole_ids(profile):
     agent = AgentState(id=0, profile=profile, home=0, node=0)
     candidates = [f"shop-{i}" for i in range(12)]
-    assert select_poi(candidates, agent, ScriptedMockLlm(["shop-10"])) == "shop-10"
-    assert select_poi(candidates, agent, ScriptedMockLlm(["go to shop-1."])) == "shop-1"
-    assert select_poi(candidates, agent, ScriptedMockLlm(["shop-10 or shop-1"])) == "shop-10"
-    assert select_poi(candidates, agent, ScriptedMockLlm(["shop-100"])) == "shop-0"
+    assert select_poi(candidates, agent, ScriptedMockLlm(["shop-10"]), PARAMS) == "shop-10"
+    assert select_poi(candidates, agent, ScriptedMockLlm(["go to shop-1."]), PARAMS) == "shop-1"
+    assert select_poi(candidates, agent, ScriptedMockLlm(["shop-10 or shop-1"]), PARAMS) == "shop-10"
+    assert select_poi(candidates, agent, ScriptedMockLlm(["shop-100"]), PARAMS) == "shop-0"
 
 
 def test_select_poi_prompt_mentions_memory(profile):
@@ -506,7 +509,7 @@ def test_hand_traced_commute(profile):
     city = toy_city()
     agent = AgentState(id=0, profile=profile, home=0, node=0)
     plan = DayPlan(((8, "work"), (17, "home")))
-    tally, trips = simulate_agent(agent, plan, city, empty_chain(), seed=0)
+    tally, trips = simulate_agent(agent, plan, city, empty_chain(), seed=0, context="")
 
     # out at 8 and back at 17, each over exactly the three line edges
     assert tally.edge_counts == {
@@ -528,7 +531,7 @@ def test_hand_traced_commute(profile):
 def test_home_trip_while_home_moves_nothing(profile):
     city = toy_city()
     agent = AgentState(id=0, profile=profile, home=2, node=2)
-    tally, trips = simulate_agent(agent, DayPlan(((8, "home"),)), city, empty_chain(), seed=0)
+    tally, trips = simulate_agent(agent, DayPlan(((8, "home"),)), city, empty_chain(), seed=0, context="")
     assert tally.edge_counts == {} and tally.poi_counts == {}
     assert trips[0].edge_count == 0 and trips[0].poi_id is None
     assert agent.node == 2
@@ -542,7 +545,7 @@ def test_important_destination_is_remembered(profile):
     llm = ScriptedMockLlm(["", "", "work-0"])
     chain = empty_chain(llm)
     plan = DayPlan(((8, "work"), (12, "work")))
-    _, trips = simulate_agent(agent, plan, city, chain, seed=0)
+    _, trips = simulate_agent(agent, plan, city, chain, seed=0, context="")
     assert trips[0].poi_id == "work-0"
     # second work trip reuses the remembered POI without consulting the LLM:
     # 2 calibration calls per trip + exactly one POI call overall
@@ -557,7 +560,7 @@ def test_a_destination_out_of_range_falls_back_to_the_nearest_poi(profile):
     city.add_edge(3, 4, 1e7)  # farther than any mode goes in its longest duration bin
     city.add_poi("shop-far", "shop", 4)
     agent = AgentState(id=0, profile=profile, home=0, node=0)
-    _, trips = simulate_agent(agent, DayPlan(((8, "shop"),)), city, empty_chain(), seed=0)
+    _, trips = simulate_agent(agent, DayPlan(((8, "shop"),)), city, empty_chain(), seed=0, context="")
     assert (trips[0].poi_id, trips[0].destination) == ("shop-far", 4)
 
 
@@ -568,7 +571,7 @@ def test_late_arrival_pushes_next_start(profile):
     agent = AgentState(id=0, profile=profile, home=0, node=0)
     agent.minute = 9 * 60 + 30  # agent busy until 09:30
     plan = DayPlan(((9, "work"),))
-    tally, trips = simulate_agent(agent, plan, city, empty_chain(), seed=0)
+    tally, trips = simulate_agent(agent, plan, city, empty_chain(), seed=0, context="")
     assert trips[0].start_minute == 570  # max(540, 570)
     assert trips[0].hour == 9
     assert set(tally.edge_counts) == {("0-1", 9), ("1-2", 9), ("2-3", 9)}
@@ -617,7 +620,7 @@ def test_run_day_equals_independent_agent_merge():
     total, _ = run_day(agents, plans, city, chain, seed=4)
 
     _, fresh, _ = _population()
-    pieces = [simulate_agent(a, p, city, chain, seed=4)[0] for a, p in zip(fresh, plans)]
+    pieces = [simulate_agent(a, p, city, chain, seed=4, context="")[0] for a, p in zip(fresh, plans)]
     merged = TrafficTally()
     for piece in reversed(pieces):  # different fold order than run_day
         merged = piece.merge(merged)

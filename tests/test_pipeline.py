@@ -329,7 +329,7 @@ def test_top_k_runs_once_per_profile_text_per_chain(monkeypatch):
     assert calls == [agents[0].profile_text]
 
 
-def test_person_added_after_a_chains_query_is_retrieved_by_its_next_query():
+def test_a_chains_queried_graph_refuses_a_new_person():
     graph = build_from_records(
         [make_record(age_group=age) for age in ("18-24", "45-54", "65+")],
         GraphBuildConfig(intention_fields=("primary_mode",)),

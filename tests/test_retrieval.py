@@ -289,7 +289,7 @@ def test_a_query_equal_to_a_label_reads_the_row_the_embedding_would_give():
     assert not provider._cache and len(spaced_provider._cache) == len(profiles)
 
 
-def test_person_added_after_a_query_is_retrieved():
+def test_a_queried_graph_refuses_a_new_person():
     graph = _build([make_record(age_group=age) for age in ("18-24", "45-54", "65+")])
     provider = HashEmbedder()
     before = top_k_similar(graph, _agent(), 2, provider)
